@@ -15,8 +15,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub use bgsim::CancelToken;
-
 /// Run every job and return the results in job order. `threads <= 1`
 /// runs inline on the caller's thread (the reference mode); otherwise a
 /// scoped worker pool claims jobs by index.
@@ -52,50 +50,6 @@ where
         .collect()
 }
 
-/// [`run_shards`] for cancellable jobs: each job carries its cancel
-/// token, and a job whose token is already set **when a worker claims
-/// it** is skipped entirely — its slot comes back as `None` (the
-/// cancel-before-wave path: the job never spends a cycle of simulation).
-/// A job cancelled *mid-run* still returns `Some` (the closure observes
-/// its own token and reports a cancelled outcome). Results stay in job
-/// order, so `--threads 1` remains the conformance oracle for the
-/// uncancelled subset.
-pub fn run_shards_cancellable<T, F>(threads: usize, jobs: Vec<(CancelToken, F)>) -> Vec<Option<T>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs
-            .into_iter()
-            .map(|(tok, f)| (!tok.is_cancelled()).then(f))
-            .collect();
-    }
-    let n = jobs.len();
-    let slots: Vec<Mutex<Option<(CancelToken, F)>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (tok, job) = slots[i].lock().unwrap().take().expect("job claimed once");
-                if tok.is_cancelled() {
-                    continue;
-                }
-                let out = job();
-                *results[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    results.into_iter().map(|m| m.into_inner().unwrap()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,31 +74,5 @@ mod tests {
     fn zero_threads_runs_inline() {
         let jobs: Vec<_> = (0..2).map(|i| move || i).collect();
         assert_eq!(run_shards(0, jobs), vec![0, 1]);
-    }
-
-    #[test]
-    fn pre_cancelled_jobs_are_skipped_without_running() {
-        for threads in [1, 4] {
-            let cancelled = CancelToken::new();
-            cancelled.cancel();
-            let jobs: Vec<(CancelToken, _)> = (0..8)
-                .map(|i| {
-                    let tok = if i % 2 == 0 {
-                        cancelled.clone()
-                    } else {
-                        CancelToken::new()
-                    };
-                    (tok, move || i)
-                })
-                .collect();
-            let out = run_shards_cancellable(threads, jobs);
-            for (i, slot) in out.iter().enumerate() {
-                if i % 2 == 0 {
-                    assert_eq!(*slot, None, "threads={threads} job {i}");
-                } else {
-                    assert_eq!(*slot, Some(i), "threads={threads} job {i}");
-                }
-            }
-        }
     }
 }

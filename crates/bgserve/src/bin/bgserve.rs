@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bgserve serve    --listen unix:/tmp/bgserve.sock [--threads N]
-//!                  [--grace-ms N] [--cache-cap N] [--cache-dir DIR]
+//!                  [--cache-cap N] [--cache-dir DIR]
 //!                  [--paranoid] [--monitor-out FILE] [--force]
 //! bgserve submit   --listen EP (--gen-seed N | --script FILE)
 //!                  [--kernel cnk|fwk] [--mode LABEL] [--json]
@@ -32,10 +32,9 @@ fn die(msg: &str) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  bgserve serve --listen EP [--threads N] [--grace-ms N] \
-         [--cache-cap N]\n                [--cache-dir DIR] [--paranoid] \
-         [--monitor-out FILE] [--force]\n  bgserve submit --listen EP \
-         (--gen-seed N | --script FILE)\n                [--kernel cnk|fwk] \
+        "usage:\n  bgserve serve --listen EP [--threads N] [--cache-cap N]\n                \
+         [--cache-dir DIR] [--paranoid] [--monitor-out FILE] [--force]\n  \
+         bgserve submit --listen EP (--gen-seed N | --script FILE)\n                [--kernel cnk|fwk] \
          [--mode LABEL] [--json]\n                [--timeout-cycles N] \
          [--timeout-wall-ms N] [--progress N]\n  bgserve cancel --listen EP \
          --job N\n  bgserve ping|status|shutdown --listen EP\n  \
@@ -125,7 +124,6 @@ fn serve_cmd(args: &[String]) {
         &[
             "--listen",
             "--threads",
-            "--grace-ms",
             "--cache-cap",
             "--cache-dir",
             "--monitor-out",
@@ -134,7 +132,6 @@ fn serve_cmd(args: &[String]) {
     );
     let mut opts = ServeOpts::new(f.endpoint());
     opts.threads = f.num("--threads", opts.threads as u64).max(1) as usize;
-    opts.grace_ms = f.num("--grace-ms", opts.grace_ms);
     opts.cache_cap = f.num("--cache-cap", opts.cache_cap as u64).max(1) as usize;
     opts.cache_dir = f.get("--cache-dir").map(std::path::PathBuf::from);
     opts.paranoid = f.has("--paranoid");
@@ -210,12 +207,7 @@ fn submit_cmd(args: &[String]) {
         .submit_live(kernel, mode, &program, live)
         .unwrap_or_else(|e| die(&e));
     for p in &r.progress {
-        let n = |k: &str| {
-            p.get(k)
-                .and_then(|x| x.str())
-                .unwrap_or("?")
-                .to_string()
-        };
+        let n = |k: &str| p.get(k).and_then(|x| x.str()).unwrap_or("?").to_string();
         eprintln!(
             "bgserve: progress: cycle {} events {} (+{} ev / +{} cy)",
             n("cycle"),

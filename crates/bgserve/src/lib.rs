@@ -5,8 +5,8 @@
 //! partitions, and streams telemetry back to the submitter. This crate
 //! reproduces that control-system shape for the *simulated* machine: a
 //! persistent server accepts jobs — `(machine shape, seed, program,
-//! fault spec)` — over a Unix or TCP socket, multiplexes them onto a
-//! shared worker pool ([`bench::par::run_shards`]), and streams each
+//! fault spec)` — over a Unix or TCP socket, runs each one that must
+//! simulate as soon as one of its run slots is free, and streams each
 //! session its job lifecycle as newline-delimited JSON (the same
 //! hand-rolled dialect `bgtop` already reads via
 //! [`bench::monitor::parse_json`] — no new dependencies).
@@ -28,7 +28,8 @@
 //! * [`cache`] — the LRU result cache, with an optional on-disk tier
 //!   written atomically via [`bench::report::write_atomic`];
 //! * [`proto`] — the wire protocol (requests, response events);
-//! * [`server`] — endpoint/bind/session/dispatcher machinery;
+//! * [`server`] — endpoints, sessions, and the run slots that cap how
+//!   many simulations run at once;
 //! * [`client`] — a small blocking client for the CLI and tests;
 //! * [`selfcheck`] — an in-process service-vs-oracle differential leg.
 

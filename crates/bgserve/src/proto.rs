@@ -94,7 +94,9 @@ pub enum Request {
     Shutdown,
     Submit(SubmitReq),
     /// Cancel an in-flight job by server-assigned id.
-    Cancel { job: u64 },
+    Cancel {
+        job: u64,
+    },
 }
 
 /// Live-job knobs on a submission (all optional; the default is the

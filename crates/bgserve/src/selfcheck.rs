@@ -78,7 +78,6 @@ pub fn run(opts: &SelfcheckOpts) -> Result<String, String> {
     let mut serve_opts = ServeOpts::new(endpoint.clone());
     serve_opts.threads = opts.threads;
     serve_opts.paranoid = true;
-    serve_opts.grace_ms = 2;
     let handle = spawn(serve_opts)?;
 
     let run_sessions = |label: &str| -> Result<Vec<(usize, crate::client::JobResult)>, String> {

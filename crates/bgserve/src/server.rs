@@ -1,20 +1,28 @@
-//! The service node: endpoint plumbing, session threads, and the wave
-//! dispatcher that multiplexes every session's jobs onto one shared
-//! [`bench::par::run_shards_cancellable`] worker pool.
+//! The service node: endpoint plumbing, session threads, and the run
+//! slots that cap how many simulations run at once.
 //!
 //! Layout mirrors the real machine's control system: the listener is
 //! the service node's front door (one thread per connected submitter),
-//! the dispatcher is the job scheduler (batching concurrent
-//! submissions into waves so the pool stays busy without oversubscribing
-//! the host), and the monitor file is the rack's status display —
-//! published atomically so `bgtop` can tail it live.
+//! and the monitor file is the rack's status display — published
+//! atomically so `bgtop` can tail it live. Like CNK, the service puts
+//! nothing between a job and the hardware: no scheduler thread, no
+//! batching window, no timer.
+//!
+//! * A cache hit is answered on the session's own reader thread:
+//!   parse, key, lookup, `accepted`, `telemetry`, `result`.
+//! * A submission that must simulate (a miss, or a `--paranoid`
+//!   re-run of a hit) gets a steward thread, which runs the job the
+//!   moment it holds one of `threads` run slots. Slots are granted in
+//!   arrival order, so a short miss never waits behind a long job while
+//!   a slot is free.
 //!
 //! Jobs are *live* (the CNK property that the service node can watch
 //! and steer running work, not just collect exit codes):
 //!
-//! * each submission gets a [`CancelToken`] registered under its job
-//!   id; `{"op":"cancel","job":N}` from any session sets it, and the
-//!   run winds down cleanly at its next poll;
+//! * each job that must simulate gets a [`CancelToken`] registered
+//!   under its job id; `{"op":"cancel","job":N}` from any session sets
+//!   it, and the run winds down cleanly at its next poll — or never
+//!   starts, if the token is set by the time its slot comes up;
 //! * per-job `timeout_cycles` / `timeout_wall_ms` budgets yield a
 //!   `timeout` outcome the same way;
 //! * `progress_cycles` streams `progress` lines mid-run;
@@ -27,28 +35,25 @@
 //!   embedded in every published monitor snapshot for
 //!   `bgtop --sessions`.
 //!
-//! Determinism note: batching shape never affects results. Each job is
-//! a self-contained simulation, and the shard pool collects by index,
-//! so whether two jobs share a wave or run in different waves is
-//! invisible in their `(outcome, final cycle, digest)` triples — the
-//! selfcheck and integration tests assert exactly that against
-//! one-shot runs. The progress hook is digest-, cycle-, and
-//! profile-neutral by construction (pinned by proptest), so a job
-//! submitted with `progress_cycles` reports the same triple as one
-//! without.
+//! Determinism note: scheduling never affects results. Each job is a
+//! self-contained simulation, so when it runs and what runs beside it
+//! are invisible in its `(outcome, final cycle, digest)` triple — the
+//! selfcheck and integration tests assert exactly that against one-shot
+//! runs. The progress hook is digest-, cycle-, and profile-neutral by
+//! construction (pinned by proptest), so a job submitted with
+//! `progress_cycles` reports the same triple as one without.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bench::monitor::{snapshot_json, Monitor, StateNode};
-use bench::par::run_shards_cancellable;
 use bgcheck::program::Program;
-use bgcheck::runner::{run_mode_live, LiveOpts, CheckKernel, Mode, RunRecord};
+use bgcheck::runner::{run_mode_live, LiveOpts, RunRecord};
 use bgsim::machine::{CancelCause, ProgressCtl, ProgressReport, ProgressSink};
 use bgsim::telemetry::ProfileSnapshot;
 use bgsim::CancelToken;
@@ -56,6 +61,11 @@ use bgsim::CancelToken;
 use crate::cache::{CachedResult, ResultCache};
 use crate::key::JobKey;
 use crate::proto::{self, Request, StatusSnapshot, SubmitReq};
+
+/// The longest request line a session accepts, newline excluded. A
+/// longer line is answered with one `error` and the session is closed,
+/// so no client can make the server buffer more than this per session.
+const MAX_LINE: usize = 1 << 20;
 
 /// Minimum host time between mid-run monitor publishes triggered by
 /// progress reports (completions always publish immediately).
@@ -194,11 +204,10 @@ fn bind(ep: &Endpoint) -> Result<Listener, String> {
 /// Server configuration.
 pub struct ServeOpts {
     pub endpoint: Endpoint,
-    /// Worker-pool width (and maximum wave size).
+    /// Run slots: how many simulations may run at once. A miss (or a
+    /// `--paranoid` re-run) starts the moment it holds a slot, and slots
+    /// are granted in arrival order. Cache hits need no slot.
     pub threads: usize,
-    /// How long the dispatcher waits to batch concurrent submissions
-    /// into one wave before running a partial one.
-    pub grace_ms: u64,
     pub cache_cap: usize,
     /// Optional persistent cache tier directory.
     pub cache_dir: Option<PathBuf>,
@@ -215,7 +224,6 @@ impl ServeOpts {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            grace_ms: 5,
             cache_cap: 256,
             cache_dir: None,
             paranoid: false,
@@ -259,6 +267,7 @@ struct State {
     registry: Mutex<HashMap<u64, CancelToken>>,
     /// Root of the live state-monitor tree (the `server` node).
     tree: StateNode,
+    slots: RunSlots,
 }
 
 impl State {
@@ -283,12 +292,12 @@ impl State {
         let done = self.stats.completed.fetch_add(1, Ordering::Relaxed) + 1;
         let total = self.stats.submitted.load(Ordering::Relaxed);
         if let Ok(mut agg) = self.monitor.lock() {
+            let agg = &mut *agg;
             if let Some(p) = fresh_profile {
                 agg.merged.merge(p);
             }
-            let snap = agg.merged.clone();
             if let Some(m) = agg.monitor.as_mut() {
-                m.publish_with_state(done as usize, total as usize, &snap, Some(&self.tree));
+                m.publish_with_state(done as usize, total as usize, &agg.merged, Some(&self.tree));
             }
         }
     }
@@ -306,9 +315,9 @@ impl State {
                 return;
             }
             agg.last_progress_publish = Instant::now();
-            let snap = agg.merged.clone();
+            let agg = &mut *agg;
             if let Some(m) = agg.monitor.as_mut() {
-                m.publish_with_state(done as usize, total as usize, &snap, Some(&self.tree));
+                m.publish_with_state(done as usize, total as usize, &agg.merged, Some(&self.tree));
             }
         }
     }
@@ -380,109 +389,74 @@ fn drop_session(state: &State, shared: &SessionShared) {
     }
 }
 
-/// One queued job: the resolved program, its live-run knobs (cancel
-/// token included), the progress sink, and the session's reply slot.
-struct WorkItem {
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-    live: LiveOpts,
-    sink: Option<Box<dyn ProgressSink>>,
-    /// `jobs/<id>` node to stamp with the wave id (absent for paranoid
-    /// re-runs, which have no client-visible job of their own).
-    node: Option<StateNode>,
-    /// `None`: the job's token was already cancelled when its wave
-    /// formed — it never ran.
-    reply: Sender<Option<Result<(RunRecord, ProfileSnapshot), String>>>,
+/// The run-slot gate: at most `n` simulations hold a slot at once, and
+/// waiting jobs are granted slots in arrival order (a ticket queue).
+struct RunSlots {
+    queue: Mutex<Tickets>,
+    turn: Condvar,
 }
 
-/// The wave dispatcher: collect up to `threads` jobs (waiting at most
-/// `grace` for stragglers once the first arrives), run the wave through
-/// the shard pool, send each result home, repeat until every sender is
-/// gone. Jobs whose cancel token is already set when the wave forms are
-/// skipped without simulating a cycle.
-fn dispatcher(rx: Receiver<WorkItem>, threads: usize, grace: Duration) {
-    let mut wave_id = 0u64;
-    loop {
-        let first = match rx.recv() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut wave = vec![first];
-        let deadline = Instant::now() + grace;
-        while wave.len() < threads.max(1) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(w) => wave.push(w),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+struct Tickets {
+    /// Slots not held by a running job.
+    free: usize,
+    /// The next ticket to hand out.
+    issued: u64,
+    /// The oldest ticket still waiting for its turn.
+    head: u64,
+}
+
+/// A held run slot, given back on drop.
+struct Slot<'a>(&'a RunSlots);
+
+impl RunSlots {
+    fn new(n: usize) -> RunSlots {
+        RunSlots {
+            queue: Mutex::new(Tickets {
+                free: n.max(1),
+                issued: 0,
+                head: 0,
+            }),
+            turn: Condvar::new(),
         }
-        wave_id += 1;
-        let mut replies = Vec::with_capacity(wave.len());
-        let mut jobs = Vec::with_capacity(wave.len());
-        for w in wave {
-            if let Some(node) = &w.node {
-                node.set("wave", wave_id);
-                node.set("phase", "running");
-            }
-            replies.push(w.reply);
-            let token = w.live.cancel.clone().unwrap_or_default();
-            let (p, k, m, live, sink) = (w.program, w.kernel, w.mode, w.live, w.sink);
-            jobs.push((token, move || run_mode_live(&p, k, m, live, sink)));
+    }
+
+    /// The counters are only touched in the short sections below, never
+    /// across a job, so a poisoned lock still guards consistent values.
+    fn lock(&self) -> MutexGuard<'_, Tickets> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for this caller's turn and a free slot. `None`: `cancel` was
+    /// set by the time the slot came up — the job must not run; its turn
+    /// passes on and the slot stays free.
+    fn acquire(&self, cancel: Option<&CancelToken>) -> Option<Slot<'_>> {
+        let mut q = self.lock();
+        let ticket = q.issued;
+        q.issued += 1;
+        while q.head != ticket || q.free == 0 {
+            q = self.turn.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
-        let results = run_shards_cancellable(threads, jobs);
-        for (reply, r) in replies.into_iter().zip(results) {
-            let _ = reply.send(r);
+        q.head += 1;
+        let run = !cancel.is_some_and(CancelToken::is_cancelled);
+        if run {
+            q.free -= 1;
         }
+        // The next ticket's turn has come, and it may find a slot free.
+        if q.issued > q.head {
+            self.turn.notify_all();
+        }
+        run.then(|| Slot(self))
     }
 }
 
-/// Enqueue one live job and block for its result. `Ok(None)`: the job
-/// was cancelled before its wave started.
-fn dispatch_live(
-    work: &Sender<WorkItem>,
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-    live: LiveOpts,
-    sink: Option<Box<dyn ProgressSink>>,
-    node: Option<StateNode>,
-) -> Result<Option<(RunRecord, ProfileSnapshot)>, String> {
-    let (tx, rx) = mpsc::channel();
-    work.send(WorkItem {
-        program,
-        kernel,
-        mode,
-        live,
-        sink,
-        node,
-        reply: tx,
-    })
-    .map_err(|_| "dispatcher is gone".to_string())?;
-    match rx
-        .recv()
-        .map_err(|_| "dispatcher dropped the job".to_string())?
-    {
-        None => Ok(None),
-        Some(Ok(r)) => Ok(Some(r)),
-        Some(Err(e)) => Err(e),
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.lock();
+        q.free += 1;
+        if q.issued > q.head {
+            self.0.turn.notify_all();
+        }
     }
-}
-
-/// Plain (non-cancellable) dispatch: the paranoid re-run path. The
-/// fresh run deliberately does *not* share the client job's cancel
-/// token — a cancelled verification would read as a paranoid mismatch.
-fn dispatch(
-    work: &Sender<WorkItem>,
-    program: Program,
-    kernel: CheckKernel,
-    mode: Mode,
-) -> Result<(RunRecord, ProfileSnapshot), String> {
-    dispatch_live(work, program, kernel, mode, LiveOpts::default(), None, None)?
-        .ok_or_else(|| "job skipped without a cancel token".to_string())
 }
 
 fn cached_of(rec: &RunRecord, profile: Option<ProfileSnapshot>) -> CachedResult {
@@ -506,12 +480,9 @@ fn send_line(w: &mut Stream, line: &str) -> std::io::Result<()> {
 /// Build the progress sink for one job: stream a `progress` line per
 /// report, mirror the position into the job's state node, and bail out
 /// (cancelling the run) the moment the peer is unreachable.
-fn progress_sink(
-    state: Arc<State>,
-    shared: Arc<SessionShared>,
-    jnode: StateNode,
-    job: u64,
-) -> Box<dyn ProgressSink> {
+fn progress_sink(job: &Job) -> Box<dyn ProgressSink> {
+    let (state, shared) = (Arc::clone(&job.state), Arc::clone(&job.shared));
+    let (jnode, id) = (job.node.clone(), job.id);
     Box::new(move |r: &ProgressReport| {
         jnode.set("cycle", r.cycle);
         jnode.set("events", r.events);
@@ -520,7 +491,7 @@ fn progress_sink(
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
         let line = proto::progress_line(
-            job,
+            id,
             r.cycle,
             r.events,
             r.d_cycles,
@@ -537,208 +508,270 @@ fn progress_sink(
     })
 }
 
-/// Run one submission end to end (a steward thread's body): register
-/// the cancel token, answer from the cache or dispatch a live run, and
-/// finish with a `result` line. Interrupted outcomes (`cancelled`,
-/// `timeout`) are reported but never cached.
-fn handle_submit(
+/// Admit one submission on the session's reader thread. A cache hit is
+/// answered right here unless `--paranoid` asks for a re-run; a job that
+/// must simulate gets a registered cancel token, its `accepted` line and
+/// a steward thread, which waits for a run slot.
+fn admit(
     state: &Arc<State>,
-    work: &Sender<WorkItem>,
-    req: &SubmitReq,
     shared: &Arc<SessionShared>,
+    req: SubmitReq,
+    stewards: &mut Vec<JoinHandle<()>>,
 ) -> std::io::Result<()> {
     let program = match req.to_program() {
         Ok(p) => p,
         Err(e) => return send_shared(state, shared, &proto::error_line(&e)),
     };
     let key = JobKey::of(req.kernel, &program);
-    let (kd, key_hex) = (key.digest(), key.hex());
-    let job = state.next_job.fetch_add(1, Ordering::Relaxed) + 1;
+    let id = state.next_job.fetch_add(1, Ordering::Relaxed) + 1;
     state.stats.submitted.fetch_add(1, Ordering::Relaxed);
+    let job = Job {
+        state: Arc::clone(state),
+        shared: Arc::clone(shared),
+        id,
+        kd: key.digest(),
+        key_hex: key.hex(),
+        node: shared.node.child(&format!("jobs/{id}")),
+    };
+    job.node.set("kernel", req.kernel.label());
+    job.node.set("mode", req.mode.label());
+
+    let hit = state.cache.lock().ok().and_then(|mut c| c.get(job.kd));
+    let (count, cache) = match hit {
+        Some(_) => (&state.stats.cache_hits, "hit"),
+        None => (&state.stats.cache_misses, "miss"),
+    };
+    count.fetch_add(1, Ordering::Relaxed);
+    job.node.set("cache", cache);
+    let accepted = proto::accepted_line(id, &job.key_hex);
+    if let Some(entry) = hit.as_ref().filter(|_| !state.paranoid) {
+        job.send(&accepted)?;
+        let line = job.reply_hit(entry, "off")?;
+        return job.send(&line);
+    }
 
     // Register the cancel token *before* `accepted` goes out: a client
     // that cancels immediately after reading `accepted` must find it.
     let token = CancelToken::new();
     if let Ok(mut reg) = state.registry.lock() {
-        reg.insert(job, token.clone());
+        reg.insert(id, token.clone());
     }
     if let Ok(mut jobs) = shared.jobs.lock() {
-        jobs.insert(job, token.clone());
+        jobs.insert(id, token.clone());
     }
-    let jnode = shared.node.child(&format!("jobs/{job}"));
-    jnode.set("phase", "queued");
-    jnode.set("kernel", req.kernel.label());
-    jnode.set("mode", req.mode.label());
+    job.node.set("phase", "queued");
+    if let Err(e) = job.send(&accepted) {
+        job.deregister();
+        return Err(e);
+    }
+    stewards.push(std::thread::spawn(move || {
+        job.steward(&req, &program, token, hit)
+    }));
+    stewards.retain(|h| !h.is_finished());
+    Ok(())
+}
 
-    let res = handle_submit_inner(
-        state, work, req, shared, program, job, kd, &key_hex, &token, &jnode,
-    );
+/// One admitted submission: its id, cache key and state node, and the
+/// session its lines go to.
+struct Job {
+    state: Arc<State>,
+    shared: Arc<SessionShared>,
+    id: u64,
+    kd: u64,
+    key_hex: String,
+    node: StateNode,
+}
 
-    // Deregister BEFORE the final line goes out: the moment the client
-    // reads its result it may hang up, and a clean close racing a
-    // not-yet-deregistered job would be miscounted as a session drop.
-    if let Ok(mut reg) = state.registry.lock() {
-        reg.remove(&job);
+impl Job {
+    fn send(&self, line: &str) -> std::io::Result<()> {
+        send_shared(&self.state, &self.shared, line)
     }
-    if let Ok(mut jobs) = shared.jobs.lock() {
-        jobs.remove(&job);
+
+    fn deregister(&self) {
+        if let Ok(mut reg) = self.state.registry.lock() {
+            reg.remove(&self.id);
+        }
+        if let Ok(mut jobs) = self.shared.jobs.lock() {
+            jobs.remove(&self.id);
+        }
     }
-    match res {
-        Ok(final_line) => send_shared(state, shared, &final_line),
-        Err(e) => Err(e),
+
+    /// The tail of a cache hit: stream the stored telemetry snapshot,
+    /// mark the job done, and return its `result` line.
+    fn reply_hit(&self, entry: &CachedResult, paranoid: &str) -> std::io::Result<String> {
+        if let Some(p) = &entry.profile {
+            let snap = snapshot_json("bgserve", self.id, 1, 1, p);
+            self.send(&proto::telemetry_line(self.id, &snap))?;
+        }
+        self.node.set("phase", "done");
+        // Publish the monitor update before the result line: a client
+        // that acts on the result must find the stream already current.
+        self.state.finish_job(None);
+        Ok(proto::result_line(
+            self.id,
+            entry,
+            true,
+            paranoid,
+            &self.key_hex,
+        ))
+    }
+
+    /// A steward thread's body: verify a paranoid hit or run a miss,
+    /// then send the final line. Mid-job lines (telemetry, progress,
+    /// paranoid warnings) go out inline; the job is deregistered BEFORE
+    /// the final line, because the moment the client reads its result it
+    /// may hang up, and a clean close racing a not-yet-deregistered job
+    /// would be miscounted as a session drop.
+    fn steward(
+        self,
+        req: &SubmitReq,
+        program: &Program,
+        token: CancelToken,
+        hit: Option<CachedResult>,
+    ) {
+        let res = match &hit {
+            Some(entry) => self.verify(req, program, entry),
+            None => self.simulate(req, program, token),
+        };
+        self.deregister();
+        if let Ok(line) = res {
+            let _ = self.send(&line);
+        }
+    }
+
+    /// `--paranoid`: re-run a hit fresh in the requested mode and compare
+    /// triples before the cached answer is released.
+    fn verify(
+        &self,
+        req: &SubmitReq,
+        program: &Program,
+        entry: &CachedResult,
+    ) -> std::io::Result<String> {
+        let stats = &self.state.stats;
+        self.node.set("phase", "paranoid");
+        stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
+        // The fresh run deliberately does *not* share the client job's
+        // cancel token — a cancelled verification would read as a
+        // paranoid mismatch.
+        let fresh = {
+            let _slot = self.state.slots.acquire(None);
+            run_mode_live(program, req.kernel, req.mode, LiveOpts::default(), None)
+        };
+        let failure = match fresh {
+            Ok((rec, _))
+                if (rec.outcome.clone(), rec.final_cycle, rec.digest) == entry.triple() =>
+            {
+                None
+            }
+            Ok((rec, _)) => Some(format!(
+                "paranoid mismatch on key {}: cached outcome={} cycle={} \
+                 digest={:016x}, fresh outcome={} cycle={} digest={:016x}",
+                self.key_hex,
+                entry.outcome,
+                entry.final_cycle,
+                entry.digest,
+                rec.outcome,
+                rec.final_cycle,
+                rec.digest
+            )),
+            Err(e) => Some(format!("paranoid re-run failed: {e}")),
+        };
+        let paranoid = match failure {
+            None => "ok",
+            Some(detail) => {
+                stats.paranoid_failures.fetch_add(1, Ordering::Relaxed);
+                self.send(&proto::error_line(&detail))?;
+                "mismatch"
+            }
+        };
+        self.reply_hit(entry, paranoid)
+    }
+
+    /// A miss: run live as soon as a slot is free, cache a completed
+    /// triple, and stream the run's telemetry. Interrupted outcomes
+    /// (`cancelled`, `timeout`) are reported but never cached.
+    fn simulate(
+        &self,
+        req: &SubmitReq,
+        program: &Program,
+        token: CancelToken,
+    ) -> std::io::Result<String> {
+        let (state, id) = (&self.state, self.id);
+        let sink = req.live.progress_cycles.map(|_| progress_sink(self));
+        let ran = state.slots.acquire(Some(&token)).map(|_slot| {
+            self.node.set("phase", "running");
+            let live = LiveOpts {
+                cancel: Some(token.clone()),
+                timeout_cycles: req.live.timeout_cycles,
+                timeout_wall_ms: req.live.timeout_wall_ms,
+                progress_cycles: req.live.progress_cycles,
+            };
+            run_mode_live(program, req.kernel, req.mode, live, sink)
+        });
+        match ran {
+            None => {
+                // Cancelled while still queued: never simulated a cycle.
+                state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                self.node.set("phase", "cancelled");
+                let entry = CachedResult {
+                    kernel: req.kernel.label().to_string(),
+                    mode: req.mode.label(),
+                    outcome: "cancelled".to_string(),
+                    final_cycle: 0,
+                    digest: 0,
+                    coverage: 0,
+                    profile: None,
+                };
+                state.finish_job(None);
+                Ok(proto::result_line(id, &entry, false, "off", &self.key_hex))
+            }
+            Some(Ok((rec, snap))) => {
+                let interrupted = rec.outcome == "cancelled" || rec.outcome == "timeout";
+                let entry = cached_of(&rec, Some(snap.clone()));
+                if interrupted {
+                    // A cancelled/timed-out triple is a truncation
+                    // artifact, not the job's answer — memoizing it would
+                    // poison every future lookup of this key.
+                    if rec.outcome == "timeout" {
+                        state.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                    }
+                } else if let Ok(mut c) = state.cache.lock() {
+                    c.insert(self.kd, entry.clone());
+                }
+                self.node.set("phase", rec.outcome.clone());
+                let line = snapshot_json("bgserve", id, 1, 1, &snap);
+                self.send(&proto::telemetry_line(id, &line))?;
+                state.finish_job(Some(&snap));
+                Ok(proto::result_line(id, &entry, false, "off", &self.key_hex))
+            }
+            Some(Err(e)) => {
+                // Failed runs are not cached: the failure may be transient
+                // (e.g. resource pressure) and a retry should re-execute.
+                self.node.set("phase", "error");
+                state.finish_job(None);
+                Ok(proto::error_line(&e))
+            }
+        }
     }
 }
 
-/// Everything between `accepted` and the job's final protocol line.
-/// Mid-job lines (telemetry, progress, paranoid warnings) are sent
-/// inline; the FINAL line is returned instead so the caller can
-/// deregister the job before it reaches the client.
-#[allow(clippy::too_many_arguments)]
-fn handle_submit_inner(
-    state: &Arc<State>,
-    work: &Sender<WorkItem>,
-    req: &SubmitReq,
-    shared: &Arc<SessionShared>,
-    program: Program,
-    job: u64,
-    kd: u64,
-    key_hex: &str,
-    token: &CancelToken,
-    jnode: &StateNode,
-) -> std::io::Result<String> {
-    send_shared(state, shared, &proto::accepted_line(job, key_hex))?;
-
-    let hit = state.cache.lock().ok().and_then(|mut c| c.get(kd));
-    if let Some(entry) = hit {
-        state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        jnode.set("cache", "hit");
-        let mut paranoid = "off";
-        if state.paranoid {
-            jnode.set("phase", "paranoid");
-            state.stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
-            match dispatch(work, program, req.kernel, req.mode) {
-                Ok((rec, _)) => {
-                    let fresh = (rec.outcome.clone(), rec.final_cycle, rec.digest);
-                    if fresh == entry.triple() {
-                        paranoid = "ok";
-                    } else {
-                        paranoid = "mismatch";
-                        state
-                            .stats
-                            .paranoid_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        send_shared(
-                            state,
-                            shared,
-                            &proto::error_line(&format!(
-                                "paranoid mismatch on key {key_hex}: cached \
-                                 outcome={} cycle={} digest={:016x}, fresh \
-                                 outcome={} cycle={} digest={:016x}",
-                                entry.outcome,
-                                entry.final_cycle,
-                                entry.digest,
-                                rec.outcome,
-                                rec.final_cycle,
-                                rec.digest
-                            )),
-                        )?;
-                    }
-                }
-                Err(e) => {
-                    paranoid = "mismatch";
-                    state
-                        .stats
-                        .paranoid_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    send_shared(
-                        state,
-                        shared,
-                        &proto::error_line(&format!("paranoid re-run failed: {e}")),
-                    )?;
-                }
-            }
-        }
-        if let Some(p) = &entry.profile {
-            let snap = snapshot_json("bgserve", job, 1, 1, p);
-            send_shared(state, shared, &proto::telemetry_line(job, &snap))?;
-        }
-        jnode.set("phase", "done");
-        // Publish the monitor update before the result line: a client
-        // that acts on the result must find the stream already current.
-        state.finish_job(None);
-        return Ok(proto::result_line(job, &entry, true, paranoid, key_hex));
+/// Read the next request line into `buf`, newline stripped, holding at
+/// most [`MAX_LINE`] + 1 bytes of it. `Ok(false)`: end of stream. A line
+/// longer than [`MAX_LINE`] is an `InvalidData` error.
+fn read_request(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    buf.clear();
+    let limit = MAX_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
     }
-
-    state.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    jnode.set("cache", "miss");
-    let live = LiveOpts {
-        cancel: Some(token.clone()),
-        timeout_cycles: req.live.timeout_cycles,
-        timeout_wall_ms: req.live.timeout_wall_ms,
-        progress_cycles: req.live.progress_cycles,
-    };
-    let sink = req.live.progress_cycles.map(|_| {
-        progress_sink(
-            Arc::clone(state),
-            Arc::clone(shared),
-            jnode.clone(),
-            job,
-        )
-    });
-    match dispatch_live(
-        work,
-        program,
-        req.kernel,
-        req.mode,
-        live,
-        sink,
-        Some(jnode.clone()),
-    ) {
-        Ok(None) => {
-            // Cancelled while still queued: never simulated a cycle.
-            state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            jnode.set("phase", "cancelled");
-            let entry = CachedResult {
-                kernel: req.kernel.label().to_string(),
-                mode: req.mode.label(),
-                outcome: "cancelled".to_string(),
-                final_cycle: 0,
-                digest: 0,
-                coverage: 0,
-                profile: None,
-            };
-            state.finish_job(None);
-            Ok(proto::result_line(job, &entry, false, "off", key_hex))
-        }
-        Ok(Some((rec, snap))) => {
-            let interrupted = rec.outcome == "cancelled" || rec.outcome == "timeout";
-            let entry = cached_of(&rec, Some(snap.clone()));
-            if interrupted {
-                // A cancelled/timed-out triple is a truncation artifact,
-                // not the job's answer — memoizing it would poison every
-                // future lookup of this key.
-                if rec.outcome == "timeout" {
-                    state.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
-            } else if let Ok(mut c) = state.cache.lock() {
-                c.insert(kd, entry.clone());
-            }
-            jnode.set("phase", rec.outcome.clone());
-            let line = snapshot_json("bgserve", job, 1, 1, &snap);
-            send_shared(state, shared, &proto::telemetry_line(job, &line))?;
-            state.finish_job(Some(&snap));
-            Ok(proto::result_line(job, &entry, false, "off", key_hex))
-        }
-        Err(e) => {
-            // Failed runs are not cached: the failure may be transient
-            // (e.g. resource pressure) and a retry should re-execute.
-            jnode.set("phase", "error");
-            state.finish_job(None);
-            Ok(proto::error_line(&e))
-        }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE {
+        return Err(std::io::ErrorKind::InvalidData.into());
     }
+    Ok(true)
 }
 
 /// Wake the accept loop so it can observe the stop flag.
@@ -746,7 +779,7 @@ fn poke(ep: &Endpoint) {
     let _ = ep.connect();
 }
 
-fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
+fn session(stream: Stream, state: Arc<State>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -760,13 +793,28 @@ fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
         jobs: Mutex::new(HashMap::new()),
         node,
     });
-    // Submissions run in steward threads so the reader keeps consuming
-    // requests mid-job — that is what lets one connection interleave
-    // `status` and `cancel` with its own (or anyone's) running work.
-    let mut stewards: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    // Jobs that must simulate run in steward threads so the reader keeps
+    // consuming requests mid-job — that is what lets one connection
+    // interleave `status`, `cancel` and cache hits with its own (or
+    // anyone's) running work.
+    let mut stewards: Vec<JoinHandle<()>> = Vec::new();
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut buf) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    let detail = format!(
+                        "request line exceeds the {MAX_LINE}-byte limit; closing the session"
+                    );
+                    let _ = send_shared(&state, &shared, &proto::error_line(&detail));
+                }
+                break;
+            }
+        }
+        let line = String::from_utf8_lossy(&buf);
         if line.trim().is_empty() {
             continue;
         }
@@ -797,16 +845,7 @@ fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
                 };
                 send_shared(&state, &shared, &proto::cancel_ack_line(job, cancelled))
             }
-            Ok(Request::Submit(req)) => {
-                let st = Arc::clone(&state);
-                let sh = Arc::clone(&shared);
-                let wk = work.clone();
-                stewards.push(std::thread::spawn(move || {
-                    let _ = handle_submit(&st, &wk, &req, &sh);
-                }));
-                stewards.retain(|h| !h.is_finished());
-                Ok(())
-            }
+            Ok(Request::Submit(req)) => admit(&state, &shared, req, &mut stewards),
         };
         if res.is_err() {
             break; // client went away mid-response
@@ -825,8 +864,7 @@ fn session(stream: Stream, state: Arc<State>, work: Sender<WorkItem>) {
 /// client `shutdown` request (or [`ServerHandle::shutdown`]) does.
 pub struct ServerHandle {
     endpoint: Endpoint,
-    accept: std::thread::JoinHandle<()>,
-    dispatch: std::thread::JoinHandle<()>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -845,10 +883,7 @@ impl ServerHandle {
     pub fn join(self) -> Result<(), String> {
         self.accept
             .join()
-            .map_err(|_| "accept loop panicked".to_string())?;
-        self.dispatch
-            .join()
-            .map_err(|_| "dispatcher panicked".to_string())
+            .map_err(|_| "accept loop panicked".to_string())
     }
 }
 
@@ -858,7 +893,6 @@ impl ServerHandle {
 pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
     let listener = bind(&opts.endpoint)?;
     let threads = opts.threads.max(1);
-    let grace = Duration::from_millis(opts.grace_ms);
     let tree = StateNode::new();
     tree.set("endpoint", opts.endpoint.label());
     tree.set("threads", threads);
@@ -887,10 +921,8 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
         }),
         registry: Mutex::new(HashMap::new()),
         tree,
+        slots: RunSlots::new(threads),
     });
-
-    let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-    let dispatch = std::thread::spawn(move || dispatcher(work_rx, threads, grace));
 
     let endpoint = opts.endpoint;
     let ep = endpoint.clone();
@@ -905,23 +937,17 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
                 break;
             }
             let st = Arc::clone(&state);
-            let tx = work_tx.clone();
-            sessions.push(std::thread::spawn(move || session(stream, st, tx)));
+            sessions.push(std::thread::spawn(move || session(stream, st)));
         }
         for h in sessions {
             let _ = h.join();
         }
-        drop(work_tx); // last sender: the dispatcher drains and exits
         if let Endpoint::Unix(path) = &ep {
             let _ = std::fs::remove_file(path);
         }
     });
 
-    Ok(ServerHandle {
-        endpoint,
-        accept,
-        dispatch,
-    })
+    Ok(ServerHandle { endpoint, accept })
 }
 
 /// Bind and serve until a client requests shutdown (the CLI entry).
@@ -965,5 +991,101 @@ mod tests {
         assert!(unix.contains("socket path"), "{unix}");
         let tcp = Endpoint::parse("tcp:").unwrap_err();
         assert!(tcp.contains("host:port"), "{tcp}");
+    }
+
+    /// Spin until the gate has handed out `n` tickets.
+    fn wait_issued(slots: &RunSlots, n: u64) {
+        while slots.lock().issued < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn run_slots_cap_holders_and_fill_every_slot() {
+        const N: usize = 3;
+        let slots = RunSlots::new(N);
+        let holders = std::sync::atomic::AtomicUsize::new(0);
+        let peak = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 * N {
+                s.spawn(|| {
+                    let _slot = slots.acquire(None).expect("no token: never skipped");
+                    let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    // Hold the slot until N are held at once; the deadline
+                    // turns an under-admitting gate into a failure, not a hang.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while peak.load(Ordering::SeqCst) < N && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    holders.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), N);
+        assert_eq!(slots.lock().free, N, "every slot came back");
+    }
+
+    #[test]
+    fn run_slots_are_granted_in_arrival_order() {
+        let slots = RunSlots::new(1);
+        let held = slots.acquire(None);
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for i in 0..4u64 {
+                let (slots, order) = (&slots, &order);
+                s.spawn(move || {
+                    let _slot = slots.acquire(None);
+                    order.lock().unwrap().push(i);
+                });
+                // The next waiter arrives only once this one has its ticket.
+                wait_issued(slots, i + 2);
+            }
+            drop(held);
+        });
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_waiter_cancelled_before_its_slot_comes_up_never_runs() {
+        let slots = RunSlots::new(1);
+        let held = slots.acquire(None);
+        let token = CancelToken::new();
+        let ran = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                slots
+                    .acquire(Some(&token))
+                    .map(|_slot| ran.store(true, Ordering::SeqCst))
+            });
+            wait_issued(&slots, 2);
+            token.cancel();
+            drop(held);
+            assert!(waiter.join().unwrap().is_none(), "skipped, not run");
+        });
+        assert!(!ran.load(Ordering::SeqCst));
+        // Its turn passed on, and the slot it never took is still free.
+        let q = slots.lock();
+        assert_eq!((q.free, q.head, q.issued), (1, 2, 2));
+    }
+
+    #[test]
+    fn request_lines_are_capped_at_max_line() {
+        let mut buf = Vec::new();
+        let mut at_cap = vec![b'a'; MAX_LINE];
+        at_cap.extend_from_slice(b"\nnext\r\nlast");
+        let mut r = std::io::Cursor::new(at_cap);
+        assert!(read_request(&mut r, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_LINE);
+        assert!(read_request(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"next\r", "parse_request trims the \\r");
+        assert!(read_request(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"last");
+        assert!(!read_request(&mut r, &mut buf).unwrap());
+
+        let mut r = std::io::Cursor::new(vec![b'a'; 2 * MAX_LINE]);
+        let err = read_request(&mut r, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(buf.len(), MAX_LINE + 1, "buffers no more than the cap");
     }
 }

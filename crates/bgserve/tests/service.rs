@@ -1,8 +1,9 @@
 //! End-to-end service tests over real sockets: cache-hit identity,
 //! paranoid verification, mode-neutral cache sharing, LRU eviction,
-//! TCP endpoints, protocol-error recovery, the live monitor file, and
-//! the live-job paths (cancellation, cycle/wall timeouts, progress
-//! streaming, disconnect auto-cancel).
+//! TCP endpoints, protocol-error recovery, the request-line cap, the
+//! live monitor file, and the live-job paths (cancellation, cycle/wall
+//! timeouts, progress streaming, disconnect auto-cancel, run slots that
+//! never hold a short miss behind a long job).
 
 use std::path::PathBuf;
 
@@ -74,7 +75,6 @@ fn concurrent_sessions_match_sequential_oneshots() {
     let ep = sock("concurrent");
     let mut opts = ServeOpts::new(ep.clone());
     opts.threads = 4;
-    opts.grace_ms = 2;
     let handle = spawn(opts).expect("spawn");
 
     let programs: Vec<Program> = (0..4).map(|i| generate(7000 + i)).collect();
@@ -319,8 +319,15 @@ fn cycle_timeout_is_deterministic_and_never_cached() {
     let t2 = c
         .submit_live(CheckKernel::Fwk, MODES[LIVE_MODE], &p, live)
         .expect("t2");
-    assert!(!t2.cached, "interrupted triple was memoized (poisoned cache)");
-    assert_eq!(t2.triple(), t1.triple(), "cycle timeouts must be deterministic");
+    assert!(
+        !t2.cached,
+        "interrupted triple was memoized (poisoned cache)"
+    );
+    assert_eq!(
+        t2.triple(),
+        t1.triple(),
+        "cycle timeouts must be deterministic"
+    );
 
     // Without the budget the job completes, matches the oracle, and
     // only *that* triple enters the cache.
@@ -376,7 +383,6 @@ fn cancel_before_wave_skips_the_run_entirely() {
     let ep = sock("cancel-queued");
     let mut opts = ServeOpts::new(ep.clone());
     opts.threads = 1; // single-slot pool: job A saturates it
-    opts.grace_ms = 1;
     let handle = spawn(opts).expect("spawn");
 
     std::thread::scope(|s| {
@@ -439,6 +445,108 @@ fn cancel_before_wave_skips_the_run_entirely() {
         assert_eq!(status.path_num(&["timeouts"]), Some(1.0));
         c3.shutdown().expect("shutdown");
     });
+    handle.join().expect("join");
+}
+
+#[test]
+fn a_short_miss_never_waits_behind_a_long_job() {
+    let ep = sock("head-of-line");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 2; // one slot for the long job, one free
+    let handle = spawn(opts).expect("spawn");
+
+    let ((ra, a_done), (rb, b_done)) = std::thread::scope(|s| {
+        let ep_a = ep.clone();
+        let a = s.spawn(move || {
+            let mut c = Client::connect(&ep_a).expect("connect a");
+            let r = c
+                .submit_live(
+                    CheckKernel::Fwk,
+                    MODES[LIVE_MODE],
+                    &long_program(0x40A, 1_000_000_000_000),
+                    LiveReq {
+                        timeout_wall_ms: Some(3000),
+                        ..Default::default()
+                    },
+                )
+                .expect("submit a");
+            (r, std::time::Instant::now())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(150));
+
+        let mut c = Client::connect(&ep).expect("connect b");
+        let rb = c
+            .submit(CheckKernel::Cnk, MODES[0], &small_program(0x40B))
+            .expect("submit b");
+        let b_done = std::time::Instant::now();
+        (a.join().expect("join a"), (rb, b_done))
+    });
+    assert_eq!(
+        ra.outcome, "timeout",
+        "the long job ends on its wall backstop"
+    );
+    assert_eq!(rb.outcome, "completed");
+    assert!(!rb.cached, "the short job is a miss: it must simulate");
+    assert!(
+        b_done < a_done,
+        "the short miss was answered only after the long job ended, though a slot was free"
+    );
+
+    let mut c = Client::connect(&ep).expect("connect");
+    c.shutdown().expect("shutdown");
+    drop(c);
+    handle.join().expect("join");
+}
+
+#[test]
+fn overlong_request_line_closes_only_that_session() {
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    let ep = sock("overlong");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 1;
+    let handle = spawn(opts).expect("spawn");
+
+    let Endpoint::Unix(path) = &ep else {
+        unreachable!("sock() builds unix endpoints")
+    };
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut w = stream.try_clone().expect("clone");
+    // 2 MiB with no newline. The server stops reading at its 1 MiB cap,
+    // so this write blocks until the session closes and then fails.
+    let writer = std::thread::spawn(move || {
+        let _ = w.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut r = BufReader::new(stream);
+    let mut line = String::new();
+    match r.read_line(&mut line) {
+        Ok(0) => {}
+        Ok(_) => {
+            let v = bench::monitor::parse_json(line.trim()).expect("parse");
+            assert_eq!(v.get("event").and_then(|e| e.str()), Some("error"));
+            let detail = v.get("detail").and_then(|d| d.str()).unwrap_or("");
+            assert!(
+                detail.contains("1048576"),
+                "error must name the limit: {detail}"
+            );
+            line.clear();
+            match r.read_line(&mut line) {
+                Ok(0) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                other => panic!("the session stayed open: {other:?} {line:?}"),
+            }
+        }
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+    }
+    writer.join().expect("writer");
+    drop(r);
+
+    let mut c = Client::connect(&ep).expect("connect");
+    assert_eq!(c.ping().expect("ping"), bgserve::proto::PROTO_VERSION);
+    c.shutdown().expect("shutdown");
+    drop(c);
     handle.join().expect("join");
 }
 

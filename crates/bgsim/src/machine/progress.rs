@@ -202,7 +202,9 @@ impl LiveState {
             sink: hook.sink,
             cancel: hook.cancel,
             deadline: hook.timeout_cycles.map(|t| now.saturating_add(t)),
-            wall_deadline: hook.timeout_wall.and_then(|d| Instant::now().checked_add(d)),
+            wall_deadline: hook
+                .timeout_wall
+                .and_then(|d| Instant::now().checked_add(d)),
             interval,
             next_report_at: if interval == 0 {
                 Cycle::MAX
