@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Differential-checker smoke: run bgcheck's self-test (the checker must
 # catch every deliberately injected canary mutation), replay the
-# checked-in seed corpus against its recorded digests under every
-# engine mode, and fuzz a bounded budget of freshly generated programs
-# across the {cnk,fwk} × {seq,windowed,shards} × {fast,heap} ×
-# {clean,faulted} matrix. Any divergence leaves a minimized, replayable
-# repro script in the artifacts directory (uploaded by CI on failure):
+# checked-in seed corpus against its recorded digests (32 pins: 4
+# scripts × 2 kernels × 4 modes), and fuzz a bounded budget of freshly
+# generated programs, clean and faulted. Each program runs 14 times:
+# per kernel (cnk, fwk), the 4 modes {seq,win} × {fast,heap} — seq+fast
+# is the oracle — plus 3 oracle-mode repetitions through the shard
+# pool. Any divergence leaves a minimized, replayable repro script in
+# the artifacts directory (uploaded by CI on failure):
 #
 #   ./ci/check_smoke.sh [artifacts-dir] [fuzz-budget]
 set -euo pipefail

@@ -19,7 +19,7 @@
 //! match the heap path exactly.
 
 use bench::cli::Cli;
-use bench::harness::{run_fwq_tuned, KernelKind, Tuning};
+use bench::harness::{run_fwq_faulted, KernelKind};
 use bench::monitor::Monitor;
 use bench::par::run_shards;
 use bench::report::Report;
@@ -43,7 +43,6 @@ fn main() {
     let cli = Cli::parse();
     let samples = cli.pos(0).unwrap_or(12_000u32);
     let fast = cli.fast_path;
-    let tuning = Tuning::from_cli(&cli);
     let faults = cli.fault_spec_for(1); // single-node FWQ runs
     println!(
         "== FWQ (Fixed Work Quanta), {samples} samples/core, 4 cores, 1 node{} ==\n",
@@ -59,7 +58,7 @@ fn main() {
             .map(|&kind| {
                 let faults = faults.clone();
                 move || {
-                    let run = run_fwq_tuned(kind, samples, 0xF00D, &tuning, &faults);
+                    let run = run_fwq_faulted(kind, samples, 0xF00D, fast, &faults);
                     let series = (0..4)
                         .map(|c| run.rec.series(&format!("fwq_core{c}")))
                         .collect();
@@ -81,11 +80,6 @@ fn main() {
 
     let mut report = Report::new("fig5_7_fwq");
     report.scalar("config.fast_path", if fast { 1.0 } else { 0.0 });
-    report.string("config.engine_backend", tuning.engine_backend.label());
-    report.scalar(
-        "config.closed_form_noise",
-        if tuning.closed_form_noise { 1.0 } else { 0.0 },
-    );
     let mut monitor = Monitor::from_cli_or_exit(&cli, "fig5_7_fwq");
     let mut merged_profile = ProfileSnapshot::default();
     let mut trace_parts: Vec<(&str, String)> = Vec::new();

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bench::cli::Cli;
-use bench::harness::{nn_throughput_run_tuned, KernelKind, SimRun, Tuning};
+use bench::harness::{nn_throughput_run_faulted, KernelKind, SimRun};
 use bench::monitor::Monitor;
 use bench::par::run_shards;
 use bench::report::Report;
@@ -32,7 +32,6 @@ fn main() {
     let threads = cli.threads;
     let windowed = threads > 1;
     let fast = cli.fast_path;
-    let tuning = Tuning::from_cli(&cli);
     let faults = cli.fault_spec_for(nodes);
 
     // One shard per (size, kernel), claimed by index so results land in
@@ -56,8 +55,7 @@ fn main() {
             let faults = faults.clone();
             let monitor = &monitor;
             move || {
-                let run =
-                    nn_throughput_run_tuned(kind, nodes, bytes, 8, windowed, &tuning, &faults);
+                let run = nn_throughput_run_faulted(kind, nodes, bytes, 8, windowed, fast, &faults);
                 if let Some(mon) = monitor {
                     let mut g = mon.lock().expect("monitor lock");
                     let (m, acc, done) = &mut *g;
@@ -76,11 +74,6 @@ fn main() {
 
     let mut report = Report::new("fig8_throughput");
     report.scalar("config.fast_path", if fast { 1.0 } else { 0.0 });
-    report.string("config.engine_backend", tuning.engine_backend.label());
-    report.scalar(
-        "config.closed_form_noise",
-        if tuning.closed_form_noise { 1.0 } else { 0.0 },
-    );
     let mut rows = Vec::new();
     let mut nb_seen = 0;
     let mut all_digest: u64 = 0xcbf2_9ce4_8422_2325;

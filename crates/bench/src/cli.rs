@@ -25,16 +25,6 @@
 //! * `--no-fast-path` — disable the digest-identical event-reduction
 //!   fast path (`MachineConfig::fast_path`); used to baseline its
 //!   speedup and to cross-check trace digests against the heap path.
-//! * `--engine {heap,calendar}` — event-queue structure backing each
-//!   domain (`MachineConfig::engine_backend`). Digest-identical by
-//!   contract; the flag exists to measure and cross-check the backends.
-//! * `--no-closed-form-noise` — schedule FWK noise ticks as per-tick
-//!   heap events instead of sampling them closed-form
-//!   (`MachineConfig::closed_form_noise`); digest-identical reference.
-//! * `--compact-min-dead <n>` — dead-entry floor before a domain queue
-//!   compacts (`MachineConfig::compact_min_dead`, default 64); 0 is
-//!   rejected here with a usage error rather than panicking later in
-//!   config validation.
 //! * `--fault-seed <u64>` — derive a survivable fault schedule from the
 //!   seed ([`bgsim::fault::FaultSchedule::from_seed`]);
 //! * `--fault-script <path>` — load an explicit fault schedule
@@ -45,7 +35,9 @@
 //! never a panic (`Cli::parse_from` returns the error for callers that
 //! want to handle it themselves, e.g. tests). Repeating a
 //! value-carrying flag (`--stats-out a --stats-out b`) is rejected the
-//! same way instead of silently keeping the last value.
+//! same way instead of silently keeping the last value, and so is any
+//! `--` argument not listed above: a misspelled or retired flag must
+//! not silently fall back to the default run.
 //!
 //! Hand-rolled because the workspace carries no external CLI dependency.
 
@@ -64,12 +56,6 @@ pub struct Cli {
     pub threads: usize,
     /// Event-reduction fast path (on unless `--no-fast-path`).
     pub fast_path: bool,
-    /// Event-queue backend (`--engine {heap,calendar}`).
-    pub engine_backend: bgsim::config::EngineBackend,
-    /// Closed-form FWK noise (on unless `--no-closed-form-noise`).
-    pub closed_form_noise: bool,
-    /// Engine compaction floor override (`--compact-min-dead`).
-    pub compact_min_dead: Option<usize>,
     /// Seeded fault schedule (`--fault-seed`).
     pub fault_seed: Option<u64>,
     /// Explicit fault schedule file (`--fault-script`).
@@ -88,9 +74,6 @@ impl Default for Cli {
             force: false,
             threads: 1,
             fast_path: true,
-            engine_backend: bgsim::config::EngineBackend::default(),
-            closed_form_noise: true,
-            compact_min_dead: None,
             fault_seed: None,
             fault_script: None,
             rest: Vec::new(),
@@ -148,37 +131,6 @@ impl Cli {
                 cli.force = true;
             } else if a == "--no-fast-path" {
                 cli.fast_path = false;
-            } else if a == "--no-closed-form-noise" {
-                cli.closed_form_noise = false;
-            } else if a == "--engine" || a.starts_with("--engine=") {
-                once("--engine")?;
-                let v = flag_with_value("--engine", a.strip_prefix("--engine="))?;
-                let s = v.to_string_lossy();
-                cli.engine_backend = match s.as_ref() {
-                    "calendar" => bgsim::config::EngineBackend::Calendar,
-                    "heap" => bgsim::config::EngineBackend::Heap,
-                    other => {
-                        return Err(format!(
-                            "--engine must be \"heap\" or \"calendar\", got {other:?}"
-                        ))
-                    }
-                };
-            } else if a == "--compact-min-dead" || a.starts_with("--compact-min-dead=") {
-                once("--compact-min-dead")?;
-                let v =
-                    flag_with_value("--compact-min-dead", a.strip_prefix("--compact-min-dead="))?;
-                let s = v.to_string_lossy();
-                let n: usize = s.parse().map_err(|_| {
-                    format!("--compact-min-dead requires a positive integer, got {s:?}")
-                })?;
-                if n == 0 {
-                    return Err(
-                        "--compact-min-dead must be at least 1 (0 would compact on every \
-                         discard)"
-                            .to_string(),
-                    );
-                }
-                cli.compact_min_dead = Some(n);
             } else if a == "--stats-out" || a.starts_with("--stats-out=") {
                 once("--stats-out")?;
                 cli.stats_out = Some(flag_with_value(
@@ -222,6 +174,12 @@ impl Cli {
                     "--fault-script",
                     a.strip_prefix("--fault-script="),
                 )?);
+            } else if a.starts_with("--") {
+                return Err(format!(
+                    "unknown flag {a:?} (known: --stats-out, --json, --trace-out, \
+                     --monitor-out, --force, --threads, --no-fast-path, --fault-seed, \
+                     --fault-script)"
+                ));
             } else {
                 cli.rest.push(a);
             }
@@ -370,43 +328,25 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_backend() {
-        use bgsim::config::EngineBackend;
-        assert_eq!(parse(&[]).engine_backend, EngineBackend::Calendar);
+    fn rejects_unknown_flags() {
+        // An unknown flag must not land in `rest`, where `pos` would
+        // skip it and the run would silently take the default path.
+        for (args, flag) in [
+            (&["--engine", "heap"][..], "--engine"),
+            (&["--no-closed-form-noise"][..], "--no-closed-form-noise"),
+            (&["--compact-min-dead", "8"][..], "--compact-min-dead"),
+            (&["--no-fast-paht"][..], "--no-fast-paht"),
+        ] {
+            let e = parse_err(args);
+            assert!(e.contains(&format!("unknown flag \"{flag}\"")), "{e}");
+        }
+        // Bare positionals still parse: fig_scale's node counts,
+        // io_noise's sample count.
+        assert_eq!(parse(&["64", "512"]).rest, vec!["64", "512"]);
         assert_eq!(
-            parse(&["--engine", "heap"]).engine_backend,
-            EngineBackend::Heap
+            parse(&["800", "--fault-seed", "13"]).pos::<u32>(0),
+            Some(800)
         );
-        assert_eq!(
-            parse(&["--engine=calendar"]).engine_backend,
-            EngineBackend::Calendar
-        );
-        let e = parse_err(&["--engine", "wheel"]);
-        assert!(e.contains("heap") && e.contains("calendar"), "{e}");
-        let e = parse_err(&["--engine"]);
-        assert!(e.contains("--engine requires a value"), "{e}");
-    }
-
-    #[test]
-    fn parses_closed_form_noise_toggle() {
-        assert!(parse(&[]).closed_form_noise);
-        assert!(!parse(&["--no-closed-form-noise"]).closed_form_noise);
-    }
-
-    #[test]
-    fn compact_min_dead_rejects_zero_and_garbage() {
-        assert_eq!(parse(&[]).compact_min_dead, None);
-        assert_eq!(
-            parse(&["--compact-min-dead", "128"]).compact_min_dead,
-            Some(128)
-        );
-        assert_eq!(parse(&["--compact-min-dead=9"]).compact_min_dead, Some(9));
-        // 0 would pass the parse but violate config validation; it is a
-        // clean usage error here, not a panic later.
-        let e = parse_err(&["--compact-min-dead", "0"]);
-        assert!(e.contains("at least 1"), "{e}");
-        let e = parse_err(&["--compact-min-dead", "lots"]);
-        assert!(e.contains("positive integer"), "{e}");
     }
 
     #[test]
@@ -427,10 +367,6 @@ mod tests {
         assert!(e.contains("duplicate --monitor-out"), "{e}");
         let e = parse_err(&["--threads", "2", "--threads=4"]);
         assert!(e.contains("duplicate --threads"), "{e}");
-        let e = parse_err(&["--engine", "heap", "--engine", "calendar"]);
-        assert!(e.contains("duplicate --engine"), "{e}");
-        let e = parse_err(&["--compact-min-dead=4", "--compact-min-dead=8"]);
-        assert!(e.contains("duplicate --compact-min-dead"), "{e}");
         let e = parse_err(&["--fault-seed", "1", "--fault-seed", "2"]);
         assert!(e.contains("duplicate --fault-seed"), "{e}");
         let e = parse_err(&["--fault-script", "a", "--fault-script", "b"]);

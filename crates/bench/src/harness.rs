@@ -87,65 +87,6 @@ impl FwqRun {
     }
 }
 
-/// Engine tuning knobs shared by the measuring bins: everything a run
-/// can toggle without changing its simulated outputs. Every combination
-/// is digest-identical by contract; the struct exists so bins can sweep
-/// and cross-check the combinations from one CLI surface.
-#[derive(Clone, Copy, Debug)]
-pub struct Tuning {
-    /// Event-reduction fast path (`--no-fast-path` disables).
-    pub fast_path: bool,
-    /// Event-queue backend (`--engine {heap,calendar}`).
-    pub engine_backend: bgsim::config::EngineBackend,
-    /// Closed-form FWK noise (`--no-closed-form-noise` disables).
-    pub closed_form_noise: bool,
-    /// Engine compaction floor override (`--compact-min-dead`).
-    pub compact_min_dead: Option<usize>,
-}
-
-impl Default for Tuning {
-    fn default() -> Tuning {
-        Tuning {
-            fast_path: true,
-            engine_backend: bgsim::config::EngineBackend::default(),
-            closed_form_noise: true,
-            compact_min_dead: None,
-        }
-    }
-}
-
-impl Tuning {
-    /// The tuning a parsed CLI selects.
-    pub fn from_cli(cli: &crate::cli::Cli) -> Tuning {
-        Tuning {
-            fast_path: cli.fast_path,
-            engine_backend: cli.engine_backend,
-            closed_form_noise: cli.closed_form_noise,
-            compact_min_dead: cli.compact_min_dead,
-        }
-    }
-
-    /// A fast-path-only override, for callers predating the other knobs.
-    pub fn fast_path(fast_path: bool) -> Tuning {
-        Tuning {
-            fast_path,
-            ..Tuning::default()
-        }
-    }
-
-    /// Apply the knobs to a machine config.
-    pub fn apply(&self, cfg: MachineConfig) -> MachineConfig {
-        let cfg = cfg
-            .with_fast_path(self.fast_path)
-            .with_engine_backend(self.engine_backend)
-            .with_closed_form_noise(self.closed_form_noise);
-        match self.compact_min_dead {
-            Some(floor) => cfg.with_compact_min_dead(floor),
-            None => cfg,
-        }
-    }
-}
-
 /// Run FWQ (4 threads on 4 cores, one node) with telemetry enabled;
 /// the recorder carries series `fwq_core{0..3}` (per-sample cycles).
 pub fn run_fwq(kind: KernelKind, samples: u32, seed: u64) -> FwqRun {
@@ -170,29 +111,21 @@ pub fn run_fwq_faulted(
     fast_path: bool,
     faults: &FaultSpec,
 ) -> FwqRun {
-    run_fwq_tuned(kind, samples, seed, &Tuning::fast_path(fast_path), faults)
-}
-
-/// [`run_fwq_faulted`] with the full engine-tuning surface (backend,
-/// closed-form noise, compaction floor). All combinations produce
-/// bit-identical digests and counters; only `wall_seconds` may differ.
-pub fn run_fwq_tuned(
-    kind: KernelKind,
-    samples: u32,
-    seed: u64,
-    tuning: &Tuning,
-    faults: &FaultSpec,
-) -> FwqRun {
     // Large runs get a small throwaway warmup first, so the timed run
     // measures steady state rather than process cold-start (text page
     // faults, allocator growth). Simulation outputs are deterministic
     // and unaffected; only `wall_seconds` is de-noised.
     if samples > 2_000 {
-        let warm = run_fwq_tuned(kind, 2_000, seed, tuning, faults);
+        let warm = run_fwq_faulted(kind, 2_000, seed, fast_path, faults);
         std::hint::black_box(warm.digest);
     }
     let mut m = Machine::new(
-        faults.apply(tuning.apply(MachineConfig::nodes(1).with_seed(seed).with_telemetry())),
+        faults.apply(
+            MachineConfig::nodes(1)
+                .with_seed(seed)
+                .with_telemetry()
+                .with_fast_path(fast_path),
+        ),
         kind.build(),
         Box::new(Dcmf::with_defaults()),
     );
@@ -505,7 +438,6 @@ pub fn nn_throughput_run_opts(
 /// [`nn_throughput_run_opts`] under a fault schedule. With faults a
 /// rank can die before recording its sample; the bandwidth then reads
 /// 0 and the digest/cycle outputs remain the run's evidence.
-#[allow(clippy::too_many_arguments)]
 pub fn nn_throughput_run_faulted(
     kind: KernelKind,
     nodes: u32,
@@ -515,34 +447,15 @@ pub fn nn_throughput_run_faulted(
     fast_path: bool,
     faults: &FaultSpec,
 ) -> SimRun {
-    nn_throughput_run_tuned(
-        kind,
-        nodes,
-        bytes,
-        seed,
-        windowed,
-        &Tuning::fast_path(fast_path),
-        faults,
-    )
-}
-
-/// [`nn_throughput_run_faulted`] with the full engine-tuning surface;
-/// every tuning combination is digest-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn nn_throughput_run_tuned(
-    kind: KernelKind,
-    nodes: u32,
-    bytes: u64,
-    seed: u64,
-    windowed: bool,
-    tuning: &Tuning,
-    faults: &FaultSpec,
-) -> SimRun {
     // Telemetry is pure observation (no event scheduling, no RNG), so
     // turning it on here leaves the pinned BENCH_*.json digests intact —
     // `tests/fault_injection.rs` re-checks that every run.
-    let cfg =
-        faults.apply(tuning.apply(MachineConfig::nodes(nodes).with_seed(seed).with_telemetry()));
+    let cfg = faults.apply(
+        MachineConfig::nodes(nodes)
+            .with_seed(seed)
+            .with_telemetry()
+            .with_fast_path(fast_path),
+    );
     let torus = bgsim::torus::Torus::new(&cfg);
     let nb = torus.neighbors(NodeId(0)).len();
     let mut m = Machine::new(cfg, kind.build(), Box::new(Dcmf::with_defaults()));

@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bgcheck::runner::{run_mode, CheckKernel, MODES};
+use bgcheck::runner::{mode_labels, run_mode, CheckKernel, MODES};
 use bgcheck::{check_program, generate, parse_script, shrink, to_script_with_pins, DigestPin};
 
 fn usage(msg: &str) -> ExitCode {
@@ -216,10 +216,11 @@ fn replay_file(path: &Path, record: bool) -> Result<(), String> {
             .find(|r| r.kernel == pin.kernel && r.mode == pin.mode)
         else {
             return Err(format!(
-                "{}: pin for {}/{} has no matching run",
+                "{}: pin for {}/{} has no matching run (kernels: cnk, fwk; modes: {})",
                 path.display(),
                 pin.kernel,
-                pin.mode
+                pin.mode,
+                mode_labels()
             ));
         };
         if rec.digest != pin.digest || rec.final_cycle != pin.final_cycle {

@@ -1,16 +1,15 @@
 //! The differential runner: one program, every engine mode, one
 //! verdict.
 //!
-//! For each kernel the sequential fast-path calendar/closed-form run
-//! is the oracle; every other cell of the {seq,win} × {fast,heap} ×
-//! {calendar,binary-heap} × {closed-form,per-tick} matrix, plus a
+//! For each kernel the sequential fast-path run is the oracle; the
+//! other three cells of the {seq,win} × {fast,heap} matrix, plus a
 //! 3-way repetition through the shard pool, must reproduce its
-//! (outcome, final cycle, digest) triple exactly. Every run is also
+//! (outcome, final cycle, digest) triple exactly — 4 modes and 7 runs
+//! per kernel, 14 runs per checked program. Every run is also
 //! swept by `Machine::check_invariants` — a mode can agree with the
 //! oracle bit-for-bit and still fail the check if kernel bookkeeping
 //! leaked (futex waiters, pending CIOD replies, partition overlap).
 
-use bgsim::config::EngineBackend;
 use bgsim::machine::{LiveHook, Machine, ProgressSink, RunOutcome};
 use bgsim::{CancelToken, MachineConfig};
 
@@ -45,9 +44,8 @@ impl CheckKernel {
     }
 }
 
-/// One cell of the differential matrix: driver loop × scheduler path ×
-/// event-engine backend × noise-sampling strategy. Every knob here is
-/// documented as digest-neutral, so every cell must reproduce the
+/// One cell of the differential matrix: driver loop × scheduler path.
+/// Both knobs are digest-neutral, so every cell must reproduce the
 /// oracle's (outcome, final cycle, digest) triple exactly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mode {
@@ -55,10 +53,6 @@ pub struct Mode {
     pub windowed: bool,
     /// Compute fast path on (off = the reference heap scheduler walk).
     pub fast: bool,
-    /// Calendar-queue vs binary-heap event structure.
-    pub backend: EngineBackend,
-    /// Closed-form noise sampling vs the per-tick reference sampler.
-    pub closed_form_noise: bool,
 }
 
 impl Mode {
@@ -68,53 +62,42 @@ impl Mode {
         MODES.iter().copied().find(|m| m.label() == s)
     }
 
-    /// Stable label: `{seq,win}+{fast,heap}+{cal,bheap}+{cf,pt}`.
-    /// (`bheap` = binary-heap backend, distinct from the `heap`
-    /// scheduler-path leg.)
+    /// Stable label: `{seq,win}+{fast,heap}`.
     pub fn label(self) -> String {
         format!(
-            "{}+{}+{}+{}",
+            "{}+{}",
             if self.windowed { "win" } else { "seq" },
-            if self.fast { "fast" } else { "heap" },
-            match self.backend {
-                EngineBackend::Calendar => "cal",
-                EngineBackend::Heap => "bheap",
-            },
-            if self.closed_form_noise { "cf" } else { "pt" }
+            if self.fast { "fast" } else { "heap" }
         )
     }
 }
 
-const fn mode(windowed: bool, fast: bool, backend: EngineBackend, closed_form_noise: bool) -> Mode {
+/// The full single-machine matrix: {seq,win} × {fast,heap}. The first
+/// entry (seq+fast — the production default) is the oracle.
+pub const MODES: [Mode; 4] = [
     Mode {
-        windowed,
-        fast,
-        backend,
-        closed_form_noise,
-    }
-}
-
-/// The full single-machine matrix: {seq,win} × {fast,heap} ×
-/// {calendar,binary-heap} × {closed-form,per-tick}. The first entry
-/// (seq+fast+cal+cf — the production default) is the oracle.
-pub const MODES: [Mode; 16] = [
-    mode(false, true, EngineBackend::Calendar, true),
-    mode(false, true, EngineBackend::Calendar, false),
-    mode(false, true, EngineBackend::Heap, true),
-    mode(false, true, EngineBackend::Heap, false),
-    mode(false, false, EngineBackend::Calendar, true),
-    mode(false, false, EngineBackend::Calendar, false),
-    mode(false, false, EngineBackend::Heap, true),
-    mode(false, false, EngineBackend::Heap, false),
-    mode(true, true, EngineBackend::Calendar, true),
-    mode(true, true, EngineBackend::Calendar, false),
-    mode(true, true, EngineBackend::Heap, true),
-    mode(true, true, EngineBackend::Heap, false),
-    mode(true, false, EngineBackend::Calendar, true),
-    mode(true, false, EngineBackend::Calendar, false),
-    mode(true, false, EngineBackend::Heap, true),
-    mode(true, false, EngineBackend::Heap, false),
+        windowed: false,
+        fast: true,
+    },
+    Mode {
+        windowed: false,
+        fast: false,
+    },
+    Mode {
+        windowed: true,
+        fast: true,
+    },
+    Mode {
+        windowed: true,
+        fast: false,
+    },
 ];
+
+/// Every valid mode label, comma-separated — for error messages that
+/// reject an unknown label.
+pub fn mode_labels() -> String {
+    MODES.map(Mode::label).join(", ")
+}
 
 /// Shard-pool width for the repetition leg.
 pub const SHARD_WAYS: usize = 3;
@@ -206,9 +189,7 @@ fn build_machine(
     let mut cfg = MachineConfig::nodes(p.nodes)
         .with_seed(p.seed)
         .with_telemetry()
-        .with_fast_path(mode.fast)
-        .with_engine_backend(mode.backend)
-        .with_closed_form_noise(mode.closed_form_noise);
+        .with_fast_path(mode.fast);
     if keep_trace {
         cfg = cfg.with_trace();
     }
@@ -399,15 +380,11 @@ impl Canary {
         Canary::CycleSkew,
     ];
 
-    /// The canary perturbs exactly one leg — (fwk, win+fast+cal+cf) —
-    /// fwk because its noise model consumes the machine seed, so a seed
+    /// The canary perturbs exactly one leg — (fwk, win+fast) — fwk
+    /// because its noise model consumes the machine seed, so a seed
     /// skew is guaranteed digest-visible.
     fn applies(kernel: CheckKernel, mode: Mode) -> bool {
-        kernel == CheckKernel::Fwk
-            && mode.windowed
-            && mode.fast
-            && mode.backend == EngineBackend::Calendar
-            && mode.closed_form_noise
+        kernel == CheckKernel::Fwk && mode.windowed && mode.fast
     }
 
     fn tamper_program(self, p: &Program) -> Program {
@@ -574,16 +551,16 @@ mod tests {
             faults: Default::default(),
         };
         let recs = check_program(&p).expect("clean program must pass");
-        // 2 kernels × 16 modes.
-        assert_eq!(recs.len(), 32);
+        // 2 kernels × 4 modes.
+        assert_eq!(recs.len(), 8);
         // Within a kernel all digests agree; across kernels they differ.
-        assert!(recs[..16].windows(2).all(|w| w[0].digest == w[1].digest));
-        assert!(recs[16..].windows(2).all(|w| w[0].digest == w[1].digest));
-        assert_ne!(recs[0].digest, recs[16].digest);
+        assert!(recs[..4].windows(2).all(|w| w[0].digest == w[1].digest));
+        assert!(recs[4..].windows(2).all(|w| w[0].digest == w[1].digest));
+        assert_ne!(recs[0].digest, recs[4].digest);
         // Coverage digests are populated and distinguish the kernels
         // (different subsystems fire different counters).
         assert!(recs.iter().all(|r| r.coverage != 0));
-        assert_ne!(recs[0].coverage, recs[16].coverage);
+        assert_ne!(recs[0].coverage, recs[4].coverage);
     }
 
     #[test]
@@ -591,8 +568,9 @@ mod tests {
         for m in MODES {
             assert_eq!(Mode::from_label(&m.label()), Some(m));
         }
-        assert_eq!(Mode::from_label("seq+fast+cal"), None);
+        assert_eq!(Mode::from_label("seq+fast+cal+cf"), None);
         assert_eq!(Mode::from_label(""), None);
+        assert_eq!(mode_labels(), "seq+fast, seq+heap, win+fast, win+heap");
     }
 
     #[test]

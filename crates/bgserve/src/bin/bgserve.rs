@@ -19,7 +19,7 @@
 
 use bench::monitor::Monitor;
 use bgcheck::program::{generate, Program};
-use bgcheck::runner::{CheckKernel, Mode, MODES};
+use bgcheck::runner::{mode_labels, CheckKernel, Mode, MODES};
 use bgserve::proto::LiveReq;
 use bgserve::selfcheck::{self, SelfcheckOpts};
 use bgserve::server::{serve, Endpoint, ServeOpts};
@@ -194,7 +194,12 @@ fn submit_cmd(args: &[String]) {
     };
     let mode = match f.get("--mode") {
         None => MODES[0],
-        Some(m) => Mode::from_label(m).unwrap_or_else(|| die(&format!("unknown mode label {m:?}"))),
+        Some(m) => Mode::from_label(m).unwrap_or_else(|| {
+            die(&format!(
+                "unknown mode label {m:?} (one of {})",
+                mode_labels()
+            ))
+        }),
     };
     let program = load_program(&f);
     let live = LiveReq {

@@ -15,7 +15,7 @@
 //! function of its inputs — so results are memoized in an LRU cache
 //! keyed by `(config digest, seed, program digest, fault digest)`
 //! ([`key::JobKey`]). Execution-mode knobs proven digest-neutral by
-//! `bgcheck` (fast path, engine backend, windowing, noise sampling) are
+//! `bgcheck` (fast path, windowing) are
 //! deliberately **excluded** from the key: two requests for the same
 //! job in different modes share one cache entry, which turns the cache
 //! itself into a standing determinism check. `--paranoid` makes that

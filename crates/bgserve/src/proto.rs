@@ -9,7 +9,7 @@
 //! {"op":"ping"}
 //! {"op":"status"}
 //! {"op":"shutdown"}
-//! {"op":"submit","kernel":"cnk","mode":"seq+fast+cal+cf",
+//! {"op":"submit","kernel":"cnk","mode":"seq+fast",
 //!  "nodes":2,"seed":"129","ops":[["compute",9000],["gettid"]],
 //!  "faults":{"seed":"7"}}
 //! ```
@@ -48,7 +48,7 @@
 
 use bench::monitor::Json;
 use bgcheck::program::{POp, Program};
-use bgcheck::runner::{CheckKernel, Mode, MODES};
+use bgcheck::runner::{mode_labels, CheckKernel, Mode, MODES};
 use bgsim::fault::{FaultEvent, FaultKind, FaultSchedule, FaultSpec};
 use bgsim::telemetry::json_escape;
 
@@ -228,8 +228,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or("submit.kernel must be \"cnk\" or \"fwk\"")?;
             let mode = match v.get("mode").and_then(|m| m.str()) {
                 None => MODES[0],
-                Some(label) => Mode::from_label(label)
-                    .ok_or_else(|| format!("unknown mode label {label:?}"))?,
+                Some(label) => Mode::from_label(label).ok_or_else(|| {
+                    format!("unknown mode label {label:?} (one of {})", mode_labels())
+                })?,
             };
             let nodes = u64_field(&v, "nodes")?;
             if nodes == 0 || nodes > 1 << 20 {
@@ -515,6 +516,17 @@ mod tests {
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]],\"faults\":{\"events\":[[1,0,\"no-kind\",0]]}}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn unknown_mode_label_names_the_valid_ones() {
+        let line = "{\"op\":\"submit\",\"kernel\":\"cnk\",\"mode\":\"seq+fast+cal+cf\",\
+                    \"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]]}";
+        let e = parse_request(line).expect_err("four-part labels are not modes");
+        assert!(e.contains("\"seq+fast+cal+cf\""), "{e}");
+        for label in ["seq+fast", "seq+heap", "win+fast", "win+heap"] {
+            assert!(e.contains(label), "{e} does not list {label}");
         }
     }
 

@@ -31,7 +31,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::config::EngineBackend;
 use crate::cycles::Cycle;
 
 /// An event payload. The machine layer interprets these; the engine only
@@ -144,352 +143,15 @@ pub struct EngineStats {
     pub fastforward_cycles: u64,
 }
 
-/// Calendar-queue bucket count. Fixed; the bucket *width* adapts, so the
-/// window span (`width * CAL_BUCKETS`) tracks the event density.
-const CAL_BUCKETS: usize = 64;
-/// Narrowest bucket the dense-side resize will shrink to, in cycles.
-const CAL_MIN_WIDTH: Cycle = 64;
-/// Initial bucket width in cycles (~19 us at 850 MHz — the order of the
-/// kernels' quantum/daemon timers).
-const CAL_INIT_WIDTH: Cycle = 1 << 14;
-/// Consecutive refills recovering at most one key before the sparse-side
-/// resize doubles the bucket width.
-const CAL_SPARSE_REFILLS: u32 = 4;
-/// Keys a calendar holds in plain heap ("sparse") mode before it pays
-/// for the bucket ring. Below this, ring + heap cost the same bytes but
-/// the ring adds `CAL_BUCKETS` allocations per domain — and a rack has
-/// one domain per node, most holding a single pending event.
-const CAL_SPARSE_KEYS: usize = 64;
-
-/// A calendar queue: a ring of `CAL_BUCKETS` buckets covering the dense
-/// near-horizon window `[base, base + width*CAL_BUCKETS)`, with a
-/// `BinaryHeap` *overflow* for sparse/far-future keys and a tiny *early*
-/// heap for keys behind the window base (restore races). Pops scan the
-/// ring cursor forward; when the window drains, the next overflow window
-/// is pulled in (`refill`), adapting the bucket width to the observed
-/// density. Yields exactly the `(at, seq)` min order a heap would.
-#[derive(Debug)]
-struct Calendar {
-    /// Cycle of bucket 0 of the current window (aligned to `width`).
-    base: Cycle,
-    /// Cycles per bucket.
-    width: Cycle,
-    /// First possibly non-empty bucket of the window.
-    cursor: usize,
-    /// Tiny per-bucket heaps: each holds only keys from one
-    /// `width`-cycle slice, so sifts stay shallow.
-    buckets: Vec<BinaryHeap<Reverse<Key>>>,
-    window_len: usize,
-    /// Keys before `base`. Strictly earlier than any window/overflow key
-    /// (the base only advances when the window is empty), so they always
-    /// win the peek.
-    early: BinaryHeap<Reverse<Key>>,
-    /// Keys at or beyond the window end — the sparse/far-future
-    /// fallback heap, drained window by window.
-    overflow: BinaryHeap<Reverse<Key>>,
-    /// Refills in a row that recovered at most one key.
-    sparse_refills: u32,
-    /// Bucket-width adaptations (either direction) so far.
-    resizes: u64,
-}
-
-impl Calendar {
-    /// An empty calendar. The bucket ring is **not** allocated here: an
-    /// idle domain (a node that never schedules) costs only the inline
-    /// struct, which is what lets a 100k-node engine fit in memory. The
-    /// ring materializes on the first key that lands in the window.
-    fn new() -> Calendar {
-        Calendar {
-            base: 0,
-            width: CAL_INIT_WIDTH,
-            cursor: CAL_BUCKETS,
-            buckets: Vec::new(),
-            window_len: 0,
-            early: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            sparse_refills: 0,
-            resizes: 0,
-        }
-    }
-
-    /// Allocate the bucket ring on first use. The per-bucket heaps start
-    /// unallocated too (`BinaryHeap::new`), so this is one `Vec` spine,
-    /// not `CAL_BUCKETS` arena reservations.
-    #[inline]
-    fn ensure_buckets(&mut self) {
-        if self.buckets.is_empty() {
-            self.buckets = (0..CAL_BUCKETS).map(|_| BinaryHeap::new()).collect();
-        }
-    }
-
-    /// Heap bytes currently reserved by this calendar's containers.
-    fn resident_bytes(&self) -> usize {
-        let key = std::mem::size_of::<Reverse<Key>>();
-        self.buckets.capacity() * std::mem::size_of::<BinaryHeap<Reverse<Key>>>()
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * key)
-                .sum::<usize>()
-            + self.early.capacity() * key
-            + self.overflow.capacity() * key
-    }
-
-    /// Pre-reserve the legacy eager footprint (what `new` used to
-    /// allocate up front). Only the scale benchmarks call this, to
-    /// measure the pre-refactor layout against the lazy default.
-    fn materialize(&mut self, capacity: usize) {
-        self.ensure_buckets();
-        let per_bucket = capacity.div_ceil(CAL_BUCKETS);
-        for b in self.buckets.iter_mut() {
-            b.reserve(per_bucket);
-        }
-        self.overflow.reserve(capacity);
-    }
-
-    fn len(&self) -> usize {
-        self.window_len + self.early.len() + self.overflow.len()
-    }
-
-    fn span(&self) -> Cycle {
-        self.width.saturating_mul(CAL_BUCKETS as u64)
-    }
-
-    #[inline]
-    fn push(&mut self, k: Key) {
-        // Sparse mode: until the ring is materialized the calendar *is*
-        // the overflow heap — identical min order, none of the ring's
-        // per-domain footprint. A rack has one domain per node, most
-        // holding a single pending event; `refill` materializes the ring
-        // only once the heap outgrows `CAL_SPARSE_KEYS`.
-        if self.buckets.is_empty() {
-            self.overflow.push(Reverse(k));
-            return;
-        }
-        if self.len() == 0 {
-            // Empty calendar: re-anchor the window on the new key so the
-            // cursor never scans a stale region.
-            self.base = (k.at / self.width) * self.width;
-            self.cursor = 0;
-        }
-        if k.at < self.base {
-            self.early.push(Reverse(k));
-        } else if k.at - self.base >= self.span() {
-            self.overflow.push(Reverse(k));
-        } else {
-            let idx = ((k.at - self.base) / self.width) as usize;
-            self.buckets[idx].push(Reverse(k));
-            self.window_len += 1;
-            if idx < self.cursor {
-                self.cursor = idx;
-            }
-        }
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<Key> {
-        loop {
-            if let Some(&Reverse(k)) = self.early.peek() {
-                return Some(k);
-            }
-            if self.buckets.is_empty() {
-                if self.overflow.len() <= CAL_SPARSE_KEYS {
-                    return self.overflow.peek().map(|&Reverse(k)| k);
-                }
-                if !self.refill() {
-                    return None;
-                }
-                continue;
-            }
-            while self.cursor < CAL_BUCKETS {
-                if let Some(&Reverse(k)) = self.buckets[self.cursor].peek() {
-                    return Some(k);
-                }
-                self.cursor += 1;
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Key> {
-        if self.early.peek().is_some() {
-            return self.early.pop().map(|Reverse(k)| k);
-        }
-        loop {
-            if self.buckets.is_empty() {
-                if self.overflow.len() <= CAL_SPARSE_KEYS {
-                    return self.overflow.pop().map(|Reverse(k)| k);
-                }
-                if !self.refill() {
-                    return None;
-                }
-                continue;
-            }
-            while self.cursor < CAL_BUCKETS {
-                if let Some(Reverse(k)) = self.buckets[self.cursor].pop() {
-                    self.window_len -= 1;
-                    return Some(k);
-                }
-                self.cursor += 1;
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-
-    /// Advance the window to the next populated overflow region. Only
-    /// called with an empty window, which is what makes mid-flight
-    /// resizes safe: no placed key ever sees a changed width.
-    fn refill(&mut self) -> bool {
-        debug_assert_eq!(self.window_len, 0);
-        // Sparse-side resize: repeated refills recovering ≤1 key mean
-        // the span is far narrower than the event spacing — widen so a
-        // refill covers more future (heap-like cost, fewer refills).
-        if self.sparse_refills >= CAL_SPARSE_REFILLS {
-            self.width = self.width.saturating_mul(2);
-            self.sparse_refills = 0;
-            self.resizes += 1;
-        }
-        let Some(&Reverse(min)) = self.overflow.peek() else {
-            return false;
-        };
-        self.ensure_buckets();
-        self.base = (min.at / self.width) * self.width;
-        self.cursor = 0;
-        let limit = self.base.saturating_add(self.span());
-        let mut moved = 0usize;
-        while let Some(&Reverse(k)) = self.overflow.peek() {
-            if k.at >= limit {
-                break;
-            }
-            self.overflow.pop();
-            self.buckets[((k.at - self.base) / self.width) as usize].push(Reverse(k));
-            self.window_len += 1;
-            moved += 1;
-        }
-        if moved <= 1 {
-            self.sparse_refills += 1;
-        } else {
-            self.sparse_refills = 0;
-        }
-        // Dense-side resize: a refill that floods the window means the
-        // buckets are too wide to spread the load — narrow them for the
-        // next window.
-        if moved > CAL_BUCKETS * 8 && self.width > CAL_MIN_WIDTH {
-            self.width = (self.width / 2).max(CAL_MIN_WIDTH);
-            self.resizes += 1;
-        }
-        true
-    }
-
-    /// Remove every key, in no particular order (wholesale compaction).
-    fn drain_all(&mut self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(self.len());
-        for b in self.buckets.iter_mut() {
-            out.extend(b.drain().map(|Reverse(k)| k));
-        }
-        out.extend(self.early.drain().map(|Reverse(k)| k));
-        out.extend(self.overflow.drain().map(|Reverse(k)| k));
-        self.window_len = 0;
-        self.cursor = CAL_BUCKETS;
-        out
-    }
-}
-
-/// One domain's event queue — the structure under the heads merge. Both
-/// variants yield keys in exactly the same `(at, seq)` min order;
-/// [`EngineBackend`] picks the host-performance trade-off.
-#[derive(Debug)]
-enum DomainQueue {
-    Heap(BinaryHeap<Reverse<Key>>),
-    Calendar(Calendar),
-}
-
-impl DomainQueue {
-    /// An empty queue. Neither variant allocates until its first push —
-    /// per-domain pre-sizing is what used to sink rack-scale configs.
-    fn new(backend: EngineBackend) -> DomainQueue {
-        match backend {
-            EngineBackend::Heap => DomainQueue::Heap(BinaryHeap::new()),
-            EngineBackend::Calendar => DomainQueue::Calendar(Calendar::new()),
-        }
-    }
-
-    /// Heap bytes currently reserved by this queue's containers.
-    fn resident_bytes(&self) -> usize {
-        match self {
-            DomainQueue::Heap(q) => q.capacity() * std::mem::size_of::<Reverse<Key>>(),
-            DomainQueue::Calendar(c) => c.resident_bytes(),
-        }
-    }
-
-    /// Pre-reserve the legacy eager per-domain footprint (scale-bench
-    /// comparison only; see [`Engine::materialize_eager`]).
-    fn materialize(&mut self, capacity: usize) {
-        match self {
-            DomainQueue::Heap(q) => q.reserve(capacity),
-            DomainQueue::Calendar(c) => c.materialize(capacity),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            DomainQueue::Heap(q) => q.len(),
-            DomainQueue::Calendar(c) => c.len(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, k: Key) {
-        match self {
-            DomainQueue::Heap(q) => q.push(Reverse(k)),
-            DomainQueue::Calendar(c) => c.push(k),
-        }
-    }
-
-    /// The minimum key, without removing it. `&mut` because the calendar
-    /// may advance its cursor or refill its window to find it.
-    #[inline]
-    fn peek(&mut self) -> Option<Key> {
-        match self {
-            DomainQueue::Heap(q) => q.peek().map(|&Reverse(k)| k),
-            DomainQueue::Calendar(c) => c.peek(),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Key> {
-        match self {
-            DomainQueue::Heap(q) => q.pop().map(|Reverse(k)| k),
-            DomainQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Remove every key, in no particular order (wholesale compaction).
-    fn drain_all(&mut self) -> Vec<Key> {
-        match self {
-            DomainQueue::Heap(q) => q.drain().map(|Reverse(k)| k).collect(),
-            DomainQueue::Calendar(c) => c.drain_all(),
-        }
-    }
-
-    fn calendar_resizes(&self) -> u64 {
-        match self {
-            DomainQueue::Heap(_) => 0,
-            DomainQueue::Calendar(c) => c.resizes,
-        }
-    }
-}
+/// Dead-entry floor before a cancel considers wholesale compaction;
+/// below it the lazy pop-time discard is cheaper than a rebuild.
+const COMPACT_MIN_DEAD: usize = 64;
 
 /// The event queue.
 #[derive(Debug)]
 pub struct Engine {
-    /// One ordered key queue per domain.
-    queues: Vec<DomainQueue>,
+    /// One min-heap of keys per domain.
+    queues: Vec<BinaryHeap<Reverse<Key>>>,
     /// Lazy merge front: at most one *candidate* head per domain, as
     /// `(at, seq, domain)`. Entries are validated against the owning
     /// queue's head at pop time; stale candidates are dropped then.
@@ -506,11 +168,6 @@ pub struct Engine {
     live: usize,
     dead: usize,
     stats: EngineStats,
-    backend: EngineBackend,
-    /// Dead-entry floor before a cancel considers wholesale compaction
-    /// (`MachineConfig::compact_min_dead`); below it the lazy pop-time
-    /// discard is cheaper than a rebuild.
-    compact_min_dead: usize,
 }
 
 impl Default for Engine {
@@ -522,34 +179,16 @@ impl Default for Engine {
 impl Engine {
     /// A single-domain engine (the classic sequential configuration).
     pub fn new() -> Engine {
-        Engine::with_shape(1, 0)
+        Engine::with_domains(1)
     }
 
-    /// An engine sharded into `domains` queues. `capacity` is a
-    /// steady-state occupancy *hint* kept for API compatibility; queues
-    /// and the payload slab now start empty and grow geometrically on
-    /// demand, so idle domains cost nothing. `domains` is clamped to at
-    /// least 1. Uses the default backend and compaction floor; see
-    /// [`Engine::with_config`].
-    pub fn with_shape(domains: u32, capacity: usize) -> Engine {
-        Engine::with_config(domains, capacity, EngineBackend::default(), 64)
-    }
-
-    /// The fully tunable constructor: queue structure per
-    /// [`EngineBackend`] and the dead-entry compaction floor (clamped to
-    /// at least 1). Nothing is pre-reserved: the old
-    /// `domains * capacity` slot reservation both overflowed on huge
-    /// shapes and sank rack-scale configs before the first event fired;
-    /// all containers grow geometrically from empty instead.
-    pub fn with_config(
-        domains: u32,
-        _capacity: usize,
-        backend: EngineBackend,
-        compact_min_dead: usize,
-    ) -> Engine {
-        let domains = domains.max(1) as usize;
+    /// An engine sharded into `domains` queues (clamped to at least 1).
+    /// Nothing is pre-reserved: queues and the payload slab start empty
+    /// and grow geometrically on demand, so idle domains cost only their
+    /// empty heap header.
+    pub fn with_domains(domains: u32) -> Engine {
         Engine {
-            queues: (0..domains).map(|_| DomainQueue::new(backend)).collect(),
+            queues: (0..domains.max(1)).map(|_| BinaryHeap::new()).collect(),
             heads: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -559,50 +198,22 @@ impl Engine {
             live: 0,
             dead: 0,
             stats: EngineStats::default(),
-            backend,
-            compact_min_dead: compact_min_dead.max(1),
         }
-    }
-
-    /// Re-create the legacy eager layout: every domain queue pre-sized
-    /// for `capacity` pending events and one `domains * capacity` slot
-    /// reservation (saturating, so huge shapes no longer overflow the
-    /// multiply). Only the scale benchmarks call this, to measure the
-    /// pre-refactor footprint against the lazy default; behavior is
-    /// reservation-only and therefore digest-neutral.
-    pub fn materialize_eager(&mut self, capacity: usize) {
-        for q in self.queues.iter_mut() {
-            q.materialize(capacity);
-        }
-        let total = self.queues.len().saturating_mul(capacity);
-        self.slots.reserve(total.saturating_sub(self.slots.len()));
-        self.heads.reserve(self.queues.len());
     }
 
     /// Heap bytes currently reserved by the engine: per-domain queues,
     /// the payload slab, the free list, and the merge front. The
     /// accounting hook behind `Machine::resident_bytes_estimate`.
     pub fn resident_bytes(&self) -> usize {
-        self.queues.capacity() * std::mem::size_of::<DomainQueue>()
+        self.queues.capacity() * std::mem::size_of::<BinaryHeap<Reverse<Key>>>()
             + self
                 .queues
                 .iter()
-                .map(|q| q.resident_bytes())
+                .map(|q| q.capacity() * std::mem::size_of::<Reverse<Key>>())
                 .sum::<usize>()
             + self.heads.capacity() * std::mem::size_of::<Reverse<(Cycle, u64, u32)>>()
             + self.slots.capacity() * std::mem::size_of::<Option<SlabEntry>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// The queue structure backing each domain.
-    pub fn backend(&self) -> EngineBackend {
-        self.backend
-    }
-
-    /// Calendar bucket-width adaptations so far, summed over domains
-    /// (always 0 on the heap backend).
-    pub fn calendar_resizes(&self) -> u64 {
-        self.queues.iter().map(|q| q.calendar_resizes()).sum()
     }
 
     /// Number of event domains.
@@ -671,10 +282,10 @@ impl Engine {
         });
         let d = (domain as usize).min(self.queues.len() - 1);
         let q = &mut self.queues[d];
-        q.push(Key { at, seq, slot });
+        q.push(Reverse(Key { at, seq, slot }));
         // Only refresh the merge front when this event became the
         // domain's head; otherwise the existing candidate still wins.
-        if let Some(top) = q.peek() {
+        if let Some(Reverse(top)) = q.peek() {
             if top.seq == seq {
                 self.heads.push(Reverse((at, seq, d as u32)));
             }
@@ -695,7 +306,7 @@ impl Engine {
                 self.live -= 1;
                 self.dead += 1;
                 self.stats.cancelled += 1;
-                if self.dead >= self.compact_min_dead && self.dead > self.live {
+                if self.dead >= COMPACT_MIN_DEAD && self.dead > self.live {
                     self.compact();
                 }
                 true
@@ -772,7 +383,7 @@ impl Engine {
             dead: false,
         });
         let d = (domain as usize).min(self.queues.len() - 1);
-        self.queues[d].push(Key { at, seq, slot });
+        self.queues[d].push(Reverse(Key { at, seq, slot }));
         // Restores are rare (fast-path exit); unconditionally offering a
         // merge-front candidate is cheaper than disambiguating the dead
         // twin, and peek_valid drops stale candidates anyway.
@@ -798,7 +409,7 @@ impl Engine {
     fn peek_valid(&mut self) -> Option<(Cycle, u64, u32)> {
         while let Some(&Reverse((at, seq, d))) = self.heads.peek() {
             match self.queues[d as usize].peek() {
-                Some(k) if k.at == at && k.seq == seq => return Some((at, seq, d)),
+                Some(Reverse(k)) if k.at == at && k.seq == seq => return Some((at, seq, d)),
                 _ => {
                     self.heads.pop();
                 }
@@ -812,8 +423,8 @@ impl Engine {
     fn pop_head(&mut self, domain: u32) -> Option<Event> {
         self.heads.pop();
         let q = &mut self.queues[domain as usize];
-        let k = q.pop().expect("validated head must exist");
-        if let Some(next) = q.peek() {
+        let Reverse(k) = q.pop().expect("validated head must exist");
+        if let Some(Reverse(next)) = q.peek() {
             self.heads.push(Reverse((next.at, next.seq, domain)));
         }
         let entry = self.slots[k.slot as usize]
@@ -871,14 +482,12 @@ impl Engine {
         }
     }
 
-    /// `(cycle, seq)` of the next live pending event, without popping it
-    /// — the merge key callers need to interleave an external timer
-    /// stream (the closed-form noise wheel) against the engine.
+    /// Cycle of the next live pending event, without popping it.
     /// Cancelled entries encountered on the way are discarded.
-    pub fn peek_key(&mut self) -> Option<(Cycle, u64)> {
+    pub fn peek_at(&mut self) -> Option<Cycle> {
         loop {
-            let (at, seq, d) = self.peek_valid()?;
-            let k = self.queues[d as usize].peek().expect("validated head");
+            let (at, _, d) = self.peek_valid()?;
+            let Reverse(k) = self.queues[d as usize].peek().expect("validated head");
             let head_dead = self.slots[k.slot as usize]
                 .as_ref()
                 .map(|e| e.dead)
@@ -887,24 +496,8 @@ impl Engine {
                 self.pop_head(d);
                 continue;
             }
-            return Some((at, seq));
+            return Some(at);
         }
-    }
-
-    /// Cycle of the next live pending event, without popping it.
-    /// Cancelled entries encountered on the way are discarded.
-    pub fn peek_at(&mut self) -> Option<Cycle> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// Closed-form timer advance: move the clock to `at` exactly as
-    /// popping an event there would have, counting it as processed. The
-    /// caller owns the event's payload (it never entered a queue).
-    pub fn advance_virtual(&mut self, at: Cycle) {
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.last_event = at;
-        self.stats.processed += 1;
     }
 
     /// True if no live events are pending.
@@ -929,10 +522,7 @@ impl Engine {
             ..
         } = self;
         for q in queues.iter_mut() {
-            if q.len() == 0 {
-                continue;
-            }
-            for k in q.drain_all() {
+            q.retain(|Reverse(k)| {
                 let dead = slots[k.slot as usize]
                     .as_ref()
                     .map(|e| e.dead)
@@ -940,14 +530,13 @@ impl Engine {
                 if dead {
                     slots[k.slot as usize] = None;
                     free.push(k.slot);
-                } else {
-                    q.push(k);
                 }
-            }
+                !dead
+            });
         }
         self.heads.clear();
         for (d, q) in self.queues.iter_mut().enumerate() {
-            if let Some(k) = q.peek() {
+            if let Some(Reverse(k)) = q.peek() {
                 self.heads.push(Reverse((k.at, k.seq, d as u32)));
             }
         }
@@ -1031,7 +620,7 @@ mod tests {
         // The same schedule stream through a 1-domain and an 8-domain
         // engine must pop in the identical (at, seq) order.
         let mut seq1 = Engine::new();
-        let mut seq8 = Engine::with_shape(8, 4);
+        let mut seq8 = Engine::with_domains(8);
         let ats = [40u64, 12, 12, 99, 5, 40, 77, 5, 63, 12, 100, 0];
         for (i, &at) in ats.iter().enumerate() {
             let kind = EvKind::Kernel {
@@ -1126,7 +715,7 @@ mod tests {
 
     #[test]
     fn peek_at_reports_next_live_cycle() {
-        let mut e = Engine::with_shape(4, 0);
+        let mut e = Engine::with_domains(4);
         assert_eq!(e.peek_at(), None);
         let h = e.schedule_dom(1, 7, EvKind::Kernel { node: 1, tag: 0 });
         e.schedule_dom(3, 30, EvKind::Kernel { node: 3, tag: 1 });
@@ -1157,30 +746,16 @@ mod tests {
 
     #[test]
     fn idle_domains_reserve_no_queue_memory() {
-        for backend in [EngineBackend::Heap, EngineBackend::Calendar] {
-            let e = Engine::with_config(4096, 32, backend, 64);
-            // A freshly built engine holds only the queue spine: no
-            // per-domain heaps, no slot reservation.
-            let lazy = e.resident_bytes();
-            let spine = 4096 * std::mem::size_of::<DomainQueue>();
-            assert!(lazy <= spine, "{backend:?}: {lazy} > spine {spine}");
-            // The legacy eager layout is dramatically larger — this gap
-            // is what fig_scale measures as bytes/node.
-            let mut eager = Engine::with_config(4096, 32, backend, 64);
-            eager.materialize_eager(32);
-            assert!(
-                eager.resident_bytes() >= 5 * lazy,
-                "{backend:?}: eager {} vs lazy {lazy}",
-                eager.resident_bytes()
-            );
-        }
-        // Guard: a shape whose domains * capacity product would have
-        // overflowed the old one-shot reservation must now construct and
-        // run without reserving anything.
-        let mut huge = Engine::with_config(1024, usize::MAX / 4, EngineBackend::Heap, 64);
-        let h = huge.schedule_dom(7, 5, EvKind::Kernel { node: 7, tag: 0 });
-        assert!(huge.is_live(h));
-        assert_eq!(huge.pop().unwrap().at, 5);
+        let mut e = Engine::with_domains(4096);
+        // A freshly built engine holds only the queue spine: no
+        // per-domain heap storage, no slot reservation.
+        let lazy = e.resident_bytes();
+        let spine = 4096 * std::mem::size_of::<BinaryHeap<Reverse<Key>>>();
+        assert!(lazy <= spine, "{lazy} > spine {spine}");
+        // Scheduling into one domain grows only that domain's heap.
+        let h = e.schedule_dom(7, 5, EvKind::Kernel { node: 7, tag: 0 });
+        assert!(e.is_live(h));
+        assert_eq!(e.pop().unwrap().at, 5);
     }
 
     #[test]
@@ -1256,239 +831,6 @@ mod tests {
         e.restore(0, 10, s0, EvKind::Kernel { node: 0, tag: 99 });
         let first = e.pop().unwrap();
         assert!(matches!(first.kind, EvKind::Kernel { tag: 99, .. }));
-    }
-
-    #[test]
-    fn heap_and_calendar_backends_pop_identically() {
-        // The calendar backend must pop the exact (at, seq) stream the
-        // heap backend does, through schedules, ties, cancels, and a
-        // decommit/restore round trip.
-        let mut heap = Engine::with_config(4, 8, EngineBackend::Heap, 64);
-        let mut cal = Engine::with_config(4, 8, EngineBackend::Calendar, 64);
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut handles = Vec::new();
-        for i in 0..500u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let at = x % 3_000_000; // spans many calendar windows
-            let kind = EvKind::Kernel {
-                node: (i % 4) as u32,
-                tag: i,
-            };
-            let hh = heap.schedule_dom((i % 4) as u32, at, kind.clone());
-            let hc = cal.schedule_dom((i % 4) as u32, at, kind);
-            if i % 7 == 0 {
-                handles.push((hh, hc, at));
-            }
-        }
-        for tag in 1_000..1_010u64 {
-            // Deliberate same-cycle ties break by seq on both backends.
-            heap.schedule(1_500_000, EvKind::Kernel { node: 0, tag });
-            cal.schedule(1_500_000, EvKind::Kernel { node: 0, tag });
-        }
-        for (hh, hc, _) in handles.iter().take(30) {
-            assert_eq!(heap.cancel(*hh), cal.cancel(*hc));
-        }
-        let &(hh, hc, at) = handles.last().expect("handles sampled");
-        assert!(heap.is_live(hh));
-        let seq = hh.seq();
-        heap.decommit(hh);
-        cal.decommit(hc);
-        heap.restore(
-            1,
-            at,
-            seq,
-            EvKind::Kernel {
-                node: 1,
-                tag: 9_999,
-            },
-        );
-        cal.restore(
-            1,
-            at,
-            seq,
-            EvKind::Kernel {
-                node: 1,
-                tag: 9_999,
-            },
-        );
-        loop {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(heap.now(), cal.now());
-        assert_eq!(heap.stats().processed, cal.stats().processed);
-        assert_eq!(heap.stats().stale_discarded, cal.stats().stale_discarded);
-    }
-
-    #[test]
-    fn calendar_sparse_overflow_resizes_width() {
-        // Events spaced far beyond the window span park in the overflow
-        // heap; draining them one near-empty refill at a time trips the
-        // sparse-side resize, which doubles the bucket width. The count
-        // must exceed CAL_SPARSE_KEYS or the domain never leaves plain
-        // heap mode (see calendar_stays_in_heap_mode_below_threshold).
-        let mut e = Engine::with_config(1, 0, EngineBackend::Calendar, 64);
-        let span = CAL_INIT_WIDTH * CAL_BUCKETS as u64;
-        let n = CAL_SPARSE_KEYS as u64 + 16;
-        let ats: Vec<u64> = (0..n).map(|i| i * span * 4).collect();
-        for (i, &at) in ats.iter().enumerate() {
-            e.schedule(
-                at,
-                EvKind::Kernel {
-                    node: 0,
-                    tag: i as u64,
-                },
-            );
-        }
-        let mut popped = Vec::new();
-        while let Some(ev) = e.pop() {
-            popped.push(ev.at);
-        }
-        assert_eq!(popped, ats);
-        assert!(
-            e.calendar_resizes() >= 1,
-            "sparse refills must widen buckets"
-        );
-    }
-
-    #[test]
-    fn calendar_stays_in_heap_mode_below_threshold() {
-        // At or below CAL_SPARSE_KEYS live keys the calendar never
-        // materializes its bucket ring — it is a plain min-heap with a
-        // plain min-heap's footprint — yet pops the identical order.
-        let mut e = Engine::with_config(1, 0, EngineBackend::Calendar, 64);
-        let mut h = Engine::with_config(1, 0, EngineBackend::Heap, 64);
-        let span = CAL_INIT_WIDTH * CAL_BUCKETS as u64;
-        let mut ats: Vec<u64> = (0..CAL_SPARSE_KEYS as u64).map(|i| i * span).collect();
-        for (i, &at) in ats.iter().enumerate() {
-            e.schedule(
-                at,
-                EvKind::Kernel {
-                    node: 0,
-                    tag: i as u64,
-                },
-            );
-            h.schedule(
-                at,
-                EvKind::Kernel {
-                    node: 0,
-                    tag: i as u64,
-                },
-            );
-        }
-        // A sparse calendar's only key storage is its overflow heap, so
-        // its heap bytes match the heap backend's; a materialized ring
-        // would add CAL_BUCKETS BinaryHeaps on top.
-        assert!(
-            e.resident_bytes() <= h.resident_bytes() + CAL_BUCKETS,
-            "sparse domain allocated a bucket ring: calendar {} B vs heap {} B",
-            e.resident_bytes(),
-            h.resident_bytes()
-        );
-        let mut popped = Vec::new();
-        while let Some(ev) = e.pop() {
-            popped.push(ev.at);
-        }
-        ats.sort_unstable();
-        assert_eq!(popped, ats, "heap mode must preserve min order");
-        assert_eq!(e.calendar_resizes(), 0, "no refill may run in heap mode");
-    }
-
-    #[test]
-    fn calendar_dense_refill_narrows_width() {
-        let mut e = Engine::with_config(1, 0, EngineBackend::Calendar, 64);
-        // An early key anchors the window at 0 so the far cluster stays
-        // in overflow until it drains.
-        e.schedule(
-            1,
-            EvKind::Kernel {
-                node: 0,
-                tag: 9_999,
-            },
-        );
-        let base = CAL_INIT_WIDTH * CAL_BUCKETS as u64 * 10;
-        let n = CAL_BUCKETS as u64 * 8 + 64;
-        for i in 0..n {
-            e.schedule(base + i * 7, EvKind::Kernel { node: 0, tag: i });
-        }
-        assert_eq!(e.pop().unwrap().at, 1);
-        // Draining the cluster pulls it into one flooded window (dense
-        // refill), which narrows the bucket width for the next one.
-        let mut last = 0;
-        for _ in 0..n {
-            let ev = e.pop().expect("cluster event");
-            assert!(ev.at >= last);
-            last = ev.at;
-        }
-        assert!(e.pop().is_none());
-        assert!(
-            e.calendar_resizes() >= 1,
-            "dense refill must narrow buckets"
-        );
-    }
-
-    #[test]
-    fn calendar_early_keys_pop_first() {
-        // A restore behind the window base (legal: restore only requires
-        // at >= now) lands in the early heap and still pops first.
-        let mut e = Engine::with_config(1, 0, EngineBackend::Calendar, 64);
-        e.schedule(10_000_000, EvKind::Kernel { node: 0, tag: 1 });
-        let h = e.schedule(10_000_001, EvKind::Kernel { node: 0, tag: 2 });
-        let seq = h.seq();
-        assert!(e.decommit(h));
-        e.restore(0, 5, seq, EvKind::Kernel { node: 0, tag: 2 });
-        assert_eq!(e.pop().unwrap().at, 5);
-        assert_eq!(e.pop().unwrap().at, 10_000_000);
-        assert!(e.pop().is_none(), "dead twin discarded silently");
-        assert_eq!(e.stats().stale_discarded, 1);
-    }
-
-    #[test]
-    fn compact_floor_is_tunable_per_backend() {
-        for backend in [EngineBackend::Heap, EngineBackend::Calendar] {
-            let mut e = Engine::with_config(1, 0, backend, 4);
-            let hs: Vec<EvHandle> = (0..10)
-                .map(|i| e.schedule(i, EvKind::Kernel { node: 0, tag: i }))
-                .collect();
-            for h in hs.iter().skip(4) {
-                e.cancel(*h);
-            }
-            assert!(
-                e.stats().compactions >= 1,
-                "{backend:?}: floor 4 must trigger"
-            );
-            let mut e = Engine::with_config(1, 0, backend, 1_000);
-            let hs: Vec<EvHandle> = (0..10)
-                .map(|i| e.schedule(i, EvKind::Kernel { node: 0, tag: i }))
-                .collect();
-            for h in hs {
-                e.cancel(h);
-            }
-            assert_eq!(
-                e.stats().compactions,
-                0,
-                "{backend:?}: floor 1000 must not trigger"
-            );
-            assert!(e.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn advance_virtual_matches_pop_clock() {
-        let mut popped = Engine::new();
-        popped.schedule(123, EvKind::Kernel { node: 0, tag: 0 });
-        popped.pop();
-        let mut virt = Engine::new();
-        virt.advance_virtual(123);
-        assert_eq!(virt.now(), popped.now());
-        assert_eq!(virt.last_event_cycle(), popped.last_event_cycle());
-        assert_eq!(virt.processed(), popped.processed());
     }
 
     #[test]

@@ -306,35 +306,21 @@ impl Machine {
         self.idle_kernel_events = 0;
         let lookahead = self.sc.cfg.effective_lookahead();
         loop {
-            let bound = {
-                let base = self.sc.now().saturating_add(lookahead);
-                if self.sc.cfg.fast_path || self.sc.cfg.epoch_fast_forward {
-                    // Quiescence fast-forward at the window level: if the
-                    // earliest pending event lies beyond the naive window,
-                    // every epoch until then would pop nothing. Jump the
-                    // window so it starts at that event — the same rule
-                    // parsim uses for its horizon (`min_at + lookahead`).
-                    // Pop order is untouched; only the number of empty
-                    // `ReachedCycle` epochs changes. Virtual kernel
-                    // timers count as pending events for this purpose.
-                    let head = match (self.sc.engine.peek_at(), self.sc.vtimers.peek_key()) {
-                        (Some(e), Some((v, _))) => Some(e.min(v)),
-                        (Some(e), None) => Some(e),
-                        (None, Some((v, _))) => Some(v),
-                        (None, None) => None,
-                    };
-                    match head {
-                        Some(at) if at > base => at.saturating_add(lookahead),
-                        _ => base,
-                    }
-                } else {
-                    base
-                }
+            // Quiescence fast-forward at the window level: if the earliest
+            // pending event lies beyond the naive window, every epoch
+            // until then would pop nothing. Jump the window so it starts
+            // at that event — the same rule parsim uses for its horizon
+            // (`min_at + lookahead`). Pop order is untouched; only the
+            // number of empty `ReachedCycle` epochs changes.
+            let base = self.sc.now().saturating_add(lookahead);
+            let bound = match self.sc.engine.peek_at() {
+                Some(at) if at > base => at.saturating_add(lookahead),
+                _ => base,
             };
             match self.run_inner(Some(bound)) {
                 RunOutcome::ReachedCycle { .. } => {
                     self.epochs += 1;
-                    if self.sc.engine.is_idle() && self.sc.vtimers.is_empty() {
+                    if self.sc.engine.is_idle() {
                         // Queue drained mid-window. Classify exactly as
                         // run() would, at the last processed event (the
                         // engine clock itself parked at the window
@@ -521,31 +507,6 @@ impl Machine {
                 self.run_fast(bound);
                 continue;
             }
-            // Virtual kernel timers (closed-form noise) live outside the
-            // heap but hold real slots in the global `(cycle, seq)` total
-            // order: their seq comes from the engine's own counter. Pop
-            // whichever source holds the earlier key, so the merged
-            // stream is bit-identical to the all-on-heap reference.
-            let vkey = self.sc.vtimers.peek_key();
-            let take_virtual = match vkey {
-                Some(v) => {
-                    bound.is_none_or(|b| v.0 <= b)
-                        && self.sc.engine.peek_key().is_none_or(|e| v < e)
-                }
-                None => false,
-            };
-            if take_virtual {
-                let (at, _seq, node, tag) = self.sc.vtimers.pop().expect("peeked above");
-                self.sc.engine.advance_virtual(at);
-                let nothing_running = self.sc.running.iter().all(Option::is_none);
-                if nothing_running {
-                    self.idle_kernel_events += 1;
-                } else {
-                    self.idle_kernel_events = 0;
-                }
-                self.handle(EvKind::Kernel { node, tag });
-                continue;
-            }
             let ev = match bound {
                 Some(b) => self.sc.engine.pop_until(b),
                 None => self.sc.engine.pop(),
@@ -691,13 +652,6 @@ impl Machine {
         if pending == 0 || pending > FAST_MAX_PENDING {
             return false;
         }
-        if !self.sc.vtimers.is_empty() {
-            // A virtual kernel timer (closed-form noise) is pending. It
-            // lives outside the heap, so `pending` cannot see it, yet it
-            // holds a slot in the global order — the fast path must not
-            // jump the clock past it.
-            return false;
-        }
         if !self.sc.dispatch_q.is_empty()
             || !self.sc.unblock_q.is_empty()
             || !self.sc.kill_q.is_empty()
@@ -766,7 +720,6 @@ impl Machine {
                 || !self.sc.unblock_q.is_empty()
                 || !self.sc.kill_q.is_empty()
                 || self.sc.engine.pending() != 0
-                || !self.sc.vtimers.is_empty()
                 || self.fast.is_empty()
             {
                 break;
@@ -1529,7 +1482,7 @@ impl Machine {
             until: now + cost,
             started: now,
         };
-        if self.fast_active && self.sc.engine.pending() == 0 && self.sc.vtimers.is_empty() {
+        if self.fast_active && self.sc.engine.pending() == 0 {
             // Virtual insert: the completion joins the micro run queue
             // instead of the heap, carrying the sequence number the heap
             // would have assigned — so if it is ever flushed back

@@ -96,45 +96,6 @@ struct LinkOutage {
     until: Cycle,
 }
 
-/// The closed-form timer wheel: recurring kernel timers (noise ticks,
-/// daemon wakes) sampled analytically instead of living as heap events.
-/// Entries carry engine-allocated sequence numbers, so the executor can
-/// interleave firings against the engine's pop stream in the exact
-/// `(cycle, seq)` total order the per-tick reference would produce.
-#[derive(Debug, Default)]
-pub struct VTimers {
-    /// `(at, seq, node, tag)` min-heap.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64, u32, u64)>>,
-}
-
-impl VTimers {
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `(cycle, seq)` of the next virtual firing, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
-        self.heap
-            .peek()
-            .map(|&std::cmp::Reverse((at, seq, _, _))| (at, seq))
-    }
-
-    fn push(&mut self, at: Cycle, seq: u64, node: u32, tag: u64) {
-        self.heap.push(std::cmp::Reverse((at, seq, node, tag)));
-    }
-
-    /// Remove and return the next `(at, seq, node, tag)` firing.
-    pub(crate) fn pop(&mut self) -> Option<(Cycle, u64, u32, u64)> {
-        self.heap.pop().map(|std::cmp::Reverse(v)| v)
-    }
-}
-
 pub struct SimCore {
     pub cfg: MachineConfig,
     pub engine: Engine,
@@ -178,9 +139,6 @@ pub struct SimCore {
     /// allocated sequentially by the kernels).
     pub proc_threads: Vec<Vec<Tid>>,
     pub stats: MachineStats,
-    /// Closed-form kernel timers (`cfg.closed_form_noise`); empty when
-    /// kernels schedule per-tick heap events instead.
-    pub vtimers: VTimers,
 
     // Deferral queues drained by the executor.
     pub(crate) dispatch_q: Vec<Tid>,
@@ -198,26 +156,10 @@ impl SimCore {
             panic!("invalid machine config: {e}");
         }
         let cores = cfg.total_cores() as usize;
-        let hub = RngHub::new(cfg.seed);
-        let mut engine = Engine::with_config(
-            cfg.nodes,
-            cfg.event_capacity,
-            cfg.engine_backend,
-            cfg.compact_min_dead,
-        );
-        let mut jitter = LazyStreams::new("dram-refresh");
-        if cfg.eager_layout {
-            // Scale-benchmark comparison mode: reproduce the legacy
-            // pre-sized layout (every domain queue reserved, every
-            // per-node stream materialized). Reservation-only, so it is
-            // digest-neutral by construction.
-            engine.materialize_eager(cfg.event_capacity);
-            jitter.materialize_eager(&hub, cfg.nodes as u64);
-        }
         SimCore {
             // One event domain per node; queues start empty and grow on
             // first use, so idle nodes cost nothing.
-            engine,
+            engine: Engine::with_domains(cfg.nodes),
             torus: Torus::new(&cfg),
             coll: CollectiveNet::new(&cfg),
             barrier: BarrierNet::new(&cfg),
@@ -235,7 +177,7 @@ impl SimCore {
             } else {
                 Profiler::disabled()
             },
-            hub: hub.clone(),
+            hub: RngHub::new(cfg.seed),
             threads: Vec::new(),
             live_count: 0,
             dram: (0..cfg.nodes)
@@ -249,13 +191,12 @@ impl SimCore {
                 .collect(),
             running: vec![None; cores],
             streaming: vec![false; cores],
-            jitter,
+            jitter: LazyStreams::new("dram-refresh"),
             inflight: IdMap::new(),
             outages: Vec::new(),
             next_msg: 0,
             proc_threads: Vec::new(),
             stats: MachineStats::default(),
-            vtimers: VTimers::default(),
             dispatch_q: Vec::new(),
             unblock_q: Vec::new(),
             kill_q: Vec::new(),
@@ -529,19 +470,6 @@ impl SimCore {
         let at = self.engine.now() + delta;
         self.engine
             .schedule_dom(node.0, at, EvKind::Kernel { node: node.0, tag })
-    }
-
-    /// Arm a kernel timer on the closed-form wheel instead of the
-    /// engine. It draws from the same global sequence counter, so the
-    /// firing keeps the exact position in the `(cycle, seq)` total order
-    /// [`SimCore::schedule_kernel_event_in`] would have given it; the
-    /// executor replays it through the ordinary `Kernel::kernel_event`
-    /// path. No handle: wheel timers cannot be cancelled, so they are
-    /// only for timers the kernel never cancels (noise/daemon re-arms).
-    pub fn schedule_virtual_kernel_event_in(&mut self, node: NodeId, tag: u64, delta: Cycle) {
-        let at = self.engine.now() + delta;
-        let seq = self.engine.alloc_seq();
-        self.vtimers.push(at, seq, node.0, tag);
     }
 
     /// Cancel a kernel-private event scheduled earlier; true if it was
@@ -952,7 +880,6 @@ impl SimCore {
             .sum::<usize>();
         total += self.jitter.resident_bytes();
         total += self.prof.resident_bytes();
-        total += self.vtimers.heap.capacity() * std::mem::size_of::<(Cycle, u64, u32, u64)>();
         total
     }
 }

@@ -89,14 +89,6 @@ impl LazyStreams {
         self.streams.len()
     }
 
-    /// Force-materialize streams `0..n` (the scale benchmarks use this
-    /// to reproduce the legacy eager per-entity footprint).
-    pub fn materialize_eager(&mut self, hub: &RngHub, n: u64) {
-        for i in 0..n {
-            self.get(hub, i);
-        }
-    }
-
     /// Heap bytes currently held by materialized streams (approximate:
     /// entry payload only, not `HashMap` bucket overhead).
     pub fn resident_bytes(&self) -> usize {
@@ -184,8 +176,6 @@ mod tests {
             assert_eq!(want, got, "stream {n} diverged");
         }
         assert_eq!(lazy.materialized(), 5, "only touched entities exist");
-        lazy.materialize_eager(&hub, 8);
-        assert_eq!(lazy.materialized(), 8);
         assert!(lazy.resident_bytes() > 0);
     }
 

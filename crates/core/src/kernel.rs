@@ -283,12 +283,10 @@ impl Cnk {
 
     /// Pin a process's full static map into every one of its cores' TLBs.
     ///
-    /// The map is identical on every core of the process, so the default
-    /// layout builds it once and Arc-shares it (`Tlb::install_base`) —
+    /// The map is identical on every core of the process, so it is
+    /// built and validated once and Arc-shared (`Tlb::install_base`) —
     /// one copy per process, not per core, which is most of the TLB
-    /// footprint at rack scale. `eager_layout` keeps the legacy per-core
-    /// copies. Both paths validate the same entries in the same order,
-    /// so a bad map fails with an identical error either way.
+    /// footprint at rack scale.
     fn pin_map(&self, sc: &mut SimCore, proc: &Process) -> Result<(), LaunchError> {
         let mut map = Vec::new();
         for r in proc
@@ -307,28 +305,16 @@ impl Cnk {
                 });
             }
         }
-        if sc.cfg.eager_layout {
-            for &core in &proc.cores {
-                for &entry in &map {
-                    sc.tlbs[core.idx()].pin(entry).map_err(|e| {
-                        LaunchError::NoMemory(format!("TLB pin failed on {core}: {e:?}"))
-                    })?;
-                }
-            }
-        } else {
-            let Some(&first) = proc.cores.first() else {
-                return Ok(());
-            };
-            Tlb::validate_map(&map, sc.tlbs[first.idx()].capacity())
-                .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {first}: {e:?}")))?;
-            let shared: std::sync::Arc<[TlbEntry]> = map.into();
-            for &core in &proc.cores {
-                sc.tlbs[core.idx()]
-                    .install_base(shared.clone())
-                    .map_err(|e| {
-                        LaunchError::NoMemory(format!("TLB pin failed on {core}: {e:?}"))
-                    })?;
-            }
+        let Some(&first) = proc.cores.first() else {
+            return Ok(());
+        };
+        Tlb::validate_map(&map, sc.tlbs[first.idx()].capacity())
+            .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {first}: {e:?}")))?;
+        let shared: std::sync::Arc<[TlbEntry]> = map.into();
+        for &core in &proc.cores {
+            sc.tlbs[core.idx()]
+                .install_base(shared.clone())
+                .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {core}: {e:?}")))?;
         }
         Ok(())
     }
@@ -798,25 +784,6 @@ impl Kernel for Cnk {
                         }
                     }
                 }
-            }
-        }
-        if sc.cfg.eager_layout {
-            // Legacy footprint: materialize every per-node/per-ION
-            // column up front. Reservation only — lazily derived state
-            // is identical, so traces don't move.
-            self.futexes.resize_with(nodes, FutexTable::new);
-            let dram = sc.cfg.chip.dram_bytes;
-            let lo = dram - self.cfg.persist_reserve;
-            while self.persist.len() < nodes {
-                self.persist.push(PersistRegistry::new(lo, dram));
-            }
-            while self.ciods.len() < ions {
-                self.ciods.push(Ciod::new(self.ciods.len() as u32));
-            }
-            self.ion_rng.materialize_eager(&sc.hub, ions as u64);
-            self.ion_busy_until.resize(ions, 0);
-            if !self.cfg.injected_noise.is_empty() {
-                self.noise_rng.materialize_eager(&sc.hub, nodes as u64);
             }
         }
         self.booted = true;

@@ -286,20 +286,7 @@ impl Fwk {
             src.next_delay(self.noise_rng.get(&sc.hub, node.0 as u64))
         };
         let tag = TAG_NOISE | ((src_idx as u64) << 8) | core_local as u64;
-        if sc.cfg.closed_form_noise {
-            // Closed-form sampling: the tick is armed as a virtual timer
-            // instead of a heap event. Same RNG draw above, same tag,
-            // and a sequence number from the engine's own counter — the
-            // executor replays it through the identical `kernel_event`
-            // path at the identical cycle, so the trace digest cannot
-            // tell the two representations apart. Noise ticks are never
-            // cancelled, which is what makes them safe to virtualize;
-            // timeslices and RAS recovery (cancellable / rare) stay on
-            // the heap.
-            sc.schedule_virtual_kernel_event_in(node, tag, delay);
-        } else {
-            sc.schedule_kernel_event_in(node, tag, delay);
-        }
+        sc.schedule_kernel_event_in(node, tag, delay);
     }
 
     fn post_signal(&mut self, sc: &mut SimCore, tid: Tid, sig: Sig) {
@@ -388,15 +375,6 @@ impl Kernel for Fwk {
                     }
                 }
             }
-        }
-        if sc.cfg.eager_layout {
-            // Legacy footprint: materialize every per-node column up
-            // front. Reservation only — the traces don't move.
-            self.futexes.resize_with(nodes, FutexTable::new);
-            self.next_frame.resize(nodes, FRAME_BASE);
-            self.dirty_bytes.resize(nodes, 0);
-            self.noise_rng.materialize_eager(&sc.hub, nodes as u64);
-            self.io_rng.materialize_eager(&sc.hub, nodes as u64);
         }
         self.booted = true;
         crate::boot::boot_report(self.cfg.stripped)

@@ -55,9 +55,8 @@ fn corpus_replays_to_recorded_digests() {
             checked += 1;
         }
     }
-    // 4 scripts × 2 kernels × 16 modes ({seq,win} × {fast,heap} ×
-    // {calendar,binary-heap} × {closed-form,per-tick}).
-    assert!(checked >= 128, "only {checked} pins verified");
+    // 4 scripts × 2 kernels × 4 modes ({seq,win} × {fast,heap}).
+    assert!(checked >= 32, "only {checked} pins verified");
 }
 
 /// Shrink a failing program, serialize the minimized repro, parse it

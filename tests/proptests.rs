@@ -613,160 +613,6 @@ proptest! {
     }
 }
 
-// ---- engine-optimization equivalence ------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The event-engine optimizations are pure host-performance tuning:
-    /// for ANY program, seed, and kernel, every cell of the
-    /// {calendar,heap} × {closed-form,per-tick} grid must produce the
-    /// same final cycle, the same trace digest, and bit-identical
-    /// profile.* counters. Closed-form noise in particular must be
-    /// indistinguishable from the per-tick reference sampler it
-    /// replaces — same RNG draws, same wakeups, same spans.
-    #[test]
-    fn engine_optimizations_are_digest_and_profile_neutral(
-        prog in arb_program(),
-        seed in 0u64..1000,
-        kernel_pick in any::<bool>(),
-    ) {
-        let run = |backend: bgsim::config::EngineBackend, closed_form: bool| {
-            let prog = prog.clone();
-            let kernel: Box<dyn bgsim::Kernel> = if kernel_pick {
-                Box::new(Cnk::with_defaults())
-            } else {
-                Box::new(Fwk::with_defaults())
-            };
-            let mut m = bgsim::machine::Machine::new(
-                MachineConfig::nodes(2)
-                    .with_seed(seed)
-                    .with_trace()
-                    .with_engine_backend(backend)
-                    .with_closed_form_noise(closed_form),
-                kernel,
-                Box::new(dcmf::Dcmf::with_defaults()),
-            );
-            m.boot();
-            m.launch(
-                &sysabi::JobSpec::new(
-                    sysabi::AppImage::static_test("engine-fuzz"),
-                    2,
-                    sysabi::NodeMode::Smp,
-                ),
-                &mut |_r: sysabi::Rank| {
-                    let prog = prog.clone();
-                    let mut i = 0usize;
-                    bgsim::script::wl(move |env| {
-                        let _ = env.take_ret();
-                        if i >= prog.len() {
-                            return bgsim::Op::End;
-                        }
-                        let op = decode_op(prog[i], i as u64);
-                        i += 1;
-                        op
-                    })
-                },
-            )
-            .unwrap();
-            let out = m.run();
-            (out.at(), m.trace_digest(), m.profile_snapshot())
-        };
-
-        use bgsim::config::EngineBackend;
-        let oracle = run(EngineBackend::Calendar, true);
-        for (backend, closed_form) in [
-            (EngineBackend::Calendar, false),
-            (EngineBackend::Heap, true),
-            (EngineBackend::Heap, false),
-        ] {
-            let got = run(backend, closed_form);
-            prop_assert_eq!(
-                (oracle.0, oracle.1),
-                (got.0, got.1),
-                "{:?}/closed_form={} diverged from calendar/closed-form",
-                backend,
-                closed_form
-            );
-            prop_assert_eq!(
-                &oracle.2,
-                &got.2,
-                "{:?}/closed_form={} profile counters diverged",
-                backend,
-                closed_form
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `eager_layout` is reservation-only by contract: it re-materializes
-    /// the pre-refactor footprint (per-core TLB map copies, pre-sized
-    /// engine rings, materialized SoA columns and RNG streams) without
-    /// changing a single trace event. For ANY program, seed, and kernel
-    /// the digest, final cycle, and profile.* counters must be
-    /// bit-identical to the lazy default — this is what licenses
-    /// `fig_scale` to use the flag as the pre-refactor memory baseline.
-    #[test]
-    fn eager_layout_is_digest_and_profile_neutral(
-        prog in arb_program(),
-        seed in 0u64..1000,
-        kernel_pick in any::<bool>(),
-    ) {
-        let run = |eager: bool| {
-            let prog = prog.clone();
-            let kernel: Box<dyn bgsim::Kernel> = if kernel_pick {
-                Box::new(Cnk::with_defaults())
-            } else {
-                Box::new(Fwk::with_defaults())
-            };
-            let mut m = bgsim::machine::Machine::new(
-                MachineConfig::nodes(2)
-                    .with_seed(seed)
-                    .with_trace()
-                    .with_eager_layout(eager),
-                kernel,
-                Box::new(dcmf::Dcmf::with_defaults()),
-            );
-            m.boot();
-            m.launch(
-                &sysabi::JobSpec::new(
-                    sysabi::AppImage::static_test("layout-fuzz"),
-                    2,
-                    sysabi::NodeMode::Smp,
-                ),
-                &mut |_r: sysabi::Rank| {
-                    let prog = prog.clone();
-                    let mut i = 0usize;
-                    bgsim::script::wl(move |env| {
-                        let _ = env.take_ret();
-                        if i >= prog.len() {
-                            return bgsim::Op::End;
-                        }
-                        let op = decode_op(prog[i], i as u64);
-                        i += 1;
-                        op
-                    })
-                },
-            )
-            .unwrap();
-            let out = m.run();
-            (out.at(), m.trace_digest(), m.profile_snapshot())
-        };
-
-        let lazy = run(false);
-        let eager = run(true);
-        prop_assert_eq!(
-            (lazy.0, lazy.1),
-            (eager.0, eager.1),
-            "eager_layout changed the trace"
-        );
-        prop_assert_eq!(&lazy.2, &eager.2, "eager_layout changed profile counters");
-    }
-}
-
 // ---- live progress hook neutrality --------------------------------------------
 
 proptest! {
@@ -783,7 +629,7 @@ proptest! {
     fn progress_hook_is_digest_cycle_and_profile_neutral(
         seed in 0u64..500,
         kernel_pick in any::<bool>(),
-        mode_idx in 0usize..16,
+        mode_idx in 0usize..4,
     ) {
         use bgcheck::runner::{
             run_mode_live, run_mode_with_profile, CheckKernel, LiveOpts, MODES,
