@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Differential-checker smoke: run bgcheck's self-test (the checker must
 # catch every deliberately injected canary mutation), replay the
-# checked-in seed corpus against its recorded digests (32 pins: 4
-# scripts × 2 kernels × 4 modes), and fuzz a bounded budget of freshly
-# generated programs, clean and faulted. Each program runs 14 times:
-# per kernel (cnk, fwk), the 4 modes {seq,win} × {fast,heap} — seq+fast
-# is the oracle — plus 3 oracle-mode repetitions through the shard
-# pool. Any divergence leaves a minimized, replayable repro script in
+# checked-in seed corpus against its recorded digests (16 pins: 4
+# scripts × 2 kernels × 2 modes), and fuzz a bounded budget of freshly
+# generated programs, clean and faulted. Each program runs 10 times:
+# per kernel (cnk, fwk), the 2 modes fast and heap — fast is the
+# oracle — plus 3 oracle-mode repetitions through the shard pool. Any divergence leaves a minimized, replayable repro script in
 # the artifacts directory (uploaded by CI on failure):
 #
 #   ./ci/check_smoke.sh [artifacts-dir] [fuzz-budget]

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Perf smoke: run the Fig. 8 near-neighbor sweep (64 nodes) sequentially
-# (--threads 1, the conformance oracle) and in parallel (--threads 4,
-# shard pool + windowed conservative driver) and fail if any trace
-# digest or final cycle diverges. Then run the FWQ figure (fig5_7) with
-# the event-reduction fast path on and off and fail if those digests
-# differ — the fast path must be bit-identical to the heap path.
+# Perf smoke: run the Fig. 8 near-neighbor sweep (64 nodes) on one
+# worker (--threads 1, the conformance oracle) and on the shard pool
+# (--threads 4) and fail if any trace digest or final cycle diverges.
+# Then run the FWQ figure (fig5_7) with the event-reduction fast path
+# on and off and fail if those digests differ — the fast path must be
+# bit-identical to the heap path.
 # Host-performance numbers (wall seconds, sim_cycles_per_sec) are
 # recorded in the stats JSON artifacts and printed for both modes; they
 # are informational only — shared CI runners are too noisy to gate on
@@ -148,7 +148,7 @@ grep -q -- "--engine" "$out/bogus.err" \
 echo "perf smoke OK: unknown flag --engine rejected with exit 2"
 
 # ---- RAS fault-injection smoke ----------------------------------------------
-# 1) A seeded fault schedule must itself be driver-invariant: fig8 with
+# 1) A seeded fault schedule must itself be thread-invariant: fig8 with
 #    --fault-seed under --threads 1 and --threads 4 must agree on every
 #    digest and final cycle.
 "$bin" --threads 1 --fault-seed 13 --force --stats-out "$out/fig8_fault_t1.json"

@@ -7,7 +7,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bgsim::engine::{Engine, EvKind};
-use bgsim::parsim::{DomainLogic, Outbox, ParSim};
 use ciod::{IoProxy, Vfs};
 use cnk::futex::FutexTable;
 use cnk::mem::{partition_node, ProcRequirements};
@@ -33,11 +32,10 @@ fn bench_engine(c: &mut Criterion) {
     // compaction.
     c.bench_function("engine_cancel_discard_1k", |b| {
         b.iter(|| {
-            let mut e = Engine::with_domains(4);
+            let mut e = Engine::new();
             let handles: Vec<_> = (0..1000u64)
                 .map(|i| {
-                    e.schedule_dom(
-                        (i % 4) as u32,
+                    e.schedule(
                         i * 7 % 997 + 1,
                         EvKind::Kernel {
                             node: (i % 4) as u32,
@@ -55,65 +53,6 @@ fn bench_engine(c: &mut Criterion) {
             }
             black_box((n, e.stats().stale_discarded))
         })
-    });
-}
-
-/// A 64-domain broadcast: domain 0 fans a `NetDeliver` out to every
-/// other domain each round; leaves echo one local event. This is the
-/// communication shape of the near-neighbor/collective benchmarks,
-/// reduced to the event substrate.
-struct Fanout {
-    me: u32,
-    n: u32,
-    delay: u64,
-}
-
-impl DomainLogic for Fanout {
-    fn handle(&mut self, _now: u64, kind: &EvKind, out: &mut Outbox<'_>) {
-        match *kind {
-            EvKind::Kernel { tag, .. } if self.me == 0 && tag > 0 => {
-                for dst in 1..self.n {
-                    out.send(dst, self.delay, EvKind::NetDeliver { msg_id: tag });
-                }
-                out.local_in(
-                    2 * self.delay,
-                    EvKind::Kernel {
-                        node: 0,
-                        tag: tag - 1,
-                    },
-                );
-            }
-            EvKind::NetDeliver { .. } => {
-                out.local_in(
-                    5,
-                    EvKind::Kernel {
-                        node: self.me,
-                        tag: 0,
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-fn fanout_run(threads: usize) -> (u64, u64) {
-    let n = 64u32;
-    let logics: Vec<Box<dyn DomainLogic>> = (0..n)
-        .map(|me| Box::new(Fanout { me, n, delay: 120 }) as Box<dyn DomainLogic>)
-        .collect();
-    let mut sim = ParSim::new(logics, 120, threads);
-    sim.schedule(0, 1, EvKind::Kernel { node: 0, tag: 8 });
-    let out = sim.run();
-    (out.digest, out.events)
-}
-
-fn bench_parsim(c: &mut Criterion) {
-    c.bench_function("parsim_fanout64_seq", |b| {
-        b.iter(|| black_box(fanout_run(1)))
-    });
-    c.bench_function("parsim_fanout64_par4", |b| {
-        b.iter(|| black_box(fanout_run(4)))
     });
 }
 
@@ -274,7 +213,6 @@ fn bench_torus_batching(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
-    bench_parsim,
     bench_futex,
     bench_partitioner,
     bench_vfs,

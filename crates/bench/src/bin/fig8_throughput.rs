@@ -6,12 +6,9 @@
 //!
 //! Each (kernel, size) point is an independent deterministic
 //! simulation, so the sweep shards across a host worker pool
-//! (`--threads N`). With `--threads 1` every shard runs sequentially
-//! with `Machine::run()`; with more threads, shards run concurrently
-//! with the windowed conservative runner (`Machine::run_windowed`).
-//! Both paths must produce bit-identical trace digests and final
-//! cycles — the report carries per-shard digests plus a combined
-//! digest so CI can diff the two modes.
+//! (`--threads N`). Every worker count must produce bit-identical trace
+//! digests and final cycles — the report carries per-shard digests
+//! plus a combined digest so CI can diff `--threads 1` against more.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -30,7 +27,6 @@ fn main() {
     let nodes = 64; // 4x4x4 torus: 6 distinct neighbors, the paper's case
     let sizes: Vec<u64> = (9..=22).map(|p| 1u64 << p).collect(); // 512 B .. 4 MB
     let threads = cli.threads;
-    let windowed = threads > 1;
     let fast = cli.fast_path;
     let faults = cli.fault_spec_for(nodes);
 
@@ -55,7 +51,7 @@ fn main() {
             let faults = faults.clone();
             let monitor = &monitor;
             move || {
-                let run = nn_throughput_run_faulted(kind, nodes, bytes, 8, windowed, fast, &faults);
+                let run = nn_throughput_run_faulted(kind, nodes, bytes, 8, fast, &faults);
                 if let Some(mon) = monitor {
                     let mut g = mon.lock().expect("monitor lock");
                     let (m, acc, done) = &mut *g;

@@ -378,7 +378,7 @@ pub fn measure_latency_run(row: LatencyRow) -> (f64, SimRun) {
 /// Run the exchange on `nodes` nodes at one message size; returns
 /// (aggregate MB/s per node, neighbor count).
 pub fn nn_throughput(kind: KernelKind, nodes: u32, bytes: u64, seed: u64) -> (f64, usize) {
-    let run = nn_throughput_run(kind, nodes, bytes, seed, false);
+    let run = nn_throughput_run(kind, nodes, bytes, seed);
     (run.mbs, run.neighbors)
 }
 
@@ -400,50 +400,20 @@ pub struct SimRun {
     pub tps: Vec<Tracepoint>,
 }
 
-/// One NN-exchange simulation. `windowed` selects the conservative
-/// epoch-window runner (`Machine::run_windowed`); digests and cycles
-/// are bit-identical either way — the sequential `run()` is the
-/// conformance oracle for the windowed mode.
-pub fn nn_throughput_run(
-    kind: KernelKind,
-    nodes: u32,
-    bytes: u64,
-    seed: u64,
-    windowed: bool,
-) -> SimRun {
-    nn_throughput_run_opts(kind, nodes, bytes, seed, windowed, true)
+/// One NN-exchange simulation, fast path on, no faults.
+pub fn nn_throughput_run(kind: KernelKind, nodes: u32, bytes: u64, seed: u64) -> SimRun {
+    nn_throughput_run_faulted(kind, nodes, bytes, seed, true, &FaultSpec::None)
 }
 
 /// [`nn_throughput_run`] with the event-reduction fast path selectable
-/// (`--no-fast-path` digest cross-checks).
-pub fn nn_throughput_run_opts(
-    kind: KernelKind,
-    nodes: u32,
-    bytes: u64,
-    seed: u64,
-    windowed: bool,
-    fast_path: bool,
-) -> SimRun {
-    nn_throughput_run_faulted(
-        kind,
-        nodes,
-        bytes,
-        seed,
-        windowed,
-        fast_path,
-        &FaultSpec::None,
-    )
-}
-
-/// [`nn_throughput_run_opts`] under a fault schedule. With faults a
-/// rank can die before recording its sample; the bandwidth then reads
-/// 0 and the digest/cycle outputs remain the run's evidence.
+/// (`--no-fast-path` digest cross-checks) under a fault schedule. With
+/// faults a rank can die before recording its sample; the bandwidth
+/// then reads 0 and the digest/cycle outputs remain the run's evidence.
 pub fn nn_throughput_run_faulted(
     kind: KernelKind,
     nodes: u32,
     bytes: u64,
     seed: u64,
-    windowed: bool,
     fast_path: bool,
     faults: &FaultSpec,
 ) -> SimRun {
@@ -476,7 +446,7 @@ pub fn nn_throughput_run_faulted(
         },
     )
     .unwrap();
-    let out = if windowed { m.run_windowed() } else { m.run() };
+    let out = m.run();
     assert!(out.completed() || faults.is_active(), "{out:?}");
     let cycles = rec.series(&format!("nn_cycles_{bytes}")).first().copied();
     SimRun {

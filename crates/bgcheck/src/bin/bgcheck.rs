@@ -200,7 +200,7 @@ fn replay_file(path: &Path, record: bool) -> Result<(), String> {
                     .map_err(|e| format!("{}: {e}", path.display()))?;
                 pins.push(DigestPin {
                     kernel: kernel.label().to_string(),
-                    mode: mode.label(),
+                    mode: mode.label().to_string(),
                     digest: rec.digest,
                     final_cycle: rec.final_cycle,
                 });

@@ -3,18 +3,17 @@
 //!
 //! The simulator's load-bearing claim is that one program produces one
 //! behaviour: the same configuration and seed must give bit-identical
-//! trace digests whether the machine runs sequentially, in conservative
-//! epoch windows, through the shard pool, with the event-reduction fast
-//! path on or off. `bgcheck` attacks that claim the way a fuzzer
-//! attacks a parser:
+//! trace digests whether the machine runs alone or through the shard
+//! pool, with the event-reduction fast path on or off. `bgcheck`
+//! attacks that claim the way a fuzzer attacks a parser:
 //!
 //! 1. [`program`] defines a small structured language of kernel-facing
 //!    operations (compute quanta, clone/join, function-shipped I/O,
 //!    torus/collective traffic, fault schedules) and a seeded generator.
 //! 2. [`runner`] executes a program across the mode matrix
-//!    {CNK, FWK} × {sequential, windowed, shard pool} × {fast path
-//!    on/off} × {clean, seeded faults} and asserts digest equality
-//!    where required plus the kernel-semantic invariants exposed by
+//!    {CNK, FWK} × {fast path on/off, shard pool} × {clean, seeded
+//!    faults} and asserts digest equality where required plus the
+//!    kernel-semantic invariants exposed by
 //!    `Machine::check_invariants` (monotonic cycle time, futex wake
 //!    accounting, memory-partition conservation, no lost CIOD replies,
 //!    telemetry counter sanity).

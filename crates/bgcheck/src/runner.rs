@@ -1,14 +1,14 @@
 //! The differential runner: one program, every engine mode, one
 //! verdict.
 //!
-//! For each kernel the sequential fast-path run is the oracle; the
-//! other three cells of the {seq,win} × {fast,heap} matrix, plus a
-//! 3-way repetition through the shard pool, must reproduce its
-//! (outcome, final cycle, digest) triple exactly — 4 modes and 7 runs
-//! per kernel, 14 runs per checked program. Every run is also
-//! swept by `Machine::check_invariants` — a mode can agree with the
-//! oracle bit-for-bit and still fail the check if kernel bookkeeping
-//! leaked (futex waiters, pending CIOD replies, partition overlap).
+//! For each kernel the fast-path run is the oracle; the heap-path run,
+//! plus a 3-way repetition of the oracle through the shard pool, must
+//! reproduce its (outcome, final cycle, digest) triple exactly — 2
+//! modes and 5 runs per kernel, 10 runs per checked program. Every run
+//! is also swept by `Machine::check_invariants` — a mode can agree with
+//! the oracle bit-for-bit and still fail the check if kernel
+//! bookkeeping leaked (futex waiters, pending CIOD replies, partition
+//! overlap).
 
 use bgsim::machine::{LiveHook, Machine, ProgressSink, RunOutcome};
 use bgsim::{CancelToken, MachineConfig};
@@ -44,13 +44,11 @@ impl CheckKernel {
     }
 }
 
-/// One cell of the differential matrix: driver loop × scheduler path.
-/// Both knobs are digest-neutral, so every cell must reproduce the
-/// oracle's (outcome, final cycle, digest) triple exactly.
+/// One cell of the differential matrix: the scheduler path. The knob
+/// is digest-neutral, so every mode must reproduce the oracle's
+/// (outcome, final cycle, digest) triple exactly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mode {
-    /// `run_windowed` instead of `run`.
-    pub windowed: bool,
     /// Compute fast path on (off = the reference heap scheduler walk).
     pub fast: bool,
 }
@@ -62,36 +60,19 @@ impl Mode {
         MODES.iter().copied().find(|m| m.label() == s)
     }
 
-    /// Stable label: `{seq,win}+{fast,heap}`.
-    pub fn label(self) -> String {
-        format!(
-            "{}+{}",
-            if self.windowed { "win" } else { "seq" },
-            if self.fast { "fast" } else { "heap" }
-        )
+    /// Stable label: `fast` or `heap`.
+    pub fn label(self) -> &'static str {
+        if self.fast {
+            "fast"
+        } else {
+            "heap"
+        }
     }
 }
 
-/// The full single-machine matrix: {seq,win} × {fast,heap}. The first
-/// entry (seq+fast — the production default) is the oracle.
-pub const MODES: [Mode; 4] = [
-    Mode {
-        windowed: false,
-        fast: true,
-    },
-    Mode {
-        windowed: false,
-        fast: false,
-    },
-    Mode {
-        windowed: true,
-        fast: true,
-    },
-    Mode {
-        windowed: true,
-        fast: false,
-    },
-];
+/// The full single-machine matrix. The first entry (`fast` — the
+/// production default) is the oracle.
+pub const MODES: [Mode; 2] = [Mode { fast: true }, Mode { fast: false }];
 
 /// Every valid mode label, comma-separated — for error messages that
 /// reject an unknown label.
@@ -204,6 +185,20 @@ fn build_machine(
     Ok(m)
 }
 
+/// Run `m` to the end. A panic mid-run must not lose the flight
+/// recorder: catch it, fold the dump into the error, and let the caller
+/// report it as a checker failure instead of tearing down the process.
+fn run_caught(m: &mut Machine) -> Result<RunOutcome, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run())).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("run panicked: {msg}\nflight recorder:\n{}", m.flight_dump())
+    })
+}
+
 /// Run `p` once in the given mode. Returns the record and, when
 /// `keep_trace` is set, the machine itself (for divergence reports).
 fn run_one(
@@ -213,32 +208,10 @@ fn run_one(
     keep_trace: bool,
 ) -> Result<(RunRecord, Machine), String> {
     let mut m = build_machine(p, kernel, mode, keep_trace)?;
-    // A panic mid-run must not lose the flight recorder: catch it, fold
-    // the dump into the error, and let the caller report it as a
-    // checker failure instead of tearing down the process.
-    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if mode.windowed {
-            m.run_windowed()
-        } else {
-            m.run()
-        }
-    })) {
-        Ok(out) => out,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            return Err(format!(
-                "run panicked: {msg}\nflight recorder:\n{}",
-                m.flight_dump()
-            ));
-        }
-    };
+    let out = run_caught(&mut m)?;
     let rec = RunRecord {
         kernel: kernel.label(),
-        mode: mode.label(),
+        mode: mode.label().to_string(),
         outcome: outcome_label(&out),
         final_cycle: out.at(),
         digest: m.trace_digest(),
@@ -309,30 +282,11 @@ pub fn run_mode_live(
 ) -> Result<(RunRecord, bgsim::ProfileSnapshot), String> {
     let mut m = build_machine(p, kernel, mode, false)?;
     m.attach_live_hook(opts.into_hook(sink));
-    let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if mode.windowed {
-            m.run_windowed()
-        } else {
-            m.run()
-        }
-    })) {
-        Ok(out) => out,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            return Err(format!(
-                "run panicked: {msg}\nflight recorder:\n{}",
-                m.flight_dump()
-            ));
-        }
-    };
+    let out = run_caught(&mut m)?;
     let interrupted = matches!(out, RunOutcome::Cancelled { .. });
     let rec = RunRecord {
         kernel: kernel.label(),
-        mode: mode.label(),
+        mode: mode.label().to_string(),
         outcome: outcome_label(&out),
         final_cycle: out.at(),
         digest: m.trace_digest(),
@@ -380,11 +334,11 @@ impl Canary {
         Canary::CycleSkew,
     ];
 
-    /// The canary perturbs exactly one leg — (fwk, win+fast) — fwk
+    /// The canary perturbs exactly one leg — (fwk, heap) — fwk
     /// because its noise model consumes the machine seed, so a seed
     /// skew is guaranteed digest-visible.
     fn applies(kernel: CheckKernel, mode: Mode) -> bool {
-        kernel == CheckKernel::Fwk && mode.windowed && mode.fast
+        kernel == CheckKernel::Fwk && !mode.fast
     }
 
     fn tamper_program(self, p: &Program) -> Program {
@@ -444,8 +398,8 @@ pub fn check_program_tampered(
             let (mut rec, m) = run_one(&prog, kernel, m_spec, false).map_err(|e| Failure {
                 kind: FailureKind::Error,
                 kernel: kernel.label(),
-                base_mode: m_spec.label(),
-                mode: m_spec.label(),
+                base_mode: m_spec.label().to_string(),
+                mode: m_spec.label().to_string(),
                 detail: e,
                 divergence: None,
                 flight: None,
@@ -551,26 +505,27 @@ mod tests {
             faults: Default::default(),
         };
         let recs = check_program(&p).expect("clean program must pass");
-        // 2 kernels × 4 modes.
-        assert_eq!(recs.len(), 8);
+        // 2 kernels × 2 modes.
+        assert_eq!(recs.len(), 4);
         // Within a kernel all digests agree; across kernels they differ.
-        assert!(recs[..4].windows(2).all(|w| w[0].digest == w[1].digest));
-        assert!(recs[4..].windows(2).all(|w| w[0].digest == w[1].digest));
-        assert_ne!(recs[0].digest, recs[4].digest);
+        assert_eq!(recs[0].digest, recs[1].digest);
+        assert_eq!(recs[2].digest, recs[3].digest);
+        assert_ne!(recs[0].digest, recs[2].digest);
         // Coverage digests are populated and distinguish the kernels
         // (different subsystems fire different counters).
         assert!(recs.iter().all(|r| r.coverage != 0));
-        assert_ne!(recs[0].coverage, recs[4].coverage);
+        assert_ne!(recs[0].coverage, recs[2].coverage);
     }
 
     #[test]
     fn mode_labels_round_trip() {
         for m in MODES {
-            assert_eq!(Mode::from_label(&m.label()), Some(m));
+            assert_eq!(Mode::from_label(m.label()), Some(m));
         }
-        assert_eq!(Mode::from_label("seq+fast+cal+cf"), None);
-        assert_eq!(Mode::from_label(""), None);
-        assert_eq!(mode_labels(), "seq+fast, seq+heap, win+fast, win+heap");
+        for old in ["seq+fast", "win+heap", "seq+fast+cal+cf", ""] {
+            assert_eq!(Mode::from_label(old), None, "{old:?}");
+        }
+        assert_eq!(mode_labels(), "fast, heap");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! op spawn-join 2000
 //! op allreduce 8
 //! fault 200000 1 torus-drop 5000
-//! digest cnk seq+fast 1a2b3c4d5e6f7788 91283
+//! digest cnk fast 1a2b3c4d5e6f7788 91283
 //! ```
 //!
 //! `digest` lines are optional recorded expectations: kernel label,
@@ -214,7 +214,7 @@ mod tests {
         let p = generate(4);
         let pins = vec![DigestPin {
             kernel: "cnk".into(),
-            mode: "seq+fast".into(),
+            mode: "fast".into(),
             digest: 0xDEAD_BEEF_0123_4567,
             final_cycle: 42_000,
         }];

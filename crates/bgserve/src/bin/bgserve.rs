@@ -5,7 +5,7 @@
 //!                  [--cache-cap N] [--cache-dir DIR]
 //!                  [--paranoid] [--monitor-out FILE] [--force]
 //! bgserve submit   --listen EP (--gen-seed N | --script FILE)
-//!                  [--kernel cnk|fwk] [--mode LABEL] [--json]
+//!                  [--kernel cnk|fwk] [--mode fast|heap] [--json]
 //!                  [--timeout-cycles N] [--timeout-wall-ms N] [--progress N]
 //! bgserve cancel   --listen EP --job N
 //! bgserve ping     --listen EP
@@ -35,7 +35,7 @@ fn usage() -> ! {
         "usage:\n  bgserve serve --listen EP [--threads N] [--cache-cap N]\n                \
          [--cache-dir DIR] [--paranoid] [--monitor-out FILE] [--force]\n  \
          bgserve submit --listen EP (--gen-seed N | --script FILE)\n                [--kernel cnk|fwk] \
-         [--mode LABEL] [--json]\n                [--timeout-cycles N] \
+         [--mode fast|heap] [--json]\n                [--timeout-cycles N] \
          [--timeout-wall-ms N] [--progress N]\n  bgserve cancel --listen EP \
          --job N\n  bgserve ping|status|shutdown --listen EP\n  \
          bgserve selfcheck [--threads N] [--sessions N] [--jobs N] [--seed N]\n\

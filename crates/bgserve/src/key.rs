@@ -6,11 +6,10 @@
 //!
 //! * `config` uses [`MachineConfig::semantic_digest`], which already
 //!   excludes every knob the differential checker proves digest-neutral
-//!   (fast path, window sizing);
+//!   (the fast path, observability toggles);
 //! * the execution [`Mode`](bgcheck::runner::Mode) is omitted entirely
-//!   for the same reason — a job run in any of the 4 modes per kernel
-//!   (`seq+fast`, `seq+heap`, `win+fast`, `win+heap`) must share one
-//!   cache entry.
+//!   for the same reason — a job run in either mode per kernel
+//!   (`fast`, `heap`) must share one cache entry.
 //!
 //! The payoff is that the cache doubles as a determinism audit: if two
 //! digest-neutral requests ever disagreed, the second would collide

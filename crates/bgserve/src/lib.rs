@@ -14,10 +14,10 @@
 //! Because every simulation is deterministic, a completed job is a pure
 //! function of its inputs — so results are memoized in an LRU cache
 //! keyed by `(config digest, seed, program digest, fault digest)`
-//! ([`key::JobKey`]). Execution-mode knobs proven digest-neutral by
-//! `bgcheck` (fast path, windowing) are
-//! deliberately **excluded** from the key: two requests for the same
-//! job in different modes share one cache entry, which turns the cache
+//! ([`key::JobKey`]). The execution mode (fast path on or off), proven
+//! digest-neutral by `bgcheck`, is deliberately **excluded** from the
+//! key: two requests for the same job in different modes share one
+//! cache entry, which turns the cache
 //! itself into a standing determinism check. `--paranoid` makes that
 //! check explicit: every cache hit is re-executed fresh and the stored
 //! triple `(outcome, final cycle, trace digest)` must match

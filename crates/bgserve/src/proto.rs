@@ -9,7 +9,7 @@
 //! {"op":"ping"}
 //! {"op":"status"}
 //! {"op":"shutdown"}
-//! {"op":"submit","kernel":"cnk","mode":"seq+fast",
+//! {"op":"submit","kernel":"cnk","mode":"fast",
 //!  "nodes":2,"seed":"129","ops":[["compute",9000],["gettid"]],
 //!  "faults":{"seed":"7"}}
 //! ```
@@ -473,12 +473,12 @@ mod tests {
         for seed in 0..6u64 {
             let p = generate(seed);
             for kernel in CheckKernel::ALL {
-                let line = submit_line(kernel, MODES[3], &p);
+                let line = submit_line(kernel, MODES[1], &p);
                 let Request::Submit(req) = parse_request(&line).expect("parse") else {
                     panic!("not a submit");
                 };
                 assert_eq!(req.kernel, kernel);
-                assert_eq!(req.mode, MODES[3]);
+                assert_eq!(req.mode, MODES[1]);
                 let back = req.to_program().expect("resolve");
                 assert_eq!(back.nodes, p.nodes);
                 assert_eq!(back.seed, p.seed);
@@ -512,7 +512,7 @@ mod tests {
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":0,\"seed\":1,\"ops\":[[\"gettid\"]]}",
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[]}",
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[[\"no-such\",1]]}",
-            "{\"op\":\"submit\",\"kernel\":\"cnk\",\"mode\":\"seq+bogus\",\"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]]}",
+            "{\"op\":\"submit\",\"kernel\":\"cnk\",\"mode\":\"bogus\",\"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]]}",
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]],\"faults\":{\"events\":[[1,0,\"no-kind\",0]]}}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must be rejected");
@@ -521,12 +521,14 @@ mod tests {
 
     #[test]
     fn unknown_mode_label_names_the_valid_ones() {
-        let line = "{\"op\":\"submit\",\"kernel\":\"cnk\",\"mode\":\"seq+fast+cal+cf\",\
-                    \"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]]}";
-        let e = parse_request(line).expect_err("four-part labels are not modes");
-        assert!(e.contains("\"seq+fast+cal+cf\""), "{e}");
-        for label in ["seq+fast", "seq+heap", "win+fast", "win+heap"] {
-            assert!(e.contains(label), "{e} does not list {label}");
+        for old in ["seq+fast", "win+heap", "seq+fast+cal+cf"] {
+            let line = format!(
+                "{{\"op\":\"submit\",\"kernel\":\"cnk\",\"mode\":\"{old}\",\
+                 \"nodes\":2,\"seed\":1,\"ops\":[[\"gettid\"]]}}"
+            );
+            let e = parse_request(&line).expect_err("retired labels are not modes");
+            assert!(e.contains(&format!("{old:?}")), "{e}");
+            assert!(e.contains("(one of fast, heap)"), "{e}");
         }
     }
 

@@ -33,7 +33,9 @@
 //!   only ever holds completed, deterministic triples;
 //! * a state-monitor tree (`server → sessions/<id> → jobs/<id>`) is
 //!   embedded in every published monitor snapshot for
-//!   `bgtop --sessions`.
+//!   `bgtop --sessions`. It holds live work only: a job's node goes
+//!   once the publish that shows it done is out, and a session's node
+//!   goes when its reader thread exits.
 //!
 //! Determinism note: scheduling never affects results. Each job is a
 //! self-contained simulation, so when it runs and what runs beside it
@@ -582,6 +584,15 @@ struct Job {
     node: StateNode,
 }
 
+impl Drop for Job {
+    /// A job drops after the publish that shows it finished (or after
+    /// its peer vanished before it started), so its node can go: the
+    /// tree holds live work only.
+    fn drop(&mut self) {
+        self.shared.node.remove_child(&format!("jobs/{}", self.id));
+    }
+}
+
 impl Job {
     fn send(&self, line: &str) -> std::io::Result<()> {
         send_shared(&self.state, &self.shared, line)
@@ -715,7 +726,7 @@ impl Job {
                 self.node.set("phase", "cancelled");
                 let entry = CachedResult {
                     kernel: req.kernel.label().to_string(),
-                    mode: req.mode.label(),
+                    mode: req.mode.label().to_string(),
                     outcome: "cancelled".to_string(),
                     final_cycle: 0,
                     digest: 0,
@@ -858,6 +869,7 @@ fn session(stream: Stream, state: Arc<State>) {
     for h in stewards {
         let _ = h.join();
     }
+    state.tree.remove_child(&format!("sessions/{sid}"));
 }
 
 /// A running server. Dropping the handle does not stop the server; a
@@ -938,6 +950,7 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
             }
             let st = Arc::clone(&state);
             sessions.push(std::thread::spawn(move || session(stream, st)));
+            sessions.retain(|h| !h.is_finished());
         }
         for h in sessions {
             let _ = h.join();

@@ -1,9 +1,10 @@
 //! End-to-end service tests over real sockets: cache-hit identity,
 //! paranoid verification, mode-neutral cache sharing, LRU eviction,
 //! TCP endpoints, protocol-error recovery, the request-line cap, the
-//! live monitor file, and the live-job paths (cancellation, cycle/wall
-//! timeouts, progress streaming, disconnect auto-cancel, run slots that
-//! never hold a short miss behind a long job).
+//! live monitor file and its state tree, and the live-job paths
+//! (cancellation, cycle/wall timeouts, progress streaming, disconnect
+//! auto-cancel, run slots that never hold a short miss behind a long
+//! job).
 
 use std::path::PathBuf;
 
@@ -132,20 +133,23 @@ fn digest_neutral_modes_share_one_cache_entry() {
 
     let p = small_program(0xAB);
     let mut c = Client::connect(&ep).expect("connect");
-    let seq = c.submit(CheckKernel::Fwk, MODES[0], &p).expect("seq");
-    assert!(!seq.cached);
-    // A windowed reference-path run of the same job: different
-    // execution mode, same key — answered from the cache,
-    // paranoid-verified by a fresh run *in the requested mode*.
-    let win = c.submit(CheckKernel::Fwk, MODES[3], &p).expect("win");
-    assert!(win.cached, "digest-neutral mode must share the cache entry");
-    assert_eq!(win.paranoid, "ok");
-    assert_eq!(win.triple(), seq.triple());
-    assert_eq!(win.key, seq.key);
+    let fast = c.submit(CheckKernel::Fwk, MODES[0], &p).expect("fast");
+    assert!(!fast.cached);
+    // A reference heap-path run of the same job: different execution
+    // mode, same key — answered from the cache, paranoid-verified by a
+    // fresh run *in the requested mode*.
+    let heap = c.submit(CheckKernel::Fwk, MODES[1], &p).expect("heap");
+    assert!(
+        heap.cached,
+        "digest-neutral mode must share the cache entry"
+    );
+    assert_eq!(heap.paranoid, "ok");
+    assert_eq!(heap.triple(), fast.triple());
+    assert_eq!(heap.key, fast.key);
     // A different kernel is a different job.
     let cnk = c.submit(CheckKernel::Cnk, MODES[0], &p).expect("cnk");
     assert!(!cnk.cached);
-    assert_ne!(cnk.key, seq.key);
+    assert_ne!(cnk.key, fast.key);
 
     c.shutdown().expect("shutdown");
     drop(c);
@@ -286,7 +290,7 @@ fn long_program(seed: u64, cycles: u64) -> Program {
     }
 }
 
-/// The sequential fast-path mode the live tests run under (FWK noise
+/// The fast-path mode the live tests run under (FWK noise
 /// ticks are engine events in every mode).
 const LIVE_MODE: usize = 0;
 
@@ -738,4 +742,97 @@ fn persistent_cache_survives_a_server_restart() {
     drop(c);
     handle.join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One child of a rendered state-tree node.
+fn child<'a>(node: &'a bench::monitor::Json, name: &str) -> Option<&'a bench::monitor::Json> {
+    node.get("children")?.get(name)
+}
+
+/// Child names of one rendered state-tree node.
+fn child_names(node: &bench::monitor::Json) -> Vec<String> {
+    match node.get("children") {
+        Some(bench::monitor::Json::Obj(kvs)) => kvs.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
+    }
+}
+
+#[test]
+fn state_tree_holds_only_live_sessions_and_in_flight_jobs() {
+    let ep = sock("retention");
+    let mon_path: PathBuf = std::env::temp_dir().join(format!(
+        "bgserve-test-{}-retention.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&mon_path);
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 2;
+    opts.monitor =
+        Some(bench::monitor::Monitor::create(&mon_path, "bgserve", true).expect("monitor"));
+    let handle = spawn(opts).expect("spawn");
+
+    // Six submissions over one session (sessions/0, jobs 1-6): three
+    // misses, then the same three again as cache hits.
+    let mut live = Client::connect(&ep).expect("connect");
+    for i in 0..6u64 {
+        let r = live
+            .submit(CheckKernel::Cnk, MODES[0], &small_program(i % 3))
+            .expect("submit");
+        assert_eq!(r.cached, i >= 3, "job {}", r.job);
+    }
+    // Four one-shot sessions (sessions/1-4, jobs 7-10), each closed
+    // once its answer is in.
+    for i in 0..4u64 {
+        let mut c = Client::connect(&ep).expect("connect one-shot");
+        c.submit(CheckKernel::Cnk, MODES[0], &small_program(100 + i))
+            .expect("one-shot");
+    }
+
+    // Job 11 runs on the live session; its progress reports publish a
+    // snapshot every 200 ms while it runs. The one-shot readers exit on
+    // their own threads, so read snapshots until one shows job 11
+    // running beside nothing else, or the deadline passes.
+    std::thread::scope(|s| {
+        let run = s.spawn(move || {
+            live.submit_live(
+                CheckKernel::Fwk,
+                MODES[LIVE_MODE],
+                &long_program(0x7EE, 1_000_000_000_000),
+                LiveReq {
+                    timeout_wall_ms: Some(20_000), // backstop only
+                    progress_cycles: Some(10_000_000),
+                    ..Default::default()
+                },
+            )
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
+        let tree = loop {
+            let text = std::fs::read_to_string(&mon_path).unwrap_or_default();
+            let tree = bench::monitor::last_snapshot(&text).and_then(|s| s.get("state").cloned());
+            let settled = tree.as_ref().is_some_and(|t| {
+                let s0 = child(t, "sessions/0");
+                let phase = s0
+                    .and_then(|s0| child(s0, "jobs/11"))
+                    .and_then(|j| j.get("values")?.get("phase")?.str());
+                phase == Some("running")
+                    && child_names(t) == ["sessions/0"]
+                    && s0.is_some_and(|s0| child_names(s0) == ["jobs/11"])
+            });
+            if settled || std::time::Instant::now() >= deadline {
+                break tree.expect("no state tree published");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        assert_eq!(child_names(&tree), ["sessions/0"], "closed sessions linger");
+        let s0 = child(&tree, "sessions/0").expect("live session");
+        assert_eq!(child_names(s0), ["jobs/11"], "finished jobs linger");
+
+        let mut c = Client::connect(&ep).expect("connect canceller");
+        assert!(c.cancel(11).expect("cancel"), "job 11 must be in flight");
+        let r = run.join().expect("join").expect("submit");
+        assert_eq!(r.outcome, "cancelled");
+        c.shutdown().expect("shutdown");
+    });
+    handle.join().expect("join");
+    let _ = std::fs::remove_file(&mon_path);
 }

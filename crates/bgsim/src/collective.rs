@@ -106,16 +106,6 @@ impl CollectiveNet {
     pub fn bytes_per_cycle(&self) -> f64 {
         self.bytes_per_cycle
     }
-
-    /// Minimum latency of any collective-network traversal: one tree
-    /// stage. Every CN message (function-ship traffic, reductions,
-    /// broadcasts) crosses at least one stage, so no cross-node
-    /// `NetDeliver`/`CollDone` routed through the CN can undercut this —
-    /// the CN's contribution to the conservative-parallel lookahead
-    /// window (`MachineConfig::min_link_cycles`).
-    pub fn min_latency_cycles(&self) -> Cycle {
-        self.stage_cycles
-    }
 }
 
 #[cfg(test)]

@@ -242,12 +242,6 @@ pub struct MachineConfig {
     /// Tracepoint buffer size when telemetry is enabled (preallocated;
     /// overflow drops rather than reallocating).
     pub telemetry_capacity: usize,
-    /// Conservative-parallel lookahead override, in cycles. `None`
-    /// derives it from the minimum cross-node link latency
-    /// ([`MachineConfig::min_link_cycles`]); an explicit value is
-    /// clamped to at least 1. Smaller windows mean more epoch barriers;
-    /// windowing never changes results, only batching.
-    pub lookahead: Option<u64>,
     /// Enable the event-reduction fast path (op coalescing + quiescence
     /// fast-forward): the simulator's one optimized-versus-reference
     /// switch. Digest-identical to the plain engine by construction;
@@ -285,7 +279,6 @@ impl Default for MachineConfig {
             trace_capacity: None,
             telemetry: false,
             telemetry_capacity: 1 << 16,
-            lookahead: None,
             fast_path: true,
             profiler: true,
             profiler_ring: 64,
@@ -334,13 +327,6 @@ impl MachineConfig {
         self
     }
 
-    /// Fix the epoch window of the windowed/parallel runners to
-    /// `cycles` instead of deriving it from link latencies.
-    pub fn with_lookahead(mut self, cycles: u64) -> MachineConfig {
-        self.lookahead = Some(cycles);
-        self
-    }
-
     /// Toggle the event-reduction fast path (on by default). Either
     /// setting produces bit-identical trace digests; `false` is the
     /// reference mode for conformance checks and debugging.
@@ -368,26 +354,6 @@ impl MachineConfig {
         self.nodes * self.chip.cores
     }
 
-    /// Minimum latency of any cross-node event in this configuration:
-    /// the smaller of the torus floor (DMA injection + one hop) and the
-    /// collective-network floor (one tree stage). Cross-node traffic —
-    /// `NetDeliver`, `CollDone`, CIOD function-ship replies — always
-    /// rides one of those networks, so this is a safe conservative
-    /// lookahead for parallel epochs.
-    pub fn min_link_cycles(&self) -> u64 {
-        let torus = crate::torus::Torus::new(self).min_latency_cycles();
-        let coll = crate::collective::CollectiveNet::new(self).min_latency_cycles();
-        torus.min(coll).max(1)
-    }
-
-    /// The epoch window actually used by windowed execution: the
-    /// explicit override if set, else the derived link floor.
-    pub fn effective_lookahead(&self) -> u64 {
-        self.lookahead
-            .unwrap_or_else(|| self.min_link_cycles())
-            .max(1)
-    }
-
     /// Number of I/O nodes serving this partition (at least one).
     pub fn io_nodes(&self) -> u32 {
         self.nodes.div_ceil(self.io_ratio)
@@ -403,7 +369,7 @@ impl MachineConfig {
     /// Deliberately **excluded**, because each is proven digest-neutral
     /// by the differential checker (or is pure host-side
     /// observability): `seed` and `faults` (separate key components),
-    /// `fast_path`, `lookahead`, and the trace/telemetry/profiler
+    /// `fast_path`, and the trace/telemetry/profiler
     /// toggles. Folding those in would fragment a result cache across
     /// equivalent modes for no behavioral difference.
     pub fn semantic_digest(&self) -> u64 {
@@ -516,20 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_derivation() {
-        let c = MachineConfig::nodes(8);
-        // The CN stage floor (120 ns) undercuts the torus floor
-        // (inject + one 64 ns hop) at default link timings.
-        assert_eq!(c.min_link_cycles(), crate::cycles::ns_to_cycles(120.0));
-        assert_eq!(c.effective_lookahead(), c.min_link_cycles());
-        assert!(c.min_link_cycles() > 0);
-        let c = c.with_lookahead(0);
-        assert_eq!(c.effective_lookahead(), 1, "explicit 0 clamps to 1");
-        let c = c.with_lookahead(5000);
-        assert_eq!(c.effective_lookahead(), 5000);
-    }
-
-    #[test]
     fn semantic_digest_tracks_shape_not_tuning() {
         let base = MachineConfig::nodes(8);
         let d = base.semantic_digest();
@@ -542,7 +494,6 @@ mod tests {
                 .with_fast_path(false)
                 .with_telemetry()
                 .with_trace()
-                .with_lookahead(17)
                 .semantic_digest()
         );
         // ...but every shape change does.

@@ -1,14 +1,13 @@
 //! The discrete-event engine.
 //!
-//! Events live in **per-domain queues** (a domain is one node's share of
-//! the machine; single-domain engines collapse to the classic global
-//! heap). Ordering is still the total order `(cycle, sequence)` — the
-//! sequence counter is global, so the pop order is bit-identical to a
-//! single global heap and the simulation stays deterministic: the
-//! foundation of the cycle-reproducibility property the paper's bringup
-//! methodology (§III) relies on.
+//! Events live in one min-heap ordered by the total order
+//! `(cycle, sequence)`. The sequence counter is global and never reused,
+//! so the pop order is fixed by the schedule stream alone and the
+//! simulation stays deterministic: the foundation of the
+//! cycle-reproducibility property the paper's bringup methodology (§III)
+//! relies on.
 //!
-//! Three hot-path properties distinguish this engine from a plain
+//! Two hot-path properties distinguish this engine from a plain
 //! `BinaryHeap<Event>`:
 //!
 //! * **Payloads never move.** Heap entries are 24-byte `Copy` keys; the
@@ -17,16 +16,10 @@
 //! * **Cancellation is O(1).** `schedule*` returns an [`EvHandle`];
 //!   [`Engine::cancel`] marks the slab slot dead without touching the
 //!   heap. Dead entries are discarded lazily at pop (counted) and the
-//!   queues are compacted wholesale when the dead fraction crosses a
+//!   heap is compacted wholesale when the dead fraction crosses a
 //!   threshold, so a reschedule-heavy workload (preempt/stretch storms)
 //!   no longer drags a tail of stale events through every heap
 //!   operation.
-//! * **The cross-domain merge is lazy.** A small "heads" heap holds at
-//!   most one candidate key per domain; popping validates the candidate
-//!   against the owning queue's real head and repairs stale candidates
-//!   on the fly. `pop_until(bound)` — the epoch-bound check of the
-//!   conservative parallel protocol — peeks this heads heap only, never
-//!   the per-domain queues.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,26 +48,12 @@ pub enum EvKind {
     Ras { idx: u32 },
 }
 
-/// An ordered event.
+/// A popped event.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Event {
     pub at: Cycle,
     pub seq: u64,
     pub kind: EvKind,
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Handle to a scheduled event, for O(1) cancellation. The `seq` guards
@@ -134,7 +113,7 @@ pub struct EngineStats {
     pub cancelled: u64,
     /// Cancelled events discarded lazily at pop (cheap path).
     pub stale_discarded: u64,
-    /// Whole-queue compactions triggered by the stale-fraction threshold.
+    /// Whole-heap compactions triggered by the stale-fraction threshold.
     pub compactions: u64,
     /// Completions retired inline by the fast path (no heap traffic).
     pub coalesced: u64,
@@ -148,90 +127,40 @@ pub struct EngineStats {
 const COMPACT_MIN_DEAD: usize = 64;
 
 /// The event queue.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Engine {
-    /// One min-heap of keys per domain.
-    queues: Vec<BinaryHeap<Reverse<Key>>>,
-    /// Lazy merge front: at most one *candidate* head per domain, as
-    /// `(at, seq, domain)`. Entries are validated against the owning
-    /// queue's head at pop time; stale candidates are dropped then.
-    heads: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    /// Min-heap of keys in `(at, seq)` order.
+    heap: BinaryHeap<Reverse<Key>>,
     /// Payload slab + free list. Heap keys index into this.
     slots: Vec<Option<SlabEntry>>,
     free: Vec<u32>,
     now: Cycle,
-    /// Cycle of the last *processed* event. Unlike `now`, this never
-    /// parks at a `pop_until` bound, so windowed runners can report the
-    /// same end-of-run cycle a non-windowed run would.
-    last_event: Cycle,
     seq: u64,
     live: usize,
     dead: usize,
     stats: EngineStats,
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
-    }
-}
-
 impl Engine {
-    /// A single-domain engine (the classic sequential configuration).
+    /// An empty engine at cycle 0. Nothing is pre-reserved: the heap and
+    /// the payload slab grow geometrically on demand.
     pub fn new() -> Engine {
-        Engine::with_domains(1)
+        Engine::default()
     }
 
-    /// An engine sharded into `domains` queues (clamped to at least 1).
-    /// Nothing is pre-reserved: queues and the payload slab start empty
-    /// and grow geometrically on demand, so idle domains cost only their
-    /// empty heap header.
-    pub fn with_domains(domains: u32) -> Engine {
-        Engine {
-            queues: (0..domains.max(1)).map(|_| BinaryHeap::new()).collect(),
-            heads: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            now: 0,
-            last_event: 0,
-            seq: 0,
-            live: 0,
-            dead: 0,
-            stats: EngineStats::default(),
-        }
-    }
-
-    /// Heap bytes currently reserved by the engine: per-domain queues,
-    /// the payload slab, the free list, and the merge front. The
-    /// accounting hook behind `Machine::resident_bytes_estimate`.
+    /// Heap bytes currently reserved by the engine: the key heap, the
+    /// payload slab and the free list. The accounting hook behind
+    /// `Machine::resident_bytes_estimate`.
     pub fn resident_bytes(&self) -> usize {
-        self.queues.capacity() * std::mem::size_of::<BinaryHeap<Reverse<Key>>>()
-            + self
-                .queues
-                .iter()
-                .map(|q| q.capacity() * std::mem::size_of::<Reverse<Key>>())
-                .sum::<usize>()
-            + self.heads.capacity() * std::mem::size_of::<Reverse<(Cycle, u64, u32)>>()
+        self.heap.capacity() * std::mem::size_of::<Reverse<Key>>()
             + self.slots.capacity() * std::mem::size_of::<Option<SlabEntry>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Number of event domains.
-    pub fn domains(&self) -> u32 {
-        self.queues.len() as u32
     }
 
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Cycle of the last processed event (never parked at a
-    /// `pop_until` bound, unlike [`Engine::now`]).
-    #[inline]
-    pub fn last_event_cycle(&self) -> Cycle {
-        self.last_event
     }
 
     /// Number of events processed so far.
@@ -245,53 +174,46 @@ impl Engine {
         self.stats
     }
 
-    /// Schedule `kind` at absolute cycle `at` in domain 0. Scheduling in
-    /// the past is a logic error in the caller.
+    /// Schedule `kind` at absolute cycle `at`. Scheduling in the past is
+    /// a logic error in the caller. Returns a handle usable with
+    /// [`Engine::cancel`].
     pub fn schedule(&mut self, at: Cycle, kind: EvKind) -> EvHandle {
-        self.schedule_dom(0, at, kind)
-    }
-
-    /// Schedule `kind` `delta` cycles from now, in domain 0.
-    pub fn schedule_in(&mut self, delta: Cycle, kind: EvKind) -> EvHandle {
-        self.schedule_dom(0, self.now + delta, kind)
-    }
-
-    /// Schedule `kind` at absolute cycle `at` in `domain` (clamped to the
-    /// engine's shape). Returns a handle usable with [`Engine::cancel`].
-    pub fn schedule_dom(&mut self, domain: u32, at: Cycle, kind: EvKind) -> EvHandle {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {} < {}",
             at,
             self.now
         );
+        let seq = self.alloc_seq();
+        self.stats.scheduled += 1;
+        self.insert(at, seq, kind)
+    }
+
+    /// Schedule `kind` `delta` cycles from now.
+    pub fn schedule_in(&mut self, delta: Cycle, kind: EvKind) -> EvHandle {
+        self.schedule(self.now + delta, kind)
+    }
+
+    /// Store `kind` in a free slab slot and push its key.
+    fn insert(&mut self, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slots[slot as usize] = Some(SlabEntry {
+        let entry = Some(SlabEntry {
             kind,
             seq,
             dead: false,
         });
-        let d = (domain as usize).min(self.queues.len() - 1);
-        let q = &mut self.queues[d];
-        q.push(Reverse(Key { at, seq, slot }));
-        // Only refresh the merge front when this event became the
-        // domain's head; otherwise the existing candidate still wins.
-        if let Some(Reverse(top)) = q.peek() {
-            if top.seq == seq {
-                self.heads.push(Reverse((at, seq, d as u32)));
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = entry;
+                s
             }
-        }
+            None => {
+                self.slots.push(entry);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse(Key { at, seq, slot }));
         self.live += 1;
-        self.stats.scheduled += 1;
         EvHandle { slot, seq }
     }
 
@@ -300,19 +222,14 @@ impl Engine {
     /// compaction). Returns false if the handle no longer matches a live
     /// pending event (already popped, cancelled, or slot reused).
     pub fn cancel(&mut self, h: EvHandle) -> bool {
-        match self.slots.get_mut(h.slot as usize) {
-            Some(Some(e)) if e.seq == h.seq && !e.dead => {
-                e.dead = true;
-                self.live -= 1;
-                self.dead += 1;
-                self.stats.cancelled += 1;
-                if self.dead >= COMPACT_MIN_DEAD && self.dead > self.live {
-                    self.compact();
-                }
-                true
-            }
-            _ => false,
+        if !self.decommit(h) {
+            return false;
         }
+        self.stats.cancelled += 1;
+        if self.dead >= COMPACT_MIN_DEAD && self.dead > self.live {
+            self.compact();
+        }
+        true
     }
 
     // ---- fast-path (event virtualization) support -------------------------
@@ -327,8 +244,8 @@ impl Engine {
 
     /// Allocate the next global sequence number without scheduling an
     /// event. The fast path uses this so virtualized completions occupy
-    /// the same positions in the total order that `schedule_dom` would
-    /// have given them.
+    /// the same positions in the total order that `schedule` would have
+    /// given them.
     pub fn alloc_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
@@ -362,34 +279,14 @@ impl Engine {
     /// sequence number, so it reclaims the exact slot in the `(at, seq)`
     /// total order it held before migration. The dead twin left behind by
     /// [`Engine::decommit`] compares equal and is skipped at pop.
-    pub fn restore(&mut self, domain: u32, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
+    pub fn restore(&mut self, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
         debug_assert!(
             at >= self.now,
             "restoring into the past: {} < {}",
             at,
             self.now
         );
-        let at = at.max(self.now);
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slots[slot as usize] = Some(SlabEntry {
-            kind,
-            seq,
-            dead: false,
-        });
-        let d = (domain as usize).min(self.queues.len() - 1);
-        self.queues[d].push(Reverse(Key { at, seq, slot }));
-        // Restores are rare (fast-path exit); unconditionally offering a
-        // merge-front candidate is cheaper than disambiguating the dead
-        // twin, and peek_valid drops stale candidates anyway.
-        self.heads.push(Reverse((at, seq, d as u32)));
-        self.live += 1;
-        EvHandle { slot, seq }
+        self.insert(at, seq, kind)
     }
 
     /// Fast-path clock advance: jump to `at` exactly as popping an event
@@ -400,33 +297,13 @@ impl Engine {
         self.stats.fastforward_cycles += at.saturating_sub(self.now);
         self.stats.coalesced += 1;
         self.now = at;
-        self.last_event = at;
     }
 
-    /// Repair the merge front until its top candidate matches the real
-    /// head of its domain queue, and return that key (which may point at
-    /// a dead slab entry). `seq` uniqueness makes the match exact.
-    fn peek_valid(&mut self) -> Option<(Cycle, u64, u32)> {
-        while let Some(&Reverse((at, seq, d))) = self.heads.peek() {
-            match self.queues[d as usize].peek() {
-                Some(Reverse(k)) if k.at == at && k.seq == seq => return Some((at, seq, d)),
-                _ => {
-                    self.heads.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Pop the validated head of `domain`. Returns `None` if it was a
-    /// cancelled (dead) entry, which is discarded and counted.
-    fn pop_head(&mut self, domain: u32) -> Option<Event> {
-        self.heads.pop();
-        let q = &mut self.queues[domain as usize];
-        let Reverse(k) = q.pop().expect("validated head must exist");
-        if let Some(Reverse(next)) = q.peek() {
-            self.heads.push(Reverse((next.at, next.seq, domain)));
-        }
+    /// Pop the heap's top key and settle its slab entry. Returns `None`
+    /// if it was a cancelled (dead) entry, which is discarded and
+    /// counted without advancing the clock.
+    fn pop_top(&mut self) -> Option<Event> {
+        let Reverse(k) = self.heap.pop().expect("caller checked the heap");
         let entry = self.slots[k.slot as usize]
             .take()
             .expect("heap key must have a slab entry");
@@ -439,7 +316,6 @@ impl Engine {
         self.live -= 1;
         debug_assert!(k.at >= self.now);
         self.now = k.at;
-        self.last_event = k.at;
         self.stats.processed += 1;
         Some(Event {
             at: k.at,
@@ -452,57 +328,27 @@ impl Engine {
     /// live events are pending. Cancelled events are skipped silently
     /// and do not advance the clock.
     pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            let (_, _, d) = self.peek_valid()?;
-            if let Some(ev) = self.pop_head(d) {
+        while !self.heap.is_empty() {
+            if let Some(ev) = self.pop_top() {
                 return Some(ev);
             }
         }
+        None
     }
 
     /// Pop the next event only if it fires at or before `bound`
-    /// (clock-stop support: run the machine to an exact cycle, and the
-    /// epoch-bound check of the conservative parallel protocol). When
+    /// (clock-stop support: run the machine to an exact cycle). When
     /// nothing live remains in range, the clock parks at the boundary.
     pub fn pop_until(&mut self, bound: Cycle) -> Option<Event> {
-        loop {
-            match self.peek_valid() {
-                Some((at, _, d)) if at <= bound => {
-                    if let Some(ev) = self.pop_head(d) {
-                        return Some(ev);
-                    }
-                }
-                _ => {
-                    if self.now < bound {
-                        self.now = bound;
-                    }
-                    return None;
-                }
+        while self.heap.peek().is_some_and(|Reverse(k)| k.at <= bound) {
+            if let Some(ev) = self.pop_top() {
+                return Some(ev);
             }
         }
-    }
-
-    /// Cycle of the next live pending event, without popping it.
-    /// Cancelled entries encountered on the way are discarded.
-    pub fn peek_at(&mut self) -> Option<Cycle> {
-        loop {
-            let (at, _, d) = self.peek_valid()?;
-            let Reverse(k) = self.queues[d as usize].peek().expect("validated head");
-            let head_dead = self.slots[k.slot as usize]
-                .as_ref()
-                .map(|e| e.dead)
-                .unwrap_or(true);
-            if head_dead {
-                self.pop_head(d);
-                continue;
-            }
-            return Some(at);
+        if self.now < bound {
+            self.now = bound;
         }
-    }
-
-    /// True if no live events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.live == 0
+        None
     }
 
     /// Pending live event count (cancelled-but-unswept events excluded).
@@ -510,36 +356,25 @@ impl Engine {
         self.live
     }
 
-    /// Drop every dead entry from every queue and rebuild the merge
-    /// front. Triggered when the dead fraction crosses the threshold in
-    /// [`Engine::cancel`]; also callable directly.
+    /// Drop every dead entry from the heap. Triggered when the dead
+    /// fraction crosses the threshold in [`Engine::cancel`]; also
+    /// callable directly.
     pub fn compact(&mut self) {
         self.stats.compactions += 1;
         let Engine {
-            queues,
-            slots,
-            free,
-            ..
+            heap, slots, free, ..
         } = self;
-        for q in queues.iter_mut() {
-            q.retain(|Reverse(k)| {
-                let dead = slots[k.slot as usize]
-                    .as_ref()
-                    .map(|e| e.dead)
-                    .unwrap_or(true);
-                if dead {
-                    slots[k.slot as usize] = None;
-                    free.push(k.slot);
-                }
-                !dead
-            });
-        }
-        self.heads.clear();
-        for (d, q) in self.queues.iter_mut().enumerate() {
-            if let Some(Reverse(k)) = q.peek() {
-                self.heads.push(Reverse((k.at, k.seq, d as u32)));
+        heap.retain(|Reverse(k)| {
+            let dead = slots[k.slot as usize]
+                .as_ref()
+                .map(|e| e.dead)
+                .unwrap_or(true);
+            if dead {
+                slots[k.slot as usize] = None;
+                free.push(k.slot);
             }
-        }
+            !dead
+        });
         self.dead = 0;
     }
 }
@@ -548,19 +383,22 @@ impl Engine {
 mod tests {
     use super::*;
 
+    fn tags(e: &mut Engine) -> Vec<u64> {
+        std::iter::from_fn(|| e.pop())
+            .map(|ev| match ev.kind {
+                EvKind::Kernel { tag, .. } => tag,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut e = Engine::new();
         e.schedule(30, EvKind::Kernel { node: 0, tag: 3 });
         e.schedule(10, EvKind::Kernel { node: 0, tag: 1 });
         e.schedule(20, EvKind::Kernel { node: 0, tag: 2 });
-        let tags: Vec<u64> = std::iter::from_fn(|| e.pop())
-            .map(|ev| match ev.kind {
-                EvKind::Kernel { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags, vec![1, 2, 3]);
+        assert_eq!(tags(&mut e), vec![1, 2, 3]);
         assert_eq!(e.now(), 30);
     }
 
@@ -570,13 +408,7 @@ mod tests {
         for tag in 0..10 {
             e.schedule(100, EvKind::Kernel { node: 0, tag });
         }
-        let tags: Vec<u64> = std::iter::from_fn(|| e.pop())
-            .map(|ev| match ev.kind {
-                EvKind::Kernel { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags, (0..10).collect::<Vec<_>>());
+        assert_eq!(tags(&mut e), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -612,33 +444,7 @@ mod tests {
         e.pop();
         e.pop();
         assert_eq!(e.processed(), 2);
-        assert!(e.is_idle());
-    }
-
-    #[test]
-    fn sharded_pop_order_matches_global_order() {
-        // The same schedule stream through a 1-domain and an 8-domain
-        // engine must pop in the identical (at, seq) order.
-        let mut seq1 = Engine::new();
-        let mut seq8 = Engine::with_domains(8);
-        let ats = [40u64, 12, 12, 99, 5, 40, 77, 5, 63, 12, 100, 0];
-        for (i, &at) in ats.iter().enumerate() {
-            let kind = EvKind::Kernel {
-                node: i as u32,
-                tag: i as u64,
-            };
-            seq1.schedule(at, kind.clone());
-            seq8.schedule_dom(i as u32 % 8, at, kind);
-        }
-        loop {
-            let a = seq1.pop();
-            let b = seq8.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(seq1.now(), seq8.now());
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]
@@ -672,7 +478,8 @@ mod tests {
         assert!(e.pop_until(20).is_none());
         assert_eq!(e.now(), 20);
         assert_eq!(e.pending(), 1);
-        assert_eq!(e.peek_at(), Some(50));
+        assert_eq!(e.stats().stale_discarded, 1);
+        assert_eq!(e.pop().unwrap().at, 50);
     }
 
     #[test]
@@ -714,19 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_at_reports_next_live_cycle() {
-        let mut e = Engine::with_domains(4);
-        assert_eq!(e.peek_at(), None);
-        let h = e.schedule_dom(1, 7, EvKind::Kernel { node: 1, tag: 0 });
-        e.schedule_dom(3, 30, EvKind::Kernel { node: 3, tag: 1 });
-        assert_eq!(e.peek_at(), Some(7));
-        e.cancel(h);
-        assert_eq!(e.peek_at(), Some(30));
-        assert_eq!(e.pop().unwrap().at, 30);
-        assert_eq!(e.peek_at(), None);
-    }
-
-    #[test]
     fn slab_reuses_slots() {
         let mut e = Engine::new();
         for round in 0..50u64 {
@@ -745,27 +539,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_domains_reserve_no_queue_memory() {
-        let mut e = Engine::with_domains(4096);
-        // A freshly built engine holds only the queue spine: no
-        // per-domain heap storage, no slot reservation.
-        let lazy = e.resident_bytes();
-        let spine = 4096 * std::mem::size_of::<BinaryHeap<Reverse<Key>>>();
-        assert!(lazy <= spine, "{lazy} > spine {spine}");
-        // Scheduling into one domain grows only that domain's heap.
-        let h = e.schedule_dom(7, 5, EvKind::Kernel { node: 7, tag: 0 });
-        assert!(e.is_live(h));
-        assert_eq!(e.pop().unwrap().at, 5);
-    }
-
-    #[test]
-    fn last_event_cycle_ignores_parking() {
+    fn fresh_engine_reserves_nothing() {
         let mut e = Engine::new();
-        e.schedule(10, EvKind::Kernel { node: 0, tag: 1 });
-        e.pop();
-        assert!(e.pop_until(500).is_none());
-        assert_eq!(e.now(), 500);
-        assert_eq!(e.last_event_cycle(), 10);
+        assert_eq!(e.resident_bytes(), 0);
+        let h = e.schedule(5, EvKind::Kernel { node: 7, tag: 0 });
+        assert!(e.is_live(h));
+        assert!(e.resident_bytes() > 0);
+        assert_eq!(e.pop().unwrap().at, 5);
     }
 
     #[test]
@@ -782,17 +562,11 @@ mod tests {
         assert!(!e.is_live(h), "decommitted handle must read dead");
         assert!(!e.decommit(h), "double decommit must fail");
         assert_eq!(e.pending(), 2);
-        let h2 = e.restore(0, 20, seq, EvKind::Kernel { node: 0, tag: 2 });
+        let h2 = e.restore(20, seq, EvKind::Kernel { node: 0, tag: 2 });
         assert!(e.is_live(h2));
         assert_eq!(h2.seq(), seq);
         assert_eq!(e.pending(), 3);
-        let tags: Vec<u64> = std::iter::from_fn(|| e.pop())
-            .map(|ev| match ev.kind {
-                EvKind::Kernel { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags, vec![1, 2, 3]);
+        assert_eq!(tags(&mut e), vec![1, 2, 3]);
         // The dead twin was skipped silently: discarded, not cancelled.
         assert_eq!(e.stats().stale_discarded, 1);
         assert_eq!(e.stats().cancelled, 0);
@@ -808,7 +582,6 @@ mod tests {
         // Inline retirement: the clock jumps as if the event popped.
         e.advance_inline(40);
         assert_eq!(e.now(), 40);
-        assert_eq!(e.last_event_cycle(), 40);
         let ev = e.pop().expect("live rival still queued");
         assert_eq!(ev.at, 50);
         assert!(e.pop().is_none());
@@ -828,14 +601,14 @@ mod tests {
         assert_eq!(h.seq(), s0 + 1);
         assert!(e.alloc_seq() > h.seq());
         // And restoring at the reserved seq beats the scheduled rival.
-        e.restore(0, 10, s0, EvKind::Kernel { node: 0, tag: 99 });
+        e.restore(10, s0, EvKind::Kernel { node: 0, tag: 99 });
         let first = e.pop().unwrap();
         assert!(matches!(first.kind, EvKind::Kernel { tag: 99, .. }));
     }
 
     #[test]
     fn advance_inline_matches_pop_accounting() {
-        // Same clock positions whether an event pops or fast-forwards.
+        // Same clock position whether an event pops or fast-forwards.
         let mut popped = Engine::new();
         popped.schedule(100, EvKind::Kernel { node: 0, tag: 0 });
         popped.pop();
@@ -844,6 +617,5 @@ mod tests {
         inline.decommit(h);
         inline.advance_inline(100);
         assert_eq!(inline.now(), popped.now());
-        assert_eq!(inline.last_event_cycle(), popped.last_event_cycle());
     }
 }

@@ -6,10 +6,10 @@
 //! reproducible. This module makes the *faults themselves*
 //! deterministic: a [`FaultSchedule`] pins every injected fault to an
 //! exact cycle and node, so a fault run is bit-reproducible and
-//! invariant under the windowed driver and host-thread sharding, the
-//! same way ordinary runs are.
+//! invariant under host-thread sharding, the same way ordinary runs
+//! are.
 //!
-//! Faults become engine events in the target node's domain at boot.
+//! Faults become engine events at boot.
 //! An **empty schedule schedules zero events**, which is what keeps
 //! no-fault runs digest-identical to a build without this module at
 //! all (any foreign pending event would also veto the event-reduction

@@ -43,7 +43,6 @@ pub mod machine;
 pub mod mem;
 pub mod noise;
 pub mod op;
-pub mod parsim;
 pub mod rng;
 pub mod scan;
 pub mod script;

@@ -97,12 +97,9 @@ pub struct Machine {
     booted: bool,
     has_job: bool,
     boot_report: Option<BootReport>,
-    /// Livelock-guard state for the event loop. A Machine field (not a
-    /// run_inner local) so windowed execution carries it across epoch
-    /// boundaries instead of resetting every window.
+    /// Livelock-guard state for the event loop, reset by each
+    /// `run`/`run_until` call (a field so the fast path can clear it).
     idle_kernel_events: u32,
-    /// Epoch windows executed by `run_windowed`.
-    epochs: u64,
     /// The fast-path micro run queue: pending completions virtualized out
     /// of the event heap while the machine is compute-quiescent.
     fast: Vec<FastSlot>,
@@ -130,7 +127,6 @@ impl Machine {
             has_job: false,
             boot_report: None,
             idle_kernel_events: 0,
-            epochs: 0,
             fast: Vec::new(),
             fast_active: false,
             fault_events: Vec::new(),
@@ -140,7 +136,7 @@ impl Machine {
 
     /// Attach a live hook (progress sink, cancel token, deadlines) to
     /// the next run. The cycle deadline is resolved against the current
-    /// clock; the hook stays attached across `run`/`run_windowed` calls
+    /// clock; the hook stays attached across `run`/`run_until` calls
     /// until replaced or cleared.
     pub fn attach_live_hook(&mut self, hook: LiveHook) {
         if hook.is_noop() {
@@ -221,9 +217,9 @@ impl Machine {
     }
 
     /// Turn the config's fault schedule into engine events, one per
-    /// fault, in the target node's event domain. An empty schedule
-    /// schedules nothing — the run stays bit-identical to a fault-free
-    /// build (and the event-reduction fast path stays eligible).
+    /// fault. An empty schedule schedules nothing — the run stays
+    /// bit-identical to a fault-free build (and the event-reduction fast
+    /// path stays eligible).
     fn schedule_faults(&mut self) {
         let mut events = self.sc.cfg.faults.events.clone();
         if events.is_empty() {
@@ -234,7 +230,7 @@ impl Machine {
         for (idx, ev) in events.iter().enumerate() {
             self.sc
                 .engine
-                .schedule_dom(ev.node, ev.at, EvKind::Ras { idx: idx as u32 });
+                .schedule(ev.at, EvKind::Ras { idx: idx as u32 });
         }
         self.fault_events = events;
     }
@@ -274,10 +270,9 @@ impl Machine {
 
     /// Inject a hardware fault (e.g. `FAULT_PARITY`) at an absolute cycle.
     pub fn inject_fault(&mut self, at: Cycle, core: CoreId, kind: u32) {
-        let node = self.sc.node_of_core(core);
         self.sc
             .engine
-            .schedule_dom(node.0, at, EvKind::Fault { core: core.0, kind });
+            .schedule(at, EvKind::Fault { core: core.0, kind });
     }
 
     /// Run until the job completes or nothing can make progress.
@@ -295,70 +290,10 @@ impl Machine {
         self.run_inner(Some(bound))
     }
 
-    /// Run to completion in bounded epoch windows of
-    /// `cfg.effective_lookahead()` cycles — the execution mode of the
-    /// conservative parallel protocol, driven sequentially here. Events
-    /// pop in exactly the same `(cycle, seq)` order as `run()`, so the
-    /// outcome, final cycle, and trace digest are bit-identical; only
-    /// the batching differs. The sequential `run()` is the conformance
-    /// oracle for this path.
-    pub fn run_windowed(&mut self) -> RunOutcome {
-        self.idle_kernel_events = 0;
-        let lookahead = self.sc.cfg.effective_lookahead();
-        loop {
-            // Quiescence fast-forward at the window level: if the earliest
-            // pending event lies beyond the naive window, every epoch
-            // until then would pop nothing. Jump the window so it starts
-            // at that event — the same rule parsim uses for its horizon
-            // (`min_at + lookahead`). Pop order is untouched; only the
-            // number of empty `ReachedCycle` epochs changes.
-            let base = self.sc.now().saturating_add(lookahead);
-            let bound = match self.sc.engine.peek_at() {
-                Some(at) if at > base => at.saturating_add(lookahead),
-                _ => base,
-            };
-            match self.run_inner(Some(bound)) {
-                RunOutcome::ReachedCycle { .. } => {
-                    self.epochs += 1;
-                    if self.sc.engine.is_idle() {
-                        // Queue drained mid-window. Classify exactly as
-                        // run() would, at the last processed event (the
-                        // engine clock itself parked at the window
-                        // bound).
-                        let at = self.sc.engine.last_event_cycle();
-                        let blocked: Vec<Tid> = self
-                            .sc
-                            .threads
-                            .iter()
-                            .filter(|t| t.state.is_blocked())
-                            .map(|t| t.tid)
-                            .collect();
-                        let out = if !self.has_job || blocked.is_empty() {
-                            RunOutcome::Idle { at }
-                        } else {
-                            RunOutcome::Deadlock { at, blocked }
-                        };
-                        self.publish_engine_telemetry();
-                        return out;
-                    }
-                }
-                out => {
-                    self.publish_engine_telemetry();
-                    return out;
-                }
-            }
-        }
-    }
-
-    /// Epoch windows executed by `run_windowed` so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
     /// Machine-level invariant sweep plus the kernel's own
     /// [`Kernel::check_invariants`] hook. Run at quiescence (after
-    /// `run()`/`run_windowed()` return); read-only. Returns one string
-    /// per violation — empty means every cross-check held.
+    /// `run()` returns); read-only. Returns one string per violation —
+    /// empty means every cross-check held.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
         // Monotonic cycle time: retained trace entries must never go
@@ -615,24 +550,23 @@ impl Machine {
     // inside a long, perfectly predictable compute quantum (the paper's
     // noiselessness, §V.A). The heap then carries exactly one `OpDone`
     // per running thread and nothing else — yet the baseline loop still
-    // pays a heap push + lazy-merge pop per quantum. The fast path
-    // detects that *compute-quiescent* state, lifts the pending
-    // completions into a tiny run queue (`fast`), and retires them
-    // inline: the clock jumps straight to each completion
-    // (`Engine::advance_inline`) and the next op's completion is
-    // virtualized without touching the heap (`alloc_seq` keeps its
-    // position in the global order).
+    // pays a heap push + pop per quantum. The fast path detects that
+    // *compute-quiescent* state, lifts the pending completions into a
+    // tiny run queue (`fast`), and retires them inline: the clock jumps
+    // straight to each completion (`Engine::advance_inline`) and the
+    // next op's completion is virtualized without touching the heap
+    // (`alloc_seq` keeps its position in the global order).
     //
     // Digest identity with the heap path holds by construction:
     //
     // * Sequence numbers are allocated from the engine's own counter in
-    //   the same order `schedule_dom` would have, so the `(cycle, seq)`
+    //   the same order `schedule` would have, so the `(cycle, seq)`
     //   total order over *all* events — virtual or real — is unchanged.
     // * Retirement order is argmin over `(until, seq)`, i.e. exactly heap
     //   pop order, and each retirement replays `on_op_done` verbatim
     //   (same state transitions, same trace records at the same cycles).
     // * The regime exits the moment anything else appears — a kernel
-    //   timer, a message delivery, a deferral-queue push, a window
+    //   timer, a message delivery, a deferral-queue push, a clock-stop
     //   bound — by restoring every survivor to the heap with its
     //   *original* sequence number (`Engine::restore`), after which the
     //   baseline loop drains events in the baseline order.
@@ -643,8 +577,8 @@ impl Machine {
     // which both the entry gate and the retirement loop check.
 
     /// Enter the compute-quiescent regime if every pending event is a
-    /// running thread's own completion (and, under a window bound, at
-    /// least one completion lands inside the window). On success the
+    /// running thread's own completion (and, under a clock-stop bound, at
+    /// least one completion lands at or before it). On success the
     /// completions are migrated out of the heap into `fast`.
     fn try_enter_fast(&mut self, bound: Option<Cycle>) -> bool {
         debug_assert!(!self.fast_active);
@@ -692,7 +626,7 @@ impl Machine {
         }
         if let Some(b) = bound {
             if min_until > b {
-                // Empty window: let pop_until park the clock instead.
+                // Nothing before the bound: let pop_until park the clock.
                 self.fast.clear();
                 return false;
             }
@@ -712,7 +646,7 @@ impl Machine {
 
     /// Retire virtualized completions in `(until, seq)` order — exactly
     /// heap pop order — until something foreign appears (engine event,
-    /// deferral push, window bound) or the run queue drains; then flush.
+    /// deferral push, clock-stop bound) or the run queue drains; then flush.
     fn run_fast(&mut self, bound: Option<Cycle>) {
         debug_assert!(self.fast_active);
         loop {
@@ -769,10 +703,10 @@ impl Machine {
                 .trace
                 .record(s.until, TraceEvent::OpEnd { tid: s.tid.0 });
             // Profiler attribution: this completion retired through the
-            // micro run queue, not a heap pop. The split is mode-stable —
-            // a windowed run defers a fast retirement across the window
-            // bound but re-enters the regime with identical state, so
-            // seq and windowed drivers attribute identically.
+            // micro run queue, not a heap pop. The split is stable across
+            // a clock stop: a `run_until` bound defers a fast retirement
+            // past the bound, and the next run re-enters the regime with
+            // identical state, so a split run attributes identically.
             self.sc
                 .prof
                 .span(Domain::FastPath, s.until, s.node, "op_retire", busy);
@@ -796,7 +730,6 @@ impl Machine {
                 continue;
             }
             let h = self.sc.engine.restore(
-                s.node,
                 s.until,
                 s.seq,
                 EvKind::OpDone {
@@ -1497,10 +1430,10 @@ impl Machine {
                 node: node.0,
             });
         } else {
-            let h =
-                self.sc
-                    .engine
-                    .schedule_dom(node.0, now + cost, EvKind::OpDone { tid: tid.0, gen });
+            let h = self
+                .sc
+                .engine
+                .schedule(now + cost, EvKind::OpDone { tid: tid.0, gen });
             self.sc.threads[tid.idx()].pending_done = Some(h);
         }
     }

@@ -157,9 +157,7 @@ impl SimCore {
         }
         let cores = cfg.total_cores() as usize;
         SimCore {
-            // One event domain per node; queues start empty and grow on
-            // first use, so idle nodes cost nothing.
-            engine: Engine::with_domains(cfg.nodes),
+            engine: Engine::new(),
             torus: Torus::new(&cfg),
             coll: CollectiveNet::new(&cfg),
             barrier: BarrierNet::new(&cfg),
@@ -379,7 +377,7 @@ impl SimCore {
         );
         // The reschedule path: cancel the superseded completion in O(1)
         // (no payload clone, no stale event left in the queue) and
-        // schedule the new one in this node's event domain.
+        // schedule the new one.
         if let Some(h) = old_done {
             if self.engine.cancel(h) {
                 self.tel
@@ -388,7 +386,7 @@ impl SimCore {
         }
         let h = self
             .engine
-            .schedule_dom(node.0, new_until, EvKind::OpDone { tid: tid.0, gen });
+            .schedule(new_until, EvKind::OpDone { tid: tid.0, gen });
         self.threads[tid.idx()].pending_done = Some(h);
         true
     }
@@ -458,7 +456,7 @@ impl SimCore {
         at: Cycle,
     ) -> crate::engine::EvHandle {
         self.engine
-            .schedule_dom(node.0, at, EvKind::Kernel { node: node.0, tag })
+            .schedule(at, EvKind::Kernel { node: node.0, tag })
     }
 
     pub fn schedule_kernel_event_in(
@@ -469,7 +467,7 @@ impl SimCore {
     ) -> crate::engine::EvHandle {
         let at = self.engine.now() + delta;
         self.engine
-            .schedule_dom(node.0, at, EvKind::Kernel { node: node.0, tag })
+            .schedule(at, EvKind::Kernel { node: node.0, tag })
     }
 
     /// Cancel a kernel-private event scheduled earlier; true if it was
@@ -481,12 +479,9 @@ impl SimCore {
     /// Send an IPI to a core, arriving after the interconnect delay.
     pub fn send_ipi(&mut self, core: CoreId, kind: u32) {
         self.stats.ipis += 1;
-        let node = self.node_of_core(core);
-        // On-chip IPI latency: a handful of cycles (intra-node, so it
-        // stays in the sender's event domain).
+        // On-chip IPI latency: a handful of cycles.
         let at = self.engine.now() + 12;
-        self.engine
-            .schedule_dom(node.0, at, EvKind::Ipi { core: core.0, kind });
+        self.engine.schedule(at, EvKind::Ipi { core: core.0, kind });
     }
 
     // ---- networks ----------------------------------------------------------
@@ -502,14 +497,10 @@ impl SimCore {
             },
         );
         let id = msg.id;
-        // Cross-domain event: delivery belongs to the destination
-        // node's domain, and `arrival` is at least one link latency out
-        // (the lookahead floor, `MachineConfig::min_link_cycles`).
-        let dst = msg.dst_node.0;
-        self.prof.msg_enqueued(msg.src_node.0, dst);
+        self.prof.msg_enqueued(msg.src_node.0, msg.dst_node.0);
         let h = self
             .engine
-            .schedule_dom(dst, arrival, EvKind::NetDeliver { msg_id: id });
+            .schedule(arrival, EvKind::NetDeliver { msg_id: id });
         self.inflight.insert(
             id,
             Inflight {
@@ -685,13 +676,10 @@ impl SimCore {
         let Some(e) = self.inflight.get(id) else {
             return false;
         };
-        let (h, dst) = (e.delivery, e.msg.dst_node.0);
-        if !self.engine.cancel(h) {
+        if !self.engine.cancel(e.delivery) {
             return false;
         }
-        let nh = self
-            .engine
-            .schedule_dom(dst, at, EvKind::NetDeliver { msg_id: id });
+        let nh = self.engine.schedule(at, EvKind::NetDeliver { msg_id: id });
         if let Some(e) = self.inflight.get_mut(id) {
             e.delivery = nh;
             e.arrival = at;
@@ -806,12 +794,10 @@ impl SimCore {
         n
     }
 
-    /// Schedule a collective-completion wakeup for a blocked participant
-    /// (a cross-domain event: it lands in the participant's domain).
+    /// Schedule a collective-completion wakeup for a blocked participant.
     pub fn schedule_coll_done(&mut self, tid: Tid, coll: u64, at: Cycle) {
-        let node = self.threads[tid.idx()].node;
         self.engine
-            .schedule_dom(node.0, at, EvKind::CollDone { tid: tid.0, coll });
+            .schedule(at, EvKind::CollDone { tid: tid.0, coll });
     }
 
     // ---- scan support ------------------------------------------------------

@@ -188,15 +188,6 @@ impl Torus {
         self.inject_cycles
     }
 
-    /// Minimum latency of any torus delivery: DMA injection plus one
-    /// hop, before any payload serialization. No `NetDeliver` scheduled
-    /// through the torus can arrive sooner, which makes this the torus's
-    /// contribution to the conservative-parallel lookahead window
-    /// (`MachineConfig::min_link_cycles`).
-    pub fn min_latency_cycles(&self) -> Cycle {
-        self.inject_cycles + self.hop_cycles
-    }
-
     /// Peak payload bandwidth of one link in bytes/cycle, after packet
     /// overhead.
     pub fn link_payload_bpc(&self) -> f64 {

@@ -32,17 +32,6 @@ const SERVICE_PER_BYTE_NUM: u64 = 1;
 /// network filesystem server.
 const SERVICE_METADATA: u64 = 40_000;
 
-/// Lower bound on the ION-side service cost of *any* function-shipped
-/// request. This is the CIOD contribution to the conservative-lookahead
-/// argument for parallel simulation: a function-shipped syscall's reply
-/// cannot arrive at the compute node earlier than the collective-network
-/// transit (≥ one tree stage each way) *plus* this floor, so a lookahead
-/// derived from the minimum link latency alone is always safe — CIOD
-/// traffic can only lengthen the horizon, never undercut it.
-pub fn min_service_cycles() -> u64 {
-    SERVICE_BASE
-}
-
 /// ION-side service cost for a request, excluding network time and
 /// excluding the stochastic Linux-side jitter (see
 /// [`Ciod::service_jitter`]).
@@ -262,10 +251,8 @@ mod tests {
 
     #[test]
     fn service_cost_never_undercuts_floor() {
-        // The lookahead safety argument: every function-shipped request
-        // costs at least `min_service_cycles()` on the ION, so CIOD
-        // round-trips always exceed the network-derived lookahead.
-        assert!(min_service_cycles() > 0);
+        // Every function-shipped request pays at least the base handoff
+        // cost on the ION, whatever its payload or kind.
         let reqs = [
             SysReq::Read { fd: Fd(3), len: 0 },
             SysReq::Write {
@@ -279,7 +266,7 @@ mod tests {
             },
         ];
         for r in &reqs {
-            assert!(service_cycles(r) >= min_service_cycles());
+            assert!(service_cycles(r) >= SERVICE_BASE);
         }
     }
 }

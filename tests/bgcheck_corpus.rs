@@ -55,8 +55,8 @@ fn corpus_replays_to_recorded_digests() {
             checked += 1;
         }
     }
-    // 4 scripts × 2 kernels × 4 modes ({seq,win} × {fast,heap}).
-    assert!(checked >= 32, "only {checked} pins verified");
+    // 4 scripts × 2 kernels × 2 modes (fast, heap).
+    assert!(checked >= 16, "only {checked} pins verified");
 }
 
 /// Shrink a failing program, serialize the minimized repro, parse it

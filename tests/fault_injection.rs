@@ -40,8 +40,7 @@ fn empty_schedule_reproduces_recorded_bench_digests() {
     ] {
         for bytes in [512u64, 8192] {
             for (kind, key) in [(KernelKind::Cnk, "cnk"), (KernelKind::Fwk, "linux_caps")] {
-                let run =
-                    nn_throughput_run_faulted(kind, 64, bytes, 8, false, fast, &FaultSpec::None);
+                let run = nn_throughput_run_faulted(kind, 64, bytes, 8, fast, &FaultSpec::None);
                 let want = recorded_digest(file, &format!("digest.{key}.{bytes}"));
                 assert_eq!(
                     format!("{:016x}", run.digest),
@@ -232,20 +231,17 @@ fn machine_check_terminates_job_cleanly() {
     );
 }
 
-/// Fixed seed ⇒ the faulted run is invariant across the sequential and
-/// windowed drivers and a 4-thread shard pool — `--fault-seed N` with
-/// `--threads 1` and `--threads 4` must match digest-for-digest.
+/// Fixed seed ⇒ the faulted run is invariant across a lone run and a
+/// 4-thread shard pool — `--fault-seed N` with `--threads 1` and
+/// `--threads 4` must match digest-for-digest.
 #[test]
 fn seeded_faults_are_thread_invariant() {
     let faults = FaultSpec::Seed(13);
-    let baseline = nn_throughput_run_faulted(KernelKind::Cnk, 16, 4096, 8, false, true, &faults);
-    let windowed = nn_throughput_run_faulted(KernelKind::Cnk, 16, 4096, 8, true, true, &faults);
-    assert_eq!(baseline.digest, windowed.digest);
-    assert_eq!(baseline.final_cycle, windowed.final_cycle);
+    let baseline = nn_throughput_run_faulted(KernelKind::Cnk, 16, 4096, 8, true, &faults);
     let jobs: Vec<_> = (0..4)
         .map(|_| {
             let faults = faults.clone();
-            move || nn_throughput_run_faulted(KernelKind::Cnk, 16, 4096, 8, true, true, &faults)
+            move || nn_throughput_run_faulted(KernelKind::Cnk, 16, 4096, 8, true, &faults)
         })
         .collect();
     for r in bench::par::run_shards(4, jobs) {

@@ -1,85 +1,9 @@
-//! Parallel-mode conformance on the real kernels: the windowed
-//! conservative driver (`Machine::run_windowed`, the execution mode the
-//! bench suite uses under `--threads N`) must be bit-identical to the
-//! sequential engine on full CNK and FWK machines, and the shard pool
-//! must return results independent of worker count.
+//! Parallel-mode conformance on the real kernels: the shard pool (the
+//! bench suite's `--threads N`) must return results independent of
+//! worker count.
 
 use bench::harness::{nn_throughput_run, KernelKind};
 use bench::par::run_shards;
-
-/// One (kernel, size) conformance point: sequential vs windowed must
-/// agree on digest, final cycle, throughput, and event count.
-fn check_point(kind: KernelKind, bytes: u64) {
-    let seq = nn_throughput_run(kind, 8, bytes, 8, false);
-    let win = nn_throughput_run(kind, 8, bytes, 8, true);
-    assert_eq!(win.digest, seq.digest, "{kind:?}/{bytes}: digest diverged");
-    assert_eq!(
-        win.final_cycle, seq.final_cycle,
-        "{kind:?}/{bytes}: final cycle diverged"
-    );
-    assert_eq!(
-        win.events, seq.events,
-        "{kind:?}/{bytes}: event count diverged"
-    );
-    assert_eq!(win.mbs, seq.mbs, "{kind:?}/{bytes}: throughput diverged");
-}
-
-#[test]
-fn cnk_windowed_matches_sequential() {
-    for bytes in [512, 65_536] {
-        check_point(KernelKind::Cnk, bytes);
-    }
-}
-
-#[test]
-fn fwk_windowed_matches_sequential() {
-    for bytes in [512, 65_536] {
-        check_point(KernelKind::Fwk, bytes);
-    }
-}
-
-#[test]
-fn windowed_trace_has_no_first_divergence() {
-    // The §III first-divergence reporter proves the equivalence event by
-    // event, not just via the digest: a sequential and a windowed CNK
-    // run of the same allreduce job must have zero differing trace
-    // entries.
-    use bgsim::machine::{Machine, Recorder, Workload};
-    use bgsim::telemetry::first_divergence;
-    use bgsim::MachineConfig;
-    use sysabi::{AppImage, JobSpec, NodeMode, Rank};
-
-    let build = || {
-        let mut m = Machine::new(
-            MachineConfig::nodes(4).with_seed(0x9A7).with_trace(),
-            Box::new(cnk::Cnk::with_defaults()),
-            Box::new(dcmf::Dcmf::with_defaults()),
-        );
-        m.boot();
-        let rec = Recorder::new();
-        m.launch(
-            &JobSpec::new(AppImage::static_test("ar"), 4, NodeMode::Smp),
-            &mut move |r: Rank| {
-                Box::new(workloads::allreduce::AllreduceLoop::new(
-                    20,
-                    r.0,
-                    rec.clone(),
-                )) as Box<dyn Workload>
-            },
-        )
-        .unwrap();
-        m
-    };
-    let mut seq = build();
-    let out_seq = seq.run();
-    let mut win = build();
-    let out_win = win.run_windowed();
-    assert!(out_seq.completed(), "{out_seq:?}");
-    assert_eq!(out_win.at(), out_seq.at());
-    assert!(win.epochs() > 1, "windowed run should take multiple epochs");
-    let div = first_divergence(&seq.sc.trace, &win.sc.trace, 3);
-    assert!(div.is_none(), "windowed run diverged: {div:?}");
-}
 
 #[test]
 fn shard_pool_is_thread_count_invariant() {
@@ -97,7 +21,7 @@ fn shard_pool_is_thread_count_invariant() {
             .iter()
             .map(|&(kind, bytes)| {
                 move || {
-                    let r = nn_throughput_run(kind, 8, bytes, 8, threads > 1);
+                    let r = nn_throughput_run(kind, 8, bytes, 8);
                     (r.digest, r.final_cycle)
                 }
             })

@@ -386,17 +386,20 @@ proptest! {
     }
 
     /// The event-reduction fast path as a fuzzed property: any program,
-    /// either kernel, sequential or windowed driver — retiring
-    /// completions through the micro run queue must be bit-identical
-    /// (trace digest and final cycle) to draining them through the heap.
+    /// either kernel — retiring completions through the micro run queue
+    /// must be bit-identical (trace digest and final cycle) to draining
+    /// them through the heap. Stopping the clock anywhere in the run
+    /// (`run_until` at `split_pct` percent of its final cycle) and then
+    /// resuming with `run()` must not change the result either, with
+    /// the fast path on or off.
     #[test]
     fn fast_path_digest_identical_for_any_program(
         prog in arb_program(),
         seed in 0u64..1000,
         kernel_pick in any::<bool>(),
-        windowed in any::<bool>(),
+        split_pct in 0u64..100,
     ) {
-        let run = |prog: Vec<u8>, fast: bool| -> Result<(u64, u64), TestCaseError> {
+        let run = |prog: Vec<u8>, fast: bool, split: Option<u64>| -> Result<(u64, u64), TestCaseError> {
             let kernel: Box<dyn bgsim::Kernel> = if kernel_pick {
                 Box::new(Cnk::with_defaults())
             } else {
@@ -432,14 +435,22 @@ proptest! {
                 },
             )
             .unwrap();
-            let out = if windowed { m.run_windowed() } else { m.run() };
+            if let Some(k) = split {
+                m.run_until(k);
+            }
+            let out = m.run();
             prop_assert!(out.completed(), "{out:?}");
             Ok((out.at(), m.trace_digest()))
         };
 
-        let on = run(prog.clone(), true)?;
-        let off = run(prog, false)?;
-        prop_assert_eq!(on, off, "fast path diverged (windowed={})", windowed);
+        let on = run(prog.clone(), true, None)?;
+        let off = run(prog.clone(), false, None)?;
+        prop_assert_eq!(on, off, "fast path diverged");
+        let split = on.0 * split_pct / 100;
+        for fast in [true, false] {
+            let resumed = run(prog.clone(), fast, Some(split))?;
+            prop_assert_eq!(on, resumed, "run_until({}) then run() diverged (fast={})", split, fast);
+        }
     }
 }
 
@@ -481,17 +492,17 @@ proptest! {
 
     /// RAS determinism: ANY fault schedule — drops, corruptions,
     /// machine checks, guard storms — yields bit-identical trace
-    /// digests and final cycles across the sequential driver, the
-    /// windowed conservative driver, and a 4-thread shard pool. A
-    /// faulted run may legitimately not complete (machine checks kill
-    /// jobs); it must still end at the same cycle with the same digest.
+    /// digests and final cycles across a lone run and a 4-thread shard
+    /// pool. A faulted run may legitimately not complete (machine
+    /// checks kill jobs); it must still end at the same cycle with the
+    /// same digest.
     #[test]
     fn fault_schedule_is_driver_invariant(
         sched in arb_fault_schedule(),
         seed in 0u64..100,
         prog in arb_program(),
     ) {
-        let run = |windowed: bool| {
+        let run = || {
             let sched = sched.clone();
             let prog = prog.clone();
             let mut m = bgsim::machine::Machine::new(
@@ -524,16 +535,14 @@ proptest! {
                 },
             )
             .unwrap();
-            let out = if windowed { m.run_windowed() } else { m.run() };
+            let out = m.run();
             (out.at(), m.trace_digest())
         };
 
-        let seq = run(false);
-        let win = run(true);
-        prop_assert_eq!(seq, win, "windowed driver diverged under faults");
+        let seq = run();
         // 4 identical shards on a 4-thread pool: every worker must
-        // reproduce the sequential result exactly.
-        let jobs: Vec<_> = (0..4).map(|_| || run(false)).collect();
+        // reproduce the lone result exactly.
+        let jobs: Vec<_> = (0..4).map(|_| run).collect();
         for (i, r) in bench::par::run_shards(4, jobs).into_iter().enumerate() {
             prop_assert_eq!(seq, r, "shard {} diverged under faults", i);
         }
@@ -547,15 +556,15 @@ proptest! {
 
     /// Observability must be free: the cycle-accounting profiler, on or
     /// off, cannot change the trace digest or final cycle; and the
-    /// profile counters themselves are identical across the sequential
-    /// driver, the windowed driver, and a 4-thread shard pool.
+    /// profile counters themselves are identical across a lone run and
+    /// a 4-thread shard pool.
     #[test]
     fn profiler_is_digest_neutral_and_mode_invariant(
         prog in arb_program(),
         seed in 0u64..1000,
         kernel_pick in any::<bool>(),
     ) {
-        let run = |windowed: bool, profiler: bool| {
+        let run = |profiler: bool| {
             let prog = prog.clone();
             let kernel: Box<dyn bgsim::Kernel> = if kernel_pick {
                 Box::new(Cnk::with_defaults())
@@ -592,20 +601,17 @@ proptest! {
                 },
             )
             .unwrap();
-            let out = if windowed { m.run_windowed() } else { m.run() };
+            let out = m.run();
             (out.at(), m.trace_digest(), m.profile_snapshot())
         };
 
-        let on = run(false, true);
-        let off = run(false, false);
+        let on = run(true);
+        let off = run(false);
         prop_assert_eq!((on.0, on.1), (off.0, off.1), "profiler changed the simulation");
         prop_assert!(!off.2.enabled, "with_profiler(false) run still profiled");
         prop_assert!(on.2.enabled, "default-on profiler was off");
-        let win = run(true, true);
-        prop_assert_eq!((on.0, on.1), (win.0, win.1), "windowed driver diverged");
-        prop_assert_eq!(&on.2, &win.2, "profile counters differ across drivers");
         // Shard pool: every worker reproduces the same snapshot.
-        let jobs: Vec<_> = (0..4).map(|_| || run(false, true)).collect();
+        let jobs: Vec<_> = (0..4).map(|_| || run(true)).collect();
         for (i, r) in bench::par::run_shards(4, jobs).into_iter().enumerate() {
             prop_assert_eq!((on.0, on.1), (r.0, r.1), "shard {} digest diverged", i);
             prop_assert_eq!(&on.2, &r.2, "shard {} profile counters diverged", i);
