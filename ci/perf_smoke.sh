@@ -214,7 +214,8 @@ echo "perf smoke OK: RAS fault smoke passed"
 # Small fig_scale sweep (64 and 512 nodes keep the leg CI-sized; the
 # checked-in BENCH_scale.json is the full sweep on the reference host).
 # Gates: digests must agree across --threads 1/4 shard pools, and the
-# report must carry the scale.* memory block.
+# report must carry the scale.* memory block and the per-point set-up
+# and drop timings.
 scale=./target/release/fig_scale
 [ -x "$scale" ] || { echo "error: $scale not built (cargo build --release first)" >&2; exit 1; }
 
@@ -240,10 +241,12 @@ assert v == 3, f"schema_version {v!r}, expected 3"
 s, g = r["scalars"], r["strings"]
 for n in (64, 512):
     assert f"digest.n{n}" in g, f"missing digest.n{n}"
-    for k in ("resident_bytes", "bytes_per_node", "events_per_sec"):
+    for k in ("resident_bytes", "bytes_per_node", "events_per_sec",
+              "setup_seconds", "drop_seconds"):
         assert f"scale.n{n}.{k}" in s, f"missing scale.n{n}.{k}"
 assert "host.peak_rss_bytes" in s, "missing host.peak_rss_bytes"
-print(f"fig_scale: {s['scale.n512.bytes_per_node']:.0f} B/node at 512 nodes")
+print(f"fig_scale: {s['scale.n512.bytes_per_node']:.0f} B/node, "
+      f"{s['scale.n512.setup_seconds'] * 1e6 / 512:.2f} µs/node set-up at 512 nodes")
 EOF
 echo "perf smoke OK: rack-scale digests identical across --threads 1/4"
 

@@ -11,6 +11,8 @@
 //!   diff `--threads 1` against `--threads 4` shard pools;
 //! * weak-scaling throughput — engine events/sec and node-cycles/sec on
 //!   the host, the figure that must stay ~flat as nodes grow;
+//! * set-up and teardown — host seconds for `new`+`boot`+`launch` and
+//!   for dropping the machine, whose per-node cost must stay flat too;
 //! * memory — `Machine::resident_bytes_estimate()` and its per-node
 //!   amortization, the SoA/slab layout's figure of merit.
 //!
@@ -43,12 +45,15 @@ struct ScaleRun {
     final_cycle: u64,
     events: u64,
     wall_seconds: f64,
+    setup_seconds: f64,
+    drop_seconds: f64,
     resident_bytes: usize,
 }
 
 /// Boot `nodes` nodes, run one short FWQ quantum per node, return the
 /// run's evidence.
 fn scale_run(nodes: u32, fast_path: bool) -> ScaleRun {
+    let t_setup = std::time::Instant::now();
     let cfg = MachineConfig::nodes(nodes)
         .with_seed(SEED)
         .with_fast_path(fast_path);
@@ -68,17 +73,28 @@ fn scale_run(nodes: u32, fast_path: bool) -> ScaleRun {
         },
     )
     .unwrap();
+    let setup_seconds = t_setup.elapsed().as_secs_f64();
     let t0 = std::time::Instant::now();
     let out = m.run();
     let wall_seconds = t0.elapsed().as_secs_f64();
     assert!(out.completed(), "FWQ scale run did not complete: {out:?}");
+    let (digest, events, resident_bytes) = (
+        m.trace_digest(),
+        m.sc.engine.processed(),
+        m.resident_bytes_estimate(),
+    );
+    let t_drop = std::time::Instant::now();
+    drop(m);
+    let drop_seconds = t_drop.elapsed().as_secs_f64();
     ScaleRun {
         nodes,
-        digest: m.trace_digest(),
+        digest,
         final_cycle: out.at(),
-        events: m.sc.engine.processed(),
+        events,
         wall_seconds,
-        resident_bytes: m.resident_bytes_estimate(),
+        setup_seconds,
+        drop_seconds,
+        resident_bytes,
     }
 }
 
@@ -138,6 +154,7 @@ fn main() {
             format!("{}", r.final_cycle),
             format!("{}", r.events),
             format!("{:.2e}", events_per_sec),
+            format!("{:.2}", r.setup_seconds * 1e6 / r.nodes as f64),
             human_bytes(r.resident_bytes as f64),
             format!("{:.0}", bytes_per_node),
         ]);
@@ -149,6 +166,8 @@ fn main() {
         report.scalar(&format!("final_cycle.n{}", r.nodes), r.final_cycle as f64);
         report.scalar(&format!("{k}.events"), r.events as f64);
         report.scalar(&format!("{k}.wall_seconds"), r.wall_seconds);
+        report.scalar(&format!("{k}.setup_seconds"), r.setup_seconds);
+        report.scalar(&format!("{k}.drop_seconds"), r.drop_seconds);
         report.scalar(&format!("{k}.events_per_sec"), events_per_sec);
         report.scalar(&format!("{k}.node_cycles_per_sec"), node_cycles_per_sec);
         report.scalar(&format!("{k}.resident_bytes"), r.resident_bytes as f64);
@@ -166,6 +185,7 @@ fn main() {
                 "final cycle",
                 "events",
                 "events/s",
+                "set-up µs/node",
                 "resident",
                 "B/node",
             ],

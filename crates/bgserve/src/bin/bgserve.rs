@@ -275,14 +275,15 @@ fn simple_cmd(args: &[String], which: &str) {
             let v = c.status().unwrap_or_else(|e| die(&e));
             let n = |k: &str| v.path_num(&[k]).unwrap_or(f64::NAN);
             println!(
-                "submitted {} completed {} | cache: {} entries, {} hits, {} misses \
-                 | paranoid: {} checks, {} failures | live: {} cancelled, \
-                 {} timeouts, {} session drops",
+                "submitted {} completed {} | cache: {} entries, {} hits, {} misses, \
+                 {} disk write errors | paranoid: {} checks, {} failures | live: {} \
+                 cancelled, {} timeouts, {} session drops",
                 n("submitted"),
                 n("completed"),
                 n("cache_entries"),
                 n("cache_hits"),
                 n("cache_misses"),
+                n("disk_write_errors"),
                 n("paranoid_checks"),
                 n("paranoid_failures"),
                 n("cancelled"),

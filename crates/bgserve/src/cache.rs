@@ -11,7 +11,10 @@
 //! mid-write leaves a stale temp file, never a truncated entry that a
 //! later server would half-parse into a wrong "cached" result. Disk
 //! entries omit the profile (it is telemetry, not part of the result
-//! contract), so disk hits emit a result line without a snapshot.
+//! contract), so disk hits emit a result line without a snapshot. A
+//! failed write (unwritable or full disk, a `--cache-dir` that is a
+//! regular file) leaves the entry served from memory and is counted in
+//! `disk_write_errors`, which `status` reports.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -84,6 +87,7 @@ pub struct ResultCache {
     tick: u64,
     map: HashMap<u64, (u64, CachedResult)>,
     dir: Option<PathBuf>,
+    disk_write_errors: u64,
 }
 
 impl ResultCache {
@@ -95,6 +99,7 @@ impl ResultCache {
             tick: 0,
             map: HashMap::new(),
             dir,
+            disk_write_errors: 0,
         }
     }
 
@@ -104,6 +109,11 @@ impl ResultCache {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Inserts whose disk-tier write failed.
+    pub(crate) fn disk_write_errors(&self) -> u64 {
+        self.disk_write_errors
     }
 
     fn disk_path(&self, key: u64) -> Option<PathBuf> {
@@ -143,14 +153,16 @@ impl ResultCache {
     }
 
     /// Insert into memory and, when a disk tier is configured, write
-    /// the entry file atomically (best-effort: a full disk degrades the
-    /// tier, it does not fail the job).
+    /// the entry file atomically. A failed write degrades the tier, not
+    /// the job: the entry is still served from memory, and the failure
+    /// is counted in [`ResultCache::disk_write_errors`].
     pub fn insert(&mut self, key: u64, entry: CachedResult) {
-        if let Some(path) = self.disk_path(key) {
-            if let Some(dir) = &self.dir {
-                let _ = std::fs::create_dir_all(dir);
+        if let (Some(dir), Some(path)) = (&self.dir, self.disk_path(key)) {
+            let written = std::fs::create_dir_all(dir)
+                .and_then(|()| write_atomic(&path, entry.to_disk_json(key).as_bytes()));
+            if written.is_err() {
+                self.disk_write_errors += 1;
             }
-            let _ = write_atomic(&path, entry.to_disk_json(key).as_bytes());
         }
         self.insert_mem(key, entry);
     }

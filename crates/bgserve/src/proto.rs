@@ -442,19 +442,23 @@ pub struct StatusSnapshot {
     pub cancelled: u64,
     pub timeouts: u64,
     pub session_drops: u64,
+    /// Cache inserts whose disk-tier write failed (served from memory).
+    pub disk_write_errors: u64,
 }
 
 pub fn status_line(s: &StatusSnapshot) -> String {
     format!(
         "{{\"event\":\"status\",\"proto\":{PROTO_VERSION},\"submitted\":{},\
          \"completed\":{},\"cache_entries\":{},\"cache_hits\":{},\
-         \"cache_misses\":{},\"paranoid_checks\":{},\"paranoid_failures\":{},\
-         \"cancelled\":{},\"timeouts\":{},\"session_drops\":{}}}",
+         \"cache_misses\":{},\"disk_write_errors\":{},\"paranoid_checks\":{},\
+         \"paranoid_failures\":{},\"cancelled\":{},\"timeouts\":{},\
+         \"session_drops\":{}}}",
         s.submitted,
         s.completed,
         s.cache_entries,
         s.cache_hits,
         s.cache_misses,
+        s.disk_write_errors,
         s.paranoid_checks,
         s.paranoid_failures,
         s.cancelled,

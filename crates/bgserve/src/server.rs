@@ -274,10 +274,16 @@ struct State {
 
 impl State {
     fn status(&self) -> StatusSnapshot {
+        let (cache_entries, disk_write_errors) = self
+            .cache
+            .lock()
+            .map(|c| (c.len() as u64, c.disk_write_errors()))
+            .unwrap_or((0, 0));
         StatusSnapshot {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             completed: self.stats.completed.load(Ordering::Relaxed),
-            cache_entries: self.cache.lock().map(|c| c.len() as u64).unwrap_or(0),
+            cache_entries,
+            disk_write_errors,
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
             paranoid_checks: self.stats.paranoid_checks.load(Ordering::Relaxed),

@@ -1,10 +1,10 @@
 //! End-to-end service tests over real sockets: cache-hit identity,
 //! paranoid verification, mode-neutral cache sharing, LRU eviction,
 //! TCP endpoints, protocol-error recovery, the request-line cap, the
-//! live monitor file and its state tree, and the live-job paths
-//! (cancellation, cycle/wall timeouts, progress streaming, disconnect
-//! auto-cancel, run slots that never hold a short miss behind a long
-//! job).
+//! live monitor file and its state tree, disk-tier write failures, and
+//! the live-job paths (cancellation, cycle/wall timeouts, progress
+//! streaming, disconnect auto-cancel, run slots that never hold a short
+//! miss behind a long job).
 
 use std::path::PathBuf;
 
@@ -742,6 +742,41 @@ fn persistent_cache_survives_a_server_restart() {
     drop(c);
     handle.join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_disk_tier_is_counted_and_served_from_memory() {
+    let ep = sock("diskfail");
+    // A regular file where the cache directory should be: every
+    // disk-tier write fails.
+    let file = std::env::temp_dir().join(format!("bgserve-test-{}-cachefile", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("write placeholder");
+    let p = small_program(0x6161);
+
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 1;
+    opts.cache_dir = Some(file.clone());
+    let handle = spawn(opts).expect("spawn");
+    let mut c = Client::connect(&ep).expect("connect");
+    let first = c.submit(CheckKernel::Cnk, MODES[0], &p).expect("first");
+    assert!(!first.cached);
+    let second = c.submit(CheckKernel::Cnk, MODES[0], &p).expect("second");
+    assert!(
+        second.cached,
+        "a failed disk write must still cache in memory"
+    );
+    assert_eq!(second.triple(), first.triple());
+    let status = c.status().expect("status");
+    assert_eq!(status.path_num(&["disk_write_errors"]), Some(1.0));
+    assert_eq!(status.path_num(&["cache_entries"]), Some(1.0));
+    c.shutdown().expect("shutdown");
+    drop(c);
+    handle.join().expect("join");
+    assert_eq!(
+        std::fs::read(&file).expect("placeholder survives"),
+        b"not a directory"
+    );
+    let _ = std::fs::remove_file(&file);
 }
 
 /// One child of a rendered state-tree node.

@@ -116,6 +116,12 @@ impl<V> IdMap<V> {
         v
     }
 
+    /// Reserve window room for `additional` more ids, so a caller that
+    /// knows how many it is about to insert grows the window once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Drop every entry and release the window. The next insert
     /// re-anchors, so a cleared map accepts any id again.
     pub fn clear(&mut self) {

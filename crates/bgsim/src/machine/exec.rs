@@ -1,7 +1,5 @@
 //! The machine executor: boot, launch, and the deterministic event loop.
 
-use std::collections::VecDeque;
-
 use sysabi::{CoreId, JobSpec, NodeId, ProcId, Sig, SysReq, SysRet, Tid};
 
 use crate::cycles::Cycle;
@@ -326,6 +324,16 @@ impl Machine {
                 self.sc.live_threads()
             ));
         }
+        // Busy-core counter vs a recount, like the live-thread counter:
+        // drift means a running-slot write bypassed `dispatch` or
+        // `release_core`.
+        let busy = self.sc.running.iter().filter(|s| s.is_some()).count();
+        if busy != self.sc.busy_cores {
+            v.push(format!(
+                "busy-core counter {} != recount {busy}",
+                self.sc.busy_cores
+            ));
+        }
         // Running-slot cross-check: an occupied core slot must name a
         // live thread bound to that core.
         for (i, slot) in self.sc.running.iter().enumerate() {
@@ -464,8 +472,7 @@ impl Machine {
                     RunOutcome::Deadlock { at, blocked }
                 };
             };
-            let nothing_running = self.sc.running.iter().all(Option::is_none);
-            if nothing_running && matches!(ev.kind, EvKind::Kernel { .. }) {
+            if self.sc.busy_cores == 0 && matches!(ev.kind, EvKind::Kernel { .. }) {
                 self.idle_kernel_events += 1;
             } else {
                 self.idle_kernel_events = 0;
@@ -583,7 +590,10 @@ impl Machine {
     fn try_enter_fast(&mut self, bound: Option<Cycle>) -> bool {
         debug_assert!(!self.fast_active);
         let pending = self.sc.engine.pending();
-        if pending == 0 || pending > FAST_MAX_PENDING {
+        // Each running thread contributes exactly one completion, so a
+        // busy-core count that differs from `pending` fails the match
+        // below without the scan over every core.
+        if pending == 0 || pending > FAST_MAX_PENDING || pending != self.sc.busy_cores {
             return false;
         }
         if !self.sc.dispatch_q.is_empty()
@@ -1034,17 +1044,17 @@ impl Machine {
     fn drain(&mut self) -> bool {
         let mut did = false;
         loop {
-            if let Some((proc, code)) = pop_front_vec(&mut self.sc.kill_q) {
+            if let Some((proc, code)) = self.sc.kill_q.pop_front() {
                 self.kill_proc(proc, code);
                 did = true;
                 continue;
             }
-            if let Some((tid, ret)) = pop_front_vec(&mut self.sc.unblock_q) {
+            if let Some((tid, ret)) = self.sc.unblock_q.pop_front() {
                 self.handle_unblock(tid, ret);
                 did = true;
                 continue;
             }
-            if let Some(tid) = pop_front_vec(&mut self.sc.dispatch_q) {
+            if let Some(tid) = self.sc.dispatch_q.pop_front() {
                 self.advance_thread(tid);
                 did = true;
                 continue;
@@ -1083,8 +1093,8 @@ impl Machine {
             t.exit_code = Some(code);
             self.sc.live_count -= 1;
             self.cancel_pending_done(pd, core);
-            if self.sc.running[core.idx()] == Some(tid) {
-                self.sc.running[core.idx()] = None;
+            if self.sc.running_on(core) == Some(tid) {
+                self.sc.release_core(core);
                 freed_cores.push(core);
             }
             self.sc
@@ -1112,8 +1122,8 @@ impl Machine {
             }
             self.cancel_pending_done(pd, core);
         }
-        if self.sc.running[core.idx()] == Some(tid) {
-            self.sc.running[core.idx()] = None;
+        if self.sc.running_on(core) == Some(tid) {
+            self.sc.release_core(core);
         }
         self.sc
             .trace
@@ -1379,7 +1389,7 @@ impl Machine {
             SyscallAction::YieldCpu => {
                 let core = self.sc.threads[tid.idx()].core;
                 self.sc.threads[tid.idx()].state = ThreadState::Ready;
-                self.sc.running[core.idx()] = None;
+                self.sc.release_core(core);
                 self.refill_core(core);
                 Disp::Released
             }
@@ -1400,7 +1410,7 @@ impl Machine {
         let t = &mut self.sc.threads[tid.idx()];
         t.state = ThreadState::Blocked(kind);
         t.stats.blocks += 1;
-        self.sc.running[core.idx()] = None;
+        self.sc.release_core(core);
         self.refill_core(core);
     }
 
@@ -1473,16 +1483,3 @@ impl Machine {
         self.sc.post_signal(tid, sig);
     }
 }
-
-fn pop_front_vec<T>(v: &mut Vec<T>) -> Option<T> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.remove(0))
-    }
-}
-
-// A VecDeque would avoid the O(n) remove, but the queues hold a handful
-// of entries; keeping them as Vec preserves FIFO order with less code.
-#[allow(dead_code)]
-type QueueNote = VecDeque<()>;

@@ -8,6 +8,8 @@
 //! through deferral queues the executor drains after each event, which
 //! keeps the borrow structure simple and the event order deterministic.
 
+use std::collections::VecDeque;
+
 use sysabi::{CoreId, NodeId, ProcId, Sig, SysRet, Tid};
 
 use crate::barrier::BarrierNet;
@@ -120,8 +122,15 @@ pub struct SimCore {
     pub tlbs: Vec<crate::tlb::Tlb>,
     /// Per-global-core DAC register file.
     pub dacs: Vec<crate::dac::DacFile>,
-    /// Per-global-core currently running thread.
-    pub running: Vec<Option<Tid>>,
+    /// Per-global-core currently running thread. Written only through
+    /// `dispatch` and `release_core`, which keep `busy_cores` in step;
+    /// kernels read it with [`SimCore::running_on`].
+    pub(crate) running: Vec<Option<Tid>>,
+    /// Count of occupied `running` slots, maintained wherever a slot
+    /// changes so the per-event "is anything running?" check is O(1)
+    /// instead of a scan over every core of the rack (cross-checked
+    /// against a recount in `check_invariants`).
+    pub(crate) busy_cores: usize,
     /// Per-global-core "currently executing a memory-streaming op" flag
     /// (drives the L2 bank-conflict model, §III).
     pub streaming: Vec<bool>,
@@ -140,10 +149,12 @@ pub struct SimCore {
     pub proc_threads: Vec<Vec<Tid>>,
     pub stats: MachineStats,
 
-    // Deferral queues drained by the executor.
-    pub(crate) dispatch_q: Vec<Tid>,
-    pub(crate) unblock_q: Vec<(Tid, Option<SysRet>)>,
-    pub(crate) kill_q: Vec<(ProcId, i32)>,
+    // Deferral queues drained by the executor, FIFO. `launch` queues
+    // every rank's main thread before the first drain, and a rack-wide
+    // collective can wake every rank at once, so they pop in O(1).
+    pub(crate) dispatch_q: VecDeque<Tid>,
+    pub(crate) unblock_q: VecDeque<(Tid, Option<SysRet>)>,
+    pub(crate) kill_q: VecDeque<(ProcId, i32)>,
 }
 
 impl SimCore {
@@ -188,6 +199,7 @@ impl SimCore {
                 .map(|_| crate::dac::DacFile::new(cfg.chip.dac_pairs))
                 .collect(),
             running: vec![None; cores],
+            busy_cores: 0,
             streaming: vec![false; cores],
             jitter: LazyStreams::new("dram-refresh"),
             inflight: IdMap::new(),
@@ -195,9 +207,9 @@ impl SimCore {
             next_msg: 0,
             proc_threads: Vec::new(),
             stats: MachineStats::default(),
-            dispatch_q: Vec::new(),
-            unblock_q: Vec::new(),
-            kill_q: Vec::new(),
+            dispatch_q: VecDeque::new(),
+            unblock_q: VecDeque::new(),
+            kill_q: VecDeque::new(),
             cfg,
         }
     }
@@ -285,6 +297,18 @@ impl SimCore {
         self.running[core.idx()].is_none()
     }
 
+    /// The thread that holds `core`, if any.
+    pub fn running_on(&self, core: CoreId) -> Option<Tid> {
+        self.running[core.idx()]
+    }
+
+    /// Free `core`'s running slot, keeping `busy_cores` in step.
+    pub(crate) fn release_core(&mut self, core: CoreId) {
+        if self.running[core.idx()].take().is_some() {
+            self.busy_cores -= 1;
+        }
+    }
+
     /// Claim a core for `tid` and queue it for execution. Panics if the
     /// core is busy — kernels must check `core_idle` first.
     pub fn dispatch(&mut self, tid: Tid) {
@@ -302,19 +326,20 @@ impl SimCore {
             self.threads[tid.idx()].state
         );
         self.running[core.idx()] = Some(tid);
-        self.dispatch_q.push(tid);
+        self.busy_cores += 1;
+        self.dispatch_q.push_back(tid);
     }
 
     /// Queue a blocked thread to become Ready with result `ret`; the
     /// executor will inform the kernel (`on_unblock`).
     pub fn defer_unblock(&mut self, tid: Tid, ret: Option<SysRet>) {
-        self.unblock_q.push((tid, ret));
+        self.unblock_q.push_back((tid, ret));
     }
 
     /// Queue a whole-process kill (guard-page fault default action,
     /// exit_group, fatal signal).
     pub fn defer_kill(&mut self, proc: ProcId, code: i32) {
-        self.kill_q.push((proc, code));
+        self.kill_q.push_back((proc, code));
     }
 
     /// Post a signal for delivery at `tid`'s next op boundary.
@@ -413,7 +438,7 @@ impl SimCore {
         t.gen_ctr += 1;
         let old_done = t.pending_done.take();
         t.state = ThreadState::Ready;
-        self.running[core.idx()] = None;
+        self.release_core(core);
         let node = self.node_of_core(core);
         if let Some(h) = old_done {
             if self.engine.cancel(h) {
@@ -830,10 +855,10 @@ impl SimCore {
 
     /// Approximate heap bytes resident in the simulator core: engine
     /// queues and slab, per-node DRAM granules, per-core TLB/DAC arrays,
-    /// thread table, in-flight messages, RNG columns, and the profiler's
-    /// heat table. An estimate (container capacities, not allocator
-    /// metadata), but it moves with the layout — which is what the
-    /// scale benchmarks need to compare layouts honestly.
+    /// thread table, deferral queues, in-flight messages, RNG columns,
+    /// and the profiler's heat table. An estimate (container capacities,
+    /// not allocator metadata), but it moves with the layout — which is
+    /// what the scale benchmarks need to compare layouts honestly.
     pub fn resident_bytes_estimate(&self) -> usize {
         let spine = |cap: usize, elem: usize| cap * elem;
         let mut total = self.engine.resident_bytes();
@@ -849,6 +874,12 @@ impl SimCore {
         total += spine(self.running.capacity(), std::mem::size_of::<Option<Tid>>());
         total += self.streaming.capacity();
         total += spine(self.threads.capacity(), std::mem::size_of::<Thread>());
+        total += spine(self.dispatch_q.capacity(), std::mem::size_of::<Tid>());
+        total += spine(
+            self.unblock_q.capacity(),
+            std::mem::size_of::<(Tid, Option<SysRet>)>(),
+        );
+        total += spine(self.kill_q.capacity(), std::mem::size_of::<(ProcId, i32)>());
         total += self.inflight.resident_bytes();
         total += self
             .inflight
@@ -906,7 +937,12 @@ mod tests {
         assert!(s.core_idle(CoreId(2)));
         s.dispatch(t);
         assert!(!s.core_idle(CoreId(2)));
-        assert_eq!(s.dispatch_q, vec![t]);
+        assert_eq!(s.dispatch_q, [t]);
+        assert_eq!(s.busy_cores, 1);
+        s.release_core(CoreId(2));
+        s.release_core(CoreId(2));
+        assert!(s.core_idle(CoreId(2)));
+        assert_eq!(s.busy_cores, 0);
     }
 
     #[test]

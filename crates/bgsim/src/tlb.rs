@@ -86,6 +86,11 @@ impl Tlb {
         self.capacity
     }
 
+    /// The shared pinned static map, if a kernel installed one.
+    pub fn base_map(&self) -> Option<&std::sync::Arc<[TlbEntry]>> {
+        self.base.as_ref()
+    }
+
     fn base_slice(&self) -> &[TlbEntry] {
         self.base.as_deref().unwrap_or(&[])
     }

@@ -87,6 +87,16 @@ impl Ciod {
         self.proxies.len()
     }
 
+    /// Estimated heap bytes of the proxy table and every proxy in it.
+    pub fn resident_bytes(&self) -> usize {
+        crate::ioproxy::hash_bytes(&self.proxies)
+            + self
+                .proxies
+                .values()
+                .map(IoProxy::resident_bytes)
+                .sum::<usize>()
+    }
+
     /// Invariant sweep for differential checkers (`bgcheck`): every
     /// proxy's descriptor table must be consistent with `vfs`.
     /// Read-only; one string per violation.

@@ -20,6 +20,12 @@ struct OpenFile {
     flags: OpenFlags,
 }
 
+/// Estimated table bytes of a hash map: one `(K, V)` slot plus a
+/// control byte per unit of capacity.
+pub(crate) fn hash_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+    m.capacity() * (std::mem::size_of::<(K, V)>() + 1)
+}
+
 /// One ioproxy.
 #[derive(Clone, Debug)]
 pub struct IoProxy {
@@ -60,6 +66,11 @@ impl IoProxy {
             next_fd: 3,
             console: Vec::new(),
         }
+    }
+
+    /// Estimated heap bytes: the descriptor table and console buffer.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        hash_bytes(&self.fds) + self.console.capacity()
     }
 
     /// Descriptor-table consistency sweep (bgcheck invariant hook):

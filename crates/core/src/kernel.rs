@@ -3,6 +3,7 @@
 //! and persistent memory.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bgsim::chip;
 use bgsim::engine::EvHandle;
@@ -25,7 +26,9 @@ use sysabi::{
 
 use crate::boot;
 use crate::futex::FutexTable;
-use crate::mem::{partition_node, tracker_errno, AddressSpace, ProcRequirements, Region};
+use crate::mem::{
+    partition_node, tracker_errno, AddressSpace, ProcRequirements, Region, StaticMap,
+};
 use crate::persist::PersistRegistry;
 use crate::process::{Guard, Process};
 use crate::sched::{SchedError, Scheduler};
@@ -281,23 +284,48 @@ impl Cnk {
         }
     }
 
-    /// Pin a process's full static map into every one of its cores' TLBs.
+    /// Pin a launched process's static map into every one of its cores'
+    /// TLBs.
     ///
-    /// The map is identical on every core of the process, so it is
-    /// built and validated once and Arc-shared (`Tlb::install_base`) —
-    /// one copy per process, not per core, which is most of the TLB
-    /// footprint at rack scale.
-    fn pin_map(&self, sc: &mut SimCore, proc: &Process) -> Result<(), LaunchError> {
-        let mut map = Vec::new();
-        for r in proc
-            .aspace
-            .map
-            .regions
-            .iter()
-            .chain(proc.aspace.persist.iter())
-        {
+    /// The pinned image is a function of the static map alone (persistent
+    /// regions attach later, through `pin_region`), and every process in
+    /// the same slot of every node shares one map. So `image` holds the
+    /// slot's image: built and validated when the slot's first rank is
+    /// pinned, then Arc-shared (`Tlb::install_base`) by every core of
+    /// every rank in the slot — one copy per slot, not per core or rank.
+    fn pin_map(
+        sc: &mut SimCore,
+        proc: &Process,
+        image: &mut Option<Arc<[TlbEntry]>>,
+    ) -> Result<(), LaunchError> {
+        debug_assert!(proc.aspace.persist.is_empty(), "persist before launch pin");
+        let Some(&first) = proc.cores.first() else {
+            return Ok(());
+        };
+        let shared = match image {
+            Some(img) => img.clone(),
+            None => {
+                let map = Self::tlb_image(&proc.aspace.map);
+                Tlb::validate_map(&map, sc.tlbs[first.idx()].capacity()).map_err(|e| {
+                    LaunchError::NoMemory(format!("TLB pin failed on {first}: {e:?}"))
+                })?;
+                image.insert(map.into()).clone()
+            }
+        };
+        for &core in &proc.cores {
+            sc.tlbs[core.idx()]
+                .install_base(shared.clone())
+                .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {core}: {e:?}")))?;
+        }
+        Ok(())
+    }
+
+    /// The pinned TLB entries that tile a static map, in region order.
+    fn tlb_image(map: &StaticMap) -> Vec<TlbEntry> {
+        let mut image = Vec::with_capacity(map.tlb_entries);
+        for r in &map.regions {
             for &(ps, va) in &r.pages {
-                map.push(TlbEntry {
+                image.push(TlbEntry {
                     vaddr: va,
                     paddr: r.paddr + (va - r.vaddr),
                     size: ps,
@@ -305,18 +333,7 @@ impl Cnk {
                 });
             }
         }
-        let Some(&first) = proc.cores.first() else {
-            return Ok(());
-        };
-        Tlb::validate_map(&map, sc.tlbs[first.idx()].capacity())
-            .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {first}: {e:?}")))?;
-        let shared: std::sync::Arc<[TlbEntry]> = map.into();
-        for &core in &proc.cores {
-            sc.tlbs[core.idx()]
-                .install_base(shared.clone())
-                .map_err(|e| LaunchError::NoMemory(format!("TLB pin failed on {core}: {e:?}")))?;
-        }
-        Ok(())
+        image
     }
 
     /// Pin one extra region (persist attach at runtime).
@@ -887,7 +904,15 @@ impl Kernel for Cnk {
             }
         }
 
-        let mut ranks = Vec::new();
+        // Every node's slot-`pi` process boots the same image into the
+        // same layout (§IV.C), so each slot's static map and pinned TLB
+        // image exist once and are Arc-shared across the rack.
+        let maps: Vec<Arc<StaticMap>> = maps.into_iter().map(Arc::new).collect();
+        let mut images: Vec<Option<Arc<[TlbEntry]>>> = vec![None; maps.len()];
+        let n_ranks = spec.nodes as usize * ppn as usize;
+        sc.threads.reserve(n_ranks);
+        self.procs.reserve(n_ranks);
+        let mut ranks = Vec::with_capacity(n_ranks);
         for node in 0..spec.nodes {
             let node_id = NodeId(node);
             let ion = sc.coll.io_node_of(node_id) as usize;
@@ -903,7 +928,7 @@ impl Kernel for Cnk {
                     proc,
                     node_id,
                     rank,
-                    cores.clone(),
+                    cores,
                     aspace,
                     self.cfg.uid,
                     self.cfg.gid,
@@ -911,10 +936,10 @@ impl Kernel for Cnk {
                 p.persist_grants = spec.persist_grants.clone();
 
                 // Static core assignment (§VIII).
-                for &c in &cores {
+                for &c in &p.cores {
                     self.sched.assign_core(c, proc);
                 }
-                let main_core = cores[0];
+                let main_core = p.cores[0];
                 self.sched
                     .admit(main_core, proc)
                     .map_err(|_| LaunchError::TooManyThreads)?;
@@ -940,7 +965,7 @@ impl Kernel for Cnk {
                     },
                 );
 
-                self.pin_map(sc, &p)?;
+                Self::pin_map(sc, &p, &mut images[pi as usize])?;
                 Self::ciod_at(&mut self.ciods, ion).attach_proc(&self.vfs, proc.0, p.uid, p.gid);
                 self.procs.insert(proc.0 as u64, p);
                 ranks.push(RankInfo {
@@ -1439,7 +1464,7 @@ impl Kernel for Cnk {
         // application with the error to allow the application to perform
         // recovery."
         sc.stretch_running(core, PARITY_HANDLER_COST, 0x2000 | kind as u64);
-        if let Some(tid) = sc.running[core.idx()] {
+        if let Some(tid) = sc.running_on(core) {
             self.post_signal(sc, tid, Sig::Parity);
         }
     }
@@ -1603,9 +1628,9 @@ impl Kernel for Cnk {
                 }
             }
             let live = sc
-                .threads
+                .threads_of(pid)
                 .iter()
-                .filter(|t| t.proc == pid && t.state.is_live())
+                .filter(|&&t| sc.thread(t).state.is_live())
                 .count() as u32;
             if live != p.live_threads {
                 v.push(format!(
@@ -1629,9 +1654,15 @@ impl Kernel for Cnk {
 
     fn resident_bytes(&self) -> usize {
         self.procs.resident_bytes()
+            + self
+                .procs
+                .iter()
+                .map(|(_, p)| p.resident_bytes())
+                .sum::<usize>()
             + self.futexes.capacity() * std::mem::size_of::<FutexTable>()
             + self.persist.capacity() * std::mem::size_of::<PersistRegistry>()
             + self.ciods.capacity() * std::mem::size_of::<Ciod>()
+            + self.ciods.iter().map(Ciod::resident_bytes).sum::<usize>()
             + self.ion_rng.resident_bytes()
             + self.noise_rng.resident_bytes()
             + self.pending_io.resident_bytes()

@@ -3,6 +3,8 @@
 pub mod partition;
 pub mod tracker;
 
+use std::sync::Arc;
+
 use sysabi::Errno;
 
 pub use partition::{
@@ -15,7 +17,10 @@ pub use tracker::{ArenaTracker, TrackerError, GRAIN};
 /// heap/stack arena bookkeeping and any attached persistent regions.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
-    pub map: StaticMap,
+    /// Shared by every process in the same slot of every node: the
+    /// partitioner lays out each slot once, and nothing mutates a map
+    /// after `partition_node`.
+    pub map: Arc<StaticMap>,
     pub heap: ArenaTracker,
     /// Main-thread stack: the top `main_stack` bytes of the heap region.
     pub main_stack_lo: u64,
@@ -27,7 +32,7 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    pub fn new(map: StaticMap, main_stack: u64) -> AddressSpace {
+    pub fn new(map: Arc<StaticMap>, main_stack: u64) -> AddressSpace {
         let hs = map
             .region(RegionKind::HeapStack)
             .expect("map lacks heap/stack region");
@@ -58,6 +63,15 @@ impl AddressSpace {
     /// outside means SIGSEGV immediately.)
     pub fn mapped(&self, va: u64) -> bool {
         self.translate(va).is_some()
+    }
+
+    /// This address space's share of its static map's heap bytes: the
+    /// map split over the processes holding it, as `Tlb::resident_bytes`
+    /// splits a pinned image, so summing over a slot's ranks counts the
+    /// map once.
+    pub(crate) fn map_share_bytes(&self) -> usize {
+        (std::mem::size_of::<StaticMap>() + self.map.resident_bytes())
+            .div_ceil(Arc::strong_count(&self.map))
     }
 
     /// Attach a persistent region (already translated by the registry).
@@ -113,7 +127,7 @@ mod tests {
             64,
         )
         .unwrap();
-        AddressSpace::new(maps.into_iter().next().unwrap(), 8 << 20)
+        AddressSpace::new(Arc::new(maps.into_iter().next().unwrap()), 8 << 20)
     }
 
     #[test]

@@ -109,6 +109,16 @@ impl StaticMap {
         self.regions.iter().map(|r| r.bytes).sum()
     }
 
+    /// Heap bytes of the region table and its page tilings.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.regions.capacity() * std::mem::size_of::<Region>()
+            + self
+                .regions
+                .iter()
+                .map(|r| r.pages.capacity() * std::mem::size_of::<(u64, u64)>())
+                .sum::<usize>()
+    }
+
     /// The (vaddr, paddr, bytes) triples for QueryStaticMap.
     pub fn as_triples(&self) -> Vec<(u64, u64, u64)> {
         let mut v: Vec<(u64, u64, u64)> = self

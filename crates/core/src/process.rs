@@ -82,6 +82,15 @@ impl Process {
         self.sig.get(&sig).copied().unwrap_or_default()
     }
 
+    /// Heap bytes this process holds: its core list, guard and DAC-slot
+    /// tables, and its share of the slot's static map.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.cores.capacity() * std::mem::size_of::<CoreId>()
+            + hash_bytes(&self.guards)
+            + hash_bytes(&self.next_dac_slot)
+            + self.aspace.map_share_bytes()
+    }
+
     /// Allocate a DAC slot on `core` for a new guard range.
     pub fn alloc_dac_slot(&mut self, core: CoreId, dac_pairs: u32) -> Option<u32> {
         let next = self.next_dac_slot.entry(core).or_insert(0);
@@ -92,6 +101,12 @@ impl Process {
         *next += 1;
         Some(s)
     }
+}
+
+/// Estimated table bytes of a hash map: one `(K, V)` slot plus a
+/// control byte per unit of capacity.
+fn hash_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+    m.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 
 #[cfg(test)]
@@ -120,7 +135,10 @@ mod tests {
             NodeId(0),
             Rank(0),
             vec![CoreId(0), CoreId(1), CoreId(2), CoreId(3)],
-            AddressSpace::new(maps.into_iter().next().unwrap(), 8 << 20),
+            AddressSpace::new(
+                std::sync::Arc::new(maps.into_iter().next().unwrap()),
+                8 << 20,
+            ),
             1000,
             100,
         )

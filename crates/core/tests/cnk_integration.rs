@@ -924,3 +924,82 @@ fn static_map_region_kinds_match_partitioner() {
         assert_eq!(m.sc.tlbs[core].misses, 0);
     }
 }
+
+/// Launch `mode` on `nodes` nodes, run it, and check it stayed clean.
+fn launched(nodes: u32, mode: NodeMode) -> Machine {
+    let mut m = machine(nodes, 25);
+    m.boot();
+    m.launch(
+        &JobSpec::new(AppImage::static_test("app"), nodes, mode),
+        &mut |_r: Rank| script(vec![Op::Compute { cycles: 1000 }]),
+    )
+    .unwrap();
+    assert!(m.run().completed());
+    assert_eq!(m.check_invariants(), Vec::<String>::new());
+    m
+}
+
+#[test]
+fn ranks_in_one_slot_share_one_static_map_and_tlb_image() {
+    use std::sync::Arc;
+    for (mode, ppn) in [(NodeMode::Smp, 1u32), (NodeMode::Vn, 4)] {
+        let nodes = 3;
+        let m = launched(nodes, mode);
+        let k = cnk_of(&m);
+        let cpp = 4 / ppn;
+        for slot in 0..ppn {
+            let first = k.process(ProcId(slot)).unwrap();
+            let image = m.sc.tlbs[first.cores[0].idx()].base_map().unwrap();
+            for node in 0..nodes {
+                let p = k.process(ProcId(node * ppn + slot)).unwrap();
+                assert!(
+                    Arc::ptr_eq(&p.aspace.map, &first.aspace.map),
+                    "{mode:?} slot {slot}: node {node} holds its own static map"
+                );
+                assert_eq!(p.cores.len(), cpp as usize);
+                for &c in &p.cores {
+                    let base = m.sc.tlbs[c.idx()].base_map().unwrap();
+                    assert!(
+                        Arc::ptr_eq(base, image),
+                        "{mode:?} slot {slot}: core {c} pins its own TLB image"
+                    );
+                }
+            }
+            if slot > 0 {
+                // Slots tile different physical slices: distinct maps.
+                let prev = k.process(ProcId(slot - 1)).unwrap();
+                assert!(!Arc::ptr_eq(&prev.aspace.map, &first.aspace.map));
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_smaller_than_the_static_map_still_fails_launch() {
+    for mode in [NodeMode::Smp, NodeMode::Vn] {
+        let pages = launched(1, mode).sc.tlbs[0].pinned_count();
+        let mut cfg = MachineConfig::nodes(2).with_seed(7);
+        cfg.chip.tlb_entries = pages as u32 - 1;
+        let mut m = Machine::new(
+            cfg,
+            Box::new(Cnk::new(CnkConfig::default())),
+            Box::new(FixedLatencyComm::new()),
+        );
+        m.boot();
+        let err = m
+            .launch(
+                &JobSpec::new(AppImage::static_test("app"), 2, mode),
+                &mut |_r: Rank| script(vec![Op::Compute { cycles: 10 }]),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            bgsim::machine::LaunchError::NoMemory("TLB pin failed on c0: Full".to_string()),
+            "{mode:?}"
+        );
+        // Launch stops at rank 0's pin: its main thread exists, and
+        // nothing is pinned anywhere.
+        assert_eq!(m.sc.threads.len(), 1, "{mode:?}");
+        assert!(m.sc.tlbs.iter().all(|t| t.pinned_count() == 0), "{mode:?}");
+    }
+}

@@ -907,7 +907,7 @@ impl Kernel for Fwk {
                         .count(sc.tel.ids.stale_timeslice, Slot::Node(node.0), 1);
                     return;
                 }
-                let prev_proc = sc.running[core.idx()].map(|t| sc.thread(t).proc);
+                let prev_proc = sc.running_on(core).map(|t| sc.thread(t).proc);
                 if let Some(preempted) = sc.preempt(core) {
                     Self::readyq(&mut self.ready, core.0).push_back(preempted);
                 }

@@ -1,19 +1,27 @@
-//! Rack-scale memory-layout smoke (ROADMAP #1): boot a full rack (4096
-//! nodes) of CNK, run a short FWQ quantum on every node, and hold the
-//! lazy SoA/slab layout to a per-node resident budget. The budget is
-//! deliberately loose (~2x the measured figure) — it exists to catch a
-//! regression back to eager per-core/per-node materialization, not to
-//! pin an exact byte count.
+//! Rack-scale smoke (ROADMAP #1): boot a full rack (4096 nodes) of CNK.
+//!
+//! * Memory: run a short FWQ quantum on every node and hold the lazy
+//!   SoA/slab layout to a per-node resident budget. The budget is
+//!   deliberately loose (~4x the measured figure) — it exists to catch
+//!   a regression back to eager per-core/per-node materialization, not
+//!   to pin an exact byte count.
+//! * Rack-wide collectives: three Daxpy + Barrier rounds on every rank,
+//!   pinned to their `(outcome, final cycle, digest)` triple, with the
+//!   machine's invariant sweep (busy-core and live-thread counters
+//!   included) clean afterwards.
 
 use bench::harness::KernelKind;
-use bgsim::machine::{Machine, Recorder, Workload};
+use bgsim::machine::{Machine, Recorder, RunOutcome, Workload};
+use bgsim::op::{CommOp, Op};
+use bgsim::script::script;
 use bgsim::MachineConfig;
 use sysabi::{AppImage, JobSpec, NodeMode, Rank};
 use workloads::fwq::{FwqConfig, FwqSampler};
 
 const NODES: u32 = 4096;
-/// Lazy layout measures ~4.1 KiB/node after an FWQ quantum (the eager
-/// layout is ~15 KiB/node); fail well before we drift back toward it.
+/// The estimate reads ~1.9 KiB/node at this size (`fig_scale`, 4096
+/// nodes: 1 958 B/node; the eager layout was ~15 KiB/node). Fail well
+/// before we drift back toward eager.
 const BYTES_PER_NODE_BUDGET: usize = 8 << 10;
 
 #[test]
@@ -43,4 +51,44 @@ fn rack_of_4096_nodes_fits_the_lazy_budget() {
         "lazy layout regressed: {per_node} B/node resident ({resident} B total at {NODES} nodes), \
          budget {BYTES_PER_NODE_BUDGET} B/node"
     );
+}
+
+/// The barrier job's pinned final cycle and trace digest, recorded
+/// before the deferral queues became `VecDeque`s and the idle check a
+/// counter.
+const BARRIER_FINAL_CYCLE: u64 = 3_344_616;
+const BARRIER_DIGEST: u64 = 0xdef3_f210_5b45_f4b3;
+
+#[test]
+fn rack_wide_barrier_rounds_match_their_pin() {
+    let cfg = MachineConfig::nodes(NODES).with_seed(0x5CA1E);
+    let mut m = Machine::new(
+        cfg,
+        KernelKind::Cnk.build(),
+        Box::new(dcmf::Dcmf::with_defaults()),
+    );
+    m.boot();
+    m.launch(
+        &JobSpec::new(AppImage::static_test("barrier-rack"), NODES, NodeMode::Smp),
+        &mut |_r: Rank| {
+            script(
+                (0..3)
+                    .flat_map(|_| [Op::Daxpy { n: 4096, reps: 8 }, Op::Comm(CommOp::Barrier)])
+                    .collect(),
+            )
+        },
+    )
+    .unwrap();
+    let out = m.run();
+    assert_eq!(
+        (out, m.trace_digest()),
+        (
+            RunOutcome::Completed {
+                at: BARRIER_FINAL_CYCLE
+            },
+            BARRIER_DIGEST
+        ),
+        "rack-wide barrier diverged"
+    );
+    assert_eq!(m.check_invariants(), Vec::<String>::new());
 }
