@@ -647,7 +647,7 @@ impl Job {
         hit: Option<CachedResult>,
     ) {
         let res = match &hit {
-            Some(entry) => self.verify(req, program, entry),
+            Some(entry) => self.verify(req, program, entry, token),
             None => self.simulate(req, program, token),
         };
         self.deregister();
@@ -657,30 +657,39 @@ impl Job {
     }
 
     /// `--paranoid`: re-run a hit fresh in the requested mode and compare
-    /// triples before the cached answer is released.
+    /// triples before the cached answer is released. The re-run takes
+    /// its slot and runs under the job's cancel token, so a client that
+    /// cancels or hangs up frees the slot; a verification cancelled
+    /// before or during its re-run answers `cancelled`, like a miss.
     fn verify(
         &self,
         req: &SubmitReq,
         program: &Program,
         entry: &CachedResult,
+        token: CancelToken,
     ) -> std::io::Result<String> {
         let stats = &self.state.stats;
         self.node.set("phase", "paranoid");
         stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
-        // The fresh run deliberately does *not* share the client job's
-        // cancel token — a cancelled verification would read as a
-        // paranoid mismatch.
-        let fresh = {
-            let _slot = self.state.slots.acquire(None);
-            run_mode_live(program, req.kernel, req.mode, LiveOpts::default(), None)
-        };
+        let fresh = self.state.slots.acquire(Some(&token)).map(|_slot| {
+            let live = LiveOpts {
+                cancel: Some(token.clone()),
+                ..LiveOpts::default()
+            };
+            run_mode_live(program, req.kernel, req.mode, live, None)
+        });
         let failure = match fresh {
-            Ok((rec, _))
+            // Cancelled before the slot came up, or during the re-run.
+            None => return Ok(self.answer_cancelled(req)),
+            Some(Ok((rec, _))) if rec.outcome == "cancelled" && token.is_cancelled() => {
+                return Ok(self.answer_cancelled(req));
+            }
+            Some(Ok((rec, _)))
                 if (rec.outcome.clone(), rec.final_cycle, rec.digest) == entry.triple() =>
             {
                 None
             }
-            Ok((rec, _)) => Some(format!(
+            Some(Ok((rec, _))) => Some(format!(
                 "paranoid mismatch on key {}: cached outcome={} cycle={} \
                  digest={:016x}, fresh outcome={} cycle={} digest={:016x}",
                 self.key_hex,
@@ -691,7 +700,7 @@ impl Job {
                 rec.final_cycle,
                 rec.digest
             )),
-            Err(e) => Some(format!("paranoid re-run failed: {e}")),
+            Some(Err(e)) => Some(format!("paranoid re-run failed: {e}")),
         };
         let paranoid = match failure {
             None => "ok",
@@ -726,22 +735,8 @@ impl Job {
             run_mode_live(program, req.kernel, req.mode, live, sink)
         });
         match ran {
-            None => {
-                // Cancelled while still queued: never simulated a cycle.
-                state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                self.node.set("phase", "cancelled");
-                let entry = CachedResult {
-                    kernel: req.kernel.label().to_string(),
-                    mode: req.mode.label().to_string(),
-                    outcome: "cancelled".to_string(),
-                    final_cycle: 0,
-                    digest: 0,
-                    coverage: 0,
-                    profile: None,
-                };
-                state.finish_job(None);
-                Ok(proto::result_line(id, &entry, false, "off", &self.key_hex))
-            }
+            // Cancelled while still queued: never simulated a cycle.
+            None => Ok(self.answer_cancelled(req)),
             Some(Ok((rec, snap))) => {
                 let interrupted = rec.outcome == "cancelled" || rec.outcome == "timeout";
                 let entry = cached_of(&rec, Some(snap.clone()));
@@ -771,6 +766,24 @@ impl Job {
                 Ok(proto::error_line(&e))
             }
         }
+    }
+
+    /// The answer to a job cancelled before its run finished: counted
+    /// as cancelled, with an all-zero triple that is never cached.
+    fn answer_cancelled(&self, req: &SubmitReq) -> String {
+        self.state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        self.node.set("phase", "cancelled");
+        let entry = CachedResult {
+            kernel: req.kernel.label().to_string(),
+            mode: req.mode.label().to_string(),
+            outcome: "cancelled".to_string(),
+            final_cycle: 0,
+            digest: 0,
+            coverage: 0,
+            profile: None,
+        };
+        self.state.finish_job(None);
+        proto::result_line(self.id, &entry, false, "off", &self.key_hex)
     }
 }
 

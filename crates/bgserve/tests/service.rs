@@ -506,6 +506,73 @@ fn a_short_miss_never_waits_behind_a_long_job() {
 }
 
 #[test]
+fn cancelling_a_paranoid_verification_frees_its_slot() {
+    let ep = sock("paranoid-cancel");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.paranoid = true;
+    opts.threads = 1;
+    let handle = spawn(opts).expect("spawn");
+    let long = long_program(0x9A7, 120_000_000_000);
+
+    // Job 1 caches the long job; a full run of it takes `full`.
+    let mut c = Client::connect(&ep).expect("connect");
+    let t0 = std::time::Instant::now();
+    let first = c
+        .submit(CheckKernel::Fwk, MODES[LIVE_MODE], &long)
+        .expect("first");
+    let full = t0.elapsed();
+    assert_eq!(first.outcome, "completed");
+
+    std::thread::scope(|s| {
+        // Job 2 is a hit held for its paranoid re-run on the only slot.
+        let ep_a = ep.clone();
+        let long_a = long.clone();
+        let a = s.spawn(move || {
+            let mut c = Client::connect(&ep_a).expect("connect a");
+            c.submit(CheckKernel::Fwk, MODES[LIVE_MODE], &long_a)
+                .expect("resubmit")
+        });
+        let mut c2 = Client::connect(&ep).expect("connect c2");
+        let deadline = t0 + full + std::time::Duration::from_secs(30);
+        while !c2.cancel(2).expect("cancel") {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job 2 never became cancellable"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let cancelled_at = std::time::Instant::now();
+        let short = c2
+            .submit(CheckKernel::Cnk, MODES[0], &small_program(0x9A8))
+            .expect("short");
+        let waited = cancelled_at.elapsed();
+        assert_eq!(short.outcome, "completed");
+        assert!(!short.cached, "the short job is a miss: it must simulate");
+        assert!(
+            waited < full / 2,
+            "the short miss waited {waited:?} behind a cancelled verification \
+             (a full run takes {full:?})"
+        );
+
+        let ra = a.join().expect("join a");
+        assert_eq!(ra.outcome, "cancelled");
+        assert!(!ra.cached);
+        assert_eq!(ra.paranoid, "off");
+        assert!(
+            ra.warnings.is_empty(),
+            "no mismatch line: {:?}",
+            ra.warnings
+        );
+        let status = c2.status().expect("status");
+        assert_eq!(status.path_num(&["cancelled"]), Some(1.0));
+        assert_eq!(status.path_num(&["paranoid_failures"]), Some(0.0));
+        c2.shutdown().expect("shutdown");
+    });
+    drop(c);
+    handle.join().expect("join");
+}
+
+#[test]
 fn overlong_request_line_closes_only_that_session() {
     use std::io::{BufRead, BufReader, ErrorKind, Write};
     let ep = sock("overlong");

@@ -306,7 +306,7 @@ impl CommModel for FixedLatencyComm {
             CommOp::Recv { tag, .. } => {
                 if let Some(q) = self.unexpected.get_mut(&(rank.0, *tag)) {
                     if let Some((src, bytes)) = q.pop_front() {
-                        sc.thread_mut(tid).pending_recv = Some(RecvInfo {
+                        sc.inbox_mut(tid).pending_recv = Some(RecvInfo {
                             from: Rank(src),
                             bytes,
                             tag: *tag,
@@ -351,7 +351,7 @@ impl CommModel for FixedLatencyComm {
             return;
         };
         if let Some(tid) = self.waiting.remove(&(dst, tag)) {
-            sc.thread_mut(tid).pending_recv = Some(RecvInfo {
+            sc.inbox_mut(tid).pending_recv = Some(RecvInfo {
                 from: Rank(src),
                 bytes,
                 tag,

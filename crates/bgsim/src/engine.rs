@@ -10,9 +10,10 @@
 //! Two hot-path properties distinguish this engine from a plain
 //! `BinaryHeap<Event>`:
 //!
-//! * **Payloads never move.** Heap entries are 24-byte `Copy` keys; the
-//!   `EvKind` payload sits in a slab and is written once at `schedule`
-//!   and read once at `pop`. Sift-up/sift-down shuffle keys only.
+//! * **Payloads never move.** Heap entries are 16-byte keys, `(at, seq,
+//!   slot)` packed into one `u128`; the `EvKind` payload sits in a slab
+//!   and is written once at `schedule` and read once at `pop`.
+//!   Sift-up/sift-down move keys only and compare one integer.
 //! * **Cancellation is O(1).** `schedule*` returns an [`EvHandle`];
 //!   [`Engine::cancel`] marks the slab slot dead without touching the
 //!   heap. Dead entries are discarded lazily at pop (counted) and the
@@ -56,42 +57,68 @@ pub struct Event {
     pub kind: EvKind,
 }
 
-/// Handle to a scheduled event, for O(1) cancellation. The `seq` guards
-/// against slot reuse: a handle kept past its event's pop (or past a
-/// cancel) simply stops matching.
+/// Bits of a packed key that hold the slab slot (the low bits) and the
+/// sequence number (above them); the cycle takes the top 64.
+const SLOT_BITS: u32 = 24;
+const SEQ_BITS: u32 = 40;
+/// Sequence numbers must stay below this to fit a packed key: about
+/// 13 days of host time at 10^6 events per second.
+pub const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
+/// Slab slots (live plus not-yet-swept dead events) must stay below
+/// this; a 131 072-node machine holds about 2^17.
+pub const SLOT_LIMIT: u32 = 1 << SLOT_BITS;
+
+/// Handle to a scheduled event, for O(1) cancellation: its sequence
+/// number and slab slot, packed like the low half of a [`Key`]. The
+/// `seq` guards against slot reuse: a handle kept past its event's pop
+/// (or past a cancel) simply stops matching.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EvHandle {
-    slot: u32,
-    seq: u64,
-}
+pub struct EvHandle(u64);
 
 impl EvHandle {
     /// The global sequence number of the scheduled event. The fast path
     /// carries this through virtualization so a migrated event keeps its
     /// exact position in the `(cycle, seq)` total order.
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.0 >> SLOT_BITS
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32 & (SLOT_LIMIT - 1)
     }
 }
 
-/// Heap entry: the ordering key plus the slab slot of the payload.
-/// `Copy`, so heap sifts move 24 bytes and never touch a payload.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Key {
-    at: Cycle,
-    seq: u64,
-    slot: u32,
-}
+/// Heap entry: `at` in the top 64 bits, `seq` in the next 40, the slab
+/// slot of the payload in the low 24. Integer order is `(at, seq)`
+/// order, because no two live keys share a `seq`; the slot only breaks
+/// the tie between a restored event and its own dead twin.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key(u128);
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Key {
+    /// Pack a key, panicking if `seq` or `slot` overflows its width.
+    fn pack(at: Cycle, seq: u64, slot: u32) -> Key {
+        assert!(
+            seq < SEQ_LIMIT,
+            "event sequence number {seq} reached SEQ_LIMIT (2^{SEQ_BITS}) of the packed event key"
+        );
+        assert!(
+            slot < SLOT_LIMIT,
+            "event slab slot {slot} reached SLOT_LIMIT (2^{SLOT_BITS}) of the packed event key"
+        );
+        Key(u128::from(at) << 64 | u128::from(seq) << SLOT_BITS | u128::from(slot))
     }
-}
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+    fn at(self) -> Cycle {
+        (self.0 >> 64) as Cycle
+    }
+
+    fn seq(self) -> u64 {
+        self.0 as u64 >> SLOT_BITS
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32 & (SLOT_LIMIT - 1)
     }
 }
 
@@ -197,24 +224,22 @@ impl Engine {
     /// Store `kind` in a free slab slot and push its key.
     fn insert(&mut self, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
         let at = at.max(self.now);
-        let entry = Some(SlabEntry {
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let key = Key::pack(at, seq, slot);
+        self.slots[slot as usize] = Some(SlabEntry {
             kind,
             seq,
             dead: false,
         });
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = entry;
-                s
-            }
-            None => {
-                self.slots.push(entry);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.heap.push(Reverse(Key { at, seq, slot }));
+        self.heap.push(Reverse(key));
         self.live += 1;
-        EvHandle { slot, seq }
+        EvHandle(key.0 as u64)
     }
 
     /// Cancel a scheduled event in O(1): the slab slot is marked dead and
@@ -254,8 +279,8 @@ impl Engine {
 
     /// True if `h` still refers to a live pending event.
     pub fn is_live(&self, h: EvHandle) -> bool {
-        matches!(self.slots.get(h.slot as usize),
-                 Some(Some(e)) if e.seq == h.seq && !e.dead)
+        matches!(self.slots.get(h.slot() as usize),
+                 Some(Some(e)) if e.seq == h.seq() && !e.dead)
     }
 
     /// Migrate a pending event out of the engine: the slab entry is
@@ -264,8 +289,8 @@ impl Engine {
     /// inline or puts it back with [`Engine::restore`]. Returns false if
     /// the handle no longer matches a live event.
     pub fn decommit(&mut self, h: EvHandle) -> bool {
-        match self.slots.get_mut(h.slot as usize) {
-            Some(Some(e)) if e.seq == h.seq && !e.dead => {
+        match self.slots.get_mut(h.slot() as usize) {
+            Some(Some(e)) if e.seq == h.seq() && !e.dead => {
                 e.dead = true;
                 self.live -= 1;
                 self.dead += 1;
@@ -278,7 +303,8 @@ impl Engine {
     /// Re-insert a previously decommitted event with its *original*
     /// sequence number, so it reclaims the exact slot in the `(at, seq)`
     /// total order it held before migration. The dead twin left behind by
-    /// [`Engine::decommit`] compares equal and is skipped at pop.
+    /// [`Engine::decommit`] differs only in its slab slot and is skipped
+    /// at pop, whichever of the two comes first.
     pub fn restore(&mut self, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
         debug_assert!(
             at >= self.now,
@@ -304,22 +330,23 @@ impl Engine {
     /// counted without advancing the clock.
     fn pop_top(&mut self) -> Option<Event> {
         let Reverse(k) = self.heap.pop().expect("caller checked the heap");
-        let entry = self.slots[k.slot as usize]
+        let entry = self.slots[k.slot() as usize]
             .take()
             .expect("heap key must have a slab entry");
-        self.free.push(k.slot);
+        self.free.push(k.slot());
         if entry.dead {
             self.dead -= 1;
             self.stats.stale_discarded += 1;
             return None;
         }
         self.live -= 1;
-        debug_assert!(k.at >= self.now);
-        self.now = k.at;
+        let at = k.at();
+        debug_assert!(at >= self.now);
+        self.now = at;
         self.stats.processed += 1;
         Some(Event {
-            at: k.at,
-            seq: k.seq,
+            at,
+            seq: k.seq(),
             kind: entry.kind,
         })
     }
@@ -340,7 +367,7 @@ impl Engine {
     /// (clock-stop support: run the machine to an exact cycle). When
     /// nothing live remains in range, the clock parks at the boundary.
     pub fn pop_until(&mut self, bound: Cycle) -> Option<Event> {
-        while self.heap.peek().is_some_and(|Reverse(k)| k.at <= bound) {
+        while self.heap.peek().is_some_and(|Reverse(k)| k.at() <= bound) {
             if let Some(ev) = self.pop_top() {
                 return Some(ev);
             }
@@ -365,13 +392,14 @@ impl Engine {
             heap, slots, free, ..
         } = self;
         heap.retain(|Reverse(k)| {
-            let dead = slots[k.slot as usize]
+            let slot = k.slot();
+            let dead = slots[slot as usize]
                 .as_ref()
                 .map(|e| e.dead)
                 .unwrap_or(true);
             if dead {
-                slots[k.slot as usize] = None;
-                free.push(k.slot);
+                slots[slot as usize] = None;
+                free.push(slot);
             }
             !dead
         });
@@ -604,6 +632,114 @@ mod tests {
         e.restore(10, s0, EvKind::Kernel { node: 0, tag: 99 });
         let first = e.pop().unwrap();
         assert!(matches!(first.kind, EvKind::Kernel { tag: 99, .. }));
+    }
+
+    /// Pop every remaining live event of `e` and of the reference model
+    /// (sorted by `(at, seq)`) up to `bound`, checking they agree.
+    fn pop_and_check(e: &mut Engine, model: &mut Vec<(Cycle, u64, u64)>, bound: Cycle) {
+        model.sort_unstable();
+        let due = model.iter().take_while(|m| m.0 <= bound).count();
+        for want in model.drain(..due) {
+            let ev = e.pop_until(bound).expect("model has a due event");
+            let EvKind::Kernel { tag, .. } = ev.kind else {
+                unreachable!()
+            };
+            assert_eq!((ev.at, ev.seq, tag), want, "pop order diverged");
+        }
+        assert!(e.pop_until(bound).is_none(), "engine popped past the model");
+        assert_eq!(e.now(), bound.max(e.now()));
+    }
+
+    #[test]
+    fn seeded_mix_pops_in_reference_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xe4e7);
+        let mut e = Engine::new();
+        // Live events as (at, seq, tag); handles alongside for cancel,
+        // decommit and restore.
+        let mut model: Vec<(Cycle, u64, u64)> = Vec::new();
+        let mut handles: Vec<(EvHandle, Cycle, u64)> = Vec::new();
+        let mut tag = 0u64;
+        for round in 0..400 {
+            for _ in 0..rng.gen_range(1..40u32) {
+                let at = e.now() + rng.gen_range(0..50u64);
+                let h = e.schedule(at, EvKind::Kernel { node: 0, tag });
+                model.push((at, h.seq(), tag));
+                handles.push((h, at, tag));
+                tag += 1;
+            }
+            for _ in 0..rng.gen_range(0..8u32) {
+                let i = rng.gen_range(0..handles.len());
+                let (h, at, t) = handles.swap_remove(i);
+                if !e.is_live(h) {
+                    continue;
+                }
+                if rng.gen_range(0..2u32) == 0 {
+                    assert!(e.cancel(h));
+                    model.retain(|m| m.1 != h.seq());
+                } else {
+                    // Newer same-cycle events land between the decommit
+                    // and the restore of the older `seq`.
+                    assert!(e.decommit(h));
+                    for _ in 0..rng.gen_range(0..3u32) {
+                        let nh = e.schedule(at, EvKind::Kernel { node: 0, tag });
+                        model.push((at, nh.seq(), tag));
+                        handles.push((nh, at, tag));
+                        tag += 1;
+                    }
+                    let rh = e.restore(at, h.seq(), EvKind::Kernel { node: 0, tag: t });
+                    assert_eq!(rh.seq(), h.seq());
+                    handles.push((rh, at, t));
+                }
+            }
+            if round % 100 == 99 {
+                // A cancel storm: the dead entries outgrow the live ones
+                // and the heap is compacted under the pending keys.
+                for (h, ..) in handles.drain(..) {
+                    if e.cancel(h) {
+                        model.retain(|m| m.1 != h.seq());
+                    }
+                }
+            }
+            assert_eq!(e.pending(), model.len());
+            let bound = e.now() + rng.gen_range(0..30u64);
+            pop_and_check(&mut e, &mut model, bound);
+            handles.retain(|(h, ..)| e.is_live(*h));
+        }
+        pop_and_check(&mut e, &mut model, Cycle::MAX);
+        assert_eq!(e.pending(), 0);
+        let stats = e.stats();
+        assert!(stats.cancelled > 0 && stats.stale_discarded > 0 && stats.compactions > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SEQ_LIMIT (2^40)")]
+    fn seq_past_its_width_panics() {
+        let mut e = Engine::new();
+        e.seq = SEQ_LIMIT;
+        e.schedule(1, EvKind::Kernel { node: 0, tag: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "SLOT_LIMIT (2^24)")]
+    fn slot_past_its_width_panics() {
+        // 2^24 live events would take a gigabyte; hand the insert a slot
+        // number past the limit through the free list instead.
+        let mut e = Engine::new();
+        e.free.push(SLOT_LIMIT);
+        e.schedule(1, EvKind::Kernel { node: 0, tag: 0 });
+    }
+
+    #[test]
+    fn key_orders_by_cycle_then_seq() {
+        let k = Key::pack(7, SEQ_LIMIT - 1, SLOT_LIMIT - 1);
+        assert_eq!(
+            (k.at(), k.seq(), k.slot()),
+            (7, SEQ_LIMIT - 1, SLOT_LIMIT - 1)
+        );
+        assert!(Key::pack(7, 5, SLOT_LIMIT - 1) < Key::pack(7, 6, 0));
+        assert!(Key::pack(7, SEQ_LIMIT - 1, 9) < Key::pack(8, 0, 0));
+        assert_eq!(std::mem::size_of::<Reverse<Key>>(), 16);
     }
 
     #[test]

@@ -1069,11 +1069,11 @@ impl Machine {
         if !t.state.is_live() {
             return;
         }
-        if let Some(r) = ret {
-            t.pending_ret = Some(r);
-        }
         if t.state.is_blocked() {
             t.state = ThreadState::Ready;
+        }
+        if let Some(r) = ret {
+            self.sc.inbox[tid.idx()].pending_ret = Some(r);
         }
         self.kernel.on_unblock(&mut self.sc, tid);
     }
@@ -1281,7 +1281,7 @@ impl Machine {
                     .kernel
                     .spawn(&mut self.sc, tid, &args, core_hint, child);
                 self.trace_start(tid, "spawn", cost);
-                self.sc.threads[tid.idx()].pending_ret = Some(ret);
+                self.sc.inbox[tid.idx()].pending_ret = Some(ret);
                 if cost == 0 {
                     Disp::Continue
                 } else {
@@ -1295,7 +1295,7 @@ impl Machine {
                     None => {
                         // Communication from a thread with no rank is a
                         // program error; fail the op.
-                        self.sc.threads[tid.idx()].pending_ret =
+                        self.sc.inbox[tid.idx()].pending_ret =
                             Some(SysRet::Err(sysabi::Errno::EINVAL));
                         return Disp::Continue;
                     }
@@ -1374,7 +1374,7 @@ impl Machine {
                 self.sc
                     .prof
                     .span(Domain::Sched, self.sc.engine.now(), node.0, "syscall", cost);
-                self.sc.threads[tid.idx()].pending_ret = Some(ret);
+                self.sc.inbox[tid.idx()].pending_ret = Some(ret);
                 if cost == 0 {
                     Disp::Continue
                 } else {

@@ -21,7 +21,7 @@ mod thread;
 pub use exec::{Machine, RunOutcome};
 pub use progress::{CancelCause, CancelToken, LiveHook, ProgressCtl, ProgressReport, ProgressSink};
 pub use simcore::{MachineStats, NetDomain, NetMsg, SimCore};
-pub use thread::{BlockKind, RecvInfo, Thread, ThreadState, ThreadStats};
+pub use thread::{BlockKind, Inbox, RecvInfo, Thread, ThreadState, ThreadStats};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -402,21 +402,21 @@ impl<'a> WlEnv<'a> {
 
     /// Result of the previous op (syscall return, spawned tid, ...).
     pub fn take_ret(&mut self) -> Option<SysRet> {
-        self.sc.threads[self.tid.idx()].pending_ret.take()
+        self.sc.inbox[self.tid.idx()].pending_ret.take()
     }
 
     /// Completion info of the previous receive.
     pub fn take_recv(&mut self) -> Option<RecvInfo> {
-        self.sc.threads[self.tid.idx()].pending_recv.take()
+        self.sc.inbox[self.tid.idx()].pending_recv.take()
     }
 
     /// Next pending signal, if any.
     pub fn take_signal(&mut self) -> Option<Sig> {
-        self.sc.threads[self.tid.idx()].sig_queue.pop_front()
+        self.sc.inbox[self.tid.idx()].sig_queue.pop_front()
     }
 
     pub fn has_signal(&self) -> bool {
-        !self.sc.threads[self.tid.idx()].sig_queue.is_empty()
+        !self.sc.inbox[self.tid.idx()].sig_queue.is_empty()
     }
 
     /// Data-plane read through the kernel's translation.
@@ -525,14 +525,17 @@ impl Recorder {
     }
 
     /// A push-only handle to `name`, creating the (empty) series if it
-    /// does not exist yet.
+    /// does not exist yet. An existing series is found without
+    /// allocating a key: a rack-scale job asks once per rank.
     pub fn series_handle(&self, name: &str) -> SeriesHandle {
-        let data = self
-            .inner
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .clone();
+        let found = self.inner.borrow().get(name).cloned();
+        let data = found.unwrap_or_else(|| {
+            self.inner
+                .borrow_mut()
+                .entry(name.to_string())
+                .or_default()
+                .clone()
+        });
         SeriesHandle { data }
     }
 
@@ -573,6 +576,17 @@ mod tests {
         assert_eq!(r.series("a"), vec![1.0, 2.0]);
         assert_eq!(r.series("missing"), Vec::<f64>::new());
         assert_eq!(r.series_names(), vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn series_handles_share_one_series() {
+        let r = Recorder::new();
+        let a = r.series_handle("s");
+        let b = r.series_handle("s");
+        a.push(1.0);
+        b.extend_from_slice(&[2.0, 3.0]);
+        assert_eq!(r.series("s"), vec![1.0, 2.0, 3.0]);
+        assert_eq!(r.series_names(), vec!["s".to_string()]);
     }
 
     #[test]

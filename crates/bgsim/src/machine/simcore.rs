@@ -18,7 +18,7 @@ use crate::config::MachineConfig;
 use crate::cycles::Cycle;
 use crate::engine::{Engine, EvHandle, EvKind};
 use crate::idmap::IdMap;
-use crate::machine::thread::{Thread, ThreadState};
+use crate::machine::thread::{Inbox, Thread, ThreadState};
 use crate::machine::Workload;
 use crate::mem::PhysMem;
 use crate::rng::{LazyStreams, RngHub};
@@ -88,6 +88,44 @@ struct Inflight {
     arrival: Cycle,
 }
 
+/// The threads of one process: inline while it has one (every rank at
+/// launch), a vector once it spawns more.
+#[derive(Clone, Debug, Default)]
+enum ThreadList {
+    #[default]
+    Empty,
+    One(Tid),
+    Many(Vec<Tid>),
+}
+
+impl ThreadList {
+    fn push(&mut self, tid: Tid) {
+        *self = match std::mem::take(self) {
+            ThreadList::Empty => ThreadList::One(tid),
+            ThreadList::One(t) => ThreadList::Many(vec![t, tid]),
+            ThreadList::Many(mut v) => {
+                v.push(tid);
+                ThreadList::Many(v)
+            }
+        };
+    }
+
+    fn as_slice(&self) -> &[Tid] {
+        match self {
+            ThreadList::Empty => &[],
+            ThreadList::One(t) => std::slice::from_ref(t),
+            ThreadList::Many(v) => v,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ThreadList::Many(v) => v.capacity() * std::mem::size_of::<Tid>(),
+            _ => 0,
+        }
+    }
+}
+
 /// An injected link outage: all traffic on `domain` touching `node` is
 /// affected until cycle `until` (torus: delayed past the outage;
 /// collective: lost).
@@ -112,6 +150,8 @@ pub struct SimCore {
     pub prof: Profiler,
     pub hub: RngHub,
     pub threads: Vec<Thread>,
+    /// Each thread's [`Inbox`], indexed like `threads`.
+    pub(crate) inbox: Vec<Inbox>,
     /// Count of threads whose state is live, maintained at the two
     /// exit transitions so the per-event "all done?" check is O(1)
     /// instead of a scan over the (rack-scale) thread table.
@@ -146,7 +186,7 @@ pub struct SimCore {
     next_msg: u64,
     /// Threads of each process, indexed by `ProcId` (process ids are
     /// allocated sequentially by the kernels).
-    pub proc_threads: Vec<Vec<Tid>>,
+    proc_threads: Vec<ThreadList>,
     pub stats: MachineStats,
 
     // Deferral queues drained by the executor, FIFO. `launch` queues
@@ -188,6 +228,7 @@ impl SimCore {
             },
             hub: RngHub::new(cfg.seed),
             threads: Vec::new(),
+            inbox: Vec::new(),
             live_count: 0,
             dram: (0..cfg.nodes)
                 .map(|_| PhysMem::new(cfg.chip.dram_bytes))
@@ -246,9 +287,11 @@ impl SimCore {
         let tid = Tid(self.threads.len() as u32);
         self.threads
             .push(Thread::new(tid, proc, node, core, workload));
+        self.inbox.push(Inbox::default());
         self.live_count += 1;
         if self.proc_threads.len() <= proc.idx() {
-            self.proc_threads.resize_with(proc.idx() + 1, Vec::new);
+            self.proc_threads
+                .resize_with(proc.idx() + 1, ThreadList::default);
         }
         self.proc_threads[proc.idx()].push(tid);
         tid
@@ -262,11 +305,22 @@ impl SimCore {
         &mut self.threads[tid.idx()]
     }
 
+    /// What `tid`'s workload collects at its next op boundary.
+    pub fn inbox_mut(&mut self, tid: Tid) -> &mut Inbox {
+        &mut self.inbox[tid.idx()]
+    }
+
+    /// Make room for `n` more threads (a launch knows its rank count).
+    pub fn reserve_threads(&mut self, n: usize) {
+        self.threads.reserve(n);
+        self.inbox.reserve(n);
+    }
+
     /// Threads of a process.
     pub fn threads_of(&self, proc: ProcId) -> &[Tid] {
         self.proc_threads
             .get(proc.idx())
-            .map_or(&[], |v| v.as_slice())
+            .map_or(&[], ThreadList::as_slice)
     }
 
     /// Cores of `node` currently executing a streaming op.
@@ -344,7 +398,7 @@ impl SimCore {
 
     /// Post a signal for delivery at `tid`'s next op boundary.
     pub fn post_signal(&mut self, tid: Tid, sig: Sig) {
-        self.threads[tid.idx()].sig_queue.push_back(sig);
+        self.inbox[tid.idx()].sig_queue.push_back(sig);
     }
 
     // ---- noise ------------------------------------------------------------
@@ -464,7 +518,7 @@ impl SimCore {
     /// noise; bounded < 0.006% of the FWQ quantum).
     pub fn refresh_jitter(&mut self, node: NodeId) -> u64 {
         let max = self.cfg.chip.dram_refresh_stall_max;
-        let rng = self.jitter.get(&self.hub, node.0 as u64);
+        let rng = self.jitter.get(&self.hub, node.idx());
         crate::rng::uniform_incl(rng, 0, max)
     }
 
@@ -874,6 +928,7 @@ impl SimCore {
         total += spine(self.running.capacity(), std::mem::size_of::<Option<Tid>>());
         total += self.streaming.capacity();
         total += spine(self.threads.capacity(), std::mem::size_of::<Thread>());
+        total += spine(self.inbox.capacity(), std::mem::size_of::<Inbox>());
         total += spine(self.dispatch_q.capacity(), std::mem::size_of::<Tid>());
         total += spine(
             self.unblock_q.capacity(),
@@ -888,12 +943,12 @@ impl SimCore {
             .sum::<usize>();
         total += spine(
             self.proc_threads.capacity(),
-            std::mem::size_of::<Vec<Tid>>(),
+            std::mem::size_of::<ThreadList>(),
         );
         total += self
             .proc_threads
             .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<Tid>())
+            .map(ThreadList::heap_bytes)
             .sum::<usize>();
         total += self.jitter.resident_bytes();
         total += self.prof.resident_bytes();
@@ -928,6 +983,11 @@ mod tests {
         assert_eq!(s.threads_of(ProcId(0)), &[t0, t1]);
         assert_eq!(s.live_threads(), 2);
         assert_eq!(s.live_on_core(CoreId(0)), 1);
+        // A one-thread process, after a process with none.
+        let t2 = s.create_thread(ProcId(2), NodeId(0), CoreId(2), Box::new(Nop));
+        assert_eq!(s.threads_of(ProcId(1)), &[]);
+        assert_eq!(s.threads_of(ProcId(2)), &[t2]);
+        assert_eq!(s.threads_of(ProcId(3)), &[]);
     }
 
     #[test]

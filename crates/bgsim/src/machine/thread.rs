@@ -80,34 +80,50 @@ pub struct ThreadStats {
 }
 
 /// A software thread.
+///
+/// The fields the op-completion path touches (completion event → next
+/// op → schedule) come first and fill the first two cache lines;
+/// identity and exit status follow. `align(64)` starts every record of
+/// the thread table on a line boundary, so at rack scale an event
+/// touches two lines of its thread. What the workload collects at op
+/// boundaries (results, receive info, signals) lives in the [`Inbox`]
+/// column beside the table.
+#[repr(C, align(64))]
 pub struct Thread {
-    pub tid: Tid,
-    pub proc: ProcId,
-    pub node: NodeId,
-    /// Fixed hardware-core affinity (CNK pins; FWK also pins in our model
-    /// to isolate noise effects, matching the paper's tuned-Linux setup).
-    pub core: CoreId,
     pub state: ThreadState,
-    pub workload: Option<Box<dyn Workload>>,
-    /// Result of the last completed op, consumed by the workload.
-    pub pending_ret: Option<SysRet>,
-    pub pending_recv: Option<RecvInfo>,
-    pub sig_queue: VecDeque<Sig>,
-    /// Remaining cycles of a preempted compute op.
-    pub resume_cycles: Option<u64>,
-    /// Whether the current op may be preempted mid-flight.
-    pub preemptible: bool,
-    /// MPI rank (main threads only).
-    pub rank: Option<Rank>,
-    pub stats: ThreadStats,
-    pub exit_code: Option<i32>,
-    /// Monotonic run-generation counter (invalidates stale completions).
-    pub gen_ctr: u32,
     /// Handle of the in-flight `OpDone` event for the current run
     /// generation, if any. Reschedule/preempt/kill paths cancel it in
     /// O(1) instead of leaving a stale event to be popped and discarded;
     /// the generation check stays as a backstop.
     pub pending_done: Option<crate::engine::EvHandle>,
+    /// Remaining cycles of a preempted compute op.
+    pub resume_cycles: Option<u64>,
+    pub workload: Option<Box<dyn Workload>>,
+    pub stats: ThreadStats,
+    pub node: NodeId,
+    /// Fixed hardware-core affinity (CNK pins; FWK also pins in our model
+    /// to isolate noise effects, matching the paper's tuned-Linux setup).
+    pub core: CoreId,
+    /// Monotonic run-generation counter (invalidates stale completions).
+    pub gen_ctr: u32,
+    /// Whether the current op may be preempted mid-flight.
+    pub preemptible: bool,
+    pub tid: Tid,
+    pub proc: ProcId,
+    /// MPI rank (main threads only).
+    pub rank: Option<Rank>,
+    pub exit_code: Option<i32>,
+}
+
+/// What a thread's workload picks up at its next op boundary. One per
+/// thread, in a column beside the thread table (`SimCore::inbox_mut`),
+/// so the bulky, rarely set fields stay off the completion path.
+#[derive(Debug, Default)]
+pub struct Inbox {
+    /// Result of the last completed op, consumed by the workload.
+    pub pending_ret: Option<SysRet>,
+    pub pending_recv: Option<RecvInfo>,
+    pub sig_queue: VecDeque<Sig>,
 }
 
 impl Thread {
@@ -119,22 +135,19 @@ impl Thread {
         workload: Box<dyn Workload>,
     ) -> Thread {
         Thread {
-            tid,
-            proc,
+            state: ThreadState::Idle,
+            pending_done: None,
+            resume_cycles: None,
+            workload: Some(workload),
+            stats: ThreadStats::default(),
             node,
             core,
-            state: ThreadState::Idle,
-            workload: Some(workload),
-            pending_ret: None,
-            pending_recv: None,
-            sig_queue: VecDeque::new(),
-            resume_cycles: None,
-            preemptible: false,
-            rank: None,
-            stats: ThreadStats::default(),
-            exit_code: None,
             gen_ctr: 0,
-            pending_done: None,
+            preemptible: false,
+            tid,
+            proc,
+            rank: None,
+            exit_code: None,
         }
     }
 
@@ -183,6 +196,25 @@ mod tests {
         assert!(ThreadState::Blocked(BlockKind::Futex).is_blocked());
         assert!(!ThreadState::Exited.is_live());
         assert!(ThreadState::Idle.is_live());
+    }
+
+    #[test]
+    fn hot_fields_share_the_first_two_cache_lines() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<Thread>(), 64);
+        assert_eq!(size_of::<Thread>(), 192, "three cache lines per thread");
+        let hot = [
+            offset_of!(Thread, state) + size_of::<ThreadState>(),
+            offset_of!(Thread, pending_done) + 16,
+            offset_of!(Thread, resume_cycles) + 16,
+            offset_of!(Thread, workload) + 16,
+            offset_of!(Thread, stats) + size_of::<ThreadStats>(),
+            offset_of!(Thread, node) + 4,
+            offset_of!(Thread, core) + 4,
+            offset_of!(Thread, gen_ctr) + 4,
+            offset_of!(Thread, preemptible) + 1,
+        ];
+        assert!(hot.iter().all(|&end| end <= 128), "{hot:?}");
     }
 
     #[test]

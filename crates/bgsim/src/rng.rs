@@ -55,44 +55,44 @@ impl RngHub {
     }
 }
 
-/// A lazily materialized column of per-entity streams (one per node,
-/// core, or I/O node). The seed of stream `i` is a pure function of
-/// `(master seed, name, i)` via [`RngHub::stream_for`], so nothing needs
-/// to exist until the first draw: an entity that never draws costs no
-/// memory, and the draw sequence is bit-identical to the old layout that
-/// eagerly stored one `SmallRng` per entity. Streams are only ever
-/// accessed by index (the map is never iterated), so the `HashMap`
-/// backing is determinism-neutral.
+/// A lazily materialized column of per-entity streams (one per node or
+/// I/O node), indexed densely by entity id. The seed of stream `i` is a
+/// pure function of `(master seed, name, i)` via [`RngHub::stream_for`],
+/// so a stream need not exist until its first draw, and the draw
+/// sequence is bit-identical to a column that eagerly stored one
+/// `SmallRng` per entity. The column grows to the highest id drawn so
+/// far; an entity below it that never draws holds an empty slot.
 #[derive(Clone, Debug)]
 pub struct LazyStreams {
     name: &'static str,
-    streams: std::collections::HashMap<u64, SmallRng>,
+    streams: Vec<Option<SmallRng>>,
 }
 
 impl LazyStreams {
     pub fn new(name: &'static str) -> LazyStreams {
         LazyStreams {
             name,
-            streams: std::collections::HashMap::new(),
+            streams: Vec::new(),
         }
     }
 
     /// The stream for entity `index`, materialized on first use.
-    pub fn get(&mut self, hub: &RngHub, index: u64) -> &mut SmallRng {
-        self.streams
-            .entry(index)
-            .or_insert_with(|| hub.stream_for(self.name, index))
+    #[inline]
+    pub fn get(&mut self, hub: &RngHub, index: usize) -> &mut SmallRng {
+        if index >= self.streams.len() {
+            self.streams.resize(index + 1, None);
+        }
+        self.streams[index].get_or_insert_with(|| hub.stream_for(self.name, index as u64))
     }
 
     /// Streams materialized so far.
     pub fn materialized(&self) -> usize {
-        self.streams.len()
+        self.streams.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Heap bytes currently held by materialized streams (approximate:
-    /// entry payload only, not `HashMap` bucket overhead).
+    /// Heap bytes currently held by the column.
     pub fn resident_bytes(&self) -> usize {
-        self.streams.capacity() * (std::mem::size_of::<(u64, SmallRng)>() + 8)
+        self.streams.capacity() * std::mem::size_of::<Option<SmallRng>>()
     }
 }
 
@@ -172,7 +172,7 @@ mod tests {
         // draw must match the eager column draw-for-draw.
         for &n in &[3u64, 0, 3, 7, 1, 1, 3, 0, 5, 7] {
             let want = eager[n as usize].gen::<u64>();
-            let got = lazy.get(&hub, n).gen::<u64>();
+            let got = lazy.get(&hub, n as usize).gen::<u64>();
             assert_eq!(want, got, "stream {n} diverged");
         }
         assert_eq!(lazy.materialized(), 5, "only touched entities exist");

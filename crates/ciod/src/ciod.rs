@@ -2,7 +2,9 @@
 //!
 //! One CIOD runs per I/O node, owning one ioproxy per compute-node
 //! process in its pset (the BG/P design — "on BG/P each MPI process has a
-//! dedicated I/O proxy process", §IV.A). It demultiplexes marshaled
+//! dedicated I/O proxy process", §IV.A). A proxy is created when its
+//! process ships its first request, so a process that never does I/O
+//! costs the I/O node nothing. The daemon demultiplexes marshaled
 //! requests from the collective network into the right proxy via a shared
 //! buffer, executes, and returns the marshaled reply.
 //!
@@ -19,7 +21,7 @@ use rand::rngs::SmallRng;
 use sysabi::{SysReq, SysRet};
 
 use crate::ioproxy::IoProxy;
-use crate::vfs::Vfs;
+use crate::vfs::{Ino, Vfs};
 use crate::wire;
 
 /// Baseline ION-side service cost in cycles (shared-buffer handoff +
@@ -68,10 +70,16 @@ impl Ciod {
         }
     }
 
-    /// Create the ioproxy for a compute-node process at job launch.
-    /// §IV.A's 1-to-1 mapping: one proxy per CN process.
-    pub fn attach_proc(&mut self, vfs: &Vfs, proc: u32, uid: u32, gid: u32) {
-        self.proxies.insert(proc, IoProxy::new(proc, uid, gid, vfs));
+    /// Create the ioproxy for a compute-node process, with its
+    /// credentials and std fds on `console`, unless it has one (§IV.A's
+    /// 1-to-1 mapping: one proxy per CN process). The CNK calls this at
+    /// the process's first shipped request: no request has reached the
+    /// proxy before, so a fresh one holds the process's whole I/O
+    /// state.
+    pub fn attach_proc(&mut self, vfs: &Vfs, proc: u32, uid: u32, gid: u32, console: Ino) {
+        self.proxies
+            .entry(proc)
+            .or_insert_with(|| IoProxy::with_console(proc, uid, gid, console, vfs.root()));
     }
 
     /// Drop a process's proxy at job teardown.
@@ -155,7 +163,7 @@ mod tests {
     fn wire_service_roundtrip() {
         let mut vfs = Vfs::new();
         let mut c = Ciod::new(0);
-        c.attach_proc(&vfs, 7, 1000, 100);
+        c.attach_proc(&vfs, 7, 1000, 100, vfs.console());
         let open = wire::encode_req(&SysReq::Open {
             path: "/out".into(),
             flags: OpenFlags::WRONLY | OpenFlags::CREAT,
@@ -191,7 +199,7 @@ mod tests {
     fn malformed_request_is_einval_not_crash() {
         let mut vfs = Vfs::new();
         let mut c = Ciod::new(0);
-        c.attach_proc(&vfs, 1, 0, 0);
+        c.attach_proc(&vfs, 1, 0, 0, vfs.console());
         let reply = c.service_wire(&mut vfs, 1, &[0xde, 0xad]);
         assert_eq!(
             wire::decode_ret(&reply).unwrap(),
@@ -203,8 +211,8 @@ mod tests {
     fn proxies_are_independent() {
         let mut vfs = Vfs::new();
         let mut c = Ciod::new(0);
-        c.attach_proc(&vfs, 1, 0, 0);
-        c.attach_proc(&vfs, 2, 0, 0);
+        c.attach_proc(&vfs, 1, 0, 0, vfs.console());
+        c.attach_proc(&vfs, 2, 0, 0, vfs.console());
         // proc 1 chdirs; proc 2's cwd must not move (mirrored per-process
         // state, §IV.A).
         c.service(
@@ -227,10 +235,32 @@ mod tests {
     }
 
     #[test]
+    fn attach_keeps_an_existing_proxy() {
+        let mut vfs = Vfs::new();
+        let mut c = Ciod::new(0);
+        c.attach_proc(&vfs, 1, 1000, 100, vfs.console());
+        c.service(
+            &mut vfs,
+            1,
+            &SysReq::Write {
+                fd: sysabi::Fd(1),
+                data: b"hi".to_vec(),
+            },
+        );
+        c.attach_proc(&vfs, 1, 0, 0, vfs.console());
+        let p = c.proxy(1).unwrap();
+        assert_eq!(
+            (p.uid, p.gid, p.console.as_slice()),
+            (1000, 100, &b"hi"[..])
+        );
+        assert_eq!(c.proxy_count(), 1);
+    }
+
+    #[test]
     fn detach_drops_proxy() {
         let vfs = Vfs::new();
         let mut c = Ciod::new(0);
-        c.attach_proc(&vfs, 1, 0, 0);
+        c.attach_proc(&vfs, 1, 0, 0, vfs.console());
         assert_eq!(c.proxy_count(), 1);
         let p = c.detach_proc(1).unwrap();
         assert_eq!(p.proc, 1);

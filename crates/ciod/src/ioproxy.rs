@@ -43,26 +43,24 @@ pub struct IoProxy {
 
 impl IoProxy {
     pub fn new(proc: u32, uid: u32, gid: u32, vfs: &Vfs) -> IoProxy {
-        let console_ino = vfs
-            .resolve(vfs.root(), "/dev/console")
-            .expect("vfs lacks /dev/console");
-        let mut fds = HashMap::new();
-        for fd in 0..3 {
-            fds.insert(
-                fd,
-                OpenFile {
-                    ino: console_ino,
-                    offset: 0,
-                    flags: OpenFlags::RDWR,
-                },
-            );
-        }
+        IoProxy::with_console(proc, uid, gid, vfs.console(), vfs.root())
+    }
+
+    /// A fresh proxy whose std fds 0–2 open `console` and whose working
+    /// directory is `root`: [`IoProxy::new`] without the path walk, for
+    /// callers that resolved the console already.
+    pub fn with_console(proc: u32, uid: u32, gid: u32, console: Ino, root: Ino) -> IoProxy {
+        let std_fd = OpenFile {
+            ino: console,
+            offset: 0,
+            flags: OpenFlags::RDWR,
+        };
         IoProxy {
             proc,
             uid,
             gid,
-            cwd: vfs.root(),
-            fds,
+            cwd: root,
+            fds: (0..3).map(|fd| (fd, std_fd)).collect(),
             next_fd: 3,
             console: Vec::new(),
         }

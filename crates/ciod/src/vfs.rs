@@ -101,6 +101,13 @@ impl Vfs {
         self.root
     }
 
+    /// The inode `/dev/console` names now: what a new ioproxy's std fds
+    /// open.
+    pub fn console(&self) -> Ino {
+        self.resolve(self.root, "/dev/console")
+            .expect("vfs lacks /dev/console")
+    }
+
     fn alloc(&mut self, inode: Inode) -> Ino {
         let i = Ino(self.inodes.len() as u64);
         self.inodes.push(inode);

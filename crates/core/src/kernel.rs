@@ -18,6 +18,7 @@ use bgsim::op::{CloneArgs, Op};
 use bgsim::rng::LazyStreams;
 use bgsim::telemetry::{Domain, Slot, TpKind};
 use bgsim::tlb::{Tlb, TlbEntry};
+use ciod::vfs::Ino;
 use ciod::{service_cycles, Ciod, RetryPolicy, Vfs};
 use sysabi::{
     CloneFlags, CoreId, Errno, FutexOp, JobSpec, MapFlags, NodeId, ProcId, Prot, Rank, Sig,
@@ -165,9 +166,13 @@ pub struct Cnk {
     procs: IdMap<Process>,
     next_proc: u32,
     vfs: Vfs,
-    /// CIOD daemons, grown on first attach/service per ION. Like
-    /// `persist`, ION state survives compute-chip resets.
+    /// CIOD daemons, grown on first service per ION. Like `persist`,
+    /// ION state survives compute-chip resets. A process's ioproxy is
+    /// created at its first shipped request, so launch builds none.
     ciods: Vec<Ciod>,
+    /// The `/dev/console` inode, resolved once per launch: the std fds
+    /// of every ioproxy the job's processes get.
+    console: Ino,
     /// ION count `ciods` is provisioned for (shape-change detector).
     ciod_count: usize,
     ion_rng: LazyStreams,
@@ -188,7 +193,9 @@ pub struct Cnk {
 
 impl Cnk {
     pub fn new(cfg: CnkConfig) -> Cnk {
+        let vfs = Vfs::new();
         Cnk {
+            console: vfs.console(),
             cfg,
             sched: Scheduler::new(0, 1),
             futexes: Vec::new(),
@@ -196,7 +203,7 @@ impl Cnk {
             persist_nodes: 0,
             procs: IdMap::new(),
             next_proc: 0,
-            vfs: Vfs::new(),
+            vfs,
             ciods: Vec::new(),
             ciod_count: 0,
             ion_rng: LazyStreams::new("ion-service"),
@@ -223,14 +230,26 @@ impl Cnk {
         &self.vfs
     }
 
-    /// The ioproxy console output of a process (job stdout).
+    /// The ioproxy console output of a process (job stdout): empty for
+    /// a process that never shipped a request, and `None` for no
+    /// process.
     pub fn console_of(&self, sc: &SimCore, proc: ProcId) -> Option<Vec<u8>> {
+        self.procs.get(proc.0 as u64)?;
+        let proxy = self.proxy_of(sc, proc);
+        Some(proxy.map_or_else(Vec::new, |p| p.console.clone()))
+    }
+
+    /// The CIOD daemon of I/O node `ion`: `None` until a request
+    /// reaches it.
+    pub fn ciod(&self, ion: usize) -> Option<&Ciod> {
+        self.ciods.get(ion)
+    }
+
+    /// A process's ioproxy: `None` until it ships its first request.
+    pub fn proxy_of(&self, sc: &SimCore, proc: ProcId) -> Option<&ciod::IoProxy> {
         let node = self.procs.get(proc.0 as u64)?.node;
         let ion = sc.coll.io_node_of(node) as usize;
-        self.ciods
-            .get(ion)?
-            .proxy(proc.0)
-            .map(|p| p.console.clone())
+        self.ciods.get(ion)?.proxy(proc.0)
     }
 
     pub fn process(&self, proc: ProcId) -> Option<&Process> {
@@ -507,7 +526,14 @@ impl Cnk {
         let ion = sc.coll.io_node_of(msg.src_node) as usize;
         let (ret, service) = match ciod::wire::decode_req(req_bytes) {
             Ok(req) => {
-                let ret = Self::ciod_at(&mut self.ciods, ion).service(&mut self.vfs, proc, &req);
+                let ciod = Self::ciod_at(&mut self.ciods, ion);
+                // The process's first shipped request creates its proxy.
+                // A request from a process that no longer exists finds
+                // none and is refused (ESRCH), as after a teardown.
+                if let Some(p) = self.procs.get(u64::from(proc)) {
+                    ciod.attach_proc(&self.vfs, proc, p.uid, p.gid, self.console);
+                }
+                let ret = ciod.service(&mut self.vfs, proc, &req);
                 (ret, service_cycles(&req))
             }
             Err(_) => {
@@ -516,7 +542,7 @@ impl Cnk {
             }
         };
         // The ION runs Linux: its service time jitters.
-        let jitter = Ciod::service_jitter(self.ion_rng.get(&sc.hub, ion as u64));
+        let jitter = Ciod::service_jitter(self.ion_rng.get(&sc.hub, ion));
         let mut delay = service + jitter;
         if self.cfg.bgl_io_mode {
             // BG/L-style single service thread: requests queue behind
@@ -656,7 +682,7 @@ impl Cnk {
     fn schedule_noise(&mut self, sc: &mut SimCore, node: NodeId, src_idx: usize, core_local: u32) {
         let delay = {
             let src = &self.cfg.injected_noise[src_idx];
-            src.next_delay(self.noise_rng.get(&sc.hub, node.0 as u64))
+            src.next_delay(self.noise_rng.get(&sc.hub, node.idx()))
         };
         sc.schedule_kernel_event_in(node, ((src_idx as u64) << 8) | core_local as u64, delay);
     }
@@ -825,8 +851,8 @@ impl Kernel for Cnk {
     ) -> Result<JobMap, LaunchError> {
         assert!(self.booted, "launch before boot");
         // Tear down the previous job: clear private memory (clean slate),
-        // unpin TLBs, detach proxies. `IdMap::keys` is ascending-id, so
-        // teardown runs in rank order.
+        // unpin TLBs, detach the proxies that exist. `IdMap::keys` is
+        // ascending-id, so teardown runs in rank order.
         let old: Vec<u64> = self.procs.keys().collect();
         for proc in old {
             let Some(p) = self.procs.remove(proc) else {
@@ -836,7 +862,9 @@ impl Kernel for Cnk {
                 let _ = sc.dram[p.node.idx()].clear_range(r.paddr, r.bytes);
             }
             let ion = sc.coll.io_node_of(p.node) as usize;
-            Self::ciod_at(&mut self.ciods, ion).detach_proc(proc as u32);
+            if let Some(c) = self.ciods.get_mut(ion) {
+                c.detach_proc(proc as u32);
+            }
         }
         for t in &mut sc.tlbs {
             t.reset();
@@ -880,6 +908,7 @@ impl Kernel for Cnk {
         )
         .map_err(|e| LaunchError::NoMemory(format!("{e:?}")))?;
 
+        self.console = self.vfs.console();
         // Pre-populate the ION filesystem with the dynamic libraries so
         // the ld.so model can open them.
         if img.dynamic {
@@ -910,17 +939,16 @@ impl Kernel for Cnk {
         let maps: Vec<Arc<StaticMap>> = maps.into_iter().map(Arc::new).collect();
         let mut images: Vec<Option<Arc<[TlbEntry]>>> = vec![None; maps.len()];
         let n_ranks = spec.nodes as usize * ppn as usize;
-        sc.threads.reserve(n_ranks);
+        sc.reserve_threads(n_ranks);
         self.procs.reserve(n_ranks);
         let mut ranks = Vec::with_capacity(n_ranks);
         for node in 0..spec.nodes {
             let node_id = NodeId(node);
-            let ion = sc.coll.io_node_of(node_id) as usize;
             for pi in 0..ppn {
                 let rank = Rank(node * ppn + pi);
                 let proc = ProcId(self.next_proc);
                 self.next_proc += 1;
-                let cores: Vec<CoreId> = (0..cpp)
+                let cores = (0..cpp)
                     .map(|c| sc.core_of(node_id, pi * cpp + c))
                     .collect();
                 let aspace = AddressSpace::new(maps[pi as usize].clone(), img.main_stack);
@@ -955,18 +983,13 @@ impl Kernel for Cnk {
                     .alloc_dac_slot(main_core, sc.cfg.chip.dac_pairs)
                     .expect("fresh core has DAC slots");
                 Self::arm_guard(sc, main_core, slot, brk0, brk0 + self.cfg.guard_bytes);
-                p.guards.insert(
-                    tid,
-                    Guard {
-                        lo: brk0,
-                        hi: brk0 + self.cfg.guard_bytes,
-                        slot,
-                        tracks_heap: true,
-                    },
-                );
+                p.heap_guard = Some(Guard {
+                    lo: brk0,
+                    hi: brk0 + self.cfg.guard_bytes,
+                    slot,
+                });
 
                 Self::pin_map(sc, &p, &mut images[pi as usize])?;
-                Self::ciod_at(&mut self.ciods, ion).attach_proc(&self.vfs, proc.0, p.uid, p.gid);
                 self.procs.insert(proc.0 as u64, p);
                 ranks.push(RankInfo {
                     rank,
@@ -1009,19 +1032,17 @@ impl Kernel for Cnk {
                 if newb > old {
                     let main_tid = p.main_tid;
                     let main_core = p.cores[0];
-                    if let Some(g) = p.guards.get_mut(&main_tid) {
-                        if g.tracks_heap {
-                            g.lo = newb;
-                            g.hi = newb + self.cfg.guard_bytes;
-                            let (lo, hi, slot) = (g.lo, g.hi, g.slot);
-                            if tid == main_tid {
-                                Self::arm_guard(sc, main_core, slot, lo, hi);
-                            } else {
-                                // "CNK issues an inter-processor interrupt
-                                // to the main thread in order to reposition
-                                // the guard area."
-                                sc.send_ipi(main_core, IPI_GUARD_REPOSITION);
-                            }
+                    if let Some(g) = p.heap_guard.as_mut() {
+                        g.lo = newb;
+                        g.hi = newb + self.cfg.guard_bytes;
+                        let (lo, hi, slot) = (g.lo, g.hi, g.slot);
+                        if tid == main_tid {
+                            Self::arm_guard(sc, main_core, slot, lo, hi);
+                        } else {
+                            // "CNK issues an inter-processor interrupt to
+                            // the main thread in order to reposition the
+                            // guard area."
+                            sc.send_ipi(main_core, IPI_GUARD_REPOSITION);
                         }
                     }
                 }
@@ -1098,7 +1119,7 @@ impl Kernel for Cnk {
             }
             SysReq::SetTidAddress { addr } => {
                 if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.clear_tid_addr.insert(tid, *addr);
+                    p.set_clear_tid(tid, *addr);
                 }
                 Self::done(SysRet::Val(tid.0 as i64), SYSCALL_BASE)
             }
@@ -1113,7 +1134,7 @@ impl Kernel for Cnk {
                     return Self::err(Errno::EINVAL, SYSCALL_BASE);
                 }
                 if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.sig.insert(*sig, *disposition);
+                    p.set_disposition(*sig, *disposition);
                 }
                 Self::done(SysRet::Val(0), SYSCALL_BASE + 60)
             }
@@ -1210,7 +1231,7 @@ impl Kernel for Cnk {
         let Some(p) = self.procs.get(proc_id.0 as u64) else {
             return (SysRet::Err(Errno::ESRCH), SYSCALL_BASE);
         };
-        let cores = p.cores.clone();
+        let cores = p.cores;
         // Placement: explicit hint (node-local core index) or the
         // least-loaded core of the process.
         let core = match core_hint {
@@ -1246,21 +1267,20 @@ impl Kernel for Cnk {
             .expect("invariant: spawn caller's process exists (it issued the clone)");
         p.live_threads += 1;
         if args.flags.contains(CloneFlags::CHILD_CLEARTID) {
-            p.clear_tid_addr.insert(tid, args.child_tid_addr);
+            p.set_clear_tid(tid, args.child_tid_addr);
         }
         // §IV.C: the last mprotect before clone becomes the new thread's
         // stack guard.
         if let Some((gaddr, glen)) = p.last_mprotect.take() {
             if let Some(slot) = p.alloc_dac_slot(core, sc.cfg.chip.dac_pairs) {
-                p.guards.insert(
+                p.stack_guards.push((
                     tid,
                     Guard {
                         lo: gaddr,
                         hi: gaddr + glen,
                         slot,
-                        tracks_heap: false,
                     },
-                );
+                ));
                 Self::arm_guard(sc, core, slot, gaddr, gaddr + glen);
             }
         }
@@ -1377,7 +1397,7 @@ impl Kernel for Cnk {
             p.live_threads = p.live_threads.saturating_sub(1);
             // CLONE_CHILD_CLEARTID: clear the tid word and wake joiners
             // (this is what makes pthread_join return).
-            if let Some(addr) = p.clear_tid_addr.remove(&tid) {
+            if let Some(addr) = p.take_clear_tid(tid) {
                 if let Some(pa) = p.aspace.translate(addr) {
                     let _ = sc.dram[node.idx()].write_u32(pa, 0);
                     let woken = self
@@ -1391,7 +1411,7 @@ impl Kernel for Cnk {
                 }
             }
             // Disarm the thread's guard.
-            if let Some(g) = p.guards.remove(&tid) {
+            if let Some(g) = p.take_guard(tid) {
                 let _ = sc.dacs[core.idx()].disarm(g.slot);
             }
         }
@@ -1412,10 +1432,7 @@ impl Kernel for Cnk {
         }
         let (cost, src_name) = {
             let src = &self.cfg.injected_noise[src_idx];
-            (
-                src.cost(self.noise_rng.get(&sc.hub, node.0 as u64)),
-                src.name,
-            )
+            (src.cost(self.noise_rng.get(&sc.hub, node.idx())), src.name)
         };
         let core = sc.core_of(node, core_local);
         sc.tel.count(sc.tel.ids.daemon_wakes, Slot::Core(core.0), 1);
@@ -1451,7 +1468,7 @@ impl Kernel for Cnk {
         let Some(p) = self.procs.get(proc_id.0 as u64) else {
             return;
         };
-        if let Some(g) = p.guards.get(&p.main_tid) {
+        if let Some(g) = &p.heap_guard {
             Self::arm_guard(sc, core, g.slot, g.lo, g.hi);
         }
     }

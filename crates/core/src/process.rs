@@ -1,6 +1,10 @@
 //! CNK process state.
-
-use std::collections::HashMap;
+//!
+//! A process's per-thread tables (guards, DAC-slot counters, clear-tid
+//! registrations, signal dispositions) hold a handful of entries at
+//! most, so they are short lists scanned linearly; its core list and
+//! the main thread's guard are inline. Launching a rank allocates only
+//! its DAC-slot list.
 
 use sysabi::{CoreId, NodeId, ProcId, Rank, Sig, SigDisposition, Tid};
 
@@ -13,9 +17,52 @@ pub struct Guard {
     pub hi: u64,
     /// The DAC slot on the thread's core.
     pub slot: u32,
-    /// The main-thread guard tracks the heap boundary and is repositioned
-    /// on brk growth.
-    pub tracks_heap: bool,
+}
+
+/// Most cores one process can hold: all four of a BG/P node (SMP mode).
+const MAX_CORES: usize = 4;
+
+/// The cores statically assigned to a process, held inline.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CoreList {
+    ids: [CoreId; MAX_CORES],
+    len: u8,
+}
+
+impl FromIterator<CoreId> for CoreList {
+    /// Panics past [`MAX_CORES`] cores.
+    fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> CoreList {
+        let mut list = CoreList {
+            ids: [CoreId(0); MAX_CORES],
+            len: 0,
+        };
+        for c in iter {
+            assert!(
+                (list.len as usize) < MAX_CORES,
+                "a process holds at most {MAX_CORES} cores"
+            );
+            list.ids[list.len as usize] = c;
+            list.len += 1;
+        }
+        list
+    }
+}
+
+impl std::ops::Deref for CoreList {
+    type Target = [CoreId];
+
+    fn deref(&self) -> &[CoreId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a CoreList {
+    type Item = &'a CoreId;
+    type IntoIter = std::slice::Iter<'a, CoreId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// One CNK process (an MPI task).
@@ -24,28 +71,33 @@ pub struct Process {
     pub proc: ProcId,
     pub node: NodeId,
     pub rank: Rank,
-    /// Cores statically assigned to this process.
-    pub cores: Vec<CoreId>,
+    /// Cores statically assigned to this process; the first is the main
+    /// thread's.
+    pub cores: CoreList,
     pub aspace: AddressSpace,
     pub uid: u32,
     pub gid: u32,
-    /// Signal dispositions.
-    pub sig: HashMap<Sig, SigDisposition>,
+    /// Signal dispositions set by `sigaction`; absent means default.
+    pub sig: Vec<(Sig, SigDisposition)>,
     /// §IV.C: "CNK remembers the last mprotect range and makes an
     /// assumption during the clone syscall that the last mprotect applies
     /// to the new thread" (its stack guard).
     pub last_mprotect: Option<(u64, u64)>,
     /// set_tid_address / CLONE_CHILD_CLEARTID registrations.
-    pub clear_tid_addr: HashMap<Tid, u64>,
-    /// Armed guard ranges per thread.
-    pub guards: HashMap<Tid, Guard>,
+    pub clear_tid_addr: Vec<(Tid, u64)>,
+    /// The main thread's guard at the heap boundary, repositioned on brk
+    /// growth (§IV.C); `None` once the main thread has exited.
+    pub heap_guard: Option<Guard>,
+    /// Stack guards of spawned threads (the last-mprotect convention).
+    pub stack_guards: Vec<(Tid, Guard)>,
     pub main_tid: Tid,
     /// Persistent-memory grant names from the job spec.
     pub persist_grants: Vec<String>,
     /// Live thread count (for exit_group bookkeeping).
     pub live_threads: u32,
-    /// Next DAC slot to hand out per core (slot 0 is the main guard).
-    next_dac_slot: HashMap<CoreId, u32>,
+    /// Next DAC slot to hand out per core (the heap guard takes the main
+    /// core's first).
+    next_dac_slot: Vec<(CoreId, u32)>,
 }
 
 impl Process {
@@ -53,7 +105,7 @@ impl Process {
         proc: ProcId,
         node: NodeId,
         rank: Rank,
-        cores: Vec<CoreId>,
+        cores: CoreList,
         aspace: AddressSpace,
         uid: u32,
         gid: u32,
@@ -66,34 +118,78 @@ impl Process {
             aspace,
             uid,
             gid,
-            sig: HashMap::new(),
+            sig: Vec::new(),
             last_mprotect: None,
-            clear_tid_addr: HashMap::new(),
-            guards: HashMap::new(),
+            clear_tid_addr: Vec::new(),
+            heap_guard: None,
+            stack_guards: Vec::new(),
             main_tid: Tid(u32::MAX),
             persist_grants: Vec::new(),
             live_threads: 0,
-            next_dac_slot: HashMap::new(),
+            next_dac_slot: Vec::new(),
         }
     }
 
     /// Effective disposition of a signal.
     pub fn disposition(&self, sig: Sig) -> SigDisposition {
-        self.sig.get(&sig).copied().unwrap_or_default()
+        self.sig
+            .iter()
+            .find(|(s, _)| *s == sig)
+            .map_or_else(SigDisposition::default, |&(_, d)| d)
     }
 
-    /// Heap bytes this process holds: its core list, guard and DAC-slot
-    /// tables, and its share of the slot's static map.
+    /// Set the disposition of a signal.
+    pub fn set_disposition(&mut self, sig: Sig, d: SigDisposition) {
+        match self.sig.iter_mut().find(|(s, _)| *s == sig) {
+            Some(e) => e.1 = d,
+            None => self.sig.push((sig, d)),
+        }
+    }
+
+    /// Forget `tid`'s guard, returning it for disarming.
+    pub fn take_guard(&mut self, tid: Tid) -> Option<Guard> {
+        if tid == self.main_tid {
+            return self.heap_guard.take();
+        }
+        let i = self.stack_guards.iter().position(|(t, _)| *t == tid)?;
+        Some(self.stack_guards.swap_remove(i).1)
+    }
+
+    /// Forget `tid`'s clear-tid registration, returning its address.
+    pub fn take_clear_tid(&mut self, tid: Tid) -> Option<u64> {
+        let i = self.clear_tid_addr.iter().position(|(t, _)| *t == tid)?;
+        Some(self.clear_tid_addr.swap_remove(i).1)
+    }
+
+    /// Register (or replace) `tid`'s clear-tid address.
+    pub fn set_clear_tid(&mut self, tid: Tid, addr: u64) {
+        match self.clear_tid_addr.iter_mut().find(|(t, _)| *t == tid) {
+            Some(e) => e.1 = addr,
+            None => self.clear_tid_addr.push((tid, addr)),
+        }
+    }
+
+    /// Heap bytes this process holds: its per-thread lists and its share
+    /// of the slot's static map.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.cores.capacity() * std::mem::size_of::<CoreId>()
-            + hash_bytes(&self.guards)
-            + hash_bytes(&self.next_dac_slot)
+        use std::mem::size_of;
+        self.sig.capacity() * size_of::<(Sig, SigDisposition)>()
+            + self.clear_tid_addr.capacity() * size_of::<(Tid, u64)>()
+            + self.stack_guards.capacity() * size_of::<(Tid, Guard)>()
+            + self.next_dac_slot.capacity() * size_of::<(CoreId, u32)>()
             + self.aspace.map_share_bytes()
     }
 
     /// Allocate a DAC slot on `core` for a new guard range.
     pub fn alloc_dac_slot(&mut self, core: CoreId, dac_pairs: u32) -> Option<u32> {
-        let next = self.next_dac_slot.entry(core).or_insert(0);
+        let i = match self.next_dac_slot.iter().position(|(c, _)| *c == core) {
+            Some(i) => i,
+            None => {
+                self.next_dac_slot.push((core, 0));
+                self.next_dac_slot.len() - 1
+            }
+        };
+        let next = &mut self.next_dac_slot[i].1;
         if *next >= dac_pairs {
             return None;
         }
@@ -101,12 +197,6 @@ impl Process {
         *next += 1;
         Some(s)
     }
-}
-
-/// Estimated table bytes of a hash map: one `(K, V)` slot plus a
-/// control byte per unit of capacity.
-fn hash_bytes<K, V>(m: &HashMap<K, V>) -> usize {
-    m.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 
 #[cfg(test)]
@@ -134,7 +224,7 @@ mod tests {
             ProcId(0),
             NodeId(0),
             Rank(0),
-            vec![CoreId(0), CoreId(1), CoreId(2), CoreId(3)],
+            (0..4).map(CoreId).collect(),
             AddressSpace::new(
                 std::sync::Arc::new(maps.into_iter().next().unwrap()),
                 8 << 20,

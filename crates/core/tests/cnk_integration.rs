@@ -496,6 +496,137 @@ fn heap_extension_repositions_main_guard_via_ipi() {
 }
 
 #[test]
+fn heap_guard_rearmed_by_ipi_after_a_spawned_thread_grows_the_heap() {
+    // The same §IV.C case, inspected mid-run: after the child's brk and
+    // the IPI, the main core's heap-guard slot watches the new boundary.
+    let cfg = CnkConfig::default();
+    let guard = cfg.guard_bytes;
+    let mut m = machine_with(cfg, 1, 13);
+    m.boot();
+    m.launch(&smp_spec(), &mut |_r: Rank| {
+        let mut step = 0;
+        wl(move |env| {
+            step += 1;
+            match step {
+                1 => Op::Syscall(SysReq::Brk { addr: 0 }),
+                2 => {
+                    let brk0 = env.take_ret().unwrap().val() as u64;
+                    Op::Spawn {
+                        args: bgsim::CloneArgs::nptl(0x7a00_0000, 0, 0),
+                        child: script(vec![Op::Syscall(SysReq::Brk {
+                            addr: brk0 + (1 << 20),
+                        })]),
+                        core_hint: Some(3),
+                    }
+                }
+                3 => Op::Compute { cycles: 200_000 },
+                _ => Op::End,
+            }
+        })
+    })
+    .unwrap();
+    let p = cnk_of(&m).process(ProcId(0)).unwrap();
+    let brk0 = p.aspace.heap.brk_addr();
+    let main_core = p.cores[0];
+    let armed = |m: &Machine| m.sc.dacs[main_core.idx()].armed();
+    assert_eq!(armed(&m)[0].lo, brk0, "launch arms the heap guard");
+    assert!(matches!(
+        m.run_until(100_000),
+        RunOutcome::ReachedCycle { .. }
+    ));
+    assert!(m.sc.stats.ipis >= 1, "the reposition must use an IPI");
+    let g = cnk_of(&m).process(ProcId(0)).unwrap().heap_guard.unwrap();
+    assert_eq!((g.lo, g.hi), (brk0 + (1 << 20), brk0 + (1 << 20) + guard));
+    let dac = armed(&m);
+    assert_eq!(dac.len(), 1);
+    assert_eq!((dac[0].lo, dac[0].hi, dac[0].slot), (g.lo, g.hi, g.slot));
+    assert!(m.run().completed());
+    // The main thread's exit disarmed its guard.
+    assert!(armed(&m).is_empty());
+    assert!(cnk_of(&m).process(ProcId(0)).unwrap().heap_guard.is_none());
+}
+
+#[test]
+fn ioproxies_are_built_at_the_first_shipped_request() {
+    // Four ranks over two I/O nodes; only rank 2 ships I/O.
+    let cfg = CnkConfig {
+        uid: 4242,
+        gid: 77,
+        ..CnkConfig::default()
+    };
+    let mut mc = MachineConfig::nodes(4).with_seed(21);
+    mc.io_ratio = 2;
+    let mut m = Machine::new(
+        mc,
+        Box::new(Cnk::new(cfg)),
+        Box::new(FixedLatencyComm::new()),
+    );
+    m.boot();
+    let spec = JobSpec::new(AppImage::static_test("app"), 4, NodeMode::Smp);
+    m.launch(&spec, &mut |r: Rank| {
+        if r != Rank(2) {
+            return script(vec![Op::Compute { cycles: 1_000 }]);
+        }
+        let mut step = 0;
+        wl(move |env| {
+            step += 1;
+            match step {
+                1 => Op::Syscall(SysReq::Read {
+                    fd: Fd::STDIN,
+                    len: 8,
+                }),
+                2 => {
+                    // fd 0 is the console: a read hits EOF.
+                    assert_eq!(env.take_ret(), Some(SysRet::Data(Vec::new())));
+                    Op::Syscall(SysReq::Write {
+                        fd: Fd::STDOUT,
+                        data: b"out ".to_vec(),
+                    })
+                }
+                3 => Op::Syscall(SysReq::Write {
+                    fd: Fd::STDERR,
+                    data: b"err".to_vec(),
+                }),
+                _ => Op::End,
+            }
+        })
+    })
+    .unwrap();
+    let k = cnk_of(&m);
+    assert!(
+        (0..2).all(|ion| k.ciod(ion).is_none()),
+        "launch built a daemon"
+    );
+    assert!((0..4).all(|p| k.proxy_of(&m.sc, ProcId(p)).is_none()));
+    assert!(m.run().completed());
+
+    let k = cnk_of(&m);
+    let proxy = k.proxy_of(&m.sc, ProcId(2)).expect("rank 2 shipped I/O");
+    assert_eq!((proxy.uid, proxy.gid), (4242, 77));
+    assert_eq!(proxy.open_fds(), 3, "std fds 0-2 only");
+    assert!(proxy.check_fds(k.vfs()).is_empty());
+    assert_eq!(k.console_of(&m.sc, ProcId(2)).unwrap(), b"out err");
+    for p in [0, 1, 3] {
+        assert!(k.proxy_of(&m.sc, ProcId(p)).is_none(), "proc {p}");
+        assert_eq!(k.console_of(&m.sc, ProcId(p)), Some(Vec::new()), "proc {p}");
+    }
+    let proxies = |k: &Cnk, ion| k.ciod(ion).map_or(0, ciod::Ciod::proxy_count);
+    assert_eq!(proxies(k, 0), 0, "ranks 0 and 1 never shipped a request");
+    assert_eq!(proxies(k, 1), 1);
+
+    // A relaunch tears down the one proxy.
+    m.launch(&spec, &mut |_r: Rank| {
+        script(vec![Op::Compute { cycles: 10 }])
+    })
+    .unwrap();
+    let k = cnk_of(&m);
+    assert_eq!(proxies(k, 0) + proxies(k, 1), 0);
+    assert_eq!(k.console_of(&m.sc, ProcId(2)), None, "old process is gone");
+    assert_eq!(k.console_of(&m.sc, ProcId(6)), Some(Vec::new()));
+    assert!(m.run().completed());
+}
+
+#[test]
 fn persistent_memory_survives_job_boundary_with_same_vaddr() {
     // §IV.D: run job 1, store a linked-list-ish structure in persistent
     // memory; job 2 re-attaches by name at the same virtual address and

@@ -381,7 +381,7 @@ impl CommModel for Dcmf {
                     Some(Unexpected::Eager {
                         src, bytes, tag, ..
                     }) => {
-                        sc.thread_mut(tid).pending_recv = Some(RecvInfo {
+                        sc.inbox_mut(tid).pending_recv = Some(RecvInfo {
                             from: src,
                             bytes,
                             tag,
@@ -397,7 +397,7 @@ impl CommModel for Dcmf {
                         let done = self.rndzv.get(&rid).is_some_and(|r| r.data_arrived);
                         if done {
                             let r = self.rndzv.remove(&rid).unwrap();
-                            sc.thread_mut(tid).pending_recv = Some(RecvInfo {
+                            sc.inbox_mut(tid).pending_recv = Some(RecvInfo {
                                 from: r.src,
                                 bytes: r.bytes,
                                 tag: r.tag,
@@ -572,7 +572,7 @@ impl CommModel for Dcmf {
                 bytes,
             } => match self.find_posted(dst, src, tag) {
                 Some(p) => {
-                    sc.thread_mut(p.tid).pending_recv = Some(RecvInfo {
+                    sc.inbox_mut(p.tid).pending_recv = Some(RecvInfo {
                         from: src,
                         bytes,
                         tag,
@@ -666,7 +666,7 @@ impl CommModel for Dcmf {
                 match r.receiver {
                     Some(recv_tid) => {
                         let r = self.rndzv.remove(&rid).unwrap();
-                        sc.thread_mut(recv_tid).pending_recv = Some(RecvInfo {
+                        sc.inbox_mut(recv_tid).pending_recv = Some(RecvInfo {
                             from: r.src,
                             bytes: r.bytes,
                             tag: r.tag,

@@ -283,7 +283,7 @@ impl Fwk {
     fn schedule_noise(&mut self, sc: &mut SimCore, node: NodeId, src_idx: usize, core_local: u32) {
         let delay = {
             let src = &self.cfg.noise[src_idx];
-            src.next_delay(self.noise_rng.get(&sc.hub, node.0 as u64))
+            src.next_delay(self.noise_rng.get(&sc.hub, node.idx()))
         };
         let tag = TAG_NOISE | ((src_idx as u64) << 8) | core_local as u64;
         sc.schedule_kernel_event_in(node, tag, delay);
@@ -327,8 +327,7 @@ impl Fwk {
         self.dirty_bytes[node.idx()] =
             self.dirty_bytes[node.idx()].saturating_add(req.outbound_bytes());
         let payload = req.outbound_bytes() + req.inbound_bytes();
-        let mut c =
-            IO_BASE + payload / 4 + ciod::vfs_jitter(self.io_rng.get(&sc.hub, node.0 as u64));
+        let mut c = IO_BASE + payload / 4 + ciod::vfs_jitter(self.io_rng.get(&sc.hub, node.idx()));
         if matches!(
             req,
             SysReq::Open { .. }
@@ -855,7 +854,7 @@ impl Kernel for Fwk {
                 }
                 let mut cost = {
                     let src = &self.cfg.noise[src_idx];
-                    src.cost(self.noise_rng.get(&sc.hub, node.0 as u64))
+                    src.cost(self.noise_rng.get(&sc.hub, node.idx()))
                 };
                 // The writeback daemon's firing grows with dirty data:
                 // ~1 extra cycle per 16 dirty bytes, split across its

@@ -19,8 +19,8 @@ use sysabi::{AppImage, JobSpec, NodeMode, Rank};
 use workloads::fwq::{FwqConfig, FwqSampler};
 
 const NODES: u32 = 4096;
-/// The estimate reads ~1.9 KiB/node at this size (`fig_scale`, 4096
-/// nodes: 1 958 B/node; the eager layout was ~15 KiB/node). Fail well
+/// The estimate reads ~1.4 KiB/node at this size (`fig_scale`, 4096
+/// nodes: 1 453 B/node; the eager layout was ~15 KiB/node). Fail well
 /// before we drift back toward eager.
 const BYTES_PER_NODE_BUDGET: usize = 8 << 10;
 
