@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Perf smoke: run the Fig. 8 near-neighbor sweep (64 nodes) on one
+# Perf smoke: run every experiment once through `bgbench` and check its
+# report. Then run the Fig. 8 near-neighbor sweep (64 nodes) on one
 # worker (--threads 1, the conformance oracle) and on the shard pool
 # (--threads 4) and fail if any trace digest or final cycle diverges.
 # Then run the FWQ figure (fig5_7) with the event-reduction fast path
@@ -14,15 +15,45 @@ set -euo pipefail
 out="${1:-perf-smoke}"
 mkdir -p "$out"
 
-bin=./target/release/fig8_throughput
-fwq=./target/release/fig5_7_fwq
+bgbench=./target/release/bgbench
 bgtop=./target/release/bgtop
-[ -x "$bin" ] || { echo "error: $bin not built (cargo build --release first)" >&2; exit 1; }
-[ -x "$fwq" ] || { echo "error: $fwq not built (cargo build --release first)" >&2; exit 1; }
+[ -x "$bgbench" ] || { echo "error: $bgbench not built (cargo build --release first)" >&2; exit 1; }
 [ -x "$bgtop" ] || { echo "error: $bgtop not built (cargo build --release first)" >&2; exit 1; }
 
-"$bin" --threads 1 --force --stats-out "$out/fig8_t1.json"
-"$bin" --threads 4 --force --stats-out "$out/fig8_t4.json" \
+# Every experiment at its default size (fig_scale at 64 and 512 nodes):
+# each must exit 0 with a schema-3 report carrying host.peak_rss_bytes;
+# the ones that simulate must carry digest.* strings, and all of those
+# but fig_scale (telemetry off) a profile.* block.
+for exp in fig5_7_fwq table1_latency fig8_throughput stability_linpack \
+    stability_allreduce table2_3_features boot_time repro_bringup \
+    noise_ablation noise_injection io_noise io_proxy_ablation \
+    l2_bank_ablation page_size_ablation fig_scale; do
+  args=()
+  [ "$exp" = fig_scale ] && args=(64 512)
+  rc=0
+  "$bgbench" "$exp" "${args[@]}" --force --stats-out "$out/all_$exp.json" >/dev/null || rc=$?
+  [ "$rc" -eq 0 ] || { echo "FAIL: bgbench $exp exited $rc" >&2; exit 1; }
+  python3 - "$out/all_$exp.json" "$exp" <<'EOF'
+import json, sys
+path, exp = sys.argv[1], sys.argv[2]
+r = json.load(open(path))
+assert r.get("bench") == exp, f"{path}: bench {r.get('bench')!r}"
+v = r.get("schema_version")
+assert v == 3, f"{path}: schema_version {v!r}, expected 3"
+s = r.get("scalars", {})
+assert "host.peak_rss_bytes" in s, f"{path}: no host.peak_rss_bytes scalar"
+simulates = exp not in ("table2_3_features", "boot_time", "page_size_ablation")
+digests = any(k.startswith("digest.") for k in r.get("strings", {}))
+profile = any(k.startswith("profile.") for k in s)
+assert digests == simulates, f"{path}: digest.* present={digests}, expected {simulates}"
+assert profile == (simulates and exp != "fig_scale"), \
+    f"{path}: profile.* present={profile}"
+EOF
+done
+echo "perf smoke OK: all 15 experiments ran and their reports check out"
+
+"$bgbench" fig8_throughput --threads 1 --force --stats-out "$out/fig8_t1.json"
+"$bgbench" fig8_throughput --threads 4 --force --stats-out "$out/fig8_t4.json" \
   --monitor-out "$out/fig8_mon.jsonl"
 
 # Schema gate: every stats report must carry schema_version 3, at least
@@ -109,8 +140,8 @@ echo "perf smoke OK: bgtop rendered $(wc -l < "$out/fig8_mon.jsonl") monitor sna
 # Fast path conformance + throughput: same figure, event reduction on
 # (default) and off. Digests and final cycles must match exactly;
 # host.<kernel>.sim_cycles_per_sec shows what the fast path buys.
-"$fwq" --threads 1 --force --stats-out "$out/fwq_fast.json"
-"$fwq" --threads 1 --no-fast-path --force --stats-out "$out/fwq_heap.json"
+"$bgbench" fig5_7_fwq --threads 1 --force --stats-out "$out/fwq_fast.json"
+"$bgbench" fig5_7_fwq --threads 1 --no-fast-path --force --stats-out "$out/fwq_heap.json"
 validate_schema "$out/fwq_fast.json"
 validate_schema "$out/fwq_heap.json"
 
@@ -141,18 +172,32 @@ echo "perf smoke OK: fast-path digests identical to the heap path"
 # backend to select) with a usage error, exit 2, instead of silently
 # running the default.
 rc=0
-"$fwq" --engine heap --force --stats-out "$out/bogus.json" 2>"$out/bogus.err" || rc=$?
+"$bgbench" fig5_7_fwq --engine heap --force --stats-out "$out/bogus.json" \
+  2>"$out/bogus.err" || rc=$?
 [ "$rc" -eq 2 ] || { echo "FAIL: --engine heap exited $rc, expected 2" >&2; exit 1; }
 grep -q -- "--engine" "$out/bogus.err" \
   || { echo "FAIL: the usage error did not name --engine" >&2; exit 1; }
 echo "perf smoke OK: unknown flag --engine rejected with exit 2"
 
+# A shared flag is refused by an experiment that does not honour it:
+# Table I takes no fault schedule, so --fault-seed is a usage error
+# naming the flag, not an unfaulted run that exits 0.
+rc=0
+"$bgbench" table1_latency --fault-seed 13 --force --stats-out "$out/refused.json" \
+  >/dev/null 2>"$out/refused.err" || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: table1_latency --fault-seed exited $rc, expected 2" >&2; exit 1; }
+grep -q -- "--fault-seed" "$out/refused.err" \
+  || { echo "FAIL: the usage error did not name --fault-seed" >&2; exit 1; }
+echo "perf smoke OK: table1_latency --fault-seed refused with exit 2"
+
 # ---- RAS fault-injection smoke ----------------------------------------------
 # 1) A seeded fault schedule must itself be thread-invariant: fig8 with
 #    --fault-seed under --threads 1 and --threads 4 must agree on every
 #    digest and final cycle.
-"$bin" --threads 1 --fault-seed 13 --force --stats-out "$out/fig8_fault_t1.json"
-"$bin" --threads 4 --fault-seed 13 --force --stats-out "$out/fig8_fault_t4.json"
+"$bgbench" fig8_throughput --threads 1 --fault-seed 13 --force \
+  --stats-out "$out/fig8_fault_t1.json"
+"$bgbench" fig8_throughput --threads 4 --fault-seed 13 --force \
+  --stats-out "$out/fig8_fault_t4.json"
 
 extract "$out/fig8_fault_t1.json" > "$out/fault_t1.keys"
 extract "$out/fig8_fault_t4.json" > "$out/fault_t4.keys"
@@ -176,11 +221,8 @@ echo "perf smoke OK: faulted digests identical across --threads 1/4 (and differ 
 #    flap inside the checkpoint burst): CNK must survive via the retry
 #    protocol (nonzero ciod.retries / ras.events), and the FWK's RAS
 #    recovery daemons must add noise relative to its no-fault run.
-ion=./target/release/io_noise
-[ -x "$ion" ] || { echo "error: $ion not built (cargo build --release first)" >&2; exit 1; }
-
-"$ion" 800 --force --stats-out "$out/io_clean.json" >/dev/null
-"$ion" 800 --fault-seed 13 --force --stats-out "$out/io_fault.json" >/dev/null
+"$bgbench" io_noise 800 --force --stats-out "$out/io_clean.json" >/dev/null
+"$bgbench" io_noise 800 --fault-seed 13 --force --stats-out "$out/io_fault.json" >/dev/null
 validate_schema "$out/io_clean.json"
 validate_schema "$out/io_fault.json"
 
@@ -216,11 +258,8 @@ echo "perf smoke OK: RAS fault smoke passed"
 # Gates: digests must agree across --threads 1/4 shard pools, and the
 # report must carry the scale.* memory block and the per-point set-up
 # and drop timings.
-scale=./target/release/fig_scale
-[ -x "$scale" ] || { echo "error: $scale not built (cargo build --release first)" >&2; exit 1; }
-
-"$scale" 64 512 --threads 1 --force --stats-out "$out/scale_t1.json" >/dev/null
-"$scale" 64 512 --threads 4 --force --stats-out "$out/scale_t4.json" >/dev/null
+"$bgbench" fig_scale 64 512 --threads 1 --force --stats-out "$out/scale_t1.json" >/dev/null
+"$bgbench" fig_scale 64 512 --threads 4 --force --stats-out "$out/scale_t4.json" >/dev/null
 
 extract "$out/scale_t1.json" > "$out/scale_t1.keys"
 extract "$out/scale_t4.json" > "$out/scale_t4.keys"

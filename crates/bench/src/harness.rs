@@ -1,22 +1,26 @@
-//! Shared experiment harness: one function per experiment, used by the
-//! per-figure binaries and by the regression tests.
+//! Simulations shared by the experiments and the regression tests: one
+//! function per workload family, each returning its figure value next to
+//! the run's [`SimRun`] record.
 
 use bgsim::cycles::cycles_to_us;
 use bgsim::fault::FaultSpec;
 use bgsim::machine::{Machine, Recorder, Workload};
+use bgsim::noise::NoiseSource;
 use bgsim::op::{ApiLayer, CommOp, Op, Protocol};
 use bgsim::script::wl;
 use bgsim::telemetry::{MetricsRegistry, ProfileSnapshot, Scope, Slot, Tracepoint};
 use bgsim::trace::TraceEvent;
-use bgsim::MachineConfig;
-use cnk::Cnk;
+use bgsim::{Kernel, MachineConfig};
+use cnk::{Cnk, CnkConfig};
 use dcmf::Dcmf;
 use fwk::{Fwk, FwkConfig};
 use sysabi::{AppImage, JobSpec, NodeId, NodeMode, Rank};
 use workloads::allreduce::AllreduceLoop;
-use workloads::fwq::{FwqConfig, FwqMain};
+use workloads::fwq::{FwqConfig, FwqMain, FwqSampler};
+use workloads::io_kernel::CheckpointApp;
 use workloads::linpack::{LinpackConfig, LinpackRank};
 use workloads::nn_exchange::{throughput_mbs, NnExchange};
+use workloads::nptl::PthreadCreate;
 
 /// Which kernel an experiment runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,7 +32,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    pub fn build(self) -> Box<dyn bgsim::Kernel> {
+    pub fn build(self) -> Box<dyn Kernel> {
         match self {
             KernelKind::Cnk => Box::new(Cnk::with_defaults()),
             KernelKind::Fwk => Box::new(Fwk::with_defaults()),
@@ -45,127 +49,135 @@ impl KernelKind {
     }
 }
 
-fn machine(kind: KernelKind, nodes: u32, seed: u64) -> Machine {
-    Machine::new(
-        MachineConfig::nodes(nodes).with_seed(seed).with_telemetry(),
-        kind.build(),
-        Box::new(Dcmf::with_defaults()),
+/// The record of one finished simulation: its determinism evidence
+/// (trace digest, final cycle), its host cost, and what its telemetry
+/// observed. Experiments hand these to the runner, which merges the
+/// profiles, sums cycles and events, and writes the tracepoints to
+/// `--trace-out`.
+pub struct SimRun {
+    pub digest: u64,
+    pub final_cycle: u64,
+    /// Heap events processed (the fast path retires most completions
+    /// without one).
+    pub events: u64,
+    /// Host wall seconds spent inside `Machine::run` only.
+    pub wall_seconds: f64,
+    pub nodes: u32,
+    /// Cycle-accounting profile (simulated quantities only, so it is
+    /// bit-identical across host thread counts). Empty for a run with
+    /// telemetry off: the rack sweep neither snapshots nor reports one.
+    pub profile: ProfileSnapshot,
+    /// Kernel tracepoints (empty with telemetry off).
+    pub tps: Vec<Tracepoint>,
+    /// The run's metrics registry, for the figures that read it.
+    pub stats: MetricsRegistry,
+}
+
+impl SimRun {
+    /// Run a booted, launched machine to its end and record it. The run
+    /// must complete unless its machine carries a fault schedule: a
+    /// machine check can kill a faulted job, and its digest and counters
+    /// are still the run's evidence.
+    pub fn run(m: &mut Machine) -> SimRun {
+        let t0 = std::time::Instant::now();
+        let out = m.run();
+        let wall_seconds = t0.elapsed().as_secs_f64();
+        assert!(
+            out.completed() || !m.sc.cfg.faults.is_empty(),
+            "run did not complete: {out:?}"
+        );
+        SimRun {
+            digest: m.trace_digest(),
+            final_cycle: out.at(),
+            events: m.sc.engine.processed(),
+            wall_seconds,
+            nodes: m.sc.cfg.nodes,
+            profile: if m.sc.tel.enabled() {
+                m.profile_snapshot()
+            } else {
+                ProfileSnapshot::default()
+            },
+            tps: m.sc.tel.events().to_vec(),
+            stats: m.sc.tel.take_metrics(),
+        }
+    }
+}
+
+/// Boot a machine with DCMF messaging and launch one SMP job of `ranks`
+/// ranks of `app` on it.
+pub(crate) fn launched(
+    cfg: MachineConfig,
+    kernel: Box<dyn Kernel>,
+    app: &str,
+    ranks: u32,
+    mut workload: impl FnMut(Rank) -> Box<dyn Workload>,
+) -> Machine {
+    let mut m = Machine::new(cfg, kernel, Box::new(Dcmf::with_defaults()));
+    m.boot();
+    m.launch(
+        &JobSpec::new(AppImage::static_test(app), ranks, NodeMode::Smp),
+        &mut workload,
     )
+    .expect("the job fits the machine");
+    m
+}
+
+fn fwq_series(rec: &Recorder) -> Vec<Vec<f64>> {
+    (0..4)
+        .map(|c| rec.series(&format!("fwq_core{c}")))
+        .collect()
 }
 
 // ---- Figs. 5-7: FWQ ---------------------------------------------------------
 
-/// Output of one FWQ run: the raw sample recorder plus the run's
-/// telemetry registry, post-processed with a per-core
-/// `fwq.sample_cycles` histogram (whose exact min/max/delta reproduce
-/// the Fig. 5–7 max-delta table without touching the raw series).
-pub struct FwqRun {
-    pub rec: Recorder,
-    pub stats: MetricsRegistry,
-    /// Kernel tracepoints from the run (for `--trace-out` export).
-    pub events: Vec<bgsim::telemetry::Tracepoint>,
-    /// Rolling trace digest — bit-identical fast path on or off.
-    pub digest: u64,
-    /// Final simulated cycle of the run.
-    pub final_cycle: u64,
-    /// Heap events actually processed (the fast path retires most
-    /// completions without one).
-    pub sim_events: u64,
-    /// Host wall seconds spent inside `Machine::run` only.
-    pub wall_seconds: f64,
-    /// Cycle-accounting profile (simulated quantities only, so it is
-    /// bit-identical across host thread counts and profiler runs).
-    pub profile: ProfileSnapshot,
-}
-
-impl FwqRun {
-    /// Per-core sample histogram (`fwq.sample_cycles.core{c}`).
-    pub fn core_hist(&self, core: u32) -> &bgsim::telemetry::Hist {
-        self.stats
-            .hist("fwq.sample_cycles", Slot::Core(core))
-            .expect("fwq.sample_cycles registered by run_fwq")
-    }
-}
-
-/// Run FWQ (4 threads on 4 cores, one node) with telemetry enabled;
-/// the recorder carries series `fwq_core{0..3}` (per-sample cycles).
-pub fn run_fwq(kind: KernelKind, samples: u32, seed: u64) -> FwqRun {
-    run_fwq_opts(kind, samples, seed, true)
-}
-
-/// [`run_fwq`] with the event-reduction fast path selectable, plus wall
-/// timing tightly around `Machine::run` — the measurement behind the
-/// fast-path speedup numbers (`--no-fast-path` baselines).
-pub fn run_fwq_opts(kind: KernelKind, samples: u32, seed: u64, fast_path: bool) -> FwqRun {
-    run_fwq_faulted(kind, samples, seed, fast_path, &FaultSpec::None)
-}
-
-/// [`run_fwq_opts`] under a fault schedule (`--fault-seed` /
-/// `--fault-script`). A faulted run is allowed to end without
-/// completing (a machine check can kill the job); the digest and
-/// counters are still meaningful outputs.
-pub fn run_fwq_faulted(
+/// Run FWQ (4 threads on 4 cores, one node) with telemetry on. Returns
+/// the per-core sample series and the run, whose registry gains a
+/// per-core `fwq.sample_cycles` histogram (its exact min/max/delta
+/// reproduce the Fig. 5–7 max-delta table). `fast_path` selects the
+/// event-reduction fast path (`--no-fast-path` baselines it).
+pub fn run_fwq(
     kind: KernelKind,
     samples: u32,
     seed: u64,
     fast_path: bool,
     faults: &FaultSpec,
-) -> FwqRun {
+) -> (Vec<Vec<f64>>, SimRun) {
     // Large runs get a small throwaway warmup first, so the timed run
     // measures steady state rather than process cold-start (text page
     // faults, allocator growth). Simulation outputs are deterministic
     // and unaffected; only `wall_seconds` is de-noised.
     if samples > 2_000 {
-        let warm = run_fwq_faulted(kind, 2_000, seed, fast_path, faults);
-        std::hint::black_box(warm.digest);
+        let warm = run_fwq(kind, 2_000, seed, fast_path, faults);
+        std::hint::black_box(warm.1.digest);
     }
-    let mut m = Machine::new(
-        faults.apply(
-            MachineConfig::nodes(1)
-                .with_seed(seed)
-                .with_telemetry()
-                .with_fast_path(fast_path),
-        ),
-        kind.build(),
-        Box::new(Dcmf::with_defaults()),
-    );
-    m.boot();
-    let rec = Recorder::new();
-    let rec2 = rec.clone();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("fwq"), 1, NodeMode::Smp),
-        &mut move |_r: Rank| {
-            Box::new(FwqMain::new(FwqConfig::quick(samples), rec2.clone(), 4)) as Box<dyn Workload>
-        },
-    )
-    .unwrap();
-    let t0 = std::time::Instant::now();
-    let out = m.run();
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    assert!(
-        out.completed() || faults.is_active(),
-        "FWQ did not complete: {out:?}"
-    );
-    // Fold the recorded samples into a registry histogram so consumers
-    // (tables, --stats-out dumps) read one uniform source.
-    let mut stats = m.sc.tel.take_metrics();
-    let h = stats.histogram("fwq.sample_cycles", Scope::PerCore);
-    for core in 0..4u32 {
-        for v in rec.series(&format!("fwq_core{core}")) {
-            stats.record(h, Slot::Core(core), v as u64);
+    let cfg = MachineConfig::nodes(1)
+        .with_seed(seed)
+        .with_telemetry()
+        .with_fast_path(fast_path);
+    let (series, mut run) = fwq(kind.build(), faults.apply(cfg), samples);
+    let h = run.stats.histogram("fwq.sample_cycles", Scope::PerCore);
+    for (core, s) in (0u32..).zip(&series) {
+        for &v in s {
+            run.stats.record(h, Slot::Core(core), v as u64);
         }
     }
-    let events = m.sc.tel.events().to_vec();
-    FwqRun {
-        rec,
-        stats,
-        events,
-        digest: m.trace_digest(),
-        final_cycle: out.at(),
-        sim_events: m.sc.engine.processed(),
-        wall_seconds,
-        profile: m.profile_snapshot(),
-    }
+    (series, run)
+}
+
+/// FWQ's main program on one node under any kernel: per-core series
+/// `fwq_core{0..3}` and the run.
+pub(crate) fn fwq(
+    kernel: Box<dyn Kernel>,
+    cfg: MachineConfig,
+    samples: u32,
+) -> (Vec<Vec<f64>>, SimRun) {
+    let rec = Recorder::new();
+    let rec2 = rec.clone();
+    let mut m = launched(cfg, kernel, "fwq", 1, move |_r| {
+        Box::new(FwqMain::new(FwqConfig::quick(samples), rec2.clone(), 4))
+    });
+    let run = SimRun::run(&mut m);
+    (fwq_series(&rec), run)
 }
 
 // ---- Table I: protocol latencies --------------------------------------------
@@ -218,126 +230,110 @@ impl LatencyRow {
     }
 }
 
-/// Measure one Table I row on CNK, 2 nodes, SMP mode, 8-byte payload.
-pub fn measure_latency_us(row: LatencyRow) -> f64 {
-    measure_latency_run(row).0
-}
-
-/// [`measure_latency_us`] plus the run's determinism/profile evidence
-/// (digest, final cycle, events, tracepoints) for the Table I bin's
-/// report and `--trace-out`.
-pub fn measure_latency_run(row: LatencyRow) -> (f64, SimRun) {
+/// Measure one Table I row on CNK, 2 nodes, SMP mode, 8-byte payload;
+/// returns the latency in µs and the run.
+pub fn measure_latency_us(row: LatencyRow) -> (f64, SimRun) {
     const PAYLOAD: u64 = 8;
-    let mut m = Machine::new(
-        MachineConfig::nodes(2)
-            .with_seed(42)
-            .with_trace()
-            .with_telemetry(),
-        Box::new(Cnk::with_defaults()),
-        Box::new(Dcmf::with_defaults()),
-    );
-    m.boot();
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("lat"), 2, NodeMode::Smp),
-        &mut move |r: Rank| {
-            let rec = rec2.clone();
-            let mut step = 0;
-            wl(move |env| {
-                step += 1;
-                if r.0 == 1 {
-                    let is_send = matches!(
-                        row,
-                        LatencyRow::DcmfEagerOneWay
-                            | LatencyRow::MpiEagerOneWay
-                            | LatencyRow::MpiRendezvousOneWay
-                    );
-                    if !is_send {
-                        return Op::End;
-                    }
-                    return match step {
-                        1 => {
-                            let layer = if row == LatencyRow::DcmfEagerOneWay {
-                                ApiLayer::Dcmf
-                            } else {
-                                ApiLayer::Mpi
-                            };
-                            Op::Comm(CommOp::Recv {
-                                from: Some(Rank(0)),
-                                tag: 1,
-                                layer,
-                            })
-                        }
-                        _ => {
-                            rec.record("recv_done", env.now() as f64);
-                            Op::End
-                        }
-                    };
+    let cfg = MachineConfig::nodes(2)
+        .with_seed(42)
+        .with_trace()
+        .with_telemetry();
+    let mut m = launched(cfg, Box::new(Cnk::with_defaults()), "lat", 2, move |r| {
+        let rec = rec2.clone();
+        let mut step = 0;
+        wl(move |env| {
+            step += 1;
+            if r.0 == 1 {
+                let is_send = matches!(
+                    row,
+                    LatencyRow::DcmfEagerOneWay
+                        | LatencyRow::MpiEagerOneWay
+                        | LatencyRow::MpiRendezvousOneWay
+                );
+                if !is_send {
+                    return Op::End;
                 }
-                match step {
-                    1 => Op::Compute { cycles: 50_000 },
-                    2 => {
-                        rec.record("issue", env.now() as f64);
-                        match row {
-                            LatencyRow::DcmfEagerOneWay => Op::Comm(CommOp::Send {
-                                to: Rank(1),
-                                bytes: PAYLOAD,
-                                tag: 1,
-                                proto: Protocol::Eager,
-                                layer: ApiLayer::Dcmf,
-                            }),
-                            LatencyRow::MpiEagerOneWay => Op::Comm(CommOp::Send {
-                                to: Rank(1),
-                                bytes: PAYLOAD,
-                                tag: 1,
-                                proto: Protocol::Eager,
-                                layer: ApiLayer::Mpi,
-                            }),
-                            LatencyRow::MpiRendezvousOneWay => Op::Comm(CommOp::Send {
-                                to: Rank(1),
-                                bytes: PAYLOAD,
-                                tag: 1,
-                                proto: Protocol::Rendezvous,
-                                layer: ApiLayer::Mpi,
-                            }),
-                            LatencyRow::DcmfPut => Op::Comm(CommOp::Put {
-                                to: Rank(1),
-                                bytes: PAYLOAD,
-                                layer: ApiLayer::Dcmf,
-                                blocking: false,
-                            }),
-                            LatencyRow::DcmfGet => Op::Comm(CommOp::Get {
-                                from: Rank(1),
-                                bytes: PAYLOAD,
-                                layer: ApiLayer::Dcmf,
-                            }),
-                            LatencyRow::ArmciBlockingPut => Op::Comm(CommOp::Put {
-                                to: Rank(1),
-                                bytes: PAYLOAD,
-                                layer: ApiLayer::Armci,
-                                blocking: true,
-                            }),
-                            LatencyRow::ArmciBlockingGet => Op::Comm(CommOp::Get {
-                                from: Rank(1),
-                                bytes: PAYLOAD,
-                                layer: ApiLayer::Armci,
-                            }),
-                        }
+                return match step {
+                    1 => {
+                        let layer = if row == LatencyRow::DcmfEagerOneWay {
+                            ApiLayer::Dcmf
+                        } else {
+                            ApiLayer::Mpi
+                        };
+                        Op::Comm(CommOp::Recv {
+                            from: Some(Rank(0)),
+                            tag: 1,
+                            layer,
+                        })
                     }
-                    3 => {
-                        rec.record("op_done", env.now() as f64);
-                        // Non-blocking put: outlive the remote completion.
-                        Op::Compute { cycles: 20_000 }
+                    _ => {
+                        rec.record("recv_done", env.now() as f64);
+                        Op::End
                     }
-                    _ => Op::End,
+                };
+            }
+            match step {
+                1 => Op::Compute { cycles: 50_000 },
+                2 => {
+                    rec.record("issue", env.now() as f64);
+                    match row {
+                        LatencyRow::DcmfEagerOneWay => Op::Comm(CommOp::Send {
+                            to: Rank(1),
+                            bytes: PAYLOAD,
+                            tag: 1,
+                            proto: Protocol::Eager,
+                            layer: ApiLayer::Dcmf,
+                        }),
+                        LatencyRow::MpiEagerOneWay => Op::Comm(CommOp::Send {
+                            to: Rank(1),
+                            bytes: PAYLOAD,
+                            tag: 1,
+                            proto: Protocol::Eager,
+                            layer: ApiLayer::Mpi,
+                        }),
+                        LatencyRow::MpiRendezvousOneWay => Op::Comm(CommOp::Send {
+                            to: Rank(1),
+                            bytes: PAYLOAD,
+                            tag: 1,
+                            proto: Protocol::Rendezvous,
+                            layer: ApiLayer::Mpi,
+                        }),
+                        LatencyRow::DcmfPut => Op::Comm(CommOp::Put {
+                            to: Rank(1),
+                            bytes: PAYLOAD,
+                            layer: ApiLayer::Dcmf,
+                            blocking: false,
+                        }),
+                        LatencyRow::DcmfGet => Op::Comm(CommOp::Get {
+                            from: Rank(1),
+                            bytes: PAYLOAD,
+                            layer: ApiLayer::Dcmf,
+                        }),
+                        LatencyRow::ArmciBlockingPut => Op::Comm(CommOp::Put {
+                            to: Rank(1),
+                            bytes: PAYLOAD,
+                            layer: ApiLayer::Armci,
+                            blocking: true,
+                        }),
+                        LatencyRow::ArmciBlockingGet => Op::Comm(CommOp::Get {
+                            from: Rank(1),
+                            bytes: PAYLOAD,
+                            layer: ApiLayer::Armci,
+                        }),
+                    }
                 }
-            })
-        },
-    )
-    .unwrap();
-    let out = m.run();
-    assert!(out.completed(), "{row:?}: {out:?}");
+                3 => {
+                    rec.record("op_done", env.now() as f64);
+                    // Non-blocking put: outlive the remote completion.
+                    Op::Compute { cycles: 20_000 }
+                }
+                _ => Op::End,
+            }
+        })
+    });
+    let run = SimRun::run(&mut m);
     let issue = rec.series("issue")[0];
     let cycles = match row {
         LatencyRow::DcmfEagerOneWay
@@ -361,172 +357,208 @@ pub fn measure_latency_run(row: LatencyRow) -> (f64, SimRun) {
             arrival - issue
         }
     };
-    let run = SimRun {
-        mbs: 0.0,
-        neighbors: 0,
-        digest: m.trace_digest(),
-        final_cycle: out.at(),
-        events: m.sc.engine.processed(),
-        profile: m.profile_snapshot(),
-        tps: m.sc.tel.events().to_vec(),
-    };
     (cycles_to_us(cycles as u64), run)
 }
 
 // ---- Fig. 8: near-neighbor rendezvous throughput -----------------------------
 
-/// Run the exchange on `nodes` nodes at one message size; returns
-/// (aggregate MB/s per node, neighbor count).
-pub fn nn_throughput(kind: KernelKind, nodes: u32, bytes: u64, seed: u64) -> (f64, usize) {
-    let run = nn_throughput_run(kind, nodes, bytes, seed);
-    (run.mbs, run.neighbors)
+/// Distinct torus neighbors of a node on an `nodes`-node machine.
+pub fn torus_neighbors(nodes: u32) -> usize {
+    bgsim::torus::Torus::new(&MachineConfig::nodes(nodes))
+        .neighbors(NodeId(0))
+        .len()
 }
 
-/// Result of one near-neighbor-exchange simulation, carrying the
-/// determinism evidence (trace digest, final cycle) and the host-side
-/// accounting (events processed, simulated cycle span) alongside the
-/// figure's bandwidth number.
-#[derive(Clone, Debug)]
-pub struct SimRun {
-    pub mbs: f64,
-    pub neighbors: usize,
-    pub digest: u64,
-    pub final_cycle: u64,
-    pub events: u64,
-    /// Cycle-accounting profile of the run (simulated quantities only).
-    pub profile: ProfileSnapshot,
-    /// Kernel tracepoints, when the run had telemetry on (for
-    /// `--trace-out` export); empty otherwise.
-    pub tps: Vec<Tracepoint>,
-}
-
-/// One NN-exchange simulation, fast path on, no faults.
-pub fn nn_throughput_run(kind: KernelKind, nodes: u32, bytes: u64, seed: u64) -> SimRun {
-    nn_throughput_run_faulted(kind, nodes, bytes, seed, true, &FaultSpec::None)
-}
-
-/// [`nn_throughput_run`] with the event-reduction fast path selectable
-/// (`--no-fast-path` digest cross-checks) under a fault schedule. With
-/// faults a rank can die before recording its sample; the bandwidth
-/// then reads 0 and the digest/cycle outputs remain the run's evidence.
-pub fn nn_throughput_run_faulted(
+/// Run the near-neighbor exchange on `nodes` nodes at one message size;
+/// returns the aggregate MB/s per node and the run. With faults a rank
+/// can die before recording its sample; the bandwidth then reads 0 and
+/// the digest and cycle remain the run's evidence.
+pub fn nn_throughput(
     kind: KernelKind,
     nodes: u32,
     bytes: u64,
     seed: u64,
     fast_path: bool,
     faults: &FaultSpec,
-) -> SimRun {
+) -> (f64, SimRun) {
     // Telemetry is pure observation (no event scheduling, no RNG), so
     // turning it on here leaves the pinned BENCH_*.json digests intact —
     // `tests/fault_injection.rs` re-checks that every run.
-    let cfg = faults.apply(
-        MachineConfig::nodes(nodes)
-            .with_seed(seed)
-            .with_telemetry()
-            .with_fast_path(fast_path),
-    );
-    let torus = bgsim::torus::Torus::new(&cfg);
-    let nb = torus.neighbors(NodeId(0)).len();
-    let mut m = Machine::new(cfg, kind.build(), Box::new(Dcmf::with_defaults()));
-    m.boot();
+    let cfg = MachineConfig::nodes(nodes)
+        .with_seed(seed)
+        .with_telemetry()
+        .with_fast_path(fast_path);
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("nn"), nodes, NodeMode::Smp),
-        &mut move |r: Rank| {
-            let cfg = MachineConfig::nodes(nodes);
-            let torus = bgsim::torus::Torus::new(&cfg);
-            let neighbors: Vec<Rank> = torus
-                .neighbors(NodeId(r.0))
-                .into_iter()
-                .map(|n| Rank(n.0))
-                .collect();
-            Box::new(NnExchange::new(r, neighbors, bytes, rec2.clone())) as Box<dyn Workload>
-        },
-    )
-    .unwrap();
-    let out = m.run();
-    assert!(out.completed() || faults.is_active(), "{out:?}");
+    let mut m = launched(faults.apply(cfg), kind.build(), "nn", nodes, move |r| {
+        let torus = bgsim::torus::Torus::new(&MachineConfig::nodes(nodes));
+        let neighbors: Vec<Rank> = torus
+            .neighbors(NodeId(r.0))
+            .into_iter()
+            .map(|n| Rank(n.0))
+            .collect();
+        Box::new(NnExchange::new(r, neighbors, bytes, rec2.clone()))
+    });
+    let run = SimRun::run(&mut m);
     let cycles = rec.series(&format!("nn_cycles_{bytes}")).first().copied();
-    SimRun {
-        mbs: cycles.map_or(0.0, |c| throughput_mbs(bytes, nb, c)),
-        neighbors: nb,
-        digest: m.trace_digest(),
-        final_cycle: out.at(),
-        events: m.sc.engine.processed(),
-        profile: m.profile_snapshot(),
-        tps: m.sc.tel.events().to_vec(),
-    }
+    let nb = torus_neighbors(nodes);
+    (cycles.map_or(0.0, |c| throughput_mbs(bytes, nb, c)), run)
 }
 
 // ---- §V.D stability ----------------------------------------------------------
 
-/// One LINPACK run; returns wall seconds (simulated).
-pub fn linpack_seconds(kind: KernelKind, nodes: u32, cfg: LinpackConfig, seed: u64) -> f64 {
-    linpack_run(kind, nodes, cfg, seed).0
-}
-
-/// [`linpack_seconds`] plus the run's determinism/profile evidence.
-pub fn linpack_run(kind: KernelKind, nodes: u32, cfg: LinpackConfig, seed: u64) -> (f64, SimRun) {
-    let mut m = machine(kind, nodes, seed);
-    m.boot();
+/// One LINPACK run; returns its simulated wall seconds and the run.
+pub fn linpack_seconds(
+    kind: KernelKind,
+    nodes: u32,
+    cfg: LinpackConfig,
+    seed: u64,
+) -> (f64, SimRun) {
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("hpl"), nodes, NodeMode::Smp),
-        &mut move |r: Rank| Box::new(LinpackRank::new(cfg, r.0, rec2.clone())) as Box<dyn Workload>,
-    )
-    .unwrap();
-    let out = m.run();
-    assert!(out.completed(), "{out:?}");
-    let run = SimRun {
-        mbs: 0.0,
-        neighbors: 0,
-        digest: m.trace_digest(),
-        final_cycle: out.at(),
-        events: m.sc.engine.processed(),
-        profile: m.profile_snapshot(),
-        tps: m.sc.tel.events().to_vec(),
-    };
+    let mcfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let mut m = launched(mcfg, kind.build(), "hpl", nodes, move |r| {
+        Box::new(LinpackRank::new(cfg, r.0, rec2.clone()))
+    });
+    let run = SimRun::run(&mut m);
     (rec.series("linpack_rank0")[0] / 850e6, run)
 }
 
-/// The allreduce loop; returns per-iteration times in µs.
-pub fn allreduce_samples_us(kind: KernelKind, nodes: u32, iters: u32, seed: u64) -> Vec<f64> {
-    allreduce_run(kind, nodes, iters, seed).0
-}
-
-/// Allreduce samples plus the run's determinism/host accounting: trace
-/// digest, final cycle, and engine events processed.
-pub fn allreduce_run(kind: KernelKind, nodes: u32, iters: u32, seed: u64) -> (Vec<f64>, SimRun) {
-    let mut m = machine(kind, nodes, seed);
-    m.boot();
+/// The allreduce loop; returns per-iteration times in µs and the run.
+pub fn allreduce_us(kind: KernelKind, nodes: u32, iters: u32, seed: u64) -> (Vec<f64>, SimRun) {
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("mpibench"), nodes, NodeMode::Smp),
-        &mut move |r: Rank| {
-            Box::new(AllreduceLoop::new(iters, r.0, rec2.clone())) as Box<dyn Workload>
-        },
-    )
-    .unwrap();
-    let out = m.run();
-    assert!(out.completed(), "{out:?}");
+    let cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let mut m = launched(cfg, kind.build(), "mpibench", nodes, move |r| {
+        Box::new(AllreduceLoop::new(iters, r.0, rec2.clone()))
+    });
+    let run = SimRun::run(&mut m);
     let samples = rec
         .series("allreduce_cycles")
         .iter()
         .map(|c| c / 850.0)
         .collect();
-    let run = SimRun {
-        mbs: 0.0,
-        neighbors: 0,
-        digest: m.trace_digest(),
-        final_cycle: out.at(),
-        events: m.sc.engine.processed(),
-        profile: m.profile_snapshot(),
-        tps: m.sc.tel.events().to_vec(),
-    };
+    (samples, run)
+}
+
+// ---- §V.A noise injection ----------------------------------------------------
+
+/// A bulk-synchronous loop on CNK with `noise` injected: `iters`
+/// iterations of a 1 ms compute quantum plus an 8-byte allreduce.
+/// Returns rank 0's total cycles and the run.
+pub fn bsp_runtime(nodes: u32, noise: Vec<NoiseSource>, iters: u32, seed: u64) -> (u64, SimRun) {
+    let kernel = Cnk::new(CnkConfig {
+        injected_noise: noise,
+        ..CnkConfig::default()
+    });
+    let rec = Recorder::new();
+    let rec2 = rec.clone();
+    let cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let mut m = launched(cfg, Box::new(kernel), "bsp", nodes, move |r| {
+        let rec = rec2.clone();
+        let mut i = 0;
+        let mut t0 = None;
+        wl(move |env| {
+            if t0.is_none() {
+                t0 = Some(env.now());
+            }
+            i += 1;
+            if i > 2 * iters {
+                if r.0 == 0 {
+                    rec.record("total", (env.now() - t0.unwrap()) as f64);
+                }
+                return Op::End;
+            }
+            if i % 2 == 1 {
+                // 1 ms work quantum.
+                Op::Compute { cycles: 850_000 }
+            } else {
+                Op::Comm(CommOp::Allreduce { bytes: 8 })
+            }
+        })
+    });
+    let run = SimRun::run(&mut m);
+    (rec.series("total")[0] as u64, run)
+}
+
+// ---- §IV.A I/O offload -------------------------------------------------------
+
+/// One node: FWQ samplers on cores 1-3 while the main thread on core 0
+/// writes `checkpoints` checkpoints (0: it ends once the samplers are
+/// spawned). Returns the per-core FWQ series (core 0's is empty) and
+/// the run.
+pub fn io_fwq(
+    kind: KernelKind,
+    samples: u32,
+    checkpoints: u32,
+    seed: u64,
+    faults: &FaultSpec,
+) -> (Vec<Vec<f64>>, SimRun) {
+    let rec = Recorder::new();
+    let rec2 = rec.clone();
+    let cfg = MachineConfig::single_node()
+        .with_seed(seed)
+        .with_telemetry();
+    let mut m = launched(faults.apply(cfg), kind.build(), "io-fwq", 1, move |_r| {
+        let rec = rec2.clone();
+        let mut creates: Vec<PthreadCreate> = (1..4)
+            .map(|core| {
+                PthreadCreate::new(
+                    Box::new(FwqSampler::new(
+                        FwqConfig::quick(samples),
+                        rec.clone(),
+                        core,
+                    )),
+                    Some(core),
+                )
+            })
+            .collect();
+        let mut io: Option<CheckpointApp> = None;
+        let mut done_spawning = false;
+        wl(move |env| {
+            if !done_spawning {
+                while let Some(c) = creates.first_mut() {
+                    if let Some(op) = c.step(env) {
+                        return op;
+                    }
+                    let finished = creates.remove(0);
+                    assert!(finished.created.is_some(), "{:?}", finished.error);
+                }
+                done_spawning = true;
+                if checkpoints > 0 {
+                    io = Some(CheckpointApp::new(0, checkpoints, Recorder::new()));
+                }
+            }
+            match io.as_mut() {
+                Some(app) => app.next(env),
+                None => Op::End,
+            }
+        })
+    });
+    let run = SimRun::run(&mut m);
+    (fwq_series(&rec), run)
+}
+
+/// Every rank of an `nodes`-node CNK job writes `phases` checkpoints at
+/// once through one I/O node, served by per-process ioproxies (BG/P) or
+/// one serialized CIOD thread (`bgl`). Returns every checkpoint's I/O
+/// cycles and the run.
+pub fn checkpoint_io(nodes: u32, bgl: bool, phases: u32, seed: u64) -> (Vec<f64>, SimRun) {
+    let mut cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    cfg.io_ratio = nodes; // one ION for the whole pset: worst case
+    let kernel = Cnk::new(CnkConfig {
+        bgl_io_mode: bgl,
+        ..CnkConfig::default()
+    });
+    let rec = Recorder::new();
+    let rec2 = rec.clone();
+    let mut m = launched(cfg, Box::new(kernel), "ckpt", nodes, move |r| {
+        Box::new(CheckpointApp::new(r.0, phases, rec2.clone()))
+    });
+    let run = SimRun::run(&mut m);
+    let samples = (0..nodes)
+        .flat_map(|r| rec.series(&format!("ckpt_io_cycles_rank{r}")))
+        .collect();
     (samples, run)
 }
 
@@ -538,7 +570,7 @@ mod tests {
     #[test]
     fn all_table1_rows_within_10_percent() {
         for row in LatencyRow::ALL {
-            let got = measure_latency_us(row);
+            let (got, _) = measure_latency_us(row);
             let want = row.paper_us();
             let err = (got - want).abs() / want;
             assert!(err < 0.10, "{}: {got:.3} vs {want} us", row.label());
@@ -547,16 +579,17 @@ mod tests {
 
     #[test]
     fn fwq_contrast_cnk_vs_fwk() {
-        let cnk = run_fwq(KernelKind::Cnk, 500, 1);
-        let fwk = run_fwq(KernelKind::Fwk, 500, 1);
-        let c0 = Summary::of(&cnk.rec.series("fwq_core0"));
-        let f0 = Summary::of(&fwk.rec.series("fwq_core0"));
+        let (cnk, _) = run_fwq(KernelKind::Cnk, 500, 1, true, &FaultSpec::None);
+        let (fwk_series, fwk) = run_fwq(KernelKind::Fwk, 500, 1, true, &FaultSpec::None);
+        let c0 = Summary::of(&cnk[0]);
+        let f0 = Summary::of(&fwk_series[0]);
         assert!(c0.max_variation_frac() < 0.0001);
         assert!(f0.max_variation_frac() > c0.max_variation_frac() * 10.0);
         // The registry histogram agrees exactly with the raw series.
-        assert_eq!(fwk.core_hist(0).min(), f0.min as u64);
-        assert_eq!(fwk.core_hist(0).max(), f0.max as u64);
-        assert_eq!(fwk.core_hist(0).count(), f0.n as u64);
+        let h = fwk.stats.hist("fwq.sample_cycles", Slot::Core(0)).unwrap();
+        assert_eq!(h.min(), f0.min as u64);
+        assert_eq!(h.max(), f0.max as u64);
+        assert_eq!(h.count(), f0.n as u64);
         // The Linux run's kernel daemons show up in the noise metrics.
         assert!(
             fwk.stats
@@ -568,8 +601,8 @@ mod tests {
 
     #[test]
     fn noiseless_fwk_sits_between() {
-        let quiet = run_fwq(KernelKind::FwkNoiseless, 500, 2);
-        let s = Summary::of(&quiet.rec.series("fwq_core0"));
+        let (quiet, _) = run_fwq(KernelKind::FwkNoiseless, 500, 2, true, &FaultSpec::None);
+        let s = Summary::of(&quiet[0]);
         // No daemons: variation collapses to the hardware jitter band.
         assert!(s.max_variation_frac() < 0.0001, "{s:?}");
     }

@@ -1,8 +1,12 @@
-//! Shared helpers for the benchmark harness binaries (summary statistics,
-//! table formatting, flag parsing, machine-readable reports). The
-//! per-figure binaries live in `src/bin/`.
+//! The paper's experiments and what they share: the runner's command
+//! line (`cli`), the experiments themselves and their one report path
+//! (`experiments`), the simulations they and the regression tests run
+//! (`harness`), reports, live monitoring, the shard pool, summary
+//! statistics and table formatting. `src/bin/bgbench.rs` runs one
+//! experiment; `src/bin/bgtop.rs` renders a live monitor file.
 
 pub mod cli;
+pub mod experiments;
 pub mod harness;
 pub mod monitor;
 pub mod par;

@@ -1,6 +1,6 @@
 //! Live state monitoring for long benchmark runs.
 //!
-//! A bin that accepts `--monitor-out <path>` builds a [`Monitor`] and
+//! An experiment run with `--monitor-out <path>` builds a [`Monitor`] and
 //! calls [`Monitor::publish`] as shards complete. Each publish adds
 //! one JSON line describing overall progress plus the merged
 //! cycle-accounting profile so far (per-domain totals and per-node heat
@@ -111,7 +111,7 @@ pub struct Monitor {
 impl Monitor {
     /// Create (truncating) the snapshot file. Honors the same
     /// overwrite guard as every other output flag; errors surface to
-    /// the caller (the bins exit nonzero like they do for stats).
+    /// the caller (the runner exits nonzero like it does for stats).
     pub fn create(path: &Path, bench: &str, force: bool) -> std::io::Result<Monitor> {
         crate::report::guard_overwrite(path, force)?;
         write_atomic(path, b"")?;
@@ -139,7 +139,7 @@ impl Monitor {
 
     /// Add one snapshot line and atomically rewrite the file.
     /// `done`/`total` count finished work units (shards, kernels,
-    /// message sizes — whatever the bin iterates); `snap` is the
+    /// message sizes — whatever the writer iterates); `snap` is the
     /// profile merged over everything finished so far.
     pub fn publish(&mut self, done: usize, total: usize, snap: &ProfileSnapshot) {
         self.seq += 1;

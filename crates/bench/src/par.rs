@@ -1,6 +1,6 @@
 //! A deterministic shard pool for the benchmark suite.
 //!
-//! Most bench binaries run many *independent* simulations (one per
+//! Most experiments run many *independent* simulations (one per
 //! message size, per kernel, per sample seed). Each simulation is
 //! internally deterministic, so the only thing a worker pool must
 //! guarantee is that results are collected **by shard index**, never by

@@ -1,11 +1,12 @@
-//! Machine-readable run reports for the benchmark binaries.
+//! Machine-readable run reports for the experiments.
 //!
-//! A [`Report`] collects the scalar results a bin prints as its ASCII
-//! table plus any telemetry [`MetricsRegistry`] captured from the runs,
-//! and renders them as JSON or as a gem5-style flat `stats.txt` dump.
-//! Every bin builds one and hands it to [`Report::emit`] with its
-//! parsed [`Cli`], which is what gives the whole suite a uniform
-//! `--stats-out <path>` / `--json` interface.
+//! A [`Report`] collects the scalar results an experiment prints as its
+//! ASCII table plus any telemetry [`MetricsRegistry`] captured from the
+//! runs, and renders them as JSON or as a gem5-style flat `stats.txt`
+//! dump. The runner (`crate::experiments::run`) hands every
+//! experiment's report to [`Report::emit`] with the parsed [`Cli`],
+//! which is what gives the whole suite a uniform `--stats-out <path>` /
+//! `--json` interface.
 
 use std::io::Write;
 
@@ -77,7 +78,7 @@ impl Report {
 
     /// Record the standard host-memory block: the process's peak
     /// resident set (high-water mark, so it covers the largest
-    /// configuration the bin ran) and, when `nodes` is known, the
+    /// configuration the experiment ran) and, when `nodes` is known, the
     /// amortized footprint per simulated node — the figure of merit for
     /// the rack-scale memory layout. Host-side quantities: they vary
     /// across machines and builds and are not digest material.
@@ -198,7 +199,7 @@ impl Report {
     /// [`Report::emit`], but a write failure (full disk, bad
     /// `--stats-out` directory, permissions) reports the offending path
     /// on stderr and exits nonzero instead of unwinding through a
-    /// panic. This is the call every bin's main ends with.
+    /// panic. This is the call every experiment run ends with.
     pub fn emit_or_exit(&self, cli: &Cli) {
         if let Err(e) = self.emit(cli) {
             let path = cli
@@ -212,16 +213,15 @@ impl Report {
     }
 }
 
-/// Write the Chrome/Perfetto trace bodies a bin captured to the
+/// Write the Chrome/Perfetto trace bodies an experiment captured to the
 /// `--trace-out` path, one file per `(suffix, body)` part. A no-op when
 /// `--trace-out` was not given. An empty suffix writes the path as-is;
 /// otherwise the suffix is inserted before the extension
 /// (`trace.json` + `"cnk"` → `trace.cnk.json`), which is how the
-/// multi-run bins keep their per-kernel traces apart. Honors the
+/// multi-run experiments keep their per-kernel traces apart. Honors the
 /// `--force` overwrite guard; a write failure reports the offending
-/// path on stderr and exits nonzero. Shared by all 14 bins so the flag
-/// behaves identically everywhere.
-pub fn emit_traces_or_exit(cli: &Cli, parts: &[(&str, String)]) {
+/// path on stderr and exits nonzero.
+pub fn emit_traces_or_exit(cli: &Cli, parts: &[(String, String)]) {
     let Some(path) = &cli.trace_out else { return };
     for (suffix, body) in parts {
         let mut p = path.clone();
@@ -303,9 +303,9 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 }
 
 /// Refuse to clobber an existing output file unless `--force` was
-/// given. Shared by `--stats-out` (via [`Report::emit`]) and the bins'
-/// `--trace-out` writers, so a rerun cannot silently overwrite a
-/// previous run's evidence.
+/// given. Shared by `--stats-out` (via [`Report::emit`]), `--trace-out`
+/// and `--monitor-out`, so a rerun cannot silently overwrite a previous
+/// run's evidence.
 pub fn guard_overwrite(path: &std::path::Path, force: bool) -> std::io::Result<()> {
     if !force && path.exists() {
         return Err(std::io::Error::new(
@@ -392,7 +392,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut cli = Cli::default();
         cli.trace_out = Some(dir.join("trace.json"));
-        emit_traces_or_exit(&cli, &[("", "[]".to_string()), ("cnk", "[1]".to_string())]);
+        emit_traces_or_exit(
+            &cli,
+            &[
+                (String::new(), "[]".to_string()),
+                ("cnk".to_string(), "[1]".to_string()),
+            ],
+        );
         assert_eq!(
             std::fs::read_to_string(dir.join("trace.json")).unwrap(),
             "[]"
@@ -403,7 +409,7 @@ mod tests {
         );
         // Re-running with --force overwrites in place.
         cli.force = true;
-        emit_traces_or_exit(&cli, &[("cnk", "[2]".to_string())]);
+        emit_traces_or_exit(&cli, &[("cnk".to_string(), "[2]".to_string())]);
         assert_eq!(
             std::fs::read_to_string(dir.join("trace.cnk.json")).unwrap(),
             "[2]"

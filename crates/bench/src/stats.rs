@@ -37,21 +37,6 @@ impl Summary {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with `bins` buckets plus
-/// an overflow bucket.
-pub fn histogram(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    let mut h = vec![0usize; bins + 1];
-    let w = (hi - lo) / bins as f64;
-    for &s in samples {
-        if s < lo {
-            continue;
-        }
-        let i = ((s - lo) / w) as usize;
-        h[i.min(bins)] += 1;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,15 +50,6 @@ mod tests {
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert!((s.stddev - (1.25f64).sqrt()).abs() < 1e-12);
         assert!((s.max_variation_frac() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = histogram(&[0.5, 1.5, 1.6, 9.9, 25.0], 0.0, 10.0, 10);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[1], 2);
-        assert_eq!(h[9], 1);
-        assert_eq!(h[10], 1); // overflow
     }
 
     #[test]

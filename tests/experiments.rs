@@ -1,23 +1,29 @@
 //! End-to-end regression of every paper experiment at reduced scale.
-//! The full-scale versions live in `crates/bench/src/bin/`; these tests
-//! pin the *shape* of each result so refactoring cannot silently break a
-//! reproduction.
+//! `bgbench <experiment>` runs the full-scale versions through the same
+//! `bench::harness` simulations; these tests pin the *shape* of each
+//! result, each at its own seed and size, so refactoring cannot
+//! silently break a reproduction.
 
 use bench::harness::{
-    allreduce_samples_us, linpack_seconds, measure_latency_us, nn_throughput, run_fwq, KernelKind,
-    LatencyRow,
+    allreduce_us, bsp_runtime, checkpoint_io, io_fwq, linpack_seconds, measure_latency_us,
+    nn_throughput, run_fwq, torus_neighbors, KernelKind, LatencyRow,
 };
 use bench::stats::Summary;
+use bgsim::fault::FaultSpec;
+use bgsim::telemetry::Slot;
 use workloads::linpack::LinpackConfig;
 
 #[test]
 fn fig5_fwk_noise_shape() {
-    let run = run_fwq(KernelKind::Fwk, 3_000, 0xF16);
+    let (_, run) = run_fwq(KernelKind::Fwk, 3_000, 0xF16, true, &FaultSpec::None);
     // Core 1 is the quiet core; 0, 2, 3 see daemon spikes (Fig. 5's
-    // per-core asymmetry). The registry histogram is the same data the
-    // bins export via --stats-out.
+    // per-core asymmetry). The registry histogram is the same data
+    // `bgbench fig5_7_fwq` exports via --stats-out.
     let delta = |c: u32| {
-        let h = run.core_hist(c);
+        let h = run
+            .stats
+            .hist("fwq.sample_cycles", Slot::Core(c))
+            .expect("fwq.sample_cycles registered by run_fwq");
         assert_eq!(h.min(), 658_958, "core {c} misses the paper's minimum");
         h.delta() as f64
     };
@@ -31,9 +37,9 @@ fn fig5_fwk_noise_shape() {
 
 #[test]
 fn fig6_fig7_cnk_noise_bound() {
-    let rec = run_fwq(KernelKind::Cnk, 3_000, 0xF17).rec;
-    for c in 0..4 {
-        let s = Summary::of(&rec.series(&format!("fwq_core{c}")));
+    let (series, _) = run_fwq(KernelKind::Cnk, 3_000, 0xF17, true, &FaultSpec::None);
+    for (c, samples) in series.iter().enumerate() {
+        let s = Summary::of(samples);
         assert_eq!(s.min, 658_958.0);
         // §V.A: < 0.006% maximum variation.
         assert!(
@@ -47,7 +53,7 @@ fn fig6_fig7_cnk_noise_bound() {
 #[test]
 fn table1_all_rows() {
     for row in LatencyRow::ALL {
-        let got = measure_latency_us(row);
+        let (got, _) = measure_latency_us(row);
         let want = row.paper_us();
         assert!(
             (got - want).abs() / want < 0.10,
@@ -63,20 +69,18 @@ fn fig8_throughput_curve() {
     let sizes = [4u64 << 10, 64 << 10, 1 << 20];
     let mut prev = 0.0;
     let mut last_cnk = 0.0;
-    let mut nb = 0;
     for &s in &sizes {
-        let (bw, n) = nn_throughput(KernelKind::Cnk, 8, s, 88);
+        let (bw, _) = nn_throughput(KernelKind::Cnk, 8, s, 88, true, &FaultSpec::None);
         assert!(bw > prev, "not rising at {s}: {bw} <= {prev}");
         prev = bw;
         last_cnk = bw;
-        nb = n;
     }
-    let peak = 2.0 * nb as f64 * 425.0;
+    let peak = 2.0 * torus_neighbors(8) as f64 * 425.0;
     assert!(
         last_cnk > 0.75 * peak,
         "no saturation: {last_cnk} of {peak}"
     );
-    let (fwk_bw, _) = nn_throughput(KernelKind::Fwk, 8, 1 << 20, 88);
+    let (fwk_bw, _) = nn_throughput(KernelKind::Fwk, 8, 1 << 20, 88, true, &FaultSpec::None);
     assert!(
         last_cnk > fwk_bw * 1.15,
         "CNK should beat Linux caps: {last_cnk} vs {fwk_bw}"
@@ -92,7 +96,7 @@ fn linpack_stability_contrast() {
     };
     let runs = |kind| -> Summary {
         let times: Vec<f64> = (0..6)
-            .map(|s| linpack_seconds(kind, 4, cfg, 0x11A + s))
+            .map(|s| linpack_seconds(kind, 4, cfg, 0x11A + s).0)
             .collect();
         Summary::of(&times)
     };
@@ -114,8 +118,8 @@ fn linpack_stability_contrast() {
 
 #[test]
 fn allreduce_stability_contrast() {
-    let cnk = Summary::of(&allreduce_samples_us(KernelKind::Cnk, 16, 500, 0xA1));
-    let fwk = Summary::of(&allreduce_samples_us(KernelKind::Fwk, 4, 2_000, 0xA1));
+    let cnk = Summary::of(&allreduce_us(KernelKind::Cnk, 16, 500, 0xA1).0);
+    let fwk = Summary::of(&allreduce_us(KernelKind::Fwk, 4, 2_000, 0xA1).0);
     assert!(cnk.stddev < 0.01, "cnk stddev {} us", cnk.stddev);
     // Paper: 8.9 µs; accept the right order of magnitude.
     assert!(
@@ -129,57 +133,10 @@ fn allreduce_stability_contrast() {
 fn noise_injection_amplifies_with_scale_and_granularity() {
     // The §V.A mechanism, via the CNK injection hook: equal-intensity
     // noise hurts more when coarse, and more at larger node counts.
-    use bgsim::machine::{Machine, Recorder};
     use bgsim::noise::NoiseSource;
-    use bgsim::op::{CommOp, Op};
-    use bgsim::script::wl;
-    use bgsim::MachineConfig;
-    use cnk::{Cnk, CnkConfig};
-    use dcmf::Dcmf;
-    use sysabi::{AppImage, JobSpec, NodeMode, Rank};
 
-    let bsp = |nodes: u32, noise: Vec<NoiseSource>| -> u64 {
-        let cfg = CnkConfig {
-            injected_noise: noise,
-            ..CnkConfig::default()
-        };
-        let mut m = Machine::new(
-            MachineConfig::nodes(nodes).with_seed(0xBEEF),
-            Box::new(Cnk::new(cfg)),
-            Box::new(Dcmf::with_defaults()),
-        );
-        m.boot();
-        let rec = Recorder::new();
-        let rec2 = rec.clone();
-        m.launch(
-            &JobSpec::new(AppImage::static_test("bsp"), nodes, NodeMode::Smp),
-            &mut move |r: Rank| {
-                let rec = rec2.clone();
-                let mut i = 0;
-                let mut t0 = None;
-                wl(move |env| {
-                    if t0.is_none() {
-                        t0 = Some(env.now());
-                    }
-                    i += 1;
-                    if i > 800 {
-                        if r.0 == 0 {
-                            rec.record("total", (env.now() - t0.unwrap()) as f64);
-                        }
-                        return Op::End;
-                    }
-                    if i % 2 == 1 {
-                        Op::Compute { cycles: 850_000 }
-                    } else {
-                        Op::Comm(CommOp::Allreduce { bytes: 8 })
-                    }
-                }) as Box<dyn bgsim::Workload>
-            },
-        )
-        .unwrap();
-        assert!(m.run().completed());
-        rec.series("total")[0] as u64
-    };
+    // 400 iterations of 1 ms compute + allreduce.
+    let bsp = |nodes: u32, noise: Vec<NoiseSource>| bsp_runtime(nodes, noise, 400, 0xBEEF).0;
 
     let slowdown = |nodes: u32, noise: Vec<NoiseSource>| -> f64 {
         let base = bsp(nodes, vec![]);
@@ -204,104 +161,30 @@ fn noise_injection_amplifies_with_scale_and_granularity() {
 #[test]
 fn io_offload_isolates_compute_noise() {
     // §IV.A: concurrent checkpointing perturbs FWQ on the FWK but not
-    // on CNK. (Scaled-down version of the io_noise bench.)
-    use bgsim::machine::{Machine, Recorder};
-    use bgsim::{MachineConfig, Workload};
-    use dcmf::Dcmf;
-    use sysabi::{AppImage, JobSpec, NodeMode, Rank};
-    use workloads::fwq::{FwqConfig, FwqSampler};
-    use workloads::io_kernel::CheckpointApp;
-    use workloads::nptl::PthreadCreate;
-
-    let run = |kernel: Box<dyn bgsim::Kernel>| -> f64 {
-        let mut m = Machine::new(
-            MachineConfig::single_node().with_seed(0x10),
-            kernel,
-            Box::new(Dcmf::with_defaults()),
-        );
-        m.boot();
-        let rec = Recorder::new();
-        let rec2 = rec.clone();
-        m.launch(
-            &JobSpec::new(AppImage::static_test("io-fwq"), 1, NodeMode::Smp),
-            &mut move |_r: Rank| {
-                let rec = rec2.clone();
-                let mut creates: Vec<PthreadCreate> = (1..4)
-                    .map(|core| {
-                        PthreadCreate::new(
-                            Box::new(FwqSampler::new(FwqConfig::quick(1_500), rec.clone(), core)),
-                            Some(core),
-                        )
-                    })
-                    .collect();
-                let mut io: Option<CheckpointApp> = None;
-                let mut done = false;
-                bgsim::script::wl(move |env| {
-                    if !done {
-                        while let Some(c) = creates.first_mut() {
-                            if let Some(op) = c.step(env) {
-                                return op;
-                            }
-                            creates.remove(0);
-                        }
-                        done = true;
-                        io = Some(CheckpointApp::new(0, 6, Recorder::new()));
-                    }
-                    io.as_mut().unwrap().next(env)
-                }) as Box<dyn bgsim::Workload>
-            },
-        )
-        .unwrap();
-        assert!(m.run().completed());
+    // on CNK. (Scaled-down version of `bgbench io_noise`: 1 500 samples,
+    // 6 checkpoints.)
+    let run = |kind| -> f64 {
+        let (series, _) = io_fwq(kind, 1_500, 6, 0x10, &FaultSpec::None);
         // Worst FWQ delta across cores 2 and 3 (the writeback cores).
-        (2..4)
-            .map(|c| {
-                let s = Summary::of(&rec.series(&format!("fwq_core{c}")));
+        series[2..4]
+            .iter()
+            .map(|s| {
+                let s = Summary::of(s);
                 s.max - s.min
             })
             .fold(0.0f64, f64::max)
     };
-    let cnk = run(Box::new(cnk::Cnk::with_defaults()));
-    let fwk = run(Box::new(fwk::Fwk::with_defaults()));
+    let cnk = run(KernelKind::Cnk);
+    let fwk = run(KernelKind::Fwk);
     assert!(cnk < 100.0, "CNK compute cores perturbed by I/O: {cnk}");
     assert!(fwk > 40_000.0, "FWK writeback coupling missing: {fwk}");
 }
 
 #[test]
 fn bgl_style_serialized_ciod_degrades_with_pset_size() {
-    use bgsim::machine::{Machine, Recorder};
-    use bgsim::{MachineConfig, Workload};
-    use cnk::{Cnk, CnkConfig};
-    use dcmf::Dcmf;
-    use sysabi::{AppImage, JobSpec, NodeMode, Rank};
-    use workloads::io_kernel::CheckpointApp;
-
+    // Two checkpoints per rank (`bgbench io_proxy_ablation` writes three).
     let mean_io = |nodes: u32, bgl: bool| -> f64 {
-        let mut mcfg = MachineConfig::nodes(nodes).with_seed(0x10B);
-        mcfg.io_ratio = nodes;
-        let kcfg = CnkConfig {
-            bgl_io_mode: bgl,
-            ..CnkConfig::default()
-        };
-        let mut m = Machine::new(
-            mcfg,
-            Box::new(Cnk::new(kcfg)),
-            Box::new(Dcmf::with_defaults()),
-        );
-        m.boot();
-        let rec = Recorder::new();
-        let rec2 = rec.clone();
-        m.launch(
-            &JobSpec::new(AppImage::static_test("ckpt"), nodes, NodeMode::Smp),
-            &mut move |r: Rank| {
-                Box::new(CheckpointApp::new(r.0, 2, rec2.clone())) as Box<dyn Workload>
-            },
-        )
-        .unwrap();
-        assert!(m.run().completed());
-        let all: Vec<f64> = (0..nodes)
-            .flat_map(|r| rec.series(&format!("ckpt_io_cycles_rank{r}")))
-            .collect();
+        let (all, _) = checkpoint_io(nodes, bgl, 2, 0x10B);
         all.iter().sum::<f64>() / all.len() as f64
     };
     let bgp = mean_io(8, false);

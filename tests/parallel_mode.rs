@@ -2,8 +2,9 @@
 //! bench suite's `--threads N`) must return results independent of
 //! worker count.
 
-use bench::harness::{nn_throughput_run, KernelKind};
+use bench::harness::{nn_throughput, KernelKind};
 use bench::par::run_shards;
+use bgsim::fault::FaultSpec;
 
 #[test]
 fn shard_pool_is_thread_count_invariant() {
@@ -21,7 +22,7 @@ fn shard_pool_is_thread_count_invariant() {
             .iter()
             .map(|&(kind, bytes)| {
                 move || {
-                    let r = nn_throughput_run(kind, 8, bytes, 8);
+                    let (_, r) = nn_throughput(kind, 8, bytes, 8, true, &FaultSpec::None);
                     (r.digest, r.final_cycle)
                 }
             })
