@@ -21,7 +21,7 @@ use bgsim::noise::NoiseSource;
 use bgsim::op::{ApiLayer, CommOp, Op, Protocol};
 use bgsim::scan::{ScanTarget, Waveform};
 use bgsim::script::script;
-use bgsim::telemetry::{chrome_trace_json, ProfileSnapshot, Slot};
+use bgsim::telemetry::{ProfileSnapshot, Slot};
 use bgsim::trace::TraceEvent;
 use bgsim::{ChipConfig, MachineConfig};
 use cnk::mem::{partition_node, ProcRequirements};
@@ -39,7 +39,7 @@ use crate::harness::{
 };
 use crate::monitor::Monitor;
 use crate::par::run_shards;
-use crate::report::{emit_traces_or_exit, peak_rss_bytes, Report};
+use crate::report::{chrome_trace_json, emit_traces_or_exit, peak_rss_bytes, Report};
 use crate::stats::Summary;
 use crate::table::render;
 
@@ -227,7 +227,7 @@ impl Ctx<'_> {
                         let (m, acc, done) = &mut *guard;
                         acc.merge(&out.1.profile);
                         *done += 1;
-                        m.publish(*done, total, acc);
+                        m.publish(*done, total, acc, None);
                     }
                     out
                 }

@@ -23,8 +23,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use bgsim::telemetry::{json_escape, ProfileSnapshot};
+use bgsim::telemetry::ProfileSnapshot;
 
+use crate::json::{self, Json, Writer};
 use crate::report::{write_atomic, SCHEMA_VERSION};
 
 /// One node of a live state-monitor tree (the Ouisync `state_monitor`
@@ -67,10 +68,10 @@ impl StateNode {
         inner.values.insert(key.to_string(), value.to_string());
     }
 
-    /// Render the subtree as one JSON object:
+    /// Write the subtree as one JSON object:
     /// `{"values":{...},"children":{"name":{...}}}` with keys in sorted
     /// order (BTreeMap), so renders are stable for tests and diffs.
-    pub fn to_json(&self) -> String {
+    fn write(&self, w: &mut Writer) {
         // Snapshot this node under its lock, then recurse *after*
         // releasing it — child locks are only ever taken while no
         // ancestor lock is held by this walker.
@@ -78,22 +79,16 @@ impl StateNode {
             let inner = self.0.lock().unwrap_or_else(|e| e.into_inner());
             (inner.values.clone(), inner.children.clone())
         };
-        let mut out = String::from("{\"values\":{");
-        for (i, (k, v)) in values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+        w.obj().key("values").obj();
+        for (k, v) in &values {
+            w.key(k).str(v);
         }
-        out.push_str("},\"children\":{");
-        for (i, (k, c)) in children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), c.to_json()));
+        w.end_obj().key("children").obj();
+        for (k, c) in &children {
+            w.key(k);
+            c.write(w);
         }
-        out.push_str("}}");
-        out
+        w.end_obj().end_obj();
     }
 }
 
@@ -139,25 +134,11 @@ impl Monitor {
 
     /// Add one snapshot line and atomically rewrite the file.
     /// `done`/`total` count finished work units (shards, kernels,
-    /// message sizes — whatever the writer iterates); `snap` is the
-    /// profile merged over everything finished so far.
-    pub fn publish(&mut self, done: usize, total: usize, snap: &ProfileSnapshot) {
-        self.seq += 1;
-        let line = snapshot_json(&self.bench, self.seq, done, total, snap);
-        self.lines.push_str(&line);
-        self.lines.push('\n');
-        // A failed publish must not kill the benchmark mid-run; the
-        // monitor is advisory. Note it once on stderr and move on.
-        if write_atomic(&self.path, self.lines.as_bytes()).is_err() && !self.warned {
-            self.warned = true;
-            eprintln!("warning: monitor snapshot write failed; live view will be stale");
-        }
-    }
-
-    /// [`Monitor::publish`] with a state-monitor tree embedded: the
-    /// snapshot line gains a `"state"` object rendering `state` at
-    /// publish time. `None` degrades to a plain snapshot.
-    pub fn publish_with_state(
+    /// message sizes, service jobs: whatever the writer iterates);
+    /// `snap` is the profile merged over everything finished so far.
+    /// A `state` tree is embedded as the line's `"state"` object,
+    /// rendered at publish time.
+    pub fn publish(
         &mut self,
         done: usize,
         total: usize,
@@ -165,13 +146,9 @@ impl Monitor {
         state: Option<&StateNode>,
     ) {
         self.seq += 1;
-        let line = snapshot_json_with_state(&self.bench, self.seq, done, total, snap, state);
-        self.lines.push_str(&line);
-        self.lines.push('\n');
-        if write_atomic(&self.path, self.lines.as_bytes()).is_err() && !self.warned {
-            self.warned = true;
-            eprintln!("warning: monitor snapshot write failed; live view will be stale");
-        }
+        let mut w = Writer::default();
+        write_snapshot(&mut w, &self.bench, self.seq, done, total, snap, state);
+        self.append(&w.finish());
     }
 
     /// Append one *event* line — a complete JSON object carrying a
@@ -180,11 +157,17 @@ impl Monitor {
     /// `malformed_snapshots` does not count them.
     pub fn event(&mut self, line: &str) {
         debug_assert!(
-            parse_json(line).is_ok_and(|v| v.get("event").and_then(Json::str).is_some()),
+            json::parse(line).is_ok_and(|v| v.get("event").and_then(Json::str).is_some()),
             "monitor events must be JSON objects with a string \"event\" field"
         );
+        self.append(line);
+    }
+
+    fn append(&mut self, line: &str) {
         self.lines.push_str(line);
         self.lines.push('\n');
+        // A failed publish must not kill the benchmark mid-run; the
+        // monitor is advisory. Note it once on stderr and move on.
         if write_atomic(&self.path, self.lines.as_bytes()).is_err() && !self.warned {
             self.warned = true;
             eprintln!("warning: monitor snapshot write failed; live view will be stale");
@@ -199,7 +182,7 @@ impl Monitor {
 /// complete snapshot wins. Never panics on adversarial input.
 pub fn last_snapshot(text: &str) -> Option<Json> {
     text.lines().rev().find_map(|l| {
-        let v = parse_json(l.trim()).ok()?;
+        let v = json::parse(l.trim()).ok()?;
         (v.path_num(&["seq"]).is_some() && v.path_num(&["total"]).is_some()).then_some(v)
     })
 }
@@ -213,7 +196,7 @@ pub fn last_snapshot(text: &str) -> Option<Json> {
 pub fn malformed_snapshots(text: &str) -> usize {
     text.lines()
         .filter(|l| {
-            parse_json(l.trim()).is_ok_and(|v| {
+            json::parse(l.trim()).is_ok_and(|v| {
                 v.get("event").and_then(Json::str).is_none()
                     && (v.path_num(&["seq"]).is_none() || v.path_num(&["total"]).is_none())
             })
@@ -229,260 +212,51 @@ pub fn snapshot_json(
     total: usize,
     snap: &ProfileSnapshot,
 ) -> String {
-    snapshot_json_with_state(bench, seq, done, total, snap, None)
+    let mut w = Writer::default();
+    write_snapshot(&mut w, bench, seq, done, total, snap, None);
+    w.finish()
 }
 
-/// [`snapshot_json`] plus an optional embedded state-monitor tree
-/// (rendered as a top-level `"state"` object).
-pub fn snapshot_json_with_state(
+/// Write one monitor snapshot as the next value of `w`, with `state`
+/// embedded as a top-level `"state"` object when given (bgserve embeds
+/// the snapshot in its `telemetry` lines this way).
+pub fn write_snapshot(
+    w: &mut Writer,
     bench: &str,
     seq: u64,
     done: usize,
     total: usize,
     snap: &ProfileSnapshot,
     state: Option<&StateNode>,
-) -> String {
-    let mut out = format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"bench\":\"{}\",\"seq\":{seq},\
-         \"done\":{done},\"total\":{total},\"profile\":{{\"enabled\":{},\"domains\":{{",
-        json_escape(bench),
-        snap.enabled
-    );
-    for (i, (label, d)) in snap.domains_labeled().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{label}\":{{\"events\":{},\"cycles\":{}}}",
-            d.events, d.cycles
-        ));
+) {
+    w.obj().key("schema_version").u64(SCHEMA_VERSION.into());
+    w.key("bench").str(bench).key("seq").u64(seq);
+    w.key("done").u64(done as u64);
+    w.key("total").u64(total as u64);
+    w.key("profile").obj().key("enabled").bool(snap.enabled);
+    w.key("domains").obj();
+    for (label, d) in snap.domains_labeled() {
+        w.key(label).obj().key("events").u64(d.events);
+        w.key("cycles").u64(d.cycles).end_obj();
     }
-    out.push_str(&format!(
-        "}},\"heat\":{{\"events\":{},\"cycles\":{},\"messages\":{},\"peak_live_msgs\":{}}},\"nodes\":[",
-        snap.total_events(),
-        snap.total_cycles(),
-        snap.total_messages(),
-        snap.peak_live_msgs()
-    ));
+    w.end_obj().key("heat").obj();
+    w.key("events").u64(snap.total_events());
+    w.key("cycles").u64(snap.total_cycles());
+    w.key("messages").u64(snap.total_messages());
+    w.key("peak_live_msgs").u64(snap.peak_live_msgs());
+    w.end_obj().key("nodes").arr();
     for (i, n) in snap.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"node\":{i},\"events\":{},\"cycles\":{},\"messages\":{},\"peak_live\":{}}}",
-            n.events, n.cycles, n.messages, n.peak_live_msgs
-        ));
+        w.obj().key("node").u64(i as u64);
+        w.key("events").u64(n.events).key("cycles").u64(n.cycles);
+        w.key("messages").u64(n.messages);
+        w.key("peak_live").u64(n.peak_live_msgs).end_obj();
     }
-    out.push_str("]}");
+    w.end_arr().end_obj();
     if let Some(state) = state {
-        out.push_str(&format!(",\"state\":{}", state.to_json()));
+        w.key("state");
+        state.write(w);
     }
-    out.push('}');
-    out
-}
-
-/// A parsed JSON value — just enough of the grammar for `bgtop` to read
-/// monitor lines back without an external dependency.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// `obj.get(a).get(b)...num()` as one call, for dotted lookups.
-    pub fn path_num(&self, path: &[&str]) -> Option<f64> {
-        let mut v = self;
-        for k in path {
-            v = v.get(k)?;
-        }
-        v.num()
-    }
-}
-
-/// Parse one JSON document (object, array, or scalar). Returns an error
-/// string with a byte offset on malformed input — `bgtop` must not
-/// panic on a torn final line from a still-running benchmark.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut kvs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(kvs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let k = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {pos}"));
-                }
-                *pos += 1;
-                kvs.push((k, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(kvs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number at offset {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at offset {pos}"));
-    }
-    *pos += 1;
-    let mut s = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(s),
-            b'\\' => {
-                let Some(&e) = b.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match e {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
-            }
-            _ => {
-                // Re-sync to the char boundary for multi-byte UTF-8.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                    end += 1;
-                }
-                let frag =
-                    std::str::from_utf8(&b[start..end]).map_err(|_| "bad utf8".to_string())?;
-                s.push_str(frag);
-                *pos = end;
-            }
-        }
-    }
-    Err("unterminated string".to_string())
+    w.end_obj();
 }
 
 /// Render a parsed monitor snapshot as the `bgtop` terminal view:
@@ -563,7 +337,7 @@ pub fn render_snapshot(snap: &Json, top_nodes: usize) -> String {
     out
 }
 
-/// Render a parsed `"state"` tree (the [`StateNode::to_json`] shape) as
+/// Render a parsed `"state"` tree (the shape a [`StateNode`] writes) as
 /// an indented terminal view for `bgtop --sessions`:
 ///
 /// ```text
@@ -614,7 +388,7 @@ mod tests {
     #[test]
     fn snapshot_line_parses_back_to_the_same_numbers() {
         let line = snapshot_json("fig8_throughput", 3, 5, 28, &sample_snapshot());
-        let v = parse_json(&line).expect("line parses");
+        let v = json::parse(&line).expect("line parses");
         assert_eq!(
             v.path_num(&["schema_version"]),
             Some(f64::from(SCHEMA_VERSION))
@@ -638,21 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_torn_lines_without_panicking() {
-        assert!(parse_json("{\"a\":1").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{\"a\":1}x").is_err());
-        // Escapes and unicode round-trip.
-        let v = parse_json("{\"k\\n\":\"v\\u00e9\",\"n\":-1.5e2}").unwrap();
-        assert_eq!(v.get("k\n").and_then(Json::str), Some("vé"));
-        assert_eq!(v.path_num(&["n"]), Some(-150.0));
-    }
-
-    #[test]
     fn render_ranks_nodes_by_cycles() {
         let line = snapshot_json("demo", 1, 28, 28, &sample_snapshot());
-        let v = parse_json(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         let view = render_snapshot(&v, 2);
         assert!(view.contains("bgtop — demo"));
         assert!(view.contains("28/28 units done"));
@@ -685,6 +447,20 @@ mod tests {
         assert!(last_snapshot("").is_none());
     }
 
+    fn with_state(seq: u64, done: usize, tree: &StateNode) -> String {
+        let mut w = Writer::default();
+        write_snapshot(
+            &mut w,
+            "bgserve",
+            seq,
+            done,
+            1,
+            &sample_snapshot(),
+            Some(tree),
+        );
+        w.finish()
+    }
+
     #[test]
     fn state_tree_embeds_renders_and_survives_event_lines() {
         let tree = StateNode::new();
@@ -695,8 +471,8 @@ mod tests {
         j1.set("phase", "running");
         j1.set("cycle", 12_345u64);
         // The embedded snapshot parses back and carries the tree.
-        let line = snapshot_json_with_state("bgserve", 1, 0, 1, &sample_snapshot(), Some(&tree));
-        let v = parse_json(&line).expect("line parses");
+        let line = with_state(1, 0, &tree);
+        let v = json::parse(&line).expect("line parses");
         let state = v.get("state").expect("state section");
         assert_eq!(
             state
@@ -715,10 +491,10 @@ mod tests {
         assert!(view.contains("phase=running"), "{view}");
         // Value updates are visible to later renders via the shared Arc.
         j1.set("phase", "done");
-        let line2 = snapshot_json_with_state("bgserve", 2, 1, 1, &sample_snapshot(), Some(&tree));
+        let line2 = with_state(2, 1, &tree);
         assert!(line2.contains("\"phase\":\"done\""));
         s0.remove_child("jobs/1");
-        let line3 = snapshot_json_with_state("bgserve", 3, 1, 1, &sample_snapshot(), Some(&tree));
+        let line3 = with_state(3, 1, &tree);
         assert!(!line3.contains("jobs/1"));
         // Event lines interleaved with snapshots are neither snapshots
         // nor malformed.
@@ -733,7 +509,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mon.jsonl");
         let mut m = Monitor::create(&path, "bgserve", false).unwrap();
-        m.publish_with_state(0, 1, &sample_snapshot(), Some(&StateNode::new()));
+        m.publish(0, 1, &sample_snapshot(), Some(&StateNode::new()));
         m.event("{\"event\":\"session-drop\",\"session\":3,\"jobs_cancelled\":1}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
@@ -750,14 +526,14 @@ mod tests {
         let path = dir.join("mon.jsonl");
         let snap = sample_snapshot();
         let mut m = Monitor::create(&path, "demo", false).unwrap();
-        m.publish(1, 2, &snap);
-        m.publish(2, 2, &snap);
+        m.publish(1, 2, &snap, None);
+        m.publish(2, 2, &snap, None);
         // Existing file without --force is refused, like every output flag.
         assert!(Monitor::create(&path, "demo", false).is_err());
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let last = parse_json(lines[1]).unwrap();
+        let last = json::parse(lines[1]).unwrap();
         assert_eq!(last.path_num(&["seq"]), Some(2.0));
         assert_eq!(last.path_num(&["done"]), Some(2.0));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,4 +1,5 @@
-//! Machine-readable run reports for the experiments.
+//! Machine-readable run reports and trace exporters for the
+//! experiments.
 //!
 //! A [`Report`] collects the scalar results an experiment prints as its
 //! ASCII table plus any telemetry [`MetricsRegistry`] captured from the
@@ -6,13 +7,18 @@
 //! dump. The runner (`crate::experiments::run`) hands every
 //! experiment's report to [`Report::emit`] with the parsed [`Cli`],
 //! which is what gives the whole suite a uniform `--stats-out <path>` /
-//! `--json` interface.
+//! `--json` interface. [`chrome_trace_json`] renders a run's
+//! tracepoints for `--trace-out`.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
-use bgsim::telemetry::{json_escape, stats_json, stats_txt, MetricsRegistry, ProfileSnapshot};
+use bgsim::telemetry::{
+    MetricsRegistry, ProfileSnapshot, Scope, SlotValue, TpKind, Tracepoint, NO_CORE,
+};
 
 use crate::cli::Cli;
+use crate::json::{Num, Writer};
 
 /// Version stamp every report carries (`"schema_version"` in JSON,
 /// `schema_version` line in the flat format). Bumped when the report
@@ -119,53 +125,38 @@ impl Report {
     }
 
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"bench\":\"{}\",\"schema_version\":{SCHEMA_VERSION},\"scalars\":{{",
-            json_escape(&self.name)
-        );
-        for (i, (k, v)) in self.scalars.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), json_number(*v)));
+        let mut w = Writer::default();
+        w.obj().key("bench").str(&self.name);
+        w.key("schema_version").u64(SCHEMA_VERSION.into());
+        w.key("scalars").obj();
+        for (k, v) in &self.scalars {
+            w.key(k).f64(*v);
         }
-        out.push_str("},\"strings\":{");
-        for (i, (k, v)) in self.strings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+        w.end_obj().key("strings").obj();
+        for (k, v) in &self.strings {
+            w.key(k).str(v);
         }
-        out.push_str("},\"metrics\":{");
-        for (i, (label, reg)) in self.registries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(label), stats_json(reg)));
+        w.end_obj().key("metrics").obj();
+        for (label, reg) in &self.registries {
+            w.key(label);
+            write_stats(&mut w, reg);
         }
-        out.push_str("}}");
-        out
+        w.end_obj().end_obj();
+        w.finish()
     }
 
     pub fn to_stats_txt(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{:<58} {:>16}\n",
-            "schema_version", SCHEMA_VERSION
-        ));
+        flat(&mut out, "schema_version", SCHEMA_VERSION);
         for (k, v) in &self.scalars {
-            out.push_str(&format!(
-                "{:<58} {:>16}\n",
-                format!("scalars.{k}"),
-                json_number(*v)
-            ));
+            flat(&mut out, &format!("scalars.{k}"), Num(*v));
         }
         for (k, v) in &self.strings {
-            out.push_str(&format!("{:<58} {:>16}\n", format!("strings.{k}"), v));
+            flat(&mut out, &format!("strings.{k}"), v);
         }
         for (label, reg) in &self.registries {
-            out.push_str(&format!("# registry: {label}\n"));
-            out.push_str(&stats_txt(reg));
+            let _ = writeln!(out, "# registry: {label}");
+            stats_txt(&mut out, reg);
         }
         out
     }
@@ -316,19 +307,199 @@ pub fn guard_overwrite(path: &std::path::Path, force: bool) -> std::io::Result<(
     Ok(())
 }
 
-/// Render a scalar as a JSON-legal number (f64 `Display` never uses an
-/// exponent and integers drop the fraction via the `.0` check).
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
+/// A slot's label in the stats dumps: `machine`, `node3`, `core5`.
+fn slot_label(scope: Scope, i: usize) -> String {
+    match scope {
+        Scope::Machine => "machine".to_string(),
+        Scope::PerNode => format!("node{i}"),
+        Scope::PerCore => format!("core{i}"),
     }
-    format!("{v}")
+}
+
+/// Render tracepoints as a Chrome trace-event JSON document, viewable in
+/// `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
+///
+/// Mapping: pid = node, tid = core, ts/dur = simulated cycles (the
+/// viewer labels them as microseconds; at 850 MHz divide by 850 for real
+/// microseconds). Ops render as complete ("X") slices so preemption and
+/// kills cannot unbalance begin/end pairs; function-ship request/reply
+/// pairs render as async ("b"/"e") spans keyed by request id; everything
+/// else is an instant ("i").
+pub fn chrome_trace_json(events: &[Tracepoint]) -> String {
+    let mut w = Writer::default();
+    w.obj().key("displayTimeUnit").str("ms");
+    w.key("otherData").obj();
+    w.key("clock").str("cycles@850MHz").end_obj();
+    w.key("traceEvents").arr();
+    for e in events {
+        let tid = if e.core == NO_CORE { 9999 } else { e.core };
+        w.obj().key("name").str(e.name);
+        w.key("cat").str(e.kind.category());
+        w.key("pid").u64(e.node.into()).key("tid").u64(tid.into());
+        w.key("ts").u64(e.at);
+        match e.kind {
+            TpKind::OpStart => {
+                w.key("ph").str("X").key("dur").u64(e.b);
+                w.key("args").obj().key("tid").u64(e.a);
+            }
+            TpKind::FshipReq => {
+                w.key("ph").str("b").key("id").u64(e.a);
+                w.key("args").obj().key("bytes").u64(e.b);
+            }
+            TpKind::FshipRep => {
+                w.key("ph").str("e").key("id").u64(e.a);
+                w.key("args").obj().key("latency_cycles").u64(e.b);
+            }
+            _ => {
+                w.key("ph").str("i").key("s").str("t");
+                w.key("args").obj().key("a").u64(e.a).key("b").u64(e.b);
+            }
+        }
+        w.end_obj().end_obj();
+    }
+    w.end_arr().end_obj();
+    w.finish()
+}
+
+/// Render the registry as a gem5-style flat stats text dump: one
+/// `name.slot  value` line per scalar, histogram sub-statistics spelled
+/// out (`.count`, `.sum`, `.min`, `.max`, `.mean`, non-empty log2
+/// buckets as `.bucket<i>` covering `[2^(i-1), 2^i)`). Metrics are
+/// emitted in name order so two dumps diff byte-stably.
+fn stats_txt(out: &mut String, reg: &MetricsRegistry) {
+    out.push_str("---------- Begin Simulation Statistics ----------\n");
+    for m in reg.sorted() {
+        for (i, slot) in m.active() {
+            let name = format!("{}.{}", m.name, slot_label(m.scope, i));
+            match slot {
+                SlotValue::Scalar(v) => flat(out, &name, v),
+                SlotValue::Hist(h) => {
+                    flat(out, &format!("{name}.count"), h.count());
+                    flat(out, &format!("{name}.sum"), h.sum());
+                    flat(out, &format!("{name}.min"), h.min());
+                    flat(out, &format!("{name}.max"), h.max());
+                    flat(out, &format!("{name}.mean"), format!("{:.2}", h.mean()));
+                    for (b, c) in h.nonzero_buckets() {
+                        flat(out, &format!("{name}.bucket{b}"), c);
+                    }
+                }
+            }
+        }
+    }
+    out.push_str("---------- End Simulation Statistics   ----------\n");
+}
+
+/// One `key  value` line of the flat stats format.
+fn flat(out: &mut String, key: &str, v: impl std::fmt::Display) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "{key:<58} {v:>16}");
+}
+
+/// Write the registry as a JSON object: metric name → `{kind, scope,
+/// values}` where `values` maps slot labels to scalars or histogram
+/// objects (`{count, sum, min, max, mean, buckets: {i: count}}`).
+/// Zero-valued slots are elided to keep dumps proportional to activity.
+/// Metrics are emitted in name order so two dumps diff byte-stably.
+fn write_stats(w: &mut Writer, reg: &MetricsRegistry) {
+    w.obj();
+    for m in reg.sorted() {
+        w.key(m.name).obj();
+        w.key("kind").str(m.kind.as_str());
+        w.key("scope").str(m.scope.as_str());
+        w.key("values").obj();
+        for (i, slot) in m.active() {
+            w.key(&slot_label(m.scope, i));
+            match slot {
+                SlotValue::Scalar(v) => w.u64(v),
+                SlotValue::Hist(h) => {
+                    w.obj().key("count").u64(h.count()).key("sum").u64(h.sum());
+                    w.key("min").u64(h.min()).key("max").u64(h.max());
+                    w.key("mean").f64_fixed(h.mean(), 3);
+                    w.key("buckets").obj();
+                    for (b, c) in h.nonzero_buckets() {
+                        w.key(&b.to_string()).u64(c);
+                    }
+                    w.end_obj().end_obj()
+                }
+            };
+        }
+        w.end_obj().end_obj();
+    }
+    w.end_obj();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgsim::telemetry::{Scope, Slot};
+    use bgsim::telemetry::Slot;
+
+    #[test]
+    fn chrome_trace_shapes() {
+        let events = [
+            Tracepoint {
+                at: 100,
+                node: 0,
+                core: 1,
+                kind: TpKind::OpStart,
+                name: "compute",
+                a: 3,
+                b: 500,
+            },
+            Tracepoint {
+                at: 200,
+                node: 0,
+                core: 0,
+                kind: TpKind::FshipReq,
+                name: "write",
+                a: 42,
+                b: 96,
+            },
+            Tracepoint {
+                at: 900,
+                node: 0,
+                core: 0,
+                kind: TpKind::FshipRep,
+                name: "write",
+                a: 42,
+                b: 700,
+            },
+            Tracepoint {
+                at: 950,
+                node: 0,
+                core: 2,
+                kind: TpKind::Noise,
+                name: "sshd",
+                a: 1,
+                b: 330,
+            },
+        ];
+        let j = chrome_trace_json(&events);
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"ph\":\"X\"") && j.contains("\"dur\":500"));
+        assert!(j.contains("\"ph\":\"b\"") && j.contains("\"ph\":\"e\""));
+        assert!(j.contains("\"ph\":\"i\""));
+        assert!(j.contains("\"cat\":\"noise\""));
+    }
+
+    #[test]
+    fn stats_dumps_elide_zero_slots() {
+        let mut r = MetricsRegistry::new(1, 4);
+        let c = r.counter("syscall.count", Scope::PerCore);
+        let h = r.histogram("noise.cycles", Scope::PerCore);
+        r.add(c, Slot::Core(2), 5);
+        r.record(h, Slot::Core(2), 39);
+        let mut txt = String::new();
+        stats_txt(&mut txt, &r);
+        assert!(txt.contains("syscall.count.core2"));
+        assert!(!txt.contains("core0"));
+        assert!(txt.contains("noise.cycles.core2.max"));
+        let mut w = Writer::default();
+        write_stats(&mut w, &r);
+        let json = w.finish();
+        assert!(json.contains("\"core2\":5"));
+        assert!(json.contains("\"max\":39"));
+        assert!(!json.contains("core1"));
+    }
 
     #[test]
     fn json_shape_roundtrips_key_pieces() {
@@ -390,8 +561,10 @@ mod tests {
     fn trace_helper_suffixes_filenames_and_guards_overwrite() {
         let dir = std::env::temp_dir().join(format!("bench_trace_helper_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut cli = Cli::default();
-        cli.trace_out = Some(dir.join("trace.json"));
+        let mut cli = Cli {
+            trace_out: Some(dir.join("trace.json")),
+            ..Cli::default()
+        };
         emit_traces_or_exit(
             &cli,
             &[
@@ -439,12 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_scalars_are_null() {
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(2.0), "2");
-    }
-
-    #[test]
     fn strings_and_host_perf_round_trip() {
         let mut r = Report::new("x");
         r.string("digest.all", "00ff00ff00ff00ff");
@@ -473,8 +640,10 @@ mod tests {
         assert!(e.to_string().contains("--force"), "{e}");
         assert!(guard_overwrite(&path, true).is_ok());
         // emit() goes through the same guard.
-        let mut cli = Cli::default();
-        cli.stats_out = Some(path.clone());
+        let mut cli = Cli {
+            stats_out: Some(path.clone()),
+            ..Cli::default()
+        };
         let r = Report::new("guard");
         let e = r.emit(&cli).unwrap_err();
         assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists);

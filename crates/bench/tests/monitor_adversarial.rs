@@ -2,7 +2,7 @@
 //!
 //! `bgtop` reads monitor files written by other processes, possibly
 //! mid-crash, possibly by two writers pointed at the same path by
-//! mistake. Whatever bytes end up in that file, `parse_json` /
+//! mistake. Whatever bytes end up in that file, `json::parse` /
 //! `last_snapshot` / `malformed_snapshots` must never panic, and
 //! `last_snapshot` must never hand back a line that lacks the numeric
 //! `seq`/`total` fields the renderer keys on. These properties sweep
@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 
-use bench::monitor::{last_snapshot, malformed_snapshots, parse_json, snapshot_json, Json};
+use bench::json::{parse, Json};
+use bench::monitor::{last_snapshot, malformed_snapshots, snapshot_json};
 use bgsim::{Domain, Profiler};
 
 fn sample_line(bench: &str, seq: u64, done: usize, total: usize) -> String {
@@ -72,7 +73,7 @@ proptest! {
         }
         // The torn tail itself parses to an error, never a panic.
         if let Some(tail) = torn.lines().last() {
-            let _ = parse_json(tail);
+            let _ = parse(tail);
         }
         let _ = malformed_snapshots(torn);
     }
@@ -138,7 +139,7 @@ proptest! {
         corrupted.push_str(insert);
         corrupted.push_str(&text[at..]);
         for line in corrupted.lines() {
-            let _ = parse_json(line); // must not panic
+            let _ = parse(line); // must not panic
         }
         if let Some(v) = last_snapshot(&corrupted) {
             assert_renderable(&v)?;

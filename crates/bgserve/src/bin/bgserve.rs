@@ -17,6 +17,7 @@
 //! Like the shared bench CLI, repeated value flags are rejected rather
 //! than silently last-one-wins.
 
+use bench::json::Writer;
 use bench::monitor::Monitor;
 use bgcheck::program::{generate, Program};
 use bgcheck::runner::{mode_labels, CheckKernel, Mode, MODES};
@@ -225,11 +226,12 @@ fn submit_cmd(args: &[String]) {
         eprintln!("bgserve: warning: {wmsg}");
     }
     if f.has("--json") {
-        println!(
-            "{{\"job\":{},\"outcome\":\"{}\",\"final_cycle\":\"{}\",\
-             \"digest\":\"0x{:016x}\",\"cached\":{},\"paranoid\":\"{}\",\"key\":\"{}\"}}",
-            r.job, r.outcome, r.final_cycle, r.digest, r.cached, r.paranoid, r.key
-        );
+        let mut w = Writer::default();
+        w.obj().key("job").u64(r.job).key("outcome").str(&r.outcome);
+        w.key("final_cycle").u64_str(r.final_cycle);
+        w.key("digest").hex(r.digest).key("cached").bool(r.cached);
+        w.key("paranoid").str(&r.paranoid).key("key").str(&r.key);
+        println!("{}", w.end_obj().finish());
     } else {
         println!(
             "job {} [{} {}] {} at cycle {} digest {:016x} ({}, paranoid {})",

@@ -19,11 +19,9 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use bench::monitor::parse_json;
+use bench::json::{self, str_field, u64_field, Writer};
 use bench::report::write_atomic;
-use bgsim::telemetry::{json_escape, ProfileSnapshot};
-
-use crate::proto::u64_field;
+use bgsim::telemetry::ProfileSnapshot;
 
 /// One memoized job result.
 #[derive(Clone, Debug)]
@@ -47,31 +45,23 @@ impl CachedResult {
     }
 
     fn to_disk_json(&self, key: u64) -> String {
-        format!(
-            "{{\"key\":\"{key:016x}\",\"kernel\":\"{}\",\"mode\":\"{}\",\
-             \"outcome\":\"{}\",\"final_cycle\":\"{}\",\"digest\":\"0x{:016x}\",\
-             \"coverage\":\"0x{:016x}\"}}",
-            json_escape(&self.kernel),
-            json_escape(&self.mode),
-            json_escape(&self.outcome),
-            self.final_cycle,
-            self.digest,
-            self.coverage,
-        )
+        let mut w = Writer::default();
+        w.obj().key("key").str(&format!("{key:016x}"));
+        w.key("kernel").str(&self.kernel);
+        w.key("mode").str(&self.mode);
+        w.key("outcome").str(&self.outcome);
+        w.key("final_cycle").u64_str(self.final_cycle);
+        w.key("digest").hex(self.digest);
+        w.key("coverage").hex(self.coverage);
+        w.end_obj().finish()
     }
 
     fn from_disk_json(text: &str) -> Result<CachedResult, String> {
-        let v = parse_json(text.trim())?;
-        let s = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(|x| x.str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("cache entry missing {k}"))
-        };
+        let v = json::parse(text.trim())?;
         Ok(CachedResult {
-            kernel: s("kernel")?,
-            mode: s("mode")?,
-            outcome: s("outcome")?,
+            kernel: str_field(&v, "kernel")?,
+            mode: str_field(&v, "mode")?,
+            outcome: str_field(&v, "outcome")?,
             final_cycle: u64_field(&v, "final_cycle")?,
             digest: u64_field(&v, "digest")?,
             coverage: u64_field(&v, "coverage")?,

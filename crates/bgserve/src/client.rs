@@ -3,11 +3,11 @@
 
 use std::io::{BufRead, BufReader, Write};
 
-use bench::monitor::{parse_json, Json};
+use bench::json::{self, str_field, u64_field, Json};
 use bgcheck::program::Program;
 use bgcheck::runner::{CheckKernel, Mode};
 
-use crate::proto::{self, u64_field};
+use crate::proto;
 use crate::server::{Endpoint, Stream};
 
 /// What one submission came back with.
@@ -79,7 +79,7 @@ impl Client {
         if n == 0 {
             return Err("server closed the connection".to_string());
         }
-        parse_json(line.trim())
+        json::parse(line.trim())
     }
 
     fn event_name(v: &Json) -> String {
@@ -90,7 +90,7 @@ impl Client {
     }
 
     pub fn ping(&mut self) -> Result<u64, String> {
-        self.send(&proto::ping_line())?;
+        self.send(&proto::request_line("ping"))?;
         let v = self.read_event()?;
         match Self::event_name(&v).as_str() {
             "pong" => u64_field(&v, "proto"),
@@ -99,7 +99,7 @@ impl Client {
     }
 
     pub fn status(&mut self) -> Result<Json, String> {
-        self.send(&proto::status_req_line())?;
+        self.send(&proto::request_line("status"))?;
         let v = self.read_event()?;
         match Self::event_name(&v).as_str() {
             "status" => Ok(v),
@@ -108,7 +108,7 @@ impl Client {
     }
 
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.send(&proto::shutdown_line())?;
+        self.send(&proto::request_line("shutdown"))?;
         let v = self.read_event()?;
         match Self::event_name(&v).as_str() {
             "shutting-down" => Ok(()),
@@ -152,7 +152,7 @@ impl Client {
         p: &Program,
         live: proto::LiveReq,
     ) -> Result<JobResult, String> {
-        self.send(&proto::submit_line_live(kernel, mode, p, live))?;
+        self.send(&proto::submit_line(kernel, mode, p, live))?;
         let first = self.read_event()?;
         let job = match Self::event_name(&first).as_str() {
             "accepted" => u64_field(&first, "job")?,
@@ -186,24 +186,18 @@ impl Client {
                     );
                 }
                 "result" => {
-                    let s = |k: &str| -> Result<String, String> {
-                        v.get(k)
-                            .and_then(|x| x.str())
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("result missing {k}"))
-                    };
                     let cached = matches!(v.get("cached"), Some(Json::Bool(true)));
                     return Ok(JobResult {
                         job,
-                        kernel: s("kernel")?,
-                        mode: s("mode")?,
-                        outcome: s("outcome")?,
+                        kernel: str_field(&v, "kernel")?,
+                        mode: str_field(&v, "mode")?,
+                        outcome: str_field(&v, "outcome")?,
                         final_cycle: u64_field(&v, "final_cycle")?,
                         digest: u64_field(&v, "digest")?,
                         coverage: u64_field(&v, "coverage")?,
                         cached,
-                        paranoid: s("paranoid")?,
-                        key: s("key")?,
+                        paranoid: str_field(&v, "paranoid")?,
+                        key: str_field(&v, "key")?,
                         telemetry,
                         progress,
                         warnings,

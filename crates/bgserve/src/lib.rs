@@ -7,9 +7,9 @@
 //! persistent server accepts jobs — `(machine shape, seed, program,
 //! fault spec)` — over a Unix or TCP socket, runs each one that must
 //! simulate as soon as one of its run slots is free, and streams each
-//! session its job lifecycle as newline-delimited JSON (the same
-//! hand-rolled dialect `bgtop` already reads via
-//! [`bench::monitor::parse_json`] — no new dependencies).
+//! session its job lifecycle as newline-delimited JSON in the
+//! workspace's one dialect ([`bench::json`], nesting capped at
+//! [`bench::json::MAX_DEPTH`] levels; no new dependencies).
 //!
 //! Because every simulation is deterministic, a completed job is a pure
 //! function of its inputs — so results are memoized in an LRU cache
@@ -27,7 +27,7 @@
 //! * [`key`] — the memoization key and what it deliberately omits;
 //! * [`cache`] — the LRU result cache, with an optional on-disk tier
 //!   written atomically via [`bench::report::write_atomic`];
-//! * [`proto`] — the wire protocol (requests, response events);
+//! * [`proto`] — the wire protocol on [`bench::json`] (requests, events);
 //! * [`server`] — endpoints, sessions, and the run slots that cap how
 //!   many simulations run at once;
 //! * [`client`] — a small blocking client for the CLI and tests;

@@ -1,7 +1,9 @@
-//! The wire protocol: newline-delimited JSON in the same hand-rolled
-//! dialect the monitor stream already uses, parsed with
-//! [`bench::monitor::parse_json`] — the service adds no dependency and
-//! no second parser.
+//! The wire protocol: newline-delimited JSON in the workspace's one
+//! dialect, written and parsed by [`bench::json`] like the monitor
+//! stream — the service adds no dependency, no second writer and no
+//! second parser. A request nested deeper than
+//! [`bench::json::MAX_DEPTH`] levels is an `error` reply like any other
+//! malformed line.
 //!
 //! Requests (one JSON object per line):
 //!
@@ -44,47 +46,20 @@
 //! cycles, digests) are rendered as *strings* — JSON numbers pass
 //! through an `f64` in this dialect and would silently lose precision
 //! above 2^53. The parser accepts integral numbers, decimal strings,
-//! and `0x`-prefixed hex strings everywhere a u64 is expected.
+//! and `0x`-prefixed hex strings everywhere a u64 is expected
+//! ([`bench::json::parse_u64`]).
 
-use bench::monitor::Json;
+use bench::json::{self, parse_u64, u64_field, Json, Writer};
+use bench::monitor::write_snapshot;
 use bgcheck::program::{POp, Program};
 use bgcheck::runner::{mode_labels, CheckKernel, Mode, MODES};
 use bgsim::fault::{FaultEvent, FaultKind, FaultSchedule, FaultSpec};
-use bgsim::telemetry::json_escape;
+use bgsim::{ProfileSnapshot, ProgressReport};
 
 use crate::cache::CachedResult;
 
 /// Wire protocol version, reported by `pong`.
 pub const PROTO_VERSION: u64 = 1;
-
-/// Exact u64 from a JSON value: an integral number (≤ 2^53, the f64
-/// exactness bound), a decimal string, or a `0x` hex string.
-pub fn parse_u64(v: &Json) -> Option<u64> {
-    const EXACT: f64 = (1u64 << 53) as f64;
-    match v {
-        Json::Num(n) if *n >= 0.0 && *n <= EXACT && n.fract() == 0.0 => Some(*n as u64),
-        Json::Str(s) => {
-            if let Some(hex) = s.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                s.parse().ok()
-            }
-        }
-        _ => None,
-    }
-}
-
-/// `parse_u64` of `obj[key]`, with a field-naming error.
-pub fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(parse_u64)
-        .ok_or_else(|| format!("missing or non-u64 field {key:?}"))
-}
-
-/// Render a u64 the round-trip-exact way.
-pub fn u64_json(v: u64) -> String {
-    format!("\"{v}\"")
-}
 
 /// A parsed client request.
 #[derive(Clone, Debug)]
@@ -211,7 +186,7 @@ fn parse_faults(v: &Json) -> Result<FaultSpec, String> {
 
 /// Parse one request line. Errors are safe to echo back to the client.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = bench::monitor::parse_json(line.trim())?;
+    let v = json::parse(line.trim())?;
     let op = v
         .get("op")
         .and_then(|o| o.str())
@@ -275,47 +250,43 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Render a submit request line (the client side of `parse_request`).
-pub fn submit_line(kernel: CheckKernel, mode: Mode, p: &Program) -> String {
-    submit_line_live(kernel, mode, p, LiveReq::default())
+/// A request (`"op"`) or response (`"event"`) line, open after that
+/// first field.
+fn open_line(kind: &str, name: &str) -> Writer {
+    let mut w = Writer::default();
+    w.obj().key(kind).str(name);
+    w
 }
 
-/// [`submit_line`] with the live-job knobs rendered when present.
-pub fn submit_line_live(kernel: CheckKernel, mode: Mode, p: &Program, live: LiveReq) -> String {
-    let mut out = format!(
-        "{{\"op\":\"submit\",\"kernel\":\"{}\",\"mode\":\"{}\",\"nodes\":{},\"seed\":{},\"ops\":[",
-        kernel.label(),
-        mode.label(),
-        p.nodes,
-        u64_json(p.seed)
-    );
-    for (i, op) in p.ops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[\"{}\"", op.name()));
+/// A request with no arguments: `ping`, `status` or `shutdown`.
+pub fn request_line(op: &str) -> String {
+    open_line("op", op).end_obj().finish()
+}
+
+/// Render a submit request line (the client side of `parse_request`),
+/// with the live-job knobs that are set.
+pub fn submit_line(kernel: CheckKernel, mode: Mode, p: &Program, live: LiveReq) -> String {
+    let mut w = open_line("op", "submit");
+    w.key("kernel").str(kernel.label());
+    w.key("mode").str(mode.label());
+    w.key("nodes").u64(p.nodes.into());
+    w.key("seed").u64_str(p.seed);
+    w.key("ops").arr();
+    for op in &p.ops {
+        w.arr().str(op.name());
         for a in op.args() {
-            out.push(',');
-            out.push_str(&u64_json(a));
+            w.u64_str(a);
         }
-        out.push(']');
+        w.end_arr();
     }
-    out.push(']');
+    w.end_arr();
     if !p.faults.is_empty() {
-        out.push_str(",\"faults\":{\"events\":[");
-        for (i, ev) in p.faults.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},{},\"{}\",{}]",
-                u64_json(ev.at),
-                ev.node,
-                ev.kind.name(),
-                u64_json(ev.arg)
-            ));
+        w.key("faults").obj().key("events").arr();
+        for ev in &p.faults.events {
+            w.arr().u64_str(ev.at).u64(ev.node.into());
+            w.str(ev.kind.name()).u64_str(ev.arg).end_arr();
         }
-        out.push_str("]}");
+        w.end_arr().end_obj();
     }
     for (key, val) in [
         ("timeout_cycles", live.timeout_cycles),
@@ -323,87 +294,69 @@ pub fn submit_line_live(kernel: CheckKernel, mode: Mode, p: &Program, live: Live
         ("progress_cycles", live.progress_cycles),
     ] {
         if let Some(n) = val {
-            out.push_str(&format!(",\"{key}\":{}", u64_json(n)));
+            w.key(key).u64_str(n);
         }
     }
-    out.push('}');
-    out
+    w.end_obj().finish()
 }
 
 pub fn cancel_line(job: u64) -> String {
-    format!("{{\"op\":\"cancel\",\"job\":{job}}}")
+    let mut w = open_line("op", "cancel");
+    w.key("job").u64(job).end_obj().finish()
 }
 
 /// The reply to a `cancel`: `cancelled` is true iff the job was still
 /// in flight and its token was set by this request.
 pub fn cancel_ack_line(job: u64, cancelled: bool) -> String {
-    format!("{{\"event\":\"cancel-ack\",\"job\":{job},\"cancelled\":{cancelled}}}")
+    let mut w = open_line("event", "cancel-ack");
+    w.key("job").u64(job).key("cancelled").bool(cancelled);
+    w.end_obj().finish()
 }
 
 /// One streamed progress report for an in-flight job. Cumulative
 /// simulated position plus deltas since the previous report, and the
 /// profiler's cumulative heat totals (cheap stand-ins for the full
 /// snapshot, which still arrives once in the final `telemetry` line).
-#[allow(clippy::too_many_arguments)]
-pub fn progress_line(
-    job: u64,
-    cycle: u64,
-    events: u64,
-    d_cycles: u64,
-    d_events: u64,
-    live_threads: usize,
-    heat_events: u64,
-    heat_cycles: u64,
-) -> String {
-    format!(
-        "{{\"event\":\"progress\",\"job\":{job},\"cycle\":{},\"events\":{},\
-         \"d_cycles\":{},\"d_events\":{},\"live_threads\":{live_threads},\
-         \"heat_events\":{},\"heat_cycles\":{}}}",
-        u64_json(cycle),
-        u64_json(events),
-        u64_json(d_cycles),
-        u64_json(d_events),
-        u64_json(heat_events),
-        u64_json(heat_cycles),
-    )
-}
-
-pub fn ping_line() -> String {
-    "{\"op\":\"ping\"}".to_string()
-}
-
-pub fn status_req_line() -> String {
-    "{\"op\":\"status\"}".to_string()
-}
-
-pub fn shutdown_line() -> String {
-    "{\"op\":\"shutdown\"}".to_string()
+pub fn progress_line(job: u64, r: &ProgressReport) -> String {
+    let mut w = open_line("event", "progress");
+    w.key("job").u64(job).key("cycle").u64_str(r.cycle);
+    w.key("events").u64_str(r.events);
+    w.key("d_cycles").u64_str(r.d_cycles);
+    w.key("d_events").u64_str(r.d_events);
+    w.key("live_threads").u64(r.live_threads as u64);
+    w.key("heat_events").u64_str(r.profile.total_events());
+    w.key("heat_cycles").u64_str(r.profile.total_cycles());
+    w.end_obj().finish()
 }
 
 pub fn pong_line() -> String {
-    format!("{{\"event\":\"pong\",\"proto\":{PROTO_VERSION}}}")
+    let mut w = open_line("event", "pong");
+    w.key("proto").u64(PROTO_VERSION).end_obj().finish()
 }
 
 pub fn shutting_down_line() -> String {
-    "{\"event\":\"shutting-down\"}".to_string()
+    open_line("event", "shutting-down").end_obj().finish()
 }
 
 pub fn error_line(detail: &str) -> String {
-    format!(
-        "{{\"event\":\"error\",\"detail\":\"{}\"}}",
-        json_escape(detail)
-    )
+    let mut w = open_line("event", "error");
+    w.key("detail").str(detail).end_obj().finish()
 }
 
 pub fn accepted_line(job: u64, key_hex: &str) -> String {
-    format!("{{\"event\":\"accepted\",\"job\":{job},\"key\":\"{key_hex}\"}}")
+    let mut w = open_line("event", "accepted");
+    w.key("job").u64(job).key("key").str(key_hex);
+    w.end_obj().finish()
 }
 
-/// A telemetry event embedding a complete monitor snapshot line (the
-/// exact `snapshot_json` shape, so clients can reuse
+/// A telemetry event embedding job `job`'s complete monitor snapshot
+/// (the exact `snapshot_json` shape, so clients can reuse
 /// [`bench::monitor::render_snapshot`] on the `snapshot` field).
-pub fn telemetry_line(job: u64, snapshot_json: &str) -> String {
-    format!("{{\"event\":\"telemetry\",\"job\":{job},\"snapshot\":{snapshot_json}}}")
+pub fn telemetry_line(job: u64, snap: &ProfileSnapshot) -> String {
+    let mut w = open_line("event", "telemetry");
+    w.key("job").u64(job).key("snapshot");
+    write_snapshot(&mut w, "bgserve", job, 1, 1, snap, None);
+    w.end_obj().finish()
 }
 
 /// The final event of a submission. `paranoid` is `"off"`, `"ok"`, or
@@ -415,18 +368,15 @@ pub fn result_line(
     paranoid: &str,
     key_hex: &str,
 ) -> String {
-    format!(
-        "{{\"event\":\"result\",\"job\":{job},\"kernel\":\"{}\",\"mode\":\"{}\",\
-         \"outcome\":\"{}\",\"final_cycle\":{},\"digest\":\"0x{:016x}\",\
-         \"coverage\":\"0x{:016x}\",\"cached\":{cached},\"paranoid\":\"{paranoid}\",\
-         \"key\":\"{key_hex}\"}}",
-        json_escape(&r.kernel),
-        json_escape(&r.mode),
-        json_escape(&r.outcome),
-        u64_json(r.final_cycle),
-        r.digest,
-        r.coverage,
-    )
+    let mut w = open_line("event", "result");
+    w.key("job").u64(job).key("kernel").str(&r.kernel);
+    w.key("mode").str(&r.mode).key("outcome").str(&r.outcome);
+    w.key("final_cycle").u64_str(r.final_cycle);
+    w.key("digest").hex(r.digest);
+    w.key("coverage").hex(r.coverage);
+    w.key("cached").bool(cached).key("paranoid").str(paranoid);
+    w.key("key").str(key_hex);
+    w.end_obj().finish()
 }
 
 /// A server-state snapshot for the `status` response.
@@ -447,24 +397,20 @@ pub struct StatusSnapshot {
 }
 
 pub fn status_line(s: &StatusSnapshot) -> String {
-    format!(
-        "{{\"event\":\"status\",\"proto\":{PROTO_VERSION},\"submitted\":{},\
-         \"completed\":{},\"cache_entries\":{},\"cache_hits\":{},\
-         \"cache_misses\":{},\"disk_write_errors\":{},\"paranoid_checks\":{},\
-         \"paranoid_failures\":{},\"cancelled\":{},\"timeouts\":{},\
-         \"session_drops\":{}}}",
-        s.submitted,
-        s.completed,
-        s.cache_entries,
-        s.cache_hits,
-        s.cache_misses,
-        s.disk_write_errors,
-        s.paranoid_checks,
-        s.paranoid_failures,
-        s.cancelled,
-        s.timeouts,
-        s.session_drops
-    )
+    let mut w = open_line("event", "status");
+    w.key("proto").u64(PROTO_VERSION);
+    w.key("submitted").u64(s.submitted);
+    w.key("completed").u64(s.completed);
+    w.key("cache_entries").u64(s.cache_entries);
+    w.key("cache_hits").u64(s.cache_hits);
+    w.key("cache_misses").u64(s.cache_misses);
+    w.key("disk_write_errors").u64(s.disk_write_errors);
+    w.key("paranoid_checks").u64(s.paranoid_checks);
+    w.key("paranoid_failures").u64(s.paranoid_failures);
+    w.key("cancelled").u64(s.cancelled);
+    w.key("timeouts").u64(s.timeouts);
+    w.key("session_drops").u64(s.session_drops);
+    w.end_obj().finish()
 }
 
 #[cfg(test)]
@@ -477,7 +423,7 @@ mod tests {
         for seed in 0..6u64 {
             let p = generate(seed);
             for kernel in CheckKernel::ALL {
-                let line = submit_line(kernel, MODES[1], &p);
+                let line = submit_line(kernel, MODES[1], &p, LiveReq::default());
                 let Request::Submit(req) = parse_request(&line).expect("parse") else {
                     panic!("not a submit");
                 };
@@ -496,7 +442,7 @@ mod tests {
     fn big_u64s_survive_the_wire() {
         let mut p = generate(0);
         p.seed = u64::MAX - 1; // would be mangled as a JSON number
-        let line = submit_line(CheckKernel::Cnk, MODES[0], &p);
+        let line = submit_line(CheckKernel::Cnk, MODES[0], &p, LiveReq::default());
         let Request::Submit(req) = parse_request(&line).unwrap() else {
             panic!("not a submit");
         };
@@ -504,6 +450,7 @@ mod tests {
         assert_eq!(parse_u64(&Json::Str("0xff".to_string())), Some(255));
         assert_eq!(parse_u64(&Json::Num(3.5)), None);
         assert_eq!(parse_u64(&Json::Num(-1.0)), None);
+        assert_eq!(parse_u64(&Json::Num(2f64.powi(60))), None);
     }
 
     #[test]
@@ -544,13 +491,13 @@ mod tests {
             timeout_wall_ms: Some(2_500),
             progress_cycles: Some(100_000),
         };
-        let line = submit_line_live(CheckKernel::Cnk, MODES[0], &p, live);
+        let line = submit_line(CheckKernel::Cnk, MODES[0], &p, live);
         let Request::Submit(req) = parse_request(&line).expect("parse") else {
             panic!("not a submit");
         };
         assert_eq!(req.live, live);
-        // Absent knobs stay None, and plain submit_line renders none.
-        let plain = submit_line(CheckKernel::Cnk, MODES[0], &p);
+        // Absent knobs stay None and render nothing.
+        let plain = submit_line(CheckKernel::Cnk, MODES[0], &p, LiveReq::default());
         assert!(!plain.contains("timeout"), "{plain}");
         let Request::Submit(req) = parse_request(&plain).expect("parse") else {
             panic!("not a submit");
@@ -567,11 +514,19 @@ mod tests {
         assert_eq!(job, 42);
         assert!(parse_request("{\"op\":\"cancel\"}").is_err());
         // Progress and ack lines parse as JSON with exact u64s.
-        let pl = progress_line(3, u64::MAX, 10, 5, 2, 8, 100, 200);
-        let v = bench::monitor::parse_json(&pl).expect("progress parses");
+        let report = ProgressReport {
+            cycle: u64::MAX,
+            events: 10,
+            d_events: 2,
+            d_cycles: 5,
+            live_threads: 8,
+            profile: ProfileSnapshot::default(),
+        };
+        let pl = progress_line(3, &report);
+        let v = json::parse(&pl).expect("progress parses");
         assert_eq!(v.get("cycle").and_then(parse_u64), Some(u64::MAX));
         assert_eq!(v.path_num(&["live_threads"]), Some(8.0));
-        let ack = bench::monitor::parse_json(&cancel_ack_line(3, true)).expect("ack parses");
+        let ack = json::parse(&cancel_ack_line(3, true)).expect("ack parses");
         assert_eq!(ack.get("cancelled"), Some(&Json::Bool(true)));
     }
 

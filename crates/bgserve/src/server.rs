@@ -53,7 +53,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bench::monitor::{snapshot_json, Monitor, StateNode};
+use bench::json::Writer;
+use bench::monitor::{Monitor, StateNode};
 use bgcheck::program::Program;
 use bgcheck::runner::{run_mode_live, LiveOpts, RunRecord};
 use bgsim::machine::{CancelCause, ProgressCtl, ProgressReport, ProgressSink};
@@ -305,7 +306,7 @@ impl State {
                 agg.merged.merge(p);
             }
             if let Some(m) = agg.monitor.as_mut() {
-                m.publish_with_state(done as usize, total as usize, &agg.merged, Some(&self.tree));
+                m.publish(done as usize, total as usize, &agg.merged, Some(&self.tree));
             }
         }
     }
@@ -325,7 +326,7 @@ impl State {
             agg.last_progress_publish = Instant::now();
             let agg = &mut *agg;
             if let Some(m) = agg.monitor.as_mut() {
-                m.publish_with_state(done as usize, total as usize, &agg.merged, Some(&self.tree));
+                m.publish(done as usize, total as usize, &agg.merged, Some(&self.tree));
             }
         }
     }
@@ -389,11 +390,11 @@ fn drop_session(state: &State, shared: &SessionShared) {
     } else {
         shared.node.set("peer", "dropped");
         state.stats.session_drops.fetch_add(1, Ordering::Relaxed);
-        state.monitor_event(&format!(
-            "{{\"event\":\"session-drop\",\"session\":{},\"jobs_cancelled\":{}}}",
-            shared.id,
-            tokens.len()
-        ));
+        let mut w = Writer::default();
+        w.obj().key("event").str("session-drop");
+        w.key("session").u64(shared.id);
+        w.key("jobs_cancelled").u64(tokens.len() as u64).end_obj();
+        state.monitor_event(&w.finish());
     }
 }
 
@@ -498,17 +499,7 @@ fn progress_sink(job: &Job) -> Box<dyn ProgressSink> {
         if shared.dead.load(Ordering::SeqCst) {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
-        let line = proto::progress_line(
-            id,
-            r.cycle,
-            r.events,
-            r.d_cycles,
-            r.d_events,
-            r.live_threads,
-            r.profile.total_events(),
-            r.profile.total_cycles(),
-        );
-        if send_shared(&state, &shared, &line).is_err() {
+        if send_shared(&state, &shared, &proto::progress_line(id, r)).is_err() {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
         state.publish_progress();
@@ -617,8 +608,7 @@ impl Job {
     /// mark the job done, and return its `result` line.
     fn reply_hit(&self, entry: &CachedResult, paranoid: &str) -> std::io::Result<String> {
         if let Some(p) = &entry.profile {
-            let snap = snapshot_json("bgserve", self.id, 1, 1, p);
-            self.send(&proto::telemetry_line(self.id, &snap))?;
+            self.send(&proto::telemetry_line(self.id, p))?;
         }
         self.node.set("phase", "done");
         // Publish the monitor update before the result line: a client
@@ -753,8 +743,7 @@ impl Job {
                     c.insert(self.kd, entry.clone());
                 }
                 self.node.set("phase", rec.outcome.clone());
-                let line = snapshot_json("bgserve", id, 1, 1, &snap);
-                self.send(&proto::telemetry_line(id, &line))?;
+                self.send(&proto::telemetry_line(id, &snap))?;
                 state.finish_job(Some(&snap));
                 Ok(proto::result_line(id, &entry, false, "off", &self.key_hex))
             }

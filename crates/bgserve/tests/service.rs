@@ -209,15 +209,18 @@ fn protocol_errors_do_not_poison_the_session() {
     opts.threads = 1;
     let handle = spawn(opts).expect("spawn");
 
-    // Drive the raw protocol: garbage, then a bad submit, then a good
-    // ping — all on one connection.
+    // Drive the raw protocol: garbage, a line nested far past the
+    // parser's depth cap (and far under the line cap), then a bad
+    // submit, then a good ping — all on one connection.
     use std::io::{BufRead, BufReader, Write};
     let stream = ep.connect().expect("connect");
     let mut w = stream.try_clone().expect("clone");
     let mut r = BufReader::new(stream);
     let mut line = String::new();
+    let deep = "[".repeat(100_000);
     for (req, want) in [
         ("{torn", "error"),
+        (deep.as_str(), "error"),
         ("{\"op\":\"warp\"}", "error"),
         (
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[[\"no-such\"]]}",
@@ -229,13 +232,25 @@ fn protocol_errors_do_not_poison_the_session() {
         w.flush().expect("flush");
         line.clear();
         r.read_line(&mut line).expect("read");
-        let v = bench::monitor::parse_json(line.trim()).expect("parse");
+        let v = bench::json::parse(line.trim()).expect("parse");
         assert_eq!(
             v.get("event").and_then(|e| e.str()),
             Some(want),
-            "request {req:?}"
+            "request {req:.40?}"
         );
+        if req == deep {
+            let detail = v.get("detail").and_then(|d| d.str()).unwrap_or("");
+            let limit = format!("{} levels", bench::json::MAX_DEPTH);
+            assert!(
+                detail.contains(&limit),
+                "error must name the limit: {detail}"
+            );
+        }
     }
+    // A new session is served too.
+    let mut c = Client::connect(&ep).expect("connect");
+    assert_eq!(c.ping().expect("ping"), bgserve::proto::PROTO_VERSION);
+    drop(c);
     writeln!(w, "{{\"op\":\"shutdown\"}}").expect("write");
     w.flush().expect("flush");
     line.clear();
@@ -598,7 +613,7 @@ fn overlong_request_line_closes_only_that_session() {
     match r.read_line(&mut line) {
         Ok(0) => {}
         Ok(_) => {
-            let v = bench::monitor::parse_json(line.trim()).expect("parse");
+            let v = bench::json::parse(line.trim()).expect("parse");
             assert_eq!(v.get("event").and_then(|e| e.str()), Some("error"));
             let detail = v.get("detail").and_then(|d| d.str()).unwrap_or("");
             assert!(
@@ -687,7 +702,7 @@ fn client_disconnect_auto_cancels_in_flight_jobs() {
         let stream = ep.connect().expect("connect");
         let mut w = stream.try_clone().expect("clone");
         let mut r = BufReader::new(stream);
-        let line = bgserve::proto::submit_line_live(
+        let line = bgserve::proto::submit_line(
             CheckKernel::Fwk,
             MODES[LIVE_MODE],
             &long_program(0xD15C, 1_000_000_000_000),
@@ -701,7 +716,7 @@ fn client_disconnect_auto_cancels_in_flight_jobs() {
         w.flush().expect("flush");
         let mut reply = String::new();
         r.read_line(&mut reply).expect("read");
-        let v = bench::monitor::parse_json(reply.trim()).expect("parse");
+        let v = bench::json::parse(reply.trim()).expect("parse");
         assert_eq!(v.get("event").and_then(|e| e.str()), Some("accepted"));
     } // both halves drop here: the peer is gone
 
@@ -847,14 +862,14 @@ fn unwritable_disk_tier_is_counted_and_served_from_memory() {
 }
 
 /// One child of a rendered state-tree node.
-fn child<'a>(node: &'a bench::monitor::Json, name: &str) -> Option<&'a bench::monitor::Json> {
+fn child<'a>(node: &'a bench::json::Json, name: &str) -> Option<&'a bench::json::Json> {
     node.get("children")?.get(name)
 }
 
 /// Child names of one rendered state-tree node.
-fn child_names(node: &bench::monitor::Json) -> Vec<String> {
+fn child_names(node: &bench::json::Json) -> Vec<String> {
     match node.get("children") {
-        Some(bench::monitor::Json::Obj(kvs)) => kvs.iter().map(|(k, _)| k.clone()).collect(),
+        Some(bench::json::Json::Obj(kvs)) => kvs.iter().map(|(k, _)| k.clone()).collect(),
         _ => Vec::new(),
     }
 }

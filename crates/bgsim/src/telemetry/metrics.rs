@@ -169,6 +169,25 @@ pub struct MetricView<'a> {
     pub hists: &'a [Hist],
 }
 
+/// What one slot of a metric holds.
+pub enum SlotValue<'a> {
+    /// A counter or gauge value.
+    Scalar(u64),
+    Hist(&'a Hist),
+}
+
+impl<'a> MetricView<'a> {
+    /// The slots that hold data, by index: zero values and empty
+    /// histograms are skipped, which keeps dumps (and the coverage
+    /// digest) proportional to activity.
+    pub fn active(&self) -> impl Iterator<Item = (usize, SlotValue<'a>)> {
+        let vals = self.vals.iter().enumerate().filter(|(_, v)| **v != 0);
+        let hists = self.hists.iter().enumerate().filter(|(_, h)| h.count() > 0);
+        let vals = vals.map(|(i, v)| (i, SlotValue::Scalar(*v)));
+        vals.chain(hists.map(|(i, h)| (i, SlotValue::Hist(h))))
+    }
+}
+
 /// The boot-time-allocated registry. Slot counts come from the machine
 /// shape; registering after boot is allowed (bench post-processing) but
 /// hooks inside the simulation only ever touch preallocated storage.
@@ -293,16 +312,6 @@ impl MetricsRegistry {
         self.metrics[id.0].hists[i].record(v);
     }
 
-    /// Human-readable slot label for export (`machine`, `node3`,
-    /// `core5`; a core's node is `core / cores_per_node`).
-    pub fn slot_label(&self, scope: Scope, i: usize) -> String {
-        match scope {
-            Scope::Machine => "machine".to_string(),
-            Scope::PerNode => format!("node{i}"),
-            Scope::PerCore => format!("core{i}"),
-        }
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = MetricView<'_>> {
         self.metrics.iter().map(|m| MetricView {
             name: &m.name,
@@ -311,6 +320,16 @@ impl MetricsRegistry {
             vals: &m.vals,
             hists: &m.hists,
         })
+    }
+
+    /// The metrics in name order. Registration order depends on code
+    /// paths (bench post-processing registers extra metrics after
+    /// boot), so the exporters and the coverage digest walk this order
+    /// to stay byte-stable.
+    pub fn sorted(&self) -> Vec<MetricView<'_>> {
+        let mut views: Vec<MetricView<'_>> = self.iter().collect();
+        views.sort_by(|a, b| a.name.cmp(b.name));
+        views
     }
 
     pub fn len(&self) -> usize {
@@ -382,9 +401,13 @@ mod tests {
         r.add(c, Slot::Machine, u64::MAX - 1);
         r.add(c, Slot::Machine, 5);
         assert_eq!(r.value("sat", Slot::Machine), Some(u64::MAX));
-        let mut h = Hist::default();
-        h.count = u64::MAX;
-        h.buckets[0] = u64::MAX;
+        let mut buckets = [0; 64];
+        buckets[0] = u64::MAX;
+        let mut h = Hist {
+            count: u64::MAX,
+            buckets,
+            ..Hist::default()
+        };
         h.record(0);
         assert_eq!(h.count(), u64::MAX);
         assert_eq!(h.nonzero_buckets().next(), Some((0, u64::MAX)));

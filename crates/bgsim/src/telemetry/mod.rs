@@ -1,7 +1,8 @@
 //! The deterministic telemetry subsystem: a boot-allocated metrics
-//! registry, typed cycle-domain tracepoints, and exporters
-//! (Chrome/Perfetto trace JSON, gem5-style flat stats, first-divergence
-//! reporting).
+//! registry, typed cycle-domain tracepoints, the cycle-accounting
+//! profiler and first-divergence reporting. Rendering lives with the
+//! callers: `bench::report` exports Chrome/Perfetto trace JSON and
+//! gem5-style flat and JSON stats dumps.
 //!
 //! Determinism neutrality is by construction, not by luck:
 //!
@@ -19,14 +20,14 @@
 //! `tests/cross_kernel.rs` enforces this for both kernels.
 
 mod divergence;
-mod export;
 mod metrics;
 mod profiler;
 mod tracepoint;
 
 pub use divergence::{first_divergence, DivergenceReport};
-pub use export::{chrome_trace_json, json_escape, stats_json, stats_txt};
-pub use metrics::{Hist, MetricId, MetricKind, MetricView, MetricsRegistry, Scope, Slot};
+pub use metrics::{
+    Hist, MetricId, MetricKind, MetricView, MetricsRegistry, Scope, Slot, SlotValue,
+};
 pub use profiler::{
     Domain, DomainStats, FlightRing, NodeHeat, ProfileSnapshot, Profiler, SpanRec, DOMAIN_COUNT,
 };
@@ -48,34 +49,19 @@ pub fn coverage_digest(reg: &MetricsRegistry, trace_digest: u64) -> u64 {
             *d = d.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    let mut views: Vec<MetricView<'_>> = reg.iter().collect();
-    views.sort_by(|a, b| a.name.cmp(b.name));
     let mut d: u64 = 0xcbf2_9ce4_8422_2325;
     mix(&mut d, trace_digest >> 32);
-    for m in views {
+    for m in reg.sorted() {
         let name_h = crate::rng::fnv1a(m.name.as_bytes());
-        match m.kind {
-            MetricKind::Histogram => {
-                for (i, h) in m.hists.iter().enumerate() {
-                    if h.count() == 0 {
-                        continue;
+        for (i, slot) in m.active() {
+            mix(&mut d, name_h);
+            mix(&mut d, i as u64);
+            match slot {
+                SlotValue::Scalar(v) => mix(&mut d, v),
+                SlotValue::Hist(h) => {
+                    for v in [h.count(), h.sum(), h.min(), h.max()] {
+                        mix(&mut d, v);
                     }
-                    mix(&mut d, name_h);
-                    mix(&mut d, i as u64);
-                    mix(&mut d, h.count());
-                    mix(&mut d, h.sum());
-                    mix(&mut d, h.min());
-                    mix(&mut d, h.max());
-                }
-            }
-            _ => {
-                for (i, v) in m.vals.iter().enumerate() {
-                    if *v == 0 {
-                        continue;
-                    }
-                    mix(&mut d, name_h);
-                    mix(&mut d, i as u64);
-                    mix(&mut d, *v);
                 }
             }
         }

@@ -13,19 +13,18 @@ use dcmf::Dcmf;
 use sysabi::{AppImage, Errno, JobSpec, NodeMode, OpenFlags, Rank, SysRet};
 use workloads::io_kernel::CheckpointApp;
 
-/// Hand-rolled digest extraction from the checked-in BENCH json (no
-/// JSON dependency in the workspace).
+/// A digest recorded in a checked-in BENCH json, from its
+/// single-thread fig8 report's `strings` block.
 fn recorded_digest(file: &str, key: &str) -> String {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let pat = format!("\"{key}\":");
-    let i = text
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{key} not found in {file}"));
-    let rest = &text[i + pat.len()..];
-    let a = rest.find('"').expect("opening quote");
-    let b = rest[a + 1..].find('"').expect("closing quote");
-    rest[a + 1..a + 1 + b].to_string()
+    let doc = bench::json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    doc.get("fig8_throughput.threads1")
+        .and_then(|r| r.get("strings"))
+        .and_then(|s| s.get(key))
+        .and_then(|d| d.str())
+        .unwrap_or_else(|| panic!("{key} not found in {file}"))
+        .to_string()
 }
 
 /// The tentpole acceptance gate: with no fault schedule, the fig8

@@ -97,7 +97,7 @@ fn fwk_timeslice_rearm_leaves_no_stale_events() {
                     // lengths: queues drain at different times, so both
                     // the pick_next drain-cancel and the exit-time
                     // drain-cancel paths run.
-                    1 | 2 | 3 => {
+                    1..=3 => {
                         let mut chunks = 0;
                         let quota = 10 * step;
                         Op::Spawn {
