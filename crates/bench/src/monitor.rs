@@ -7,10 +7,12 @@
 //! counters). `bgtop <path>` tails the file, parses the most recent
 //! line, and renders it as a per-subsystem / per-node table.
 //!
-//! Publishing rewrites the whole (small) file through
-//! [`crate::report::write_atomic`] — temp file in the same directory,
-//! renamed into place — so a reader never observes a torn final line
-//! and a crash mid-publish cannot leave a truncated file behind.
+//! The file is opened once, and each publish appends one line with one
+//! write. No earlier line is kept in memory, so a long-lived server's
+//! monitor costs the same per publish on its last job as on its first.
+//! A reader that races a write (or a crash mid-write) can see a torn
+//! final line; [`last_snapshot`] skips it and the previous complete
+//! line wins.
 //!
 //! This is strictly host-side observability: publishing reads finished
 //! [`ProfileSnapshot`]s, never the live simulation, so simulated
@@ -20,13 +22,15 @@
 //! done) is, which is what the CI demo checks.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use bgsim::telemetry::ProfileSnapshot;
 
 use crate::json::{self, Json, Writer};
-use crate::report::{write_atomic, SCHEMA_VERSION};
+use crate::report::SCHEMA_VERSION;
 
 /// One node of a live state-monitor tree (the Ouisync `state_monitor`
 /// idiom): named values plus named children, shared across threads.
@@ -92,12 +96,10 @@ impl StateNode {
     }
 }
 
-/// A JSONL snapshot publisher bound to a `--monitor-out` path. Lines
-/// accumulate in memory and every publish rewrites the file atomically,
-/// so the on-disk view is always a whole number of complete lines.
+/// A JSONL snapshot publisher bound to a `--monitor-out` path, which it
+/// holds open and appends to.
 pub struct Monitor {
-    path: PathBuf,
-    lines: String,
+    file: File,
     bench: String,
     seq: u64,
     warned: bool,
@@ -109,10 +111,8 @@ impl Monitor {
     /// the caller (the runner exits nonzero like it does for stats).
     pub fn create(path: &Path, bench: &str, force: bool) -> std::io::Result<Monitor> {
         crate::report::guard_overwrite(path, force)?;
-        write_atomic(path, b"")?;
         Ok(Monitor {
-            path: path.to_path_buf(),
-            lines: String::new(),
+            file: File::create(path)?,
             bench: bench.to_string(),
             seq: 0,
             warned: false,
@@ -132,7 +132,7 @@ impl Monitor {
         }
     }
 
-    /// Add one snapshot line and atomically rewrite the file.
+    /// Append one snapshot line.
     /// `done`/`total` count finished work units (shards, kernels,
     /// message sizes, service jobs: whatever the writer iterates);
     /// `snap` is the profile merged over everything finished so far.
@@ -164,11 +164,12 @@ impl Monitor {
     }
 
     fn append(&mut self, line: &str) {
-        self.lines.push_str(line);
-        self.lines.push('\n');
+        let mut buf = String::with_capacity(line.len() + 1);
+        buf.push_str(line);
+        buf.push('\n');
         // A failed publish must not kill the benchmark mid-run; the
         // monitor is advisory. Note it once on stderr and move on.
-        if write_atomic(&self.path, self.lines.as_bytes()).is_err() && !self.warned {
+        if self.file.write_all(buf.as_bytes()).is_err() && !self.warned {
             self.warned = true;
             eprintln!("warning: monitor snapshot write failed; live view will be stale");
         }
@@ -536,6 +537,27 @@ mod tests {
         let last = json::parse(lines[1]).unwrap();
         assert_eq!(last.path_num(&["seq"]), Some(2.0));
         assert_eq!(last.path_num(&["done"]), Some(2.0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reader_opened_before_the_first_publish_sees_every_line() {
+        // The file is appended in place, never replaced, so a reader
+        // holding it open (a `tail -f`) keeps seeing new lines.
+        use std::io::Read;
+        let dir = std::env::temp_dir().join(format!("bench_monitor_tail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mon.jsonl");
+        let mut m = Monitor::create(&path, "demo", false).unwrap();
+        let mut reader = File::open(&path).unwrap();
+        for done in 1..=3 {
+            m.publish(done, 3, &sample_snapshot(), None);
+        }
+        m.event("{\"event\":\"session-drop\",\"session\":1}");
+        let mut text = String::new();
+        reader.read_to_string(&mut text).unwrap();
+        assert_eq!(text.lines().count(), 4, "{text}");
+        assert_eq!(last_snapshot(&text).unwrap().path_num(&["seq"]), Some(3.0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

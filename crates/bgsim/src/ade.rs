@@ -12,14 +12,12 @@ use std::collections::{HashMap, VecDeque};
 
 use sysabi::{CoreId, Errno, JobSpec, NodeId, ProcId, Rank, SysReq, SysRet, Tid, UtsName};
 
-use crate::chip;
 use crate::features::{Capability, Ease, EaseRange, FeatureEntry, FeatureMatrix};
 use crate::machine::{
     BlockKind, BootReport, CommAction, CommCaps, CommModel, JobMap, Kernel, LaunchError,
-    MemOpResult, NetMsg, RankInfo, RecvInfo, SimCore, SyscallAction, ThreadState, Workload,
-    WorkloadFactory,
+    MemOpResult, NetMsg, RankInfo, RecvInfo, SimCore, SyscallAction, Workload, WorkloadFactory,
 };
-use crate::op::{CloneArgs, CommOp, Op};
+use crate::op::{CloneArgs, CommOp};
 
 /// The diagnostic kernel.
 #[derive(Default)]
@@ -137,23 +135,6 @@ impl Kernel for AdeKernel {
             self.requeue(core, tid);
         }
         (SysRet::Val(tid.0 as i64), 900)
-    }
-
-    fn compute_cost(&mut self, sc: &mut SimCore, tid: Tid, op: &Op) -> u64 {
-        let node = sc.thread(tid).node;
-        let chipc = sc.cfg.chip.clone();
-        match op {
-            Op::Compute { cycles } => *cycles,
-            Op::Daxpy { n, reps } => {
-                chip::daxpy_cycles(&chipc, *n, *reps) + sc.refresh_jitter(node)
-            }
-            Op::Stream { bytes } => {
-                let streams = sc.active_streams(node).max(1);
-                chip::stream_cycles(&chipc, *bytes, streams) + sc.refresh_jitter(node)
-            }
-            Op::Flops { flops } => chip::dgemm_cycles(&chipc, *flops) + sc.refresh_jitter(node),
-            _ => 1,
-        }
     }
 
     fn mem_touch(
@@ -364,14 +345,4 @@ impl CommModel for FixedLatencyComm {
                 .push_back((src, bytes));
         }
     }
-}
-
-/// Convenience: is a thread parked in the ADE ready queue? (test helper)
-pub fn ready_len(k: &AdeKernel, core: CoreId) -> usize {
-    k.ready.get(&core.0).map_or(0, |q| q.len())
-}
-
-/// Assert-style helper for tests: the state of a tid.
-pub fn state_of(sc: &SimCore, tid: Tid) -> ThreadState {
-    sc.thread(tid).state
 }

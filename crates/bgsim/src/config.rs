@@ -157,15 +157,6 @@ impl ChipConfig {
         ChipConfig::default()
     }
 
-    /// BG/P with the late-2009 firmware that allowed 3 threads per core
-    /// (§VIII footnote 3).
-    pub fn bgp_multithread() -> ChipConfig {
-        ChipConfig {
-            threads_per_core: 3,
-            ..ChipConfig::default()
-        }
-    }
-
     /// A pre-silicon "partial hardware" configuration: no torus, no DMA,
     /// broken L3 — what early bringup looked like (§III).
     pub fn bringup_partial() -> ChipConfig {
@@ -231,10 +222,6 @@ pub struct MachineConfig {
     /// Record a full event trace (needed by reproducibility tests and
     /// scan-based debugging; small runs only).
     pub trace_events: bool,
-    /// Bound trace-entry retention to a ring of this many entries
-    /// (long-running benches). Implies entry keeping; the digest still
-    /// covers the whole stream.
-    pub trace_capacity: Option<usize>,
     /// Enable the telemetry subsystem (metrics registry + tracepoints).
     /// Determinism-neutral: enabling it cannot change trace digests or
     /// cycle counts.
@@ -276,7 +263,6 @@ impl Default for MachineConfig {
             barrier_ns: 700.0,
             seed: 0x5eed_cafe,
             trace_events: false,
-            trace_capacity: None,
             telemetry: false,
             telemetry_capacity: 1 << 16,
             fast_path: true,
@@ -310,14 +296,6 @@ impl MachineConfig {
 
     pub fn with_trace(mut self) -> MachineConfig {
         self.trace_events = true;
-        self
-    }
-
-    /// Keep only the most recent `n` trace entries (bounded memory for
-    /// long-running benches).
-    pub fn with_trace_capacity(mut self, n: usize) -> MachineConfig {
-        self.trace_events = true;
-        self.trace_capacity = Some(n);
         self
     }
 

@@ -43,6 +43,7 @@ pub mod machine;
 pub mod mem;
 pub mod noise;
 pub mod op;
+pub mod posix;
 pub mod rng;
 pub mod scan;
 pub mod script;

@@ -146,11 +146,6 @@ impl Machine {
         self.live = Some(Box::new(LiveState::new(hook, now, events)));
     }
 
-    /// Detach any live hook.
-    pub fn clear_live_hook(&mut self) {
-        self.live = None;
-    }
-
     pub fn now(&self) -> Cycle {
         self.sc.now()
     }
@@ -1249,7 +1244,7 @@ impl Machine {
             // external callers).
             Op::Compute { .. } | Op::Daxpy { .. } | Op::Stream { .. } | Op::Flops { .. } => {
                 debug_assert!(op.is_compute());
-                let cost = self.kernel.compute_cost(&mut self.sc, tid, &op);
+                let cost = self.sc.compute_cycles(tid, &op);
                 self.trace_start(tid, op.name(), cost);
                 self.start_run(tid, cost, true);
                 Disp::Scheduled
@@ -1470,11 +1465,6 @@ impl Machine {
                 cost,
             );
         }
-    }
-
-    /// Borrow a thread's workload for result extraction after a run.
-    pub fn workload_of(&self, tid: Tid) -> Option<&dyn crate::machine::Workload> {
-        self.sc.threads[tid.idx()].workload.as_deref()
     }
 
     /// Deliver a signal to a thread at its next op boundary (test and

@@ -101,10 +101,6 @@ impl JobMap {
     pub fn rank(&self, r: Rank) -> &RankInfo {
         &self.ranks[r.idx()]
     }
-
-    pub fn main_tids(&self) -> Vec<Tid> {
-        self.ranks.iter().map(|r| r.main_tid).collect()
-    }
 }
 
 /// What a kernel does with a syscall.
@@ -236,10 +232,6 @@ pub trait Kernel {
         core_hint: Option<u32>,
         child: Box<dyn Workload>,
     ) -> (SysRet, u64);
-
-    /// Cost of a compute-class op (`Compute`, `Daxpy`, `Stream`,
-    /// `Flops`) for `tid`, including any kernel-regime effects.
-    fn compute_cost(&mut self, sc: &mut SimCore, tid: Tid, op: &Op) -> u64;
 
     /// A timing-plane memory touch: translation effects (TLB refills,
     /// demand paging) and protection (DAC guard ranges).
@@ -413,10 +405,6 @@ impl<'a> WlEnv<'a> {
     /// Next pending signal, if any.
     pub fn take_signal(&mut self) -> Option<Sig> {
         self.sc.inbox[self.tid.idx()].sig_queue.pop_front()
-    }
-
-    pub fn has_signal(&self) -> bool {
-        !self.sc.inbox[self.tid.idx()].sig_queue.is_empty()
     }
 
     /// Data-plane read through the kernel's translation.

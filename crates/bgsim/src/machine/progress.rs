@@ -141,26 +141,6 @@ impl LiveHook {
         self
     }
 
-    pub fn with_sink(mut self, sink: Box<dyn ProgressSink>) -> LiveHook {
-        self.sink = Some(sink);
-        self
-    }
-
-    pub fn with_cancel(mut self, token: CancelToken) -> LiveHook {
-        self.cancel = Some(token);
-        self
-    }
-
-    pub fn with_timeout_cycles(mut self, cycles: u64) -> LiveHook {
-        self.timeout_cycles = Some(cycles);
-        self
-    }
-
-    pub fn with_timeout_wall(mut self, budget: Duration) -> LiveHook {
-        self.timeout_wall = Some(budget);
-        self
-    }
-
     /// True when attaching this hook would change nothing.
     pub fn is_noop(&self) -> bool {
         self.sink.is_none()

@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use sysabi::{CoreId, NodeId, ProcId, Sig, SysRet, Tid};
 
 use crate::barrier::BarrierNet;
+use crate::chip;
 use crate::collective::CollectiveNet;
 use crate::config::MachineConfig;
 use crate::cycles::Cycle;
@@ -21,6 +22,7 @@ use crate::idmap::IdMap;
 use crate::machine::thread::{Inbox, Thread, ThreadState};
 use crate::machine::Workload;
 use crate::mem::PhysMem;
+use crate::op::Op;
 use crate::rng::{LazyStreams, RngHub};
 use crate::telemetry::{Domain, Profiler, Slot, Telemetry, TpKind};
 use crate::torus::Torus;
@@ -212,10 +214,7 @@ impl SimCore {
             torus: Torus::new(&cfg),
             coll: CollectiveNet::new(&cfg),
             barrier: BarrierNet::new(&cfg),
-            trace: match cfg.trace_capacity {
-                Some(n) => Trace::with_capacity(n),
-                None => Trace::new(cfg.trace_events),
-            },
+            trace: Trace::new(cfg.trace_events),
             tel: if cfg.telemetry {
                 Telemetry::standard(cfg.nodes, cfg.chip.cores, cfg.telemetry_capacity)
             } else {
@@ -299,10 +298,6 @@ impl SimCore {
 
     pub fn thread(&self, tid: Tid) -> &Thread {
         &self.threads[tid.idx()]
-    }
-
-    pub fn thread_mut(&mut self, tid: Tid) -> &mut Thread {
-        &mut self.threads[tid.idx()]
     }
 
     /// What `tid`'s workload collects at its next op boundary.
@@ -520,6 +515,28 @@ impl SimCore {
         let max = self.cfg.chip.dram_refresh_stall_max;
         let rng = self.jitter.get(&self.hub, node.idx());
         crate::rng::uniform_incl(rng, 0, max)
+    }
+
+    /// Cycles a compute-class op (`Op::is_compute`) takes on `tid`'s
+    /// node. Every kernel runs on the same hardware, so this pricing is
+    /// kernel-independent: the minimum FWQ sample is identical on CNK
+    /// and Linux (§V.A), and what differs is the noise that stretches
+    /// ops later.
+    pub fn compute_cycles(&mut self, tid: Tid, op: &Op) -> u64 {
+        let node = self.threads[tid.idx()].node;
+        let hw = &self.cfg.chip;
+        match *op {
+            Op::Compute { cycles } => cycles,
+            Op::Daxpy { n, reps } => chip::daxpy_cycles(hw, n, reps) + self.refresh_jitter(node),
+            Op::Stream { bytes } => {
+                // Concurrent streams on the node contend in the L2 banks
+                // (§III); this core's own stream counts itself.
+                let streams = self.active_streams(node).max(1);
+                chip::stream_cycles(hw, bytes, streams) + self.refresh_jitter(node)
+            }
+            Op::Flops { flops } => chip::dgemm_cycles(hw, flops) + self.refresh_jitter(node),
+            _ => 1,
+        }
     }
 
     // ---- kernel event scheduling -------------------------------------------
@@ -960,7 +977,6 @@ impl SimCore {
 mod tests {
     use super::*;
     use crate::machine::{WlEnv, Workload};
-    use crate::op::Op;
 
     struct Nop;
     impl Workload for Nop {

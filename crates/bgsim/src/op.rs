@@ -140,7 +140,7 @@ pub enum Op {
 impl Op {
     /// True for the deterministic local-compute classes (`Compute`,
     /// `Daxpy`, `Stream`, `Flops`): a fixed cost on the issuing core,
-    /// priced up front by `Kernel::compute_cost`, with no kernel or
+    /// priced up front by `SimCore::compute_cycles`, with no kernel or
     /// network interaction while running. These are the ops whose
     /// completions the machine's quiescence fast path may retire inline
     /// (see `machine/exec.rs`), which is why they share one dispatch

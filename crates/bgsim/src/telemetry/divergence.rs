@@ -12,8 +12,7 @@ use crate::trace::{Trace, TraceEntry};
 /// The earliest difference between two traces.
 #[derive(Clone, Debug)]
 pub struct DivergenceReport {
-    /// Absolute index of the first differing entry (counting every
-    /// recorded event, including any that fell out of a bounded ring).
+    /// Index of the first differing entry.
     pub index: u64,
     /// The entry on each side; `None` if that stream ended first.
     pub a: Option<TraceEntry>,
@@ -48,48 +47,19 @@ impl DivergenceReport {
 /// overlapping recorded ranges are identical and equally long.
 ///
 /// Both traces should have been recorded with entries kept
-/// (`trace_events` or a bounded ring). Bounded rings are aligned by
-/// absolute index; only the overlap both sides still hold is compared,
-/// so a divergence older than the ring capacity cannot be localized —
-/// re-run with a larger capacity.
+/// (`trace_events`).
 pub fn first_divergence(a: &Trace, b: &Trace, context: usize) -> Option<DivergenceReport> {
-    // Align by absolute index: entry i of a trace's buffer is absolute
-    // index dropped + i.
-    let start = a.dropped().max(b.dropped());
-    let a_off = (start - a.dropped()) as usize;
-    let b_off = (start - b.dropped()) as usize;
-    let a_len = a.entries().len().saturating_sub(a_off);
-    let b_len = b.entries().len().saturating_sub(b_off);
-    let common = a_len.min(b_len);
-    for i in 0..common {
-        let ea = &a.entries()[a_off + i];
-        let eb = &b.entries()[b_off + i];
-        if ea != eb {
-            let ctx_from = i.saturating_sub(context);
-            return Some(DivergenceReport {
-                index: start + i as u64,
-                a: Some(ea.clone()),
-                b: Some(eb.clone()),
-                context: (ctx_from..i)
-                    .map(|j| a.entries()[a_off + j].clone())
-                    .collect(),
-            });
-        }
-    }
-    if a_len == b_len {
-        return None;
-    }
-    // One stream is a strict prefix of the other: the divergence is the
-    // first entry past the shorter one.
-    let i = common;
-    let ctx_from = i.saturating_sub(context);
+    let (a, b) = (a.entries(), b.entries());
+    // The first differing index, or the first entry past the shorter
+    // stream when one is a strict prefix of the other.
+    let i = (0..a.len().min(b.len()))
+        .find(|&i| a[i] != b[i])
+        .or_else(|| (a.len() != b.len()).then_some(a.len().min(b.len())))?;
     Some(DivergenceReport {
-        index: start + i as u64,
-        a: a.entries().get(a_off + i).cloned(),
-        b: b.entries().get(b_off + i).cloned(),
-        context: (ctx_from..i)
-            .map(|j| a.entries()[a_off + j].clone())
-            .collect(),
+        index: i as u64,
+        a: a.get(i).cloned(),
+        b: b.get(i).cloned(),
+        context: a[i.saturating_sub(context)..i].to_vec(),
     })
 }
 
@@ -147,24 +117,5 @@ mod tests {
         let d = first_divergence(&a, &b, 2).expect("must diverge");
         assert_eq!(d.index, 8);
         assert!(d.a.is_some() && d.b.is_none());
-    }
-
-    #[test]
-    fn ring_buffers_align_by_absolute_index() {
-        // A keeps everything; B is a ring that dropped its prefix. The
-        // overlap matches except one event.
-        let mut a = Trace::new(true);
-        let mut b = Trace::with_capacity(16);
-        for i in 0..64 {
-            a.record(i, noise(0, i));
-            b.record(i, noise(0, if i == 60 { 1234 } else { i }));
-        }
-        assert_eq!(b.dropped(), 48);
-        let d = first_divergence(&a, &b, 2).expect("must diverge");
-        assert_eq!(d.index, 60);
-        assert_eq!(d.b.as_ref().unwrap().what, noise(0, 1234));
-        let r = d.render();
-        assert!(r.contains("index 60"));
-        assert!(r.contains("A >"));
     }
 }

@@ -49,10 +49,6 @@ impl Torus {
         self.dims
     }
 
-    pub fn node_count(&self) -> u32 {
-        self.dims.0 * self.dims.1 * self.dims.2
-    }
-
     /// Node id → torus coordinate (x fastest).
     pub fn coord(&self, n: NodeId) -> Coord {
         let (dx, dy, _dz) = self.dims;

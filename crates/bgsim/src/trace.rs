@@ -3,15 +3,8 @@
 //! The reproducibility experiments compare whole runs: two machines with
 //! the same configuration and seed must produce identical event streams.
 //! Comparing streams directly is O(run length) in memory, so the trace
-//! also maintains a rolling FNV digest that tests can compare in O(1).
-//!
-//! Entry retention has two modes: unbounded (small runs, exact replay)
-//! and a bounded ring ([`Trace::with_capacity`]) that keeps the last `n`
-//! entries for long-running benches — the digest always covers the full
-//! stream either way, and [`Trace::dropped`] preserves absolute indices
-//! for the divergence reporter.
-
-use std::collections::VecDeque;
+//! also maintains a rolling FNV digest that tests can compare in O(1);
+//! entries are kept only when asked for (small runs, exact replay).
 
 use crate::cycles::Cycle;
 
@@ -79,12 +72,7 @@ pub struct Trace {
     digest: u64,
     count: u64,
     keep_entries: bool,
-    /// Ring-buffer bound on retained entries; `None` means unbounded.
-    capacity: Option<usize>,
-    /// Entries evicted from a bounded ring (absolute index of the first
-    /// retained entry).
-    dropped: u64,
-    entries: VecDeque<TraceEntry>,
+    entries: Vec<TraceEntry>,
     /// One-entry memo for the op-name hash: `(ptr, len, fnv1a)` of the
     /// last `&'static str` hashed. The hot loop records the same op name
     /// millions of times; interned statics make the pointer a reliable
@@ -99,24 +87,7 @@ impl Trace {
             digest: 0xcbf2_9ce4_8422_2325,
             count: 0,
             keep_entries,
-            capacity: None,
-            dropped: 0,
-            entries: VecDeque::new(),
-            name_memo: (0, 0, 0),
-        }
-    }
-
-    /// A trace that keeps only the most recent `n` entries (bounded
-    /// memory for long-running benches). The digest still covers every
-    /// event ever recorded.
-    pub fn with_capacity(n: usize) -> Trace {
-        Trace {
-            digest: 0xcbf2_9ce4_8422_2325,
-            count: 0,
-            keep_entries: true,
-            capacity: Some(n),
-            dropped: 0,
-            entries: VecDeque::with_capacity(n),
+            entries: Vec::new(),
             name_memo: (0, 0, 0),
         }
     }
@@ -210,17 +181,7 @@ impl Trace {
             }
         }
         if self.keep_entries {
-            match self.capacity {
-                Some(0) => self.dropped += 1,
-                Some(cap) => {
-                    if self.entries.len() == cap {
-                        self.entries.pop_front();
-                        self.dropped += 1;
-                    }
-                    self.entries.push_back(TraceEntry { at, what });
-                }
-                None => self.entries.push_back(TraceEntry { at, what }),
-            }
+            self.entries.push(TraceEntry { at, what });
         }
     }
 
@@ -234,15 +195,8 @@ impl Trace {
     }
 
     /// Recorded entries (empty unless constructed with `keep_entries`).
-    /// In ring mode these are the most recent `capacity` entries; entry
-    /// `i` here is absolute event index `dropped() + i`.
-    pub fn entries(&self) -> &VecDeque<TraceEntry> {
+    pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
-    }
-
-    /// Entries evicted from a bounded ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -304,29 +258,6 @@ mod tests {
             },
         );
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn ring_mode_bounds_memory_and_keeps_digest() {
-        let mut ring = Trace::with_capacity(8);
-        let mut full = Trace::new(true);
-        for i in 0..100 {
-            ring.record(i, TraceEvent::Custom { tag: i });
-            full.record(i, TraceEvent::Custom { tag: i });
-        }
-        assert_eq!(ring.entries().len(), 8);
-        assert_eq!(ring.dropped(), 92);
-        assert_eq!(ring.count(), 100);
-        // The digest covers the whole stream, not just retained entries.
-        assert_eq!(ring.digest(), full.digest());
-        // Retained entries are the newest, aligned by absolute index.
-        assert_eq!(ring.entries()[0], full.entries()[92]);
-        assert_eq!(*ring.entries().back().unwrap(), full.entries()[99]);
-        // Capacity 0 keeps nothing but still counts.
-        let mut none = Trace::with_capacity(0);
-        none.record(1, TraceEvent::Custom { tag: 1 });
-        assert!(none.entries().is_empty());
-        assert_eq!(none.dropped(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The CNK kernel object: `bgsim::Kernel` implementation tying together
-//! the partitioner, scheduler, futexes, guard pages, function shipping,
-//! and persistent memory.
+//! the partitioner, scheduler, guard pages, function shipping, and
+//! persistent memory. The futex and signal mechanics are the shared
+//! `bgsim::posix` module, under CNK's costs and machine-check rule.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,19 +15,19 @@ use bgsim::machine::{
     SimCore, SyscallAction, Workload, WorkloadFactory, IPI_GUARD_REPOSITION,
 };
 use bgsim::noise::NoiseSource;
-use bgsim::op::{CloneArgs, Op};
+use bgsim::op::CloneArgs;
+use bgsim::posix::{done, err, Posix, PosixPolicy};
 use bgsim::rng::LazyStreams;
 use bgsim::telemetry::{Domain, Slot, TpKind};
 use bgsim::tlb::{Tlb, TlbEntry};
 use ciod::vfs::Ino;
 use ciod::{service_cycles, Ciod, RetryPolicy, Vfs};
 use sysabi::{
-    CloneFlags, CoreId, Errno, FutexOp, JobSpec, MapFlags, NodeId, ProcId, Prot, Rank, Sig,
-    SigDisposition, SysReq, SysRet, Tid, UtsName,
+    CloneFlags, CoreId, Errno, JobSpec, MapFlags, NodeId, ProcId, Prot, Rank, Sig, SysReq, SysRet,
+    Tid, UtsName,
 };
 
 use crate::boot;
-use crate::futex::FutexTable;
 use crate::mem::{
     partition_node, tracker_errno, AddressSpace, ProcRequirements, Region, StaticMap,
 };
@@ -50,6 +51,20 @@ const CLONE_COST: u64 = 1_900;
 const PARITY_HANDLER_COST: u64 = 2_200;
 /// RAS handler cost per spurious DAC guard fault in an injected storm.
 const GUARD_STORM_COST: u64 = 420;
+/// Cost of a DAC guard hit or an unmapped access.
+const FAULT_COST: u64 = 420;
+
+/// CNK's policy for the shared NPTL calls: its costs, and an unhandled
+/// machine check is fatal (the checkpoint/restart world of §V.B).
+const POSIX: PosixPolicy = PosixPolicy {
+    base: SYSCALL_BASE,
+    futex: 90,
+    efault: 40,
+    sigaction: 60,
+    tgkill: 200,
+    segv: FAULT_COST,
+    parity_kills: true,
+};
 
 /// Kernel-event tag namespace for function-ship retry timers. Kept out
 /// of the injected-noise tag space (which packs a source index and core
@@ -144,17 +159,15 @@ enum PendingIo {
 
 /// The Compute Node Kernel.
 ///
-/// Per-node and per-ION columns (`futexes`, `persist`, `ciods`, the RNG
-/// streams) materialize on first touch rather than at boot, so an idle
+/// Per-node and per-ION columns (futex tables, `persist`, `ciods`, the
+/// RNG streams) materialize on first touch rather than at boot, so an idle
 /// node on a 100k-node rack costs no kernel-side heap. RNG streams are
 /// a pure function of `(master seed, name, index)`, so lazy creation is
 /// draw-for-draw identical to the old eager columns.
 pub struct Cnk {
     pub cfg: CnkConfig,
     sched: Scheduler,
-    /// Per-node futex tables, grown on first touch. Indexed sparsely: a
-    /// short vec means the tail nodes have never parked a waiter.
-    futexes: Vec<FutexTable>,
+    posix: Posix,
     /// Per-node persistent-memory registries, grown on first
     /// `PersistOpen`. Contents survive reproducible resets (backed by
     /// self-refreshed DRAM), so they are only dropped on a shape change.
@@ -198,7 +211,7 @@ impl Cnk {
             console: vfs.console(),
             cfg,
             sched: Scheduler::new(0, 1),
-            futexes: Vec::new(),
+            posix: Posix::new(POSIX),
             persist: Vec::new(),
             persist_nodes: 0,
             procs: IdMap::new(),
@@ -256,16 +269,6 @@ impl Cnk {
         self.procs.get(proc.0 as u64)
     }
 
-    /// The node's futex table, materialized on first touch. A free
-    /// function over the field so callers holding disjoint borrows of
-    /// other `Cnk` fields can still reach it.
-    fn futex_table(futexes: &mut Vec<FutexTable>, node: NodeId) -> &mut FutexTable {
-        if futexes.len() <= node.idx() {
-            futexes.resize_with(node.idx() + 1, FutexTable::new);
-        }
-        &mut futexes[node.idx()]
-    }
-
     /// The ION's CIOD daemon, materialized on first touch.
     fn ciod_at(ciods: &mut Vec<Ciod>, ion: usize) -> &mut Ciod {
         while ciods.len() <= ion {
@@ -290,17 +293,6 @@ impl Cnk {
 
     fn proc_of(&self, sc: &SimCore, tid: Tid) -> ProcId {
         sc.thread(tid).proc
-    }
-
-    fn done(ret: SysRet, cost: u64) -> SyscallAction {
-        SyscallAction::Done { ret, cost }
-    }
-
-    fn err(e: Errno, cost: u64) -> SyscallAction {
-        SyscallAction::Done {
-            ret: SysRet::Err(e),
-            cost,
-        }
     }
 
     /// Pin a launched process's static map into every one of its cores'
@@ -642,67 +634,12 @@ impl Cnk {
         }
     }
 
-    /// Deliver a signal to a thread per process disposition. Returns true
-    /// if the signal was queued/acted on.
-    fn post_signal(&mut self, sc: &mut SimCore, tid: Tid, sig: Sig) {
-        let proc_id = sc.thread(tid).proc;
-        let node = sc.thread(tid).node;
-        let Some(p) = self.procs.get(proc_id.0 as u64) else {
-            return;
-        };
-        match p.disposition(sig) {
-            SigDisposition::Ignore => {}
-            SigDisposition::Handler(_) => {
-                // Interrupt a futex wait with EINTR (NPTL cancellation
-                // depends on this).
-                if matches!(
-                    sc.thread(tid).state,
-                    bgsim::ThreadState::Blocked(BlockKind::Futex)
-                ) && self
-                    .futexes
-                    .get_mut(node.idx())
-                    .is_some_and(|f| f.remove(tid))
-                {
-                    sc.defer_unblock(tid, Some(SysRet::Err(Errno::EINTR)));
-                }
-                sc.post_signal(tid, sig);
-            }
-            SigDisposition::Default => {
-                if sig.default_fatal() || sig == Sig::Parity {
-                    // An unhandled machine-check is fatal (the
-                    // checkpoint/restart world of §V.B).
-                    sc.defer_kill(proc_id, 128 + sig as i32);
-                } else {
-                    // Non-fatal default: ignored.
-                }
-            }
-        }
-    }
-
     fn schedule_noise(&mut self, sc: &mut SimCore, node: NodeId, src_idx: usize, core_local: u32) {
         let delay = {
             let src = &self.cfg.injected_noise[src_idx];
             src.next_delay(self.noise_rng.get(&sc.hub, node.idx()))
         };
         sc.schedule_kernel_event_in(node, ((src_idx as u64) << 8) | core_local as u64, delay);
-    }
-
-    fn tp_futex_wake(&mut self, sc: &mut SimCore, tid: Tid, node: NodeId, uaddr: u64, woken: i64) {
-        let core = sc.thread(tid).core;
-        sc.tel.count(
-            sc.tel.ids.futex_wakes,
-            Slot::Core(core.0),
-            woken.max(0) as u64,
-        );
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            core.0,
-            TpKind::FutexWake,
-            "wake",
-            uaddr,
-            woken.max(0) as u64,
-        );
     }
 
     fn guard_hit(&mut self, sc: &mut SimCore, tid: Tid, vaddr: u64) {
@@ -720,7 +657,9 @@ impl Cnk {
         );
         // A DAC guard hit is delivered as SIGSEGV; default kills the
         // process (stack smashed into the heap).
-        self.post_signal(sc, tid, Sig::Segv);
+        let p = self.procs.get(sc.thread(tid).proc.0 as u64);
+        self.posix
+            .post_signal(sc, tid, Sig::Segv, p.map(|p| &p.posix));
     }
 
     /// The kernel RAS event log, in record order.
@@ -796,7 +735,7 @@ impl Kernel for Cnk {
         let tpc = sc.cfg.chip.threads_per_core;
         self.sched = Scheduler::new(sc.cfg.total_cores() as usize, tpc);
         // Futex tables are per-boot state; drop and regrow on demand.
-        self.futexes.clear();
+        self.posix.reset();
         if self.persist_nodes != nodes {
             // Persist registries survive reproducible resets (backed by
             // self-refreshed DRAM); re-provision only when the machine
@@ -835,7 +774,7 @@ impl Kernel for Cnk {
 
     fn reset(&mut self) {
         self.sched.reset();
-        self.futexes.clear();
+        self.posix.reset();
         self.procs.clear();
         self.pending_io.clear();
         self.booted = false;
@@ -873,9 +812,7 @@ impl Kernel for Cnk {
             d.reset();
         }
         self.sched.reset();
-        for f in &mut self.futexes {
-            f.clear();
-        }
+        self.posix.reset();
 
         let ppn = spec.mode.procs_per_node();
         let cpp = spec.mode.cores_per_proc();
@@ -1006,7 +943,7 @@ impl Kernel for Cnk {
         // Function-shipped I/O (§IV.A).
         if req.is_io() {
             if !sc.cfg.chip.collective_unit.usable() {
-                return Self::err(Errno::EIO, SYSCALL_BASE);
+                return err(Errno::EIO, SYSCALL_BASE);
             }
             self.fship(sc, tid, req, PendingIo::Plain { tid });
             return SyscallAction::Block {
@@ -1016,16 +953,28 @@ impl Kernel for Cnk {
 
         let proc_id = self.proc_of(sc, tid);
         let node = sc.thread(tid).node;
+        // The NPTL calls both kernels share, through the static map.
+        let (posix, aspace) = self
+            .procs
+            .get_mut(proc_id.0 as u64)
+            .map(|p| (&mut p.posix, &p.aspace))
+            .unzip();
+        if let Some(action) = self
+            .posix
+            .syscall(sc, tid, req, posix, |va| aspace?.translate(va))
+        {
+            return action;
+        }
 
         match req {
             SysReq::Brk { addr } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 let old = p.aspace.heap.brk_addr();
                 let newb = match p.aspace.heap.brk(*addr) {
                     Ok(b) => b,
-                    Err(_) => return Self::done(SysRet::Val(old as i64), SYSCALL_BASE + 120),
+                    Err(_) => return done(SysRet::Val(old as i64), SYSCALL_BASE + 120),
                 };
                 // Heap grew: reposition the main-thread guard (§IV.C),
                 // via IPI if another thread moved the boundary.
@@ -1046,7 +995,7 @@ impl Kernel for Cnk {
                         }
                     }
                 }
-                Self::done(SysRet::Val(newb as i64), SYSCALL_BASE + 160)
+                done(SysRet::Val(newb as i64), SYSCALL_BASE + 160)
             }
             SysReq::Mmap {
                 len,
@@ -1057,18 +1006,18 @@ impl Kernel for Cnk {
                 ..
             } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 match fd {
                     None => match p.aspace.heap.mmap(*len, *prot) {
-                        Ok(addr) => Self::done(SysRet::Val(addr as i64), SYSCALL_BASE + 210),
-                        Err(e) => Self::err(tracker_errno(e), SYSCALL_BASE + 210),
+                        Ok(addr) => done(SysRet::Val(addr as i64), SYSCALL_BASE + 210),
+                        Err(e) => err(tracker_errno(e), SYSCALL_BASE + 210),
                     },
                     Some(fd) => {
                         // File mapping: read-only, full copy-in (§VI.A),
                         // MAP_COPY style (§IV.B.2).
                         if prot.contains(Prot::WRITE) && !flags.contains(MapFlags::PRIVATE) {
-                            return Self::err(Errno::EACCES, SYSCALL_BASE + 210);
+                            return err(Errno::EACCES, SYSCALL_BASE + 210);
                         }
                         // Library text goes into the fixed dynamic
                         // window if present, else the heap arena.
@@ -1076,7 +1025,7 @@ impl Kernel for Cnk {
                             Ok(v) => v,
                             Err(_) => match p.aspace.heap.mmap(*len, *prot) {
                                 Ok(v) => v,
-                                Err(e) => return Self::err(tracker_errno(e), SYSCALL_BASE + 210),
+                                Err(e) => return err(tracker_errno(e), SYSCALL_BASE + 210),
                             },
                         };
                         let read = SysReq::Pread {
@@ -1093,73 +1042,46 @@ impl Kernel for Cnk {
             }
             SysReq::Munmap { addr, len } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 match p.aspace.heap.munmap(*addr, *len) {
-                    Ok(()) => Self::done(SysRet::Val(0), SYSCALL_BASE + 170),
-                    Err(e) => Self::err(tracker_errno(e), SYSCALL_BASE + 170),
+                    Ok(()) => done(SysRet::Val(0), SYSCALL_BASE + 170),
+                    Err(e) => err(tracker_errno(e), SYSCALL_BASE + 170),
                 }
             }
             SysReq::Mprotect { addr, len, prot } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 // Record for the guard-page convention (§IV.C) even if
                 // the range is brk space.
                 p.last_mprotect = Some((*addr, *len));
                 match p.aspace.heap.mprotect(*addr, *len, *prot) {
-                    Ok(()) => Self::done(SysRet::Val(0), SYSCALL_BASE + 110),
-                    Err(e) => Self::err(tracker_errno(e), SYSCALL_BASE + 110),
+                    Ok(()) => done(SysRet::Val(0), SYSCALL_BASE + 110),
+                    Err(e) => err(tracker_errno(e), SYSCALL_BASE + 110),
                 }
             }
             SysReq::Clone { .. } => {
                 // Direct clone without a child program makes no sense in
                 // the simulation; NPTL goes through Op::Spawn.
-                Self::err(Errno::EINVAL, SYSCALL_BASE)
+                err(Errno::EINVAL, SYSCALL_BASE)
             }
-            SysReq::SetTidAddress { addr } => {
-                if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.set_clear_tid(tid, *addr);
-                }
-                Self::done(SysRet::Val(tid.0 as i64), SYSCALL_BASE)
-            }
-            SysReq::Futex { uaddr, op } => self.sys_futex(sc, tid, proc_id, node, *uaddr, *op),
             SysReq::SchedYield => {
                 let core = sc.thread(tid).core;
                 self.sched.enqueue(core, proc_id, tid);
                 SyscallAction::YieldCpu
             }
-            SysReq::Sigaction { sig, disposition } => {
-                if !sig.catchable() && !matches!(disposition, SigDisposition::Default) {
-                    return Self::err(Errno::EINVAL, SYSCALL_BASE);
-                }
-                if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.set_disposition(*sig, *disposition);
-                }
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 60)
-            }
-            SysReq::Tgkill { tid: target, sig } => {
-                let target = Tid(*target);
-                if target.idx() >= sc.threads.len()
-                    || sc.thread(target).proc != proc_id
-                    || !sc.thread(target).state.is_live()
-                {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
-                }
-                self.post_signal(sc, target, *sig);
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 200)
-            }
-            SysReq::Gettid => Self::done(SysRet::Val(tid.0 as i64), SYSCALL_BASE),
-            SysReq::Getpid => Self::done(SysRet::Val(proc_id.0 as i64), SYSCALL_BASE),
-            SysReq::Uname => Self::done(SysRet::Uname(self.utsname()), SYSCALL_BASE + 80),
+            SysReq::Gettid => done(SysRet::Val(tid.0 as i64), SYSCALL_BASE),
+            SysReq::Getpid => done(SysRet::Val(proc_id.0 as i64), SYSCALL_BASE),
+            SysReq::Uname => done(SysRet::Uname(self.utsname()), SYSCALL_BASE + 80),
             SysReq::ExitThread { code } => SyscallAction::ExitThread { code: *code },
             SysReq::ExitGroup { code } => SyscallAction::ExitProc { code: *code },
             // §VII.B: "MPI cannot spawn dynamic tasks because CNK does
             // not allow fork/exec operations."
-            SysReq::Fork | SysReq::Exec { .. } => Self::err(Errno::ENOSYS, SYSCALL_BASE),
+            SysReq::Fork | SysReq::Exec { .. } => err(Errno::ENOSYS, SYSCALL_BASE),
             SysReq::PersistOpen { name, len } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 let granted = p.persist_grants.iter().any(|g| g == name);
                 let uid = p.uid;
@@ -1171,44 +1093,44 @@ impl Kernel for Cnk {
                         let region = PersistRegistry::as_region(&r);
                         // Already attached? (re-open in the same job)
                         if p.aspace.persist.iter().any(|x| x.vaddr == region.vaddr) {
-                            return Self::done(SysRet::Val(r.vaddr as i64), SYSCALL_BASE + 300);
+                            return done(SysRet::Val(r.vaddr as i64), SYSCALL_BASE + 300);
                         }
                         p.aspace.attach_persist(region.clone());
                         let Some(p_immutable) = self.procs.get(proc_id.0 as u64) else {
-                            return Self::err(Errno::ESRCH, SYSCALL_BASE + 300);
+                            return err(Errno::ESRCH, SYSCALL_BASE + 300);
                         };
                         if let Err(e) = self.pin_region(sc, p_immutable, &region) {
-                            return Self::err(e, SYSCALL_BASE + 300);
+                            return err(e, SYSCALL_BASE + 300);
                         }
-                        Self::done(SysRet::Val(r.vaddr as i64), SYSCALL_BASE + 300)
+                        done(SysRet::Val(r.vaddr as i64), SYSCALL_BASE + 300)
                     }
-                    Err(e) => Self::err(e, SYSCALL_BASE + 300),
+                    Err(e) => err(e, SYSCALL_BASE + 300),
                 }
             }
             SysReq::QueryStaticMap => {
                 let Some(p) = self.procs.get(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
-                Self::done(
+                done(
                     SysRet::StaticMap(p.aspace.map.as_triples()),
                     SYSCALL_BASE + 150,
                 )
             }
             SysReq::AffinityPartner { local_core } => {
                 if !self.cfg.affinity_extension {
-                    return Self::err(Errno::ENOSYS, SYSCALL_BASE);
+                    return err(Errno::ENOSYS, SYSCALL_BASE);
                 }
                 if *local_core >= sc.cfg.chip.cores {
-                    return Self::err(Errno::EINVAL, SYSCALL_BASE);
+                    return err(Errno::EINVAL, SYSCALL_BASE);
                 }
                 let core = sc.core_of(node, *local_core);
                 // Designating one's own core is pointless but harmless.
                 self.sched.set_remote_partner(core, proc_id);
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 120)
+                done(SysRet::Val(0), SYSCALL_BASE + 120)
             }
             other => {
                 debug_assert!(!other.is_io());
-                Self::err(Errno::ENOSYS, SYSCALL_BASE)
+                err(Errno::ENOSYS, SYSCALL_BASE)
             }
         }
     }
@@ -1267,7 +1189,7 @@ impl Kernel for Cnk {
             .expect("invariant: spawn caller's process exists (it issued the clone)");
         p.live_threads += 1;
         if args.flags.contains(CloneFlags::CHILD_CLEARTID) {
-            p.set_clear_tid(tid, args.child_tid_addr);
+            p.posix.set_clear_tid(tid, args.child_tid_addr);
         }
         // §IV.C: the last mprotect before clone becomes the new thread's
         // stack guard.
@@ -1299,23 +1221,6 @@ impl Kernel for Cnk {
         (SysRet::Val(tid.0 as i64), CLONE_COST)
     }
 
-    fn compute_cost(&mut self, sc: &mut SimCore, tid: Tid, op: &Op) -> u64 {
-        let node = sc.thread(tid).node;
-        let chipc = &sc.cfg.chip;
-        match op {
-            Op::Compute { cycles } => *cycles,
-            Op::Daxpy { n, reps } => chip::daxpy_cycles(chipc, *n, *reps) + sc.refresh_jitter(node),
-            Op::Stream { bytes } => {
-                // Concurrent streams on the node contend in the L2 banks
-                // (§III); this core's own stream counts itself.
-                let streams = sc.active_streams(node).max(1);
-                chip::stream_cycles(chipc, *bytes, streams) + sc.refresh_jitter(node)
-            }
-            Op::Flops { flops } => chip::dgemm_cycles(chipc, *flops) + sc.refresh_jitter(node),
-            _ => 1,
-        }
-    }
-
     fn mem_touch(
         &mut self,
         sc: &mut SimCore,
@@ -1332,7 +1237,7 @@ impl Kernel for Cnk {
         if hit {
             self.guard_hit(sc, tid, vaddr);
             return MemOpResult {
-                cost: 420,
+                cost: FAULT_COST,
                 faulted: true,
             };
         }
@@ -1345,22 +1250,7 @@ impl Kernel for Cnk {
         if !p.aspace.mapped(vaddr) || (bytes > 1 && !p.aspace.mapped(vaddr + bytes - 1)) {
             // No demand paging: an unmapped access is an immediate
             // SIGSEGV (§VI.B).
-            let node = sc.thread(tid).node;
-            sc.tel.count(sc.tel.ids.segv_faults, Slot::Core(core.0), 1);
-            sc.tel.tp(
-                sc.now(),
-                node.0,
-                core.0,
-                TpKind::Segv,
-                "unmapped",
-                tid.0 as u64,
-                vaddr,
-            );
-            self.post_signal(sc, tid, Sig::Segv);
-            return MemOpResult {
-                cost: 420,
-                faulted: true,
-            };
+            return self.posix.segv(sc, tid, vaddr, "unmapped", Some(&p.posix));
         }
         // Static TLB: never a miss (§VI.B / Table II "No TLB misses").
         let cost = chip::stream_cycles(&sc.cfg.chip, bytes, 1).max(1);
@@ -1387,34 +1277,21 @@ impl Kernel for Cnk {
     fn on_exit(&mut self, sc: &mut SimCore, tid: Tid) {
         let core = sc.thread(tid).core;
         let proc_id = sc.thread(tid).proc;
-        let node = sc.thread(tid).node;
         self.sched.release(core);
         self.sched.unqueue(core, tid);
-        if let Some(f) = self.futexes.get_mut(node.idx()) {
-            f.remove(tid);
-        }
+        let mut clear_tid = None;
         if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
             p.live_threads = p.live_threads.saturating_sub(1);
-            // CLONE_CHILD_CLEARTID: clear the tid word and wake joiners
-            // (this is what makes pthread_join return).
-            if let Some(addr) = p.take_clear_tid(tid) {
-                if let Some(pa) = p.aspace.translate(addr) {
-                    let _ = sc.dram[node.idx()].write_u32(pa, 0);
-                    let woken = self
-                        .futexes
-                        .get_mut(node.idx())
-                        .map(|f| f.wake(pa, u32::MAX, u32::MAX))
-                        .unwrap_or_default();
-                    for t in woken {
-                        sc.defer_unblock(t, Some(SysRet::Val(0)));
-                    }
-                }
-            }
+            clear_tid = p
+                .posix
+                .take_clear_tid(tid)
+                .and_then(|a| p.aspace.translate(a));
             // Disarm the thread's guard.
             if let Some(g) = p.take_guard(tid) {
                 let _ = sc.dacs[core.idx()].disarm(g.slot);
             }
         }
+        self.posix.exit_thread(sc, tid, clear_tid);
     }
 
     fn kernel_event(&mut self, sc: &mut SimCore, node: NodeId, tag: u64) {
@@ -1482,7 +1359,9 @@ impl Kernel for Cnk {
         // recovery."
         sc.stretch_running(core, PARITY_HANDLER_COST, 0x2000 | kind as u64);
         if let Some(tid) = sc.running_on(core) {
-            self.post_signal(sc, tid, Sig::Parity);
+            let p = self.procs.get(sc.thread(tid).proc.0 as u64);
+            self.posix
+                .post_signal(sc, tid, Sig::Parity, p.map(|p| &p.posix));
         }
     }
 
@@ -1529,51 +1408,7 @@ impl Kernel for Cnk {
 
     fn check_invariants(&self, sc: &SimCore) -> Vec<String> {
         use bgsim::machine::ThreadState;
-        let mut v = Vec::new();
-
-        // Futex wake accounting: the per-node tables and the thread
-        // states must agree exactly — every parked waiter is a
-        // futex-blocked thread on that node, each parked once, and
-        // every futex-blocked thread is parked somewhere.
-        let mut parked: HashMap<Tid, usize> = HashMap::new();
-        for (node_idx, table) in self.futexes.iter().enumerate() {
-            for tid in table.waiter_tids() {
-                *parked.entry(tid).or_insert(0) += 1;
-                match sc.threads.get(tid.idx()) {
-                    None => v.push(format!(
-                        "futex table node {node_idx}: waiter tid {} does not exist",
-                        tid.0
-                    )),
-                    Some(t) => {
-                        if t.node.idx() != node_idx {
-                            v.push(format!(
-                                "futex table node {node_idx}: waiter tid {} lives on node {}",
-                                tid.0, t.node.0
-                            ));
-                        }
-                        if t.state != ThreadState::Blocked(BlockKind::Futex) {
-                            v.push(format!(
-                                "futex waiter tid {} is not futex-blocked (state {:?})",
-                                tid.0, t.state
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (tid, n) in &parked {
-            if *n > 1 {
-                v.push(format!("tid {} parked on {n} futex queues", tid.0));
-            }
-        }
-        for t in &sc.threads {
-            if t.state == ThreadState::Blocked(BlockKind::Futex) && !parked.contains_key(&t.tid) {
-                v.push(format!(
-                    "tid {} is futex-blocked but parked in no futex table",
-                    t.tid.0
-                ));
-            }
-        }
+        let mut v = self.posix.check_invariants(sc);
 
         // No lost CIOD replies: every pending function-ship request must
         // still have its issuer waiting on it (a fatal machine check
@@ -1676,7 +1511,7 @@ impl Kernel for Cnk {
                 .iter()
                 .map(|(_, p)| p.resident_bytes())
                 .sum::<usize>()
-            + self.futexes.capacity() * std::mem::size_of::<FutexTable>()
+            + self.posix.resident_bytes()
             + self.persist.capacity() * std::mem::size_of::<PersistRegistry>()
             + self.ciods.capacity() * std::mem::size_of::<Ciod>()
             + self.ciods.iter().map(Ciod::resident_bytes).sum::<usize>()
@@ -1702,103 +1537,5 @@ impl Kernel for Cnk {
 
     fn features(&self) -> bgsim::features::FeatureMatrix {
         crate::features::matrix()
-    }
-}
-
-impl Cnk {
-    fn sys_futex(
-        &mut self,
-        sc: &mut SimCore,
-        tid: Tid,
-        proc_id: ProcId,
-        node: NodeId,
-        uaddr: u64,
-        op: FutexOp,
-    ) -> SyscallAction {
-        let Some(p) = self.procs.get(proc_id.0 as u64) else {
-            return Self::err(Errno::ESRCH, SYSCALL_BASE);
-        };
-        let Some(pa) = p.aspace.translate(uaddr) else {
-            return Self::err(Errno::EFAULT, SYSCALL_BASE + 40);
-        };
-        let ft = Self::futex_table(&mut self.futexes, node);
-        let cost = SYSCALL_BASE + 90;
-        match op {
-            FutexOp::Wait { expected } | FutexOp::WaitBitset { expected, .. } => {
-                let cur = sc.dram[node.idx()].read_u32(pa).unwrap_or(0);
-                if cur != expected {
-                    return Self::err(Errno::EAGAIN, cost);
-                }
-                let bitset = match op {
-                    FutexOp::WaitBitset { bitset, .. } => bitset,
-                    _ => sysabi::futex::FUTEX_BITSET_MATCH_ANY,
-                };
-                ft.wait(pa, tid, bitset);
-                let core = sc.thread(tid).core;
-                sc.tel.count(sc.tel.ids.futex_waits, Slot::Core(core.0), 1);
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::FutexWait,
-                    "wait",
-                    tid.0 as u64,
-                    uaddr,
-                );
-                SyscallAction::Block {
-                    kind: BlockKind::Futex,
-                }
-            }
-            FutexOp::Wake { count } => {
-                let woken = ft.wake(pa, count, sysabi::futex::FUTEX_BITSET_MATCH_ANY);
-                let n = woken.len() as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                self.tp_futex_wake(sc, tid, node, uaddr, n);
-                Self::done(SysRet::Val(n), cost)
-            }
-            FutexOp::WakeBitset { count, bitset } => {
-                let woken = ft.wake(pa, count, bitset);
-                let n = woken.len() as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                self.tp_futex_wake(sc, tid, node, uaddr, n);
-                Self::done(SysRet::Val(n), cost)
-            }
-            FutexOp::Requeue {
-                wake,
-                requeue,
-                target_uaddr,
-            }
-            | FutexOp::CmpRequeue {
-                wake,
-                requeue,
-                target_uaddr,
-                ..
-            } => {
-                if let FutexOp::CmpRequeue { expected, .. } = op {
-                    let cur = sc.dram[node.idx()].read_u32(pa).unwrap_or(0);
-                    if cur != expected {
-                        return Self::err(Errno::EAGAIN, cost);
-                    }
-                }
-                let Some(tpa) = self
-                    .procs
-                    .get(proc_id.0 as u64)
-                    .and_then(|p| p.aspace.translate(target_uaddr))
-                else {
-                    return Self::err(Errno::EFAULT, cost);
-                };
-                let (woken, moved) =
-                    Self::futex_table(&mut self.futexes, node).requeue(pa, wake, requeue, tpa);
-                let total = woken.len() as i64 + moved as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                Self::done(SysRet::Val(total), cost)
-            }
-        }
     }
 }

@@ -8,8 +8,9 @@
 //!   four contiguous regions under a per-core TLB budget.
 //! * **mmap/brk bookkeeping** (§IV.C): [`mem::tracker`] "merely provides
 //!   free addresses" with coalescing, no page faults.
-//! * **NPTL support** (§IV.B.1): the clone-flag validation, uname gate,
-//!   `set_tid_address`, full [`futex`] table, and `sigaction`.
+//! * **NPTL support** (§IV.B.1): the clone-flag validation and uname
+//!   gate; `set_tid_address`, the full futex table and `sigaction` are
+//!   the `bgsim::posix` mechanics both kernels share.
 //! * **Guard pages via DAC registers** (§IV.C): [`process::Guard`],
 //!   including IPI-based repositioning when another thread extends the
 //!   heap.
@@ -35,7 +36,6 @@
 
 pub mod boot;
 pub mod features;
-pub mod futex;
 pub mod kernel;
 pub mod mem;
 pub mod persist;

@@ -34,10 +34,9 @@ pub struct PersistRegion {
 #[derive(Clone, Debug)]
 pub struct PersistRegistry {
     regions: HashMap<String, PersistRegion>,
-    /// Physical arena [lo, hi) at the top of node DRAM.
-    arena_lo: u64,
+    /// End of the physical arena at the top of node DRAM.
     arena_hi: u64,
-    /// Next physical allocation cursor.
+    /// Next physical allocation cursor (starts at the arena's base).
     next_paddr: u64,
     /// Next virtual address in the fixed persistent window.
     next_vaddr: u64,
@@ -52,7 +51,6 @@ impl PersistRegistry {
         let lo = align_up(arena_lo, PGRAIN);
         PersistRegistry {
             regions: HashMap::new(),
-            arena_lo: lo,
             arena_hi,
             next_paddr: lo,
             next_vaddr: VA_PERSIST_BASE,
@@ -120,11 +118,6 @@ impl PersistRegistry {
 
     pub fn count(&self) -> usize {
         self.regions.len()
-    }
-
-    /// Physical bytes the registry protects from job use.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.arena_hi - self.arena_lo
     }
 
     /// As a mappable region for `AddressSpace::attach_persist`.

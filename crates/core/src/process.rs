@@ -1,12 +1,13 @@
 //! CNK process state.
 //!
-//! A process's per-thread tables (guards, DAC-slot counters, clear-tid
-//! registrations, signal dispositions) hold a handful of entries at
-//! most, so they are short lists scanned linearly; its core list and
-//! the main thread's guard are inline. Launching a rank allocates only
-//! its DAC-slot list.
+//! A process's per-thread tables (guards, DAC-slot counters, and the
+//! shared [`PosixProc`] record of clear-tid registrations and signal
+//! dispositions) hold a handful of entries at most, so they are short
+//! lists scanned linearly; its core list and the main thread's guard
+//! are inline. Launching a rank allocates only its DAC-slot list.
 
-use sysabi::{CoreId, NodeId, ProcId, Rank, Sig, SigDisposition, Tid};
+use bgsim::posix::PosixProc;
+use sysabi::{CoreId, NodeId, ProcId, Rank, Tid};
 
 use crate::mem::AddressSpace;
 
@@ -77,14 +78,12 @@ pub struct Process {
     pub aspace: AddressSpace,
     pub uid: u32,
     pub gid: u32,
-    /// Signal dispositions set by `sigaction`; absent means default.
-    pub sig: Vec<(Sig, SigDisposition)>,
+    /// Signal dispositions and clear-tid registrations.
+    pub posix: PosixProc,
     /// §IV.C: "CNK remembers the last mprotect range and makes an
     /// assumption during the clone syscall that the last mprotect applies
     /// to the new thread" (its stack guard).
     pub last_mprotect: Option<(u64, u64)>,
-    /// set_tid_address / CLONE_CHILD_CLEARTID registrations.
-    pub clear_tid_addr: Vec<(Tid, u64)>,
     /// The main thread's guard at the heap boundary, repositioned on brk
     /// growth (§IV.C); `None` once the main thread has exited.
     pub heap_guard: Option<Guard>,
@@ -118,31 +117,14 @@ impl Process {
             aspace,
             uid,
             gid,
-            sig: Vec::new(),
+            posix: PosixProc::default(),
             last_mprotect: None,
-            clear_tid_addr: Vec::new(),
             heap_guard: None,
             stack_guards: Vec::new(),
             main_tid: Tid(u32::MAX),
             persist_grants: Vec::new(),
             live_threads: 0,
             next_dac_slot: Vec::new(),
-        }
-    }
-
-    /// Effective disposition of a signal.
-    pub fn disposition(&self, sig: Sig) -> SigDisposition {
-        self.sig
-            .iter()
-            .find(|(s, _)| *s == sig)
-            .map_or_else(SigDisposition::default, |&(_, d)| d)
-    }
-
-    /// Set the disposition of a signal.
-    pub fn set_disposition(&mut self, sig: Sig, d: SigDisposition) {
-        match self.sig.iter_mut().find(|(s, _)| *s == sig) {
-            Some(e) => e.1 = d,
-            None => self.sig.push((sig, d)),
         }
     }
 
@@ -155,26 +137,11 @@ impl Process {
         Some(self.stack_guards.swap_remove(i).1)
     }
 
-    /// Forget `tid`'s clear-tid registration, returning its address.
-    pub fn take_clear_tid(&mut self, tid: Tid) -> Option<u64> {
-        let i = self.clear_tid_addr.iter().position(|(t, _)| *t == tid)?;
-        Some(self.clear_tid_addr.swap_remove(i).1)
-    }
-
-    /// Register (or replace) `tid`'s clear-tid address.
-    pub fn set_clear_tid(&mut self, tid: Tid, addr: u64) {
-        match self.clear_tid_addr.iter_mut().find(|(t, _)| *t == tid) {
-            Some(e) => e.1 = addr,
-            None => self.clear_tid_addr.push((tid, addr)),
-        }
-    }
-
     /// Heap bytes this process holds: its per-thread lists and its share
     /// of the slot's static map.
     pub(crate) fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.sig.capacity() * size_of::<(Sig, SigDisposition)>()
-            + self.clear_tid_addr.capacity() * size_of::<(Tid, u64)>()
+        self.posix.resident_bytes()
             + self.stack_guards.capacity() * size_of::<(Tid, Guard)>()
             + self.next_dac_slot.capacity() * size_of::<(CoreId, u32)>()
             + self.aspace.map_share_bytes()
@@ -237,7 +204,10 @@ mod tests {
     #[test]
     fn default_dispositions() {
         let p = proc();
-        assert_eq!(p.disposition(Sig::Segv), SigDisposition::Default);
+        assert_eq!(
+            p.posix.disposition(sysabi::Sig::Segv),
+            sysabi::SigDisposition::Default
+        );
     }
 
     #[test]

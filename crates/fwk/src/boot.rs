@@ -74,13 +74,4 @@ mod tests {
             "stripped boot {days} days — paper says days"
         );
     }
-
-    #[test]
-    fn ordering_cnk_lt_stripped_lt_full() {
-        let cnk = cnk::boot::boot_report(&bgsim::ChipConfig::bgp(), false);
-        let s = boot_report(true);
-        let f = boot_report(false);
-        assert!(cnk.instructions < s.instructions / 10);
-        assert!(s.instructions < f.instructions);
-    }
 }

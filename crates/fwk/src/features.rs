@@ -59,22 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn complementary_strengths() {
-        // The paper's core contrast: where CNK is easy Linux often
-        // isn't, and vice versa.
-        let linux = matrix();
-        let cnk = cnk::features::matrix();
-        let cnk_no_tlb = cnk.get(Capability::NoTlbMisses).unwrap();
-        let linux_no_tlb = linux.get(Capability::NoTlbMisses).unwrap();
-        assert!(cnk_no_tlb.use_ease.available());
-        assert!(!linux_no_tlb.use_ease.available());
-        let cnk_mmap = cnk.get(Capability::FullMmap).unwrap();
-        let linux_mmap = linux.get(Capability::FullMmap).unwrap();
-        assert!(!cnk_mmap.use_ease.available());
-        assert!(linux_mmap.use_ease.available());
-    }
-
-    #[test]
     fn paper_spot_checks() {
         let m = matrix();
         assert_eq!(

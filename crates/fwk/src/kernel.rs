@@ -1,4 +1,5 @@
-//! The FWK kernel object.
+//! The FWK kernel object. The futex and signal mechanics are the shared
+//! `bgsim::posix` module, under the FWK's costs and machine-check rule.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -6,18 +7,17 @@ use bgsim::chip;
 use bgsim::engine::EvHandle;
 use bgsim::idmap::IdMap;
 use bgsim::machine::{
-    BlockKind, BootReport, CommCaps, JobMap, Kernel, LaunchError, MemOpResult, NetMsg, RankInfo,
-    SimCore, SyscallAction, Workload, WorkloadFactory,
+    BootReport, CommCaps, JobMap, Kernel, LaunchError, MemOpResult, NetMsg, RankInfo, SimCore,
+    SyscallAction, Workload, WorkloadFactory,
 };
-use bgsim::op::{CloneArgs, Op};
+use bgsim::op::CloneArgs;
+use bgsim::posix::{done, err, Posix, PosixPolicy, PosixProc};
 use bgsim::rng::LazyStreams;
 use bgsim::telemetry::{Domain, Slot, TpKind};
 use bgsim::tlb::{TlbEntry, TLB_MISS_CYCLES};
 use ciod::{IoProxy, Vfs};
-use cnk::futex::FutexTable;
 use sysabi::{
-    CloneFlags, CoreId, Errno, FutexOp, JobSpec, NodeId, ProcId, Rank, Sig, SigDisposition, SysReq,
-    SysRet, Tid, UtsName,
+    CloneFlags, CoreId, Errno, JobSpec, NodeId, ProcId, Rank, Sig, SysReq, SysRet, Tid, UtsName,
 };
 
 use crate::noise::{linux_2_6_16_profile, NoiseSource};
@@ -31,6 +31,18 @@ const IO_BASE: u64 = 2_600;
 const IO_METADATA: u64 = 30_000;
 /// clone(2) on Linux.
 const CLONE_COST: u64 = 4_500;
+
+/// The FWK's policy for the shared NPTL calls: Linux's heavier costs,
+/// and an unhandled SIGPARITY is ignored like any non-fatal signal.
+const POSIX: PosixPolicy = PosixPolicy {
+    base: SYSCALL_BASE,
+    futex: 140,
+    efault: 60,
+    sigaction: 90,
+    tgkill: 300,
+    segv: 900,
+    parity_kills: false,
+};
 
 // Kernel event tag layout: kind in the top byte.
 const TAG_NOISE: u64 = 1 << 56;
@@ -84,8 +96,7 @@ impl FwkConfig {
 struct FwkProcess {
     node: NodeId,
     aspace: FwkAddressSpace,
-    sig: HashMap<Sig, SigDisposition>,
-    clear_tid: HashMap<Tid, u64>,
+    posix: PosixProc,
     live_threads: u32,
 }
 
@@ -118,8 +129,7 @@ pub struct Fwk {
     /// bit-identical to the count-and-discard scheme this replaces
     /// (where the in-flight event simply kept its timestamp).
     ts_deadline: Vec<u64>,
-    /// Per-node futex tables, grown on first touch.
-    futexes: Vec<FutexTable>,
+    posix: Posix,
     /// Next free physical frame per node, grown on first fault
     /// (`FRAME_BASE` until then).
     next_frame: Vec<u64>,
@@ -145,7 +155,7 @@ impl Fwk {
             ready: Vec::new(),
             ts_pending: Vec::new(),
             ts_deadline: Vec::new(),
-            futexes: Vec::new(),
+            posix: Posix::new(POSIX),
             next_frame: Vec::new(),
             frame_limit: 0,
             vfs: Vfs::new(),
@@ -174,33 +184,12 @@ impl Fwk {
         self.proxies.get(proc.0 as u64).map(|p| p.console.clone())
     }
 
-    /// The node's futex table, materialized on first touch. A free
-    /// function over the field so callers holding disjoint borrows of
-    /// other `Fwk` fields can still reach it.
-    fn futex_table(futexes: &mut Vec<FutexTable>, node: NodeId) -> &mut FutexTable {
-        if futexes.len() <= node.idx() {
-            futexes.resize_with(node.idx() + 1, FutexTable::new);
-        }
-        &mut futexes[node.idx()]
-    }
-
     /// The core's ready queue, materialized on first enqueue.
     fn readyq(ready: &mut Vec<VecDeque<Tid>>, core: u32) -> &mut VecDeque<Tid> {
         if ready.len() <= core as usize {
             ready.resize_with(core as usize + 1, VecDeque::new);
         }
         &mut ready[core as usize]
-    }
-
-    fn done(ret: SysRet, cost: u64) -> SyscallAction {
-        SyscallAction::Done { ret, cost }
-    }
-
-    fn err(e: Errno, cost: u64) -> SyscallAction {
-        SyscallAction::Done {
-            ret: SysRet::Err(e),
-            cost,
-        }
     }
 
     fn alloc_frame(next_frame: &mut Vec<u64>, limit: u64, node: NodeId) -> Option<u64> {
@@ -289,35 +278,6 @@ impl Fwk {
         sc.schedule_kernel_event_in(node, tag, delay);
     }
 
-    fn post_signal(&mut self, sc: &mut SimCore, tid: Tid, sig: Sig) {
-        let proc_id = sc.thread(tid).proc;
-        let node = sc.thread(tid).node;
-        let Some(p) = self.procs.get(proc_id.0 as u64) else {
-            return;
-        };
-        match p.sig.get(&sig).copied().unwrap_or_default() {
-            SigDisposition::Ignore => {}
-            SigDisposition::Handler(_) => {
-                if matches!(
-                    sc.thread(tid).state,
-                    bgsim::ThreadState::Blocked(BlockKind::Futex)
-                ) && self
-                    .futexes
-                    .get_mut(node.idx())
-                    .is_some_and(|f| f.remove(tid))
-                {
-                    sc.defer_unblock(tid, Some(SysRet::Err(Errno::EINTR)));
-                }
-                sc.post_signal(tid, sig);
-            }
-            SigDisposition::Default => {
-                if sig.default_fatal() {
-                    sc.defer_kill(proc_id, 128 + sig as i32);
-                }
-            }
-        }
-    }
-
     fn io_cost(&mut self, sc: &SimCore, node: NodeId, req: &SysReq) -> u64 {
         // Writes land in the page cache and must be written back later
         // by pdflush — on the compute node's own cores.
@@ -353,7 +313,7 @@ impl Kernel for Fwk {
         let nodes = sc.cfg.nodes as usize;
         // Per-node columns regrow on demand; RNG streams restart from
         // their seeds each boot.
-        self.futexes.clear();
+        self.posix.reset();
         self.next_frame.clear();
         self.frame_limit = sc.cfg.chip.dram_bytes / PAGE;
         self.noise_rng = LazyStreams::new("fwk-noise");
@@ -384,7 +344,7 @@ impl Kernel for Fwk {
         self.ready.clear();
         self.ts_pending.clear();
         self.ts_deadline.clear();
-        self.futexes.clear();
+        self.posix.reset();
         self.proxies.clear();
         self.booted = false;
     }
@@ -403,9 +363,7 @@ impl Kernel for Fwk {
         }
         self.ready.clear();
         self.cancel_drained_timeslices(sc);
-        for f in &mut self.futexes {
-            f.clear();
-        }
+        self.posix.reset();
 
         let ppn = spec.mode.procs_per_node();
         let cpp = spec.mode.cores_per_proc();
@@ -424,8 +382,7 @@ impl Kernel for Fwk {
                     FwkProcess {
                         node: node_id,
                         aspace: FwkAddressSpace::new(),
-                        sig: HashMap::new(),
-                        clear_tid: HashMap::new(),
+                        posix: PosixProc::default(),
                         live_threads: 1,
                     },
                 );
@@ -453,19 +410,35 @@ impl Kernel for Fwk {
         if req.is_io() {
             let cost = self.io_cost(sc, node, req);
             let Some(proxy) = self.proxies.get_mut(proc_id.0 as u64) else {
-                return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                return err(Errno::ESRCH, SYSCALL_BASE);
             };
             let ret = proxy.execute(&mut self.vfs, req);
-            return Self::done(ret, SYSCALL_BASE + cost);
+            return done(ret, SYSCALL_BASE + cost);
+        }
+        // The NPTL calls both kernels share. A futex word faults its page
+        // in, as a real access would.
+        let (lim, frames) = (self.frame_limit, &mut self.next_frame);
+        let (posix, mut aspace) = self
+            .procs
+            .get_mut(proc_id.0 as u64)
+            .map(|p| (&mut p.posix, &mut p.aspace))
+            .unzip();
+        let translate = |va| {
+            aspace
+                .as_mut()?
+                .translate_faulting(va, || Self::alloc_frame(frames, lim, node))
+        };
+        if let Some(action) = self.posix.syscall(sc, tid, req, posix, translate) {
+            return action;
         }
 
         match req {
             SysReq::Brk { addr } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 let b = p.aspace.brk(*addr);
-                Self::done(SysRet::Val(b as i64), SYSCALL_BASE + 240)
+                done(SysRet::Val(b as i64), SYSCALL_BASE + 240)
             }
             SysReq::Mmap {
                 len,
@@ -475,19 +448,19 @@ impl Kernel for Fwk {
                 ..
             } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 let Some(addr) = p.aspace.mmap(*len, *prot) else {
-                    return Self::err(Errno::ENOMEM, SYSCALL_BASE + 380);
+                    return err(Errno::ENOMEM, SYSCALL_BASE + 380);
                 };
                 match fd {
-                    None => Self::done(SysRet::Val(addr as i64), SYSCALL_BASE + 380),
+                    None => done(SysRet::Val(addr as i64), SYSCALL_BASE + 380),
                     Some(fd) => {
                         // Full mmap support: copy the file content in
                         // eagerly (we do not model lazy file faults, but
                         // protection is enforced — the part CNK lacks).
                         let Some(proxy) = self.proxies.get_mut(proc_id.0 as u64) else {
-                            return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                            return err(Errno::ESRCH, SYSCALL_BASE);
                         };
                         let data = match proxy.execute(
                             &mut self.vfs,
@@ -498,8 +471,8 @@ impl Kernel for Fwk {
                             },
                         ) {
                             SysRet::Data(d) => d,
-                            SysRet::Err(e) => return Self::err(e, SYSCALL_BASE + 380),
-                            _ => return Self::err(Errno::EIO, SYSCALL_BASE + 380),
+                            SysRet::Err(e) => return err(e, SYSCALL_BASE + 380),
+                            _ => return err(Errno::EIO, SYSCALL_BASE + 380),
                         };
                         // Fault the pages in and copy.
                         let nf = &mut self.next_frame;
@@ -508,7 +481,7 @@ impl Kernel for Fwk {
                             Self::alloc_frame(nf, lim, node)
                         });
                         if touch.unmapped {
-                            return Self::err(Errno::ENOMEM, SYSCALL_BASE + 380);
+                            return err(Errno::ENOMEM, SYSCALL_BASE + 380);
                         }
                         let mut off = 0u64;
                         while (off as usize) < data.len() {
@@ -525,73 +498,46 @@ impl Kernel for Fwk {
                         // (the copy needed write access internally).
                         p.aspace.mprotect(addr, *len, *prot);
                         let copy_cost = data.len() as u64 / 4 + touch.faults as u64 * FAULT_COST;
-                        Self::done(SysRet::Val(addr as i64), SYSCALL_BASE + 380 + copy_cost)
+                        done(SysRet::Val(addr as i64), SYSCALL_BASE + 380 + copy_cost)
                     }
                 }
             }
             SysReq::Munmap { addr, len } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 p.aspace.munmap(*addr, *len);
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 300)
+                done(SysRet::Val(0), SYSCALL_BASE + 300)
             }
             SysReq::Mprotect { addr, len, prot } => {
                 let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
+                    return err(Errno::ESRCH, SYSCALL_BASE);
                 };
                 p.aspace.mprotect(*addr, *len, *prot);
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 260)
+                done(SysRet::Val(0), SYSCALL_BASE + 260)
             }
-            SysReq::Clone { .. } => Self::err(Errno::EINVAL, SYSCALL_BASE),
-            SysReq::SetTidAddress { addr } => {
-                if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.clear_tid.insert(tid, *addr);
-                }
-                Self::done(SysRet::Val(tid.0 as i64), SYSCALL_BASE)
-            }
-            SysReq::Futex { uaddr, op } => self.sys_futex(sc, tid, proc_id, node, *uaddr, *op),
+            SysReq::Clone { .. } => err(Errno::EINVAL, SYSCALL_BASE),
             SysReq::SchedYield => {
                 let core = sc.thread(tid).core;
                 Self::readyq(&mut self.ready, core.0).push_back(tid);
                 SyscallAction::YieldCpu
             }
-            SysReq::Sigaction { sig, disposition } => {
-                if !sig.catchable() && !matches!(disposition, SigDisposition::Default) {
-                    return Self::err(Errno::EINVAL, SYSCALL_BASE);
-                }
-                if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
-                    p.sig.insert(*sig, *disposition);
-                }
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 90)
-            }
-            SysReq::Tgkill { tid: target, sig } => {
-                let target = Tid(*target);
-                if target.idx() >= sc.threads.len()
-                    || sc.thread(target).proc != proc_id
-                    || !sc.thread(target).state.is_live()
-                {
-                    return Self::err(Errno::ESRCH, SYSCALL_BASE);
-                }
-                self.post_signal(sc, target, *sig);
-                Self::done(SysRet::Val(0), SYSCALL_BASE + 300)
-            }
-            SysReq::Gettid => Self::done(SysRet::Val(tid.0 as i64), SYSCALL_BASE),
-            SysReq::Getpid => Self::done(SysRet::Val(proc_id.0 as i64), SYSCALL_BASE),
-            SysReq::Uname => Self::done(SysRet::Uname(self.utsname()), SYSCALL_BASE + 110),
+            SysReq::Gettid => done(SysRet::Val(tid.0 as i64), SYSCALL_BASE),
+            SysReq::Getpid => done(SysRet::Val(proc_id.0 as i64), SYSCALL_BASE),
+            SysReq::Uname => done(SysRet::Uname(self.utsname()), SYSCALL_BASE + 110),
             SysReq::ExitThread { code } => SyscallAction::ExitThread { code: *code },
             SysReq::ExitGroup { code } => SyscallAction::ExitProc { code: *code },
             // fork/exec as bare syscalls carry no program to run in this
             // simulation; process creation goes through Op::Spawn with
             // fork-style flags, which the FWK accepts (and CNK refuses).
-            SysReq::Fork | SysReq::Exec { .. } => Self::err(Errno::EINVAL, SYSCALL_BASE),
+            SysReq::Fork | SysReq::Exec { .. } => err(Errno::EINVAL, SYSCALL_BASE),
             // CNK specials are absent on Linux.
             SysReq::PersistOpen { .. }
             | SysReq::QueryStaticMap
-            | SysReq::AffinityPartner { .. } => Self::err(Errno::ENOSYS, SYSCALL_BASE),
+            | SysReq::AffinityPartner { .. } => err(Errno::ENOSYS, SYSCALL_BASE),
             other => {
                 debug_assert!(!other.is_io());
-                Self::err(Errno::ENOSYS, SYSCALL_BASE)
+                err(Errno::ENOSYS, SYSCALL_BASE)
             }
         }
     }
@@ -642,8 +588,7 @@ impl Kernel for Fwk {
                 FwkProcess {
                     node,
                     aspace: FwkAddressSpace::new(),
-                    sig: HashMap::new(),
-                    clear_tid: HashMap::new(),
+                    posix: PosixProc::default(),
                     live_threads: 0,
                 },
             );
@@ -657,7 +602,7 @@ impl Kernel for Fwk {
         if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
             p.live_threads += 1;
             if args.flags.contains(CloneFlags::CHILD_CLEARTID) {
-                p.clear_tid.insert(tid, args.child_tid_addr);
+                p.posix.set_clear_tid(tid, args.child_tid_addr);
             }
         }
         if args.flags.contains(CloneFlags::PARENT_SETTID) && args.parent_tid_addr != 0 {
@@ -671,26 +616,6 @@ impl Kernel for Fwk {
             self.enqueue(sc, core, tid);
         }
         (SysRet::Val(tid.0 as i64), cost)
-    }
-
-    fn compute_cost(&mut self, sc: &mut SimCore, tid: Tid, op: &Op) -> u64 {
-        // Same hardware, same compute-cost model — the minimum FWQ
-        // sample is identical on both kernels (§V.A observes exactly
-        // this); the difference is the noise events stretching ops.
-        let node = sc.thread(tid).node;
-        let chipc = &sc.cfg.chip;
-        match op {
-            Op::Compute { cycles } => *cycles,
-            Op::Daxpy { n, reps } => chip::daxpy_cycles(chipc, *n, *reps) + sc.refresh_jitter(node),
-            Op::Stream { bytes } => {
-                // Concurrent streams on the node contend in the L2 banks
-                // (§III); this core's own stream counts itself.
-                let streams = sc.active_streams(node).max(1);
-                chip::stream_cycles(chipc, *bytes, streams) + sc.refresh_jitter(node)
-            }
-            Op::Flops { flops } => chip::dgemm_cycles(chipc, *flops) + sc.refresh_jitter(node),
-            _ => 1,
-        }
     }
 
     fn mem_touch(
@@ -716,25 +641,12 @@ impl Kernel for Fwk {
             .aspace
             .touch(vaddr, bytes, write, || Self::alloc_frame(nf, lim, node));
         if out.violation || out.unmapped {
-            sc.tel.count(sc.tel.ids.segv_faults, Slot::Core(core.0), 1);
-            sc.tel.tp(
-                sc.now(),
-                node.0,
-                core.0,
-                TpKind::Segv,
-                if out.violation {
-                    "protection"
-                } else {
-                    "unmapped"
-                },
-                tid.0 as u64,
-                vaddr,
-            );
-            self.post_signal(sc, tid, Sig::Segv);
-            return MemOpResult {
-                cost: 900,
-                faulted: true,
+            let why = if out.violation {
+                "protection"
+            } else {
+                "unmapped"
             };
+            return self.posix.segv(sc, tid, vaddr, why, Some(&p.posix));
         }
         // Software TLB refills: fill 4 KiB entries per touched page that
         // is not resident in the TLB (§IV.C: translation-miss noise).
@@ -817,30 +729,19 @@ impl Kernel for Fwk {
 
     fn on_exit(&mut self, sc: &mut SimCore, tid: Tid) {
         let proc_id = sc.thread(tid).proc;
-        let node = sc.thread(tid).node;
         for q in self.ready.iter_mut() {
             q.retain(|&t| t != tid);
         }
         self.cancel_drained_timeslices(sc);
-        if let Some(f) = self.futexes.get_mut(node.idx()) {
-            f.remove(tid);
-        }
+        let mut clear_tid = None;
         if let Some(p) = self.procs.get_mut(proc_id.0 as u64) {
             p.live_threads = p.live_threads.saturating_sub(1);
-            if let Some(addr) = p.clear_tid.remove(&tid) {
-                if let Some(pa) = p.aspace.translate(addr) {
-                    let _ = sc.dram[node.idx()].write_u32(pa, 0);
-                    let woken = self
-                        .futexes
-                        .get_mut(node.idx())
-                        .map(|f| f.wake(pa, u32::MAX, u32::MAX))
-                        .unwrap_or_default();
-                    for t in woken {
-                        sc.defer_unblock(t, Some(SysRet::Val(0)));
-                    }
-                }
-            }
+            clear_tid = p
+                .posix
+                .take_clear_tid(tid)
+                .and_then(|a| p.aspace.translate(a));
         }
+        self.posix.exit_thread(sc, tid, clear_tid);
     }
 
     fn kernel_event(&mut self, sc: &mut SimCore, node: NodeId, tag: u64) {
@@ -1025,47 +926,7 @@ impl Kernel for Fwk {
             }
         }
 
-        // Futex wake accounting (same contract as CNK: table ⇔ thread
-        // states agree exactly).
-        let mut parked: HashMap<Tid, usize> = HashMap::new();
-        for (node_idx, table) in self.futexes.iter().enumerate() {
-            for tid in table.waiter_tids() {
-                *parked.entry(tid).or_insert(0) += 1;
-                match sc.threads.get(tid.idx()) {
-                    None => v.push(format!(
-                        "futex table node {node_idx}: waiter tid {} does not exist",
-                        tid.0
-                    )),
-                    Some(t) => {
-                        if t.node.idx() != node_idx {
-                            v.push(format!(
-                                "futex table node {node_idx}: waiter tid {} lives on node {}",
-                                tid.0, t.node.0
-                            ));
-                        }
-                        if t.state != ThreadState::Blocked(BlockKind::Futex) {
-                            v.push(format!(
-                                "futex waiter tid {} is not futex-blocked (state {:?})",
-                                tid.0, t.state
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (tid, n) in &parked {
-            if *n > 1 {
-                v.push(format!("tid {} parked on {n} futex queues", tid.0));
-            }
-        }
-        for t in &sc.threads {
-            if t.state == ThreadState::Blocked(BlockKind::Futex) && !parked.contains_key(&t.tid) {
-                v.push(format!(
-                    "tid {} is futex-blocked but parked in no futex table",
-                    t.tid.0
-                ));
-            }
-        }
+        v.extend(self.posix.check_invariants(sc));
 
         // Per-process thread accounting and local-I/O proxy state.
         for (pid, p) in self.procs.iter() {
@@ -1118,132 +979,10 @@ impl Kernel for Fwk {
                 .sum::<usize>()
             + self.ts_pending.capacity() * std::mem::size_of::<Option<EvHandle>>()
             + self.ts_deadline.capacity() * std::mem::size_of::<u64>()
-            + self.futexes.capacity() * std::mem::size_of::<FutexTable>()
+            + self.posix.resident_bytes()
             + self.next_frame.capacity() * std::mem::size_of::<u64>()
             + self.dirty_bytes.capacity() * std::mem::size_of::<u64>()
             + self.noise_rng.resident_bytes()
             + self.io_rng.resident_bytes()
-    }
-}
-
-impl Fwk {
-    fn tp_futex_wake(&mut self, sc: &mut SimCore, tid: Tid, node: NodeId, uaddr: u64, woken: i64) {
-        let core = sc.thread(tid).core;
-        sc.tel.count(
-            sc.tel.ids.futex_wakes,
-            Slot::Core(core.0),
-            woken.max(0) as u64,
-        );
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            core.0,
-            TpKind::FutexWake,
-            "wake",
-            uaddr,
-            woken.max(0) as u64,
-        );
-    }
-
-    fn sys_futex(
-        &mut self,
-        sc: &mut SimCore,
-        tid: Tid,
-        proc_id: ProcId,
-        node: NodeId,
-        uaddr: u64,
-        op: FutexOp,
-    ) -> SyscallAction {
-        let Some(p) = self.procs.get_mut(proc_id.0 as u64) else {
-            return Self::err(Errno::ESRCH, SYSCALL_BASE);
-        };
-        let nf = &mut self.next_frame;
-        let lim = self.frame_limit;
-        let Some(pa) = p
-            .aspace
-            .translate_faulting(uaddr, || Self::alloc_frame(nf, lim, node))
-        else {
-            return Self::err(Errno::EFAULT, SYSCALL_BASE + 60);
-        };
-        let ft = Self::futex_table(&mut self.futexes, node);
-        let cost = SYSCALL_BASE + 140;
-        match op {
-            FutexOp::Wait { expected } | FutexOp::WaitBitset { expected, .. } => {
-                let cur = sc.dram[node.idx()].read_u32(pa).unwrap_or(0);
-                if cur != expected {
-                    return Self::err(Errno::EAGAIN, cost);
-                }
-                let bitset = match op {
-                    FutexOp::WaitBitset { bitset, .. } => bitset,
-                    _ => sysabi::futex::FUTEX_BITSET_MATCH_ANY,
-                };
-                ft.wait(pa, tid, bitset);
-                let core = sc.thread(tid).core;
-                sc.tel.count(sc.tel.ids.futex_waits, Slot::Core(core.0), 1);
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::FutexWait,
-                    "wait",
-                    tid.0 as u64,
-                    uaddr,
-                );
-                SyscallAction::Block {
-                    kind: BlockKind::Futex,
-                }
-            }
-            FutexOp::Wake { count } => {
-                let woken = ft.wake(pa, count, sysabi::futex::FUTEX_BITSET_MATCH_ANY);
-                let n = woken.len() as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                self.tp_futex_wake(sc, tid, node, uaddr, n);
-                Self::done(SysRet::Val(n), cost)
-            }
-            FutexOp::WakeBitset { count, bitset } => {
-                let woken = ft.wake(pa, count, bitset);
-                let n = woken.len() as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                self.tp_futex_wake(sc, tid, node, uaddr, n);
-                Self::done(SysRet::Val(n), cost)
-            }
-            FutexOp::Requeue {
-                wake,
-                requeue,
-                target_uaddr,
-            }
-            | FutexOp::CmpRequeue {
-                wake,
-                requeue,
-                target_uaddr,
-                ..
-            } => {
-                if let FutexOp::CmpRequeue { expected, .. } = op {
-                    let cur = sc.dram[node.idx()].read_u32(pa).unwrap_or(0);
-                    if cur != expected {
-                        return Self::err(Errno::EAGAIN, cost);
-                    }
-                }
-                let p = self.procs.get_mut(proc_id.0 as u64).unwrap();
-                let nf = &mut self.next_frame;
-                let Some(tpa) = p
-                    .aspace
-                    .translate_faulting(target_uaddr, || Self::alloc_frame(nf, lim, node))
-                else {
-                    return Self::err(Errno::EFAULT, cost);
-                };
-                let (woken, moved) =
-                    Self::futex_table(&mut self.futexes, node).requeue(pa, wake, requeue, tpa);
-                let total = woken.len() as i64 + moved as i64;
-                for t in woken {
-                    sc.defer_unblock(t, Some(SysRet::Val(0)));
-                }
-                Self::done(SysRet::Val(total), cost)
-            }
-        }
     }
 }

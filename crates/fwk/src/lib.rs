@@ -20,6 +20,12 @@
 //! * general process creation: `Op::Spawn` accepts non-NPTL clone flags
 //!   (the fork path CNK refuses with ENOSYS).
 
+// The baseline kernel must be panic-free on untrusted input, like CNK
+// (syscall arguments come from generated programs); tests may still
+// unwrap. CI enforces this with a clippy run.
+#![deny(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
 pub mod boot;
 pub mod features;
 pub mod kernel;

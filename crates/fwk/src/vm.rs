@@ -254,10 +254,6 @@ impl FwkAddressSpace {
         }
         self.translate(addr)
     }
-
-    pub fn resident_pages(&self) -> usize {
-        self.ptes.len()
-    }
 }
 
 #[cfg(test)]

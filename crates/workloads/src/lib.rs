@@ -18,7 +18,6 @@
 
 pub mod allreduce;
 pub mod apps;
-pub mod chares;
 pub mod dynlink;
 pub mod fwq;
 pub mod io_kernel;

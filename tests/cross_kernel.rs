@@ -10,8 +10,8 @@ use cnk::Cnk;
 use dcmf::Dcmf;
 use fwk::Fwk;
 use sysabi::{
-    AppImage, CloneFlags, Errno, JobSpec, MapFlags, NodeMode, OpenFlags, Prot, Rank, SysReq,
-    SysRet, Tid,
+    AppImage, CloneFlags, Errno, FutexOp, JobSpec, MapFlags, NodeMode, OpenFlags, Prot, Rank, Sig,
+    SigDisposition, SysReq, SysRet, Tid,
 };
 
 fn machine(kernel: Box<dyn bgsim::Kernel>, nodes: u32, seed: u64) -> Machine {
@@ -507,4 +507,337 @@ fn uname_identifies_each_kernel() {
             _ => assert_eq!(got, "Linux"),
         }
     }
+}
+
+/// `(label, return value, cycles from issue to the next op boundary)`.
+type CallLog = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, SysRet, u64)>>>;
+
+/// One step of the main thread in
+/// [`futex_and_signal_calls_pin_returns_and_costs`].
+enum Step {
+    /// Issue a syscall; log its return value and cost.
+    Call(&'static str, SysReq),
+    /// Spawn a child on a node-local core, with NPTL clone flags and
+    /// this parent/child tid address; log the clone result and cost.
+    Spawn(&'static str, u32, u64, Box<dyn Workload>),
+    /// Compute long enough for the children to park or finish.
+    Settle,
+}
+
+/// A child that issues one futex call, logs it, and exits.
+fn futex_child(log: &CallLog, label: &'static str, uaddr: u64, op: FutexOp) -> Box<dyn Workload> {
+    let log = log.clone();
+    let mut issued = None;
+    wl(move |env| match issued.take() {
+        None => {
+            issued = Some(env.now());
+            Op::Syscall(SysReq::Futex { uaddr, op })
+        }
+        Some(t0) => {
+            let ret = env.take_ret().unwrap();
+            log.borrow_mut().push((label, ret, env.now() - t0));
+            Op::End
+        }
+    })
+}
+
+/// The main thread's steps, with its 1 MiB scratch mapping at `a`.
+/// Threads get tids in spawn order: main 0, then 1..=5.
+fn futex_signal_steps(log: &CallLog, a: u64) -> Vec<Step> {
+    use Step::{Call, Settle, Spawn};
+    const UNMAPPED: u64 = 1 << 40;
+    let futex = |uaddr, op| SysReq::Futex { uaddr, op };
+    let (b, c, d, e) = (a + 16, a + 32, a + 48, a + 64);
+    vec![
+        Call("wait-stale", futex(a, FutexOp::Wait { expected: 1 })),
+        Call(
+            "cmp-requeue-stale",
+            futex(
+                a,
+                FutexOp::CmpRequeue {
+                    wake: 1,
+                    requeue: 1,
+                    target_uaddr: c,
+                    expected: 1,
+                },
+            ),
+        ),
+        Call("wake-unmapped", futex(UNMAPPED, FutexOp::Wake { count: 1 })),
+        Call(
+            "requeue-unmapped-target",
+            futex(
+                a,
+                FutexOp::Requeue {
+                    wake: 1,
+                    requeue: 1,
+                    target_uaddr: UNMAPPED,
+                },
+            ),
+        ),
+        Call(
+            "cmp-requeue-unmapped-target",
+            futex(
+                a,
+                FutexOp::CmpRequeue {
+                    wake: 1,
+                    requeue: 1,
+                    target_uaddr: UNMAPPED,
+                    expected: 0,
+                },
+            ),
+        ),
+        Spawn(
+            "spawn-bitset-waiter",
+            1,
+            0,
+            futex_child(
+                log,
+                "wait-bitset",
+                a,
+                FutexOp::WaitBitset {
+                    expected: 0,
+                    bitset: 0b01,
+                },
+            ),
+        ),
+        Settle,
+        Call(
+            "wake-bitset-disjoint",
+            futex(
+                a,
+                FutexOp::WakeBitset {
+                    count: 1,
+                    bitset: 0b10,
+                },
+            ),
+        ),
+        Call(
+            "wake-bitset-overlap",
+            futex(
+                a,
+                FutexOp::WakeBitset {
+                    count: 1,
+                    bitset: 0b11,
+                },
+            ),
+        ),
+        Settle,
+        Spawn(
+            "spawn-waiter-1",
+            2,
+            0,
+            futex_child(log, "wait-1", b, FutexOp::Wait { expected: 0 }),
+        ),
+        Spawn(
+            "spawn-waiter-2",
+            3,
+            0,
+            futex_child(log, "wait-2", b, FutexOp::Wait { expected: 0 }),
+        ),
+        Settle,
+        Call(
+            "requeue",
+            futex(
+                b,
+                FutexOp::Requeue {
+                    wake: 1,
+                    requeue: 1,
+                    target_uaddr: c,
+                },
+            ),
+        ),
+        Call("wake-requeued", futex(c, FutexOp::Wake { count: 1 })),
+        Settle,
+        Call(
+            "sigaction-usr1",
+            SysReq::Sigaction {
+                sig: Sig::Usr1,
+                disposition: SigDisposition::Handler(1),
+            },
+        ),
+        Spawn(
+            "spawn-eintr-waiter",
+            1,
+            0,
+            futex_child(log, "wait-eintr", d, FutexOp::Wait { expected: 0 }),
+        ),
+        Settle,
+        Call(
+            "tgkill-usr1",
+            SysReq::Tgkill {
+                tid: 4,
+                sig: Sig::Usr1,
+            },
+        ),
+        Settle,
+        Call("set-tid-address", SysReq::SetTidAddress { addr: e + 4 }),
+        Spawn(
+            "spawn-joinee",
+            2,
+            e,
+            script(vec![Op::Compute { cycles: 100_000 }]),
+        ),
+        Call("join-clear-tid", futex(e, FutexOp::Wait { expected: 5 })),
+        Call(
+            "tgkill-parity-default",
+            SysReq::Tgkill {
+                tid: 0,
+                sig: Sig::Parity,
+            },
+        ),
+    ]
+}
+
+/// Runs every futex op, the EFAULT/EAGAIN paths, a handled signal that
+/// interrupts a parked waiter (EINTR), a clear-tid join and a
+/// default-disposition SIGPARITY on one node. Returns the call log and
+/// the main thread's exit code.
+fn run_futex_signal_steps(
+    kernel: Box<dyn bgsim::Kernel>,
+) -> (Vec<(&'static str, SysRet, u64)>, Option<i32>) {
+    let mut m = machine(kernel, 1, 0xF07E);
+    m.boot();
+    let log = CallLog::default();
+    let log2 = log.clone();
+    m.launch(&spec(1), &mut move |_r: Rank| {
+        let log = log2.clone();
+        let mut steps: std::collections::VecDeque<Step> = Default::default();
+        let mut pending: Option<(&'static str, u64)> = None;
+        let mut mapped = false;
+        wl(move |env| {
+            if let Some((label, t0)) = pending.take() {
+                let ret = env.take_ret().unwrap();
+                if !mapped {
+                    mapped = true;
+                    steps = futex_signal_steps(&log, ret.val() as u64).into();
+                }
+                log.borrow_mut().push((label, ret, env.now() - t0));
+            } else if !mapped {
+                pending = Some(("mmap", env.now()));
+                return Op::Syscall(SysReq::Mmap {
+                    addr: 0,
+                    len: 1 << 20,
+                    prot: Prot::READ | Prot::WRITE,
+                    flags: MapFlags::PRIVATE | MapFlags::ANONYMOUS,
+                    fd: None,
+                    offset: 0,
+                });
+            }
+            match steps.pop_front() {
+                Some(Step::Call(label, req)) => {
+                    pending = Some((label, env.now()));
+                    Op::Syscall(req)
+                }
+                Some(Step::Spawn(label, core, tid_addr, child)) => {
+                    pending = Some((label, env.now()));
+                    let stack = 0x7400_0000 + u64::from(core) * 0x10_0000;
+                    Op::Spawn {
+                        args: bgsim::CloneArgs::nptl(stack, 0, tid_addr),
+                        child,
+                        core_hint: Some(core),
+                    }
+                }
+                Some(Step::Settle) => Op::Compute { cycles: 50_000 },
+                None => Op::End,
+            }
+        })
+    })
+    .unwrap();
+    assert!(m.run().completed());
+    let calls = log.borrow().clone();
+    (calls, m.sc.thread(Tid(0)).exit_code)
+}
+
+#[test]
+fn futex_and_signal_calls_pin_returns_and_costs() {
+    // The NPTL mechanics both kernels provide (§IV.B.1), each path's
+    // return value and cycle cost pinned per kernel. The kernels differ
+    // in policy only: trap and futex costs, static versus demand-faulting
+    // translation, and what an unhandled SIGPARITY does (CNK kills the
+    // process, the FWK ignores it).
+    use Errno::{EAGAIN, EFAULT, EINTR};
+    use SysRet::{Err, Val};
+    let cnk = [
+        ("mmap", Val(95_420_416), 350),
+        ("wait-stale", Err(EAGAIN), 230),
+        ("cmp-requeue-stale", Err(EAGAIN), 230),
+        ("wake-unmapped", Err(EFAULT), 180),
+        ("requeue-unmapped-target", Err(EFAULT), 230),
+        ("cmp-requeue-unmapped-target", Err(EFAULT), 230),
+        ("spawn-bitset-waiter", Val(1), 1_900),
+        ("wake-bitset-disjoint", Val(0), 230),
+        ("wait-bitset", Val(0), 52_130),
+        ("wake-bitset-overlap", Val(1), 230),
+        ("spawn-waiter-1", Val(2), 1_900),
+        ("spawn-waiter-2", Val(3), 1_900),
+        ("wait-1", Val(0), 53_800),
+        ("requeue", Val(2), 230),
+        ("wait-2", Val(0), 52_130),
+        ("wake-requeued", Val(1), 230),
+        ("sigaction-usr1", Val(0), 200),
+        ("spawn-eintr-waiter", Val(4), 1_900),
+        ("wait-eintr", Err(EINTR), 51_900),
+        ("tgkill-usr1", Val(0), 340),
+        ("set-tid-address", Val(0), 140),
+        ("spawn-joinee", Val(5), 1_900),
+        ("join-clear-tid", Val(0), 98_100),
+    ];
+    let fwk = [
+        ("mmap", Val(3_220_176_896), 640),
+        ("wait-stale", Err(EAGAIN), 400),
+        ("cmp-requeue-stale", Err(EAGAIN), 400),
+        ("wake-unmapped", Err(EFAULT), 320),
+        ("requeue-unmapped-target", Err(EFAULT), 400),
+        ("cmp-requeue-unmapped-target", Err(EFAULT), 400),
+        ("spawn-bitset-waiter", Val(1), 4_500),
+        ("wake-bitset-disjoint", Val(0), 400),
+        ("wait-bitset", Val(0), 54_900),
+        ("wake-bitset-overlap", Val(1), 400),
+        ("spawn-waiter-1", Val(2), 4_500),
+        ("spawn-waiter-2", Val(3), 4_500),
+        ("wait-1", Val(0), 59_000),
+        ("requeue", Val(2), 400),
+        ("wait-2", Val(0), 54_900),
+        ("wake-requeued", Val(1), 400),
+        ("sigaction-usr1", Val(0), 350),
+        ("spawn-eintr-waiter", Val(4), 4_500),
+        ("wait-eintr", Err(EINTR), 54_500),
+        ("tgkill-usr1", Val(0), 560),
+        ("set-tid-address", Val(0), 260),
+        ("spawn-joinee", Val(5), 4_500),
+        ("join-clear-tid", Val(0), 95_500),
+        ("tgkill-parity-default", Val(0), 560),
+    ];
+    let (calls, exit) = run_futex_signal_steps(Box::new(Cnk::with_defaults()));
+    assert_eq!(calls, cnk);
+    assert_eq!(exit, Some(128 + Sig::Parity as i32), "CNK: SIGPARITY kills");
+    let (calls, exit) = run_futex_signal_steps(Box::new(Fwk::new(fwk::FwkConfig::noiseless())));
+    assert_eq!(calls, fwk);
+    assert_eq!(exit, Some(0), "FWK: SIGPARITY is ignored");
+}
+
+#[test]
+fn complementary_strengths() {
+    // The paper's core contrast: where CNK is easy Linux often
+    // isn't, and vice versa.
+    use bgsim::features::Capability;
+    let linux = fwk::features::matrix();
+    let cnk = cnk::features::matrix();
+    let cnk_no_tlb = cnk.get(Capability::NoTlbMisses).unwrap();
+    let linux_no_tlb = linux.get(Capability::NoTlbMisses).unwrap();
+    assert!(cnk_no_tlb.use_ease.available());
+    assert!(!linux_no_tlb.use_ease.available());
+    let cnk_mmap = cnk.get(Capability::FullMmap).unwrap();
+    let linux_mmap = linux.get(Capability::FullMmap).unwrap();
+    assert!(!cnk_mmap.use_ease.available());
+    assert!(linux_mmap.use_ease.available());
+}
+
+#[test]
+fn ordering_cnk_lt_stripped_lt_full() {
+    let cnk = cnk::boot::boot_report(&bgsim::ChipConfig::bgp(), false);
+    let s = fwk::boot::boot_report(true);
+    let f = fwk::boot::boot_report(false);
+    assert!(cnk.instructions < s.instructions / 10);
+    assert!(s.instructions < f.instructions);
 }

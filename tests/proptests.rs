@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 
+use bgsim::posix::FutexTable;
 use bgsim::tlb::{Tlb, TlbEntry, LARGE_PAGE_SIZES};
 use ciod::vfs::Vfs;
 use ciod::{wire, IoProxy};
-use cnk::futex::FutexTable;
 use cnk::mem::tracker::{ArenaTracker, GRAIN};
 use cnk::mem::{partition_node, ProcRequirements, RegionKind};
 use sysabi::{Errno, Fd, OpenFlags, Prot, SeekWhence, SysReq, SysRet, Tid};

@@ -432,43 +432,50 @@ fn sigaction_on_kill_rejected_everywhere() {
 
 #[test]
 fn tgkill_to_dead_thread_is_esrch() {
-    let mut m = Machine::new(
-        MachineConfig::single_node().with_seed(0x62),
+    let kernels: [Box<dyn bgsim::Kernel>; 2] = [
         Box::new(Cnk::with_defaults()),
-        Box::new(Dcmf::with_defaults()),
-    );
-    m.boot();
-    m.launch(
-        &JobSpec::new(AppImage::static_test("tg"), 1, NodeMode::Smp),
-        &mut |_r: Rank| {
-            let mut step = 0;
-            wl(move |env| {
-                step += 1;
-                match step {
-                    1 => Op::Spawn {
-                        args: bgsim::CloneArgs::nptl(0x7400_0000, 0, 0),
-                        child: script(vec![]),
-                        core_hint: Some(1),
-                    },
-                    2 => {
-                        let tid = env.take_ret().unwrap().val() as u32;
-                        // Let it exit first.
-                        let _ = tid;
-                        Op::Compute { cycles: 100_000 }
+        Box::new(Fwk::with_defaults()),
+    ];
+    for kernel in kernels {
+        let name = kernel.name();
+        let mut m = Machine::new(
+            MachineConfig::single_node().with_seed(0x62),
+            kernel,
+            Box::new(Dcmf::with_defaults()),
+        );
+        m.boot();
+        m.launch(
+            &JobSpec::new(AppImage::static_test("tg"), 1, NodeMode::Smp),
+            &mut |_r: Rank| {
+                let mut step = 0;
+                wl(move |env| {
+                    step += 1;
+                    match step {
+                        1 => Op::Spawn {
+                            args: bgsim::CloneArgs::nptl(0x7400_0000, 0, 0),
+                            child: script(vec![]),
+                            core_hint: Some(1),
+                        },
+                        2 => {
+                            let tid = env.take_ret().unwrap().val() as u32;
+                            // Let it exit first.
+                            let _ = tid;
+                            Op::Compute { cycles: 100_000 }
+                        }
+                        3 => Op::Syscall(SysReq::Tgkill {
+                            tid: 1,
+                            sig: sysabi::Sig::Usr1,
+                        }),
+                        4 => {
+                            assert_eq!(env.take_ret().unwrap().err(), sysabi::Errno::ESRCH);
+                            Op::End
+                        }
+                        _ => Op::End,
                     }
-                    3 => Op::Syscall(SysReq::Tgkill {
-                        tid: 1,
-                        sig: sysabi::Sig::Usr1,
-                    }),
-                    4 => {
-                        assert_eq!(env.take_ret().unwrap().err(), sysabi::Errno::ESRCH);
-                        Op::End
-                    }
-                    _ => Op::End,
-                }
-            }) as Box<dyn Workload>
-        },
-    )
-    .unwrap();
-    assert!(m.run().completed());
+                }) as Box<dyn Workload>
+            },
+        )
+        .unwrap();
+        assert!(m.run().completed(), "{name}");
+    }
 }
