@@ -5,8 +5,10 @@
 # the live-job path (a tight --timeout-cycles budget must yield a
 # "timeout" reply that is never memoized, with the server still
 # serving), render the monitor stream — state-monitor tree included —
-# through bgtop, and run the in-process selfcheck (4 concurrent
-# sessions differentially compared against one-shot oracle runs):
+# through bgtop, and run the in-process selfcheck twice (4 concurrent
+# sessions differentially compared against one-shot oracle runs; then
+# 2 sessions on one run slot, where parked stewards run every miss and
+# every paranoid re-run):
 #
 #   ./ci/serve_smoke.sh [artifacts-dir]
 set -euo pipefail
@@ -109,5 +111,11 @@ trap - EXIT
 #    in-process oracle run, every resubmission paranoid-verified, plus
 #    the built-in timeout/no-poisoned-cache leg.
 "$bin" selfcheck --sessions 4 --jobs 2 --threads 4 | tee "$out/selfcheck.txt"
+
+# 6) One run slot, so at most one steward parks between jobs: the 64
+#    misses and 64 paranoid re-runs of 2 sessions run on woken parked
+#    stewards (a second one starts only while both sessions have a job
+#    in flight), each compared against its oracle run.
+"$bin" selfcheck --sessions 2 --jobs 32 --threads 1 | tee "$out/selfcheck-one-slot.txt"
 
 echo "serve smoke OK: cache identity + paranoid + live jobs + concurrent selfcheck clean"

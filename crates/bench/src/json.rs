@@ -355,50 +355,42 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
     *pos += 1;
     let mut s = String::new();
-    while let Some(&c) = b.get(*pos) {
+    loop {
+        // Copy the run up to the next quote or backslash in one piece:
+        // both are ASCII, so the run ends on a char boundary.
+        let Some(n) = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\') else {
+            return Err("unterminated string".to_string());
+        };
+        let run = std::str::from_utf8(&b[*pos..*pos + n]).map_err(|_| "bad utf8".to_string())?;
+        s.push_str(run);
+        *pos += n + 1;
+        if b[*pos - 1] == b'"' {
+            return Ok(s);
+        }
+        let Some(&e) = b.get(*pos) else {
+            return Err("unterminated escape".to_string());
+        };
         *pos += 1;
-        match c {
-            b'"' => return Ok(s),
-            b'\\' => {
-                let Some(&e) = b.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match e {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}")),
-                }
+        match e {
+            b'"' => s.push('"'),
+            b'\\' => s.push('\\'),
+            b'/' => s.push('/'),
+            b'n' => s.push('\n'),
+            b't' => s.push('\t'),
+            b'r' => s.push('\r'),
+            b'u' => {
+                let hex = b
+                    .get(*pos..*pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| "bad \\u escape".to_string())?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                *pos += 4;
+                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            _ => {
-                // Re-sync to the char boundary for multi-byte UTF-8.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                    end += 1;
-                }
-                let frag =
-                    std::str::from_utf8(&b[start..end]).map_err(|_| "bad utf8".to_string())?;
-                s.push_str(frag);
-                *pos = end;
-            }
+            _ => return Err(format!("bad escape at offset {pos}")),
         }
     }
-    Err("unterminated string".to_string())
 }
 
 #[cfg(test)]

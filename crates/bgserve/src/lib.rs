@@ -6,10 +6,12 @@
 //! reproduces that control-system shape for the *simulated* machine: a
 //! persistent server accepts jobs — `(machine shape, seed, program,
 //! fault spec)` — over a Unix or TCP socket, runs each one that must
-//! simulate as soon as one of its run slots is free, and streams each
+//! simulate as soon as one of its run slots is free (on a steward
+//! thread parked from an earlier job, when one is), and streams each
 //! session its job lifecycle as newline-delimited JSON in the
 //! workspace's one dialect ([`bench::json`], nesting capped at
-//! [`bench::json::MAX_DEPTH`] levels; no new dependencies).
+//! [`bench::json::MAX_DEPTH`] levels; no new dependencies), one write
+//! per reply.
 //!
 //! Because every simulation is deterministic, a completed job is a pure
 //! function of its inputs — so results are memoized in an LRU cache
@@ -28,8 +30,9 @@
 //! * [`cache`] — the LRU result cache, with an optional on-disk tier
 //!   written atomically via [`bench::report::write_atomic`];
 //! * [`proto`] — the wire protocol on [`bench::json`] (requests, events);
-//! * [`server`] — endpoints, sessions, and the run slots that cap how
-//!   many simulations run at once;
+//! * [`server`] — endpoints, sessions, the run slots that cap how
+//!   many simulations run at once, and the steward threads that run
+//!   them and park between jobs;
 //! * [`client`] — a small blocking client for the CLI and tests;
 //! * [`selfcheck`] — an in-process service-vs-oracle differential leg.
 

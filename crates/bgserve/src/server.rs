@@ -1,20 +1,26 @@
-//! The service node: endpoint plumbing, session threads, and the run
-//! slots that cap how many simulations run at once.
+//! The service node: endpoint plumbing, session threads, the run
+//! slots that cap how many simulations run at once, and the steward
+//! threads that run them.
 //!
 //! Layout mirrors the real machine's control system: the listener is
 //! the service node's front door (one thread per connected submitter),
-//! and the monitor file is the rack's status display — published
-//! atomically so `bgtop` can tail it live. Like CNK, the service puts
-//! nothing between a job and the hardware: no scheduler thread, no
-//! batching window, no timer.
+//! and the monitor file is the rack's status display — appended one
+//! line per publish so `bgtop` can tail it live. Like CNK, the service
+//! puts nothing between a job and the hardware: no scheduler thread, no
+//! batching window, no timer, and no host work a request does not need.
 //!
+//! * Each reply goes out in one `write`, its lines and their newlines
+//!   together.
 //! * A cache hit is answered on the session's own reader thread:
-//!   parse, key, lookup, `accepted`, `telemetry`, `result`.
+//!   parse, key, lookup, then `accepted`, `telemetry` and `result` in
+//!   one write.
 //! * A submission that must simulate (a miss, or a `--paranoid`
-//!   re-run of a hit) gets a steward thread, which runs the job the
+//!   re-run of a hit) goes to a steward thread, which runs the job the
 //!   moment it holds one of `threads` run slots. Slots are granted in
 //!   arrival order, so a short miss never waits behind a long job while
-//!   a slot is free.
+//!   a slot is free. The steward writes the job's `telemetry` and
+//!   `result` in one write, then parks: the next such job wakes a
+//!   parked steward instead of starting a thread.
 //!
 //! Jobs are *live* (the CNK property that the service node can watch
 //! and steer running work, not just collect exit codes):
@@ -49,6 +55,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -248,7 +255,8 @@ struct Stats {
 }
 
 /// The monitor aggregate: profiles of every fresh run merged
-/// commutatively (same rule as shard merging), published atomically.
+/// commutatively (same rule as shard merging), appended to the monitor
+/// file one line per publish.
 struct MonitorAgg {
     monitor: Option<Monitor>,
     merged: ProfileSnapshot,
@@ -271,6 +279,7 @@ struct State {
     /// Root of the live state-monitor tree (the `server` node).
     tree: StateNode,
     slots: RunSlots,
+    stewards: Arc<Stewards>,
 }
 
 impl State {
@@ -343,26 +352,70 @@ impl State {
 
 /// Per-connection state shared between the session reader thread and
 /// its submit stewards: one writer (all response lines serialize
-/// through its mutex), the dead-peer latch, and this session's
-/// in-flight cancel tokens.
+/// through its mutex), the dead-peer latch, this session's in-flight
+/// cancel tokens, and how many of its jobs are with a steward.
 struct SessionShared {
     id: u64,
     writer: Mutex<Stream>,
     dead: AtomicBool,
     jobs: Mutex<HashMap<u64, CancelToken>>,
     node: StateNode,
+    /// Jobs handed to a steward and not yet finished; the session waits
+    /// for none to be left before it closes.
+    in_flight: Mutex<usize>,
+    settled: Condvar,
 }
 
-/// Write one line to the session peer. On failure the peer is declared
-/// dead exactly once: every in-flight job of the session is cancelled
-/// and a single `session-drop` event lands in the monitor stream —
-/// instead of one write error per telemetry line.
-fn send_shared(state: &State, shared: &SessionShared, line: &str) -> std::io::Result<()> {
+impl SessionShared {
+    /// The count is only touched in short sections, never across a job,
+    /// so a poisoned lock still guards a consistent value.
+    fn in_flight(&self) -> MutexGuard<'_, usize> {
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until every job this session handed to a steward is done.
+    fn wait_settled(&self) {
+        let mut n = self.in_flight();
+        while *n > 0 {
+            n = self.settled.wait(n).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One job in its session's in-flight count, counted out on drop:
+/// after its steward has dropped the job, or as a panic unwinds it.
+struct InFlight(Arc<SessionShared>);
+
+impl InFlight {
+    fn start(shared: &Arc<SessionShared>) -> InFlight {
+        *shared.in_flight() += 1;
+        InFlight(Arc::clone(shared))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        let mut n = self.0.in_flight();
+        *n -= 1;
+        if *n == 0 {
+            self.0.settled.notify_all();
+        }
+    }
+}
+
+/// Write `text` (one line, or several joined by newlines) to the session
+/// peer. On failure the peer is declared dead exactly once: every
+/// in-flight job of the session is cancelled and a single
+/// `session-drop` event lands in the monitor stream — instead of one
+/// write error per telemetry line.
+fn send_shared(state: &State, shared: &SessionShared, text: String) -> std::io::Result<()> {
     if shared.dead.load(Ordering::SeqCst) {
         return Err(std::io::ErrorKind::BrokenPipe.into());
     }
     let res = match shared.writer.lock() {
-        Ok(mut w) => send_line(&mut w, line),
+        Ok(mut w) => send_line(&mut w, text),
         Err(_) => Err(std::io::ErrorKind::Other.into()),
     };
     if res.is_err() {
@@ -468,6 +521,104 @@ impl Drop for Slot<'_> {
     }
 }
 
+/// One job for a steward thread.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The steward threads. Each runs one job at a time, so a steward
+/// blocked writing to a slow reader holds up only its own job (and its
+/// run slot only while it simulates). A steward that finishes drops the
+/// job and parks on a one-job channel of its own; the next job goes to
+/// the steward that parked last instead of to a new thread. At most
+/// `cap` stewards park; any other exits.
+struct Stewards {
+    cap: usize,
+    pool: Mutex<Pool>,
+}
+
+struct Pool {
+    /// The channel of each parked steward, the last parked on top.
+    parked: Vec<SyncSender<Task>>,
+    /// Every steward thread started and not yet seen to exit.
+    threads: Vec<JoinHandle<()>>,
+    /// Set at shutdown: no steward parks any more.
+    closed: bool,
+}
+
+impl Stewards {
+    fn new(cap: usize) -> Arc<Stewards> {
+        Arc::new(Stewards {
+            cap,
+            pool: Mutex::new(Pool {
+                parked: Vec::new(),
+                threads: Vec::new(),
+                closed: false,
+            }),
+        })
+    }
+
+    /// The pool is only touched in the short sections below, never
+    /// across a job, so a poisoned lock still guards consistent values.
+    fn lock(&self) -> MutexGuard<'_, Pool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `task` on the steward that parked last, or on a new steward
+    /// when none is parked.
+    fn run(self: &Arc<Self>, task: Task) {
+        let parked = self.lock().parked.pop();
+        if let Some(steward) = parked {
+            // Its one-job channel is empty, so this never blocks.
+            steward
+                .send(task)
+                .expect("a parked steward waits on its channel until it is handed a job");
+            return;
+        }
+        let me = Arc::clone(self);
+        let thread = std::thread::spawn(move || me.serve(task));
+        let mut pool = self.lock();
+        pool.threads.retain(|t| !t.is_finished());
+        pool.threads.push(thread);
+    }
+
+    /// A steward's life: its first job, then each job it is handed
+    /// while parked.
+    fn serve(&self, first: Task) {
+        let mut next = Some(first);
+        while let Some(task) = next {
+            task();
+            next = self.park();
+        }
+    }
+
+    /// Wait for the next job. `None`: `cap` stewards are parked already,
+    /// or the server is shutting down, so this steward exits.
+    fn park(&self) -> Option<Task> {
+        let (tx, rx) = sync_channel(1);
+        {
+            let mut pool = self.lock();
+            if pool.closed || pool.parked.len() >= self.cap {
+                return None;
+            }
+            pool.parked.push(tx);
+        }
+        rx.recv().ok()
+    }
+
+    /// Shutdown, once no session is left: release the parked stewards
+    /// and wait for every steward to exit.
+    fn close(&self) {
+        let threads = {
+            let mut pool = self.lock();
+            pool.closed = true;
+            pool.parked.clear();
+            std::mem::take(&mut pool.threads)
+        };
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+}
+
 fn cached_of(rec: &RunRecord, profile: Option<ProfileSnapshot>) -> CachedResult {
     CachedResult {
         kernel: rec.kernel.to_string(),
@@ -480,9 +631,11 @@ fn cached_of(rec: &RunRecord, profile: Option<ProfileSnapshot>) -> CachedResult 
     }
 }
 
-fn send_line(w: &mut Stream, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+/// Write `text` and its final newline with one `write_all`: one write
+/// system call per reply, however many lines it holds.
+fn send_line(w: &mut Stream, mut text: String) -> std::io::Result<()> {
+    text.push('\n');
+    w.write_all(text.as_bytes())?;
     w.flush()
 }
 
@@ -499,7 +652,7 @@ fn progress_sink(job: &Job) -> Box<dyn ProgressSink> {
         if shared.dead.load(Ordering::SeqCst) {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
-        if send_shared(&state, &shared, &proto::progress_line(id, r)).is_err() {
+        if send_shared(&state, &shared, proto::progress_line(id, r)).is_err() {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
         state.publish_progress();
@@ -510,16 +663,11 @@ fn progress_sink(job: &Job) -> Box<dyn ProgressSink> {
 /// Admit one submission on the session's reader thread. A cache hit is
 /// answered right here unless `--paranoid` asks for a re-run; a job that
 /// must simulate gets a registered cancel token, its `accepted` line and
-/// a steward thread, which waits for a run slot.
-fn admit(
-    state: &Arc<State>,
-    shared: &Arc<SessionShared>,
-    req: SubmitReq,
-    stewards: &mut Vec<JoinHandle<()>>,
-) -> std::io::Result<()> {
+/// a steward, which waits for a run slot.
+fn admit(state: &Arc<State>, shared: &Arc<SessionShared>, req: SubmitReq) -> std::io::Result<()> {
     let program = match req.to_program() {
         Ok(p) => p,
-        Err(e) => return send_shared(state, shared, &proto::error_line(&e)),
+        Err(e) => return send_shared(state, shared, proto::error_line(&e)),
     };
     let key = JobKey::of(req.kernel, &program);
     let id = state.next_job.fetch_add(1, Ordering::Relaxed) + 1;
@@ -544,9 +692,8 @@ fn admit(
     job.node.set("cache", cache);
     let accepted = proto::accepted_line(id, &job.key_hex);
     if let Some(entry) = hit.as_ref().filter(|_| !state.paranoid) {
-        job.send(&accepted)?;
-        let line = job.reply_hit(entry, "off")?;
-        return job.send(&line);
+        let tail = job.reply_hit(entry, "off");
+        return job.send(accepted + "\n" + &tail);
     }
 
     // Register the cancel token *before* `accepted` goes out: a client
@@ -559,14 +706,15 @@ fn admit(
         jobs.insert(id, token.clone());
     }
     job.node.set("phase", "queued");
-    if let Err(e) = job.send(&accepted) {
+    if let Err(e) = job.send(accepted) {
         job.deregister();
         return Err(e);
     }
-    stewards.push(std::thread::spawn(move || {
-        job.steward(&req, &program, token, hit)
+    let in_flight = InFlight::start(shared);
+    state.stewards.run(Box::new(move || {
+        let _in_flight = in_flight;
+        job.steward(req, program, token, hit);
     }));
-    stewards.retain(|h| !h.is_finished());
     Ok(())
 }
 
@@ -591,8 +739,8 @@ impl Drop for Job {
 }
 
 impl Job {
-    fn send(&self, line: &str) -> std::io::Result<()> {
-        send_shared(&self.state, &self.shared, line)
+    fn send(&self, text: String) -> std::io::Result<()> {
+        send_shared(&self.state, &self.shared, text)
     }
 
     fn deregister(&self) {
@@ -604,60 +752,54 @@ impl Job {
         }
     }
 
-    /// The tail of a cache hit: stream the stored telemetry snapshot,
-    /// mark the job done, and return its `result` line.
-    fn reply_hit(&self, entry: &CachedResult, paranoid: &str) -> std::io::Result<String> {
-        if let Some(p) = &entry.profile {
-            self.send(&proto::telemetry_line(self.id, p))?;
-        }
+    /// The tail of a cache hit: mark the job done, then render the
+    /// stored telemetry snapshot and the `result` line. The monitor
+    /// update is published before anything is written: a client that
+    /// acts on the result must find the stream already current.
+    fn reply_hit(&self, entry: &CachedResult, paranoid: &str) -> String {
         self.node.set("phase", "done");
-        // Publish the monitor update before the result line: a client
-        // that acts on the result must find the stream already current.
         self.state.finish_job(None);
-        Ok(proto::result_line(
-            self.id,
-            entry,
-            true,
-            paranoid,
-            &self.key_hex,
-        ))
+        let result = proto::result_line(self.id, entry, true, paranoid, &self.key_hex);
+        match &entry.profile {
+            Some(p) => proto::telemetry_line(self.id, p) + "\n" + &result,
+            None => result,
+        }
     }
 
-    /// A steward thread's body: verify a paranoid hit or run a miss,
-    /// then send the final line. Mid-job lines (telemetry, progress,
-    /// paranoid warnings) go out inline; the job is deregistered BEFORE
-    /// the final line, because the moment the client reads its result it
-    /// may hang up, and a clean close racing a not-yet-deregistered job
-    /// would be miscounted as a session drop.
+    /// A steward's job: verify a paranoid hit or run a miss, then write
+    /// the job's last lines in one write. Progress lines go out inline
+    /// while it runs. The job is deregistered BEFORE that write, because
+    /// the moment the client reads its result it may hang up, and a
+    /// clean close racing a not-yet-deregistered job would be miscounted
+    /// as a session drop.
     fn steward(
         self,
-        req: &SubmitReq,
-        program: &Program,
+        req: SubmitReq,
+        program: Program,
         token: CancelToken,
         hit: Option<CachedResult>,
     ) {
-        let res = match &hit {
-            Some(entry) => self.verify(req, program, entry, token),
-            None => self.simulate(req, program, token),
+        let tail = match &hit {
+            Some(entry) => self.verify(&req, &program, entry, token),
+            None => self.simulate(&req, &program, token),
         };
         self.deregister();
-        if let Ok(line) = res {
-            let _ = self.send(&line);
-        }
+        let _ = self.send(tail);
     }
 
     /// `--paranoid`: re-run a hit fresh in the requested mode and compare
-    /// triples before the cached answer is released. The re-run takes
-    /// its slot and runs under the job's cancel token, so a client that
-    /// cancels or hangs up frees the slot; a verification cancelled
-    /// before or during its re-run answers `cancelled`, like a miss.
+    /// triples before the cached answer is released (after an `error`
+    /// line on a mismatch). The re-run takes its slot and runs under the
+    /// job's cancel token, so a client that cancels or hangs up frees
+    /// the slot; a verification cancelled before or during its re-run
+    /// answers `cancelled`, like a miss.
     fn verify(
         &self,
         req: &SubmitReq,
         program: &Program,
         entry: &CachedResult,
         token: CancelToken,
-    ) -> std::io::Result<String> {
+    ) -> String {
         let stats = &self.state.stats;
         self.node.set("phase", "paranoid");
         stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
@@ -670,9 +812,9 @@ impl Job {
         });
         let failure = match fresh {
             // Cancelled before the slot came up, or during the re-run.
-            None => return Ok(self.answer_cancelled(req)),
+            None => return self.answer_cancelled(req),
             Some(Ok((rec, _))) if rec.outcome == "cancelled" && token.is_cancelled() => {
-                return Ok(self.answer_cancelled(req));
+                return self.answer_cancelled(req);
             }
             Some(Ok((rec, _)))
                 if (rec.outcome.clone(), rec.final_cycle, rec.digest) == entry.triple() =>
@@ -692,26 +834,18 @@ impl Job {
             )),
             Some(Err(e)) => Some(format!("paranoid re-run failed: {e}")),
         };
-        let paranoid = match failure {
-            None => "ok",
-            Some(detail) => {
-                stats.paranoid_failures.fetch_add(1, Ordering::Relaxed);
-                self.send(&proto::error_line(&detail))?;
-                "mismatch"
-            }
+        let Some(detail) = failure else {
+            return self.reply_hit(entry, "ok");
         };
-        self.reply_hit(entry, paranoid)
+        stats.paranoid_failures.fetch_add(1, Ordering::Relaxed);
+        proto::error_line(&detail) + "\n" + &self.reply_hit(entry, "mismatch")
     }
 
     /// A miss: run live as soon as a slot is free, cache a completed
-    /// triple, and stream the run's telemetry. Interrupted outcomes
-    /// (`cancelled`, `timeout`) are reported but never cached.
-    fn simulate(
-        &self,
-        req: &SubmitReq,
-        program: &Program,
-        token: CancelToken,
-    ) -> std::io::Result<String> {
+    /// triple, and answer with the run's telemetry and result.
+    /// Interrupted outcomes (`cancelled`, `timeout`) are reported but
+    /// never cached.
+    fn simulate(&self, req: &SubmitReq, program: &Program, token: CancelToken) -> String {
         let (state, id) = (&self.state, self.id);
         let sink = req.live.progress_cycles.map(|_| progress_sink(self));
         let ran = state.slots.acquire(Some(&token)).map(|_slot| {
@@ -726,7 +860,7 @@ impl Job {
         });
         match ran {
             // Cancelled while still queued: never simulated a cycle.
-            None => Ok(self.answer_cancelled(req)),
+            None => self.answer_cancelled(req),
             Some(Ok((rec, snap))) => {
                 let interrupted = rec.outcome == "cancelled" || rec.outcome == "timeout";
                 let entry = cached_of(&rec, Some(snap.clone()));
@@ -743,16 +877,16 @@ impl Job {
                     c.insert(self.kd, entry.clone());
                 }
                 self.node.set("phase", rec.outcome.clone());
-                self.send(&proto::telemetry_line(id, &snap))?;
                 state.finish_job(Some(&snap));
-                Ok(proto::result_line(id, &entry, false, "off", &self.key_hex))
+                let result = proto::result_line(id, &entry, false, "off", &self.key_hex);
+                proto::telemetry_line(id, &snap) + "\n" + &result
             }
             Some(Err(e)) => {
                 // Failed runs are not cached: the failure may be transient
                 // (e.g. resource pressure) and a retry should re-execute.
                 self.node.set("phase", "error");
                 state.finish_job(None);
-                Ok(proto::error_line(&e))
+                proto::error_line(&e)
             }
         }
     }
@@ -811,12 +945,13 @@ fn session(stream: Stream, state: Arc<State>) {
         dead: AtomicBool::new(false),
         jobs: Mutex::new(HashMap::new()),
         node,
+        in_flight: Mutex::new(0),
+        settled: Condvar::new(),
     });
-    // Jobs that must simulate run in steward threads so the reader keeps
+    // Jobs that must simulate run on stewards so the reader keeps
     // consuming requests mid-job — that is what lets one connection
     // interleave `status`, `cancel` and cache hits with its own (or
     // anyone's) running work.
-    let mut stewards: Vec<JoinHandle<()>> = Vec::new();
     let mut reader = BufReader::new(read_half);
     let mut buf = Vec::new();
     loop {
@@ -828,7 +963,7 @@ fn session(stream: Stream, state: Arc<State>) {
                     let detail = format!(
                         "request line exceeds the {MAX_LINE}-byte limit; closing the session"
                     );
-                    let _ = send_shared(&state, &shared, &proto::error_line(&detail));
+                    let _ = send_shared(&state, &shared, proto::error_line(&detail));
                 }
                 break;
             }
@@ -838,13 +973,13 @@ fn session(stream: Stream, state: Arc<State>) {
             continue;
         }
         let res = match proto::parse_request(&line) {
-            Err(e) => send_shared(&state, &shared, &proto::error_line(&e)),
-            Ok(Request::Ping) => send_shared(&state, &shared, &proto::pong_line()),
+            Err(e) => send_shared(&state, &shared, proto::error_line(&e)),
+            Ok(Request::Ping) => send_shared(&state, &shared, proto::pong_line()),
             Ok(Request::Status) => {
-                send_shared(&state, &shared, &proto::status_line(&state.status()))
+                send_shared(&state, &shared, proto::status_line(&state.status()))
             }
             Ok(Request::Shutdown) => {
-                let _ = send_shared(&state, &shared, &proto::shutting_down_line());
+                let _ = send_shared(&state, &shared, proto::shutting_down_line());
                 state.stop.store(true, Ordering::SeqCst);
                 poke(&state.endpoint);
                 break;
@@ -862,21 +997,19 @@ fn session(stream: Stream, state: Arc<State>) {
                     }
                     None => false,
                 };
-                send_shared(&state, &shared, &proto::cancel_ack_line(job, cancelled))
+                send_shared(&state, &shared, proto::cancel_ack_line(job, cancelled))
             }
-            Ok(Request::Submit(req)) => admit(&state, &shared, req, &mut stewards),
+            Ok(Request::Submit(req)) => admit(&state, &shared, req),
         };
         if res.is_err() {
             break; // client went away mid-response
         }
     }
     // Reader EOF (peer closed or vanished) or shutdown: cancel whatever
-    // this session still has in flight, then wait for the stewards to
+    // this session still has in flight, then wait for its stewards to
     // wind those jobs down.
     drop_session(&state, &shared);
-    for h in stewards {
-        let _ = h.join();
-    }
+    shared.wait_settled();
     state.tree.remove_child(&format!("sessions/{sid}"));
 }
 
@@ -942,6 +1075,7 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
         registry: Mutex::new(HashMap::new()),
         tree,
         slots: RunSlots::new(threads),
+        stewards: Stewards::new(threads),
     });
 
     let endpoint = opts.endpoint;
@@ -963,6 +1097,7 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
         for h in sessions {
             let _ = h.join();
         }
+        state.stewards.close();
         if let Endpoint::Unix(path) = &ep {
             let _ = std::fs::remove_file(path);
         }
@@ -1108,5 +1243,70 @@ mod tests {
         let err = read_request(&mut r, &mut buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(buf.len(), MAX_LINE + 1, "buffers no more than the cap");
+    }
+
+    /// Spin until `cond` holds of the steward pool; the deadline turns a
+    /// steward that never parks or exits into a failure, not a hang.
+    fn wait_pool(stewards: &Stewards, what: &str, cond: impl Fn(&Pool) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond(&stewards.lock()) {
+            assert!(Instant::now() < deadline, "no steward {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn running(pool: &Pool) -> usize {
+        pool.threads.iter().filter(|t| !t.is_finished()).count()
+    }
+
+    #[test]
+    fn a_parked_steward_runs_each_next_job_on_one_thread() {
+        let stewards = Stewards::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut ran_on = Vec::new();
+        for _ in 0..8 {
+            let tx = tx.clone();
+            stewards.run(Box::new(move || {
+                tx.send(std::thread::current().id()).unwrap()
+            }));
+            ran_on.push(rx.recv().unwrap());
+            // The next job is handed over only once this one's steward
+            // has parked.
+            wait_pool(&stewards, "parked", |p| p.parked.len() == 1);
+        }
+        assert!(ran_on.iter().all(|&t| t == ran_on[0]), "{ran_on:?}");
+        assert_ne!(ran_on[0], std::thread::current().id());
+        assert_eq!(stewards.lock().threads.len(), 1, "one thread ever started");
+        // Shutdown releases the parked steward, or this join never returns.
+        stewards.close();
+        assert!(stewards.lock().parked.is_empty());
+    }
+
+    #[test]
+    fn a_steward_that_finishes_beyond_the_cap_exits() {
+        let stewards = Stewards::new(1);
+        let (started, starts) = std::sync::mpsc::channel();
+        let mut release = Vec::new();
+        for _ in 0..2 {
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            let started = started.clone();
+            stewards.run(Box::new(move || {
+                started.send(()).unwrap();
+                wait.recv().unwrap();
+            }));
+            release.push(go);
+        }
+        // Both jobs run at once: none was parked for the second, so it
+        // got a steward of its own.
+        starts.recv().unwrap();
+        starts.recv().unwrap();
+        assert_eq!(running(&stewards.lock()), 2);
+        release[0].send(()).unwrap();
+        wait_pool(&stewards, "parked", |p| p.parked.len() == 1);
+        // The one parking place is taken, so the second steward exits.
+        release[1].send(()).unwrap();
+        wait_pool(&stewards, "exited", |p| running(p) == 1);
+        assert_eq!(stewards.lock().parked.len(), 1);
+        stewards.close();
     }
 }

@@ -4,7 +4,7 @@
 //! live monitor file and its state tree, disk-tier write failures, and
 //! the live-job paths (cancellation, cycle/wall timeouts, progress
 //! streaming, disconnect auto-cancel, run slots that never hold a short
-//! miss behind a long job).
+//! miss behind a long job, one run slot serving a run of misses).
 
 use std::path::PathBuf;
 
@@ -687,58 +687,162 @@ fn cancel_mid_run_stops_a_running_job() {
     handle.join().expect("join");
 }
 
+/// Read one reply line and return its event name.
+fn next_event(r: &mut impl std::io::BufRead) -> String {
+    let mut line = String::new();
+    r.read_line(&mut line).expect("read");
+    let v = bench::json::parse(line.trim()).expect("parse");
+    v.get("event")
+        .and_then(|e| e.str())
+        .expect("event")
+        .to_string()
+}
+
+/// Every state tree published to the monitor file so far.
+fn published_trees(path: &std::path::Path) -> Vec<bench::json::Json> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines()
+        .filter_map(|l| bench::json::parse(l).ok()?.get("state").cloned())
+        .collect()
+}
+
+/// The phase a published tree shows for `session`'s job `job`.
+fn job_phase(tree: &bench::json::Json, session: u64, job: u64) -> Option<&str> {
+    let s = child(tree, &format!("sessions/{session}"))?;
+    child(s, &format!("jobs/{job}"))?
+        .get("values")?
+        .get("phase")?
+        .str()
+}
+
 #[test]
 fn client_disconnect_auto_cancels_in_flight_jobs() {
     let ep = sock("disconnect");
+    let mon_path: PathBuf = std::env::temp_dir().join(format!(
+        "bgserve-test-{}-disconnect.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&mon_path);
     let mut opts = ServeOpts::new(ep.clone());
-    opts.threads = 2;
+    opts.threads = 1; // job 2 queues behind job 1
+    opts.monitor =
+        Some(bench::monitor::Monitor::create(&mon_path, "bgserve", true).expect("monitor"));
     let handle = spawn(opts).expect("spawn");
 
-    // Raw protocol: submit a huge job (with progress streaming, so the
-    // server also has mid-run writes aimed at us), read `accepted`,
-    // then vanish.
+    // Raw protocol on sessions/0: submit a huge job (with progress
+    // streaming, so the server also has mid-run writes aimed at us) and
+    // wait until it runs; queue a second job behind it on the only run
+    // slot; read its `accepted`, then vanish.
     {
-        use std::io::{BufRead, BufReader, Write};
+        use std::io::{BufReader, Write};
         let stream = ep.connect().expect("connect");
         let mut w = stream.try_clone().expect("clone");
         let mut r = BufReader::new(stream);
-        let line = bgserve::proto::submit_line(
-            CheckKernel::Fwk,
-            MODES[LIVE_MODE],
-            &long_program(0xD15C, 1_000_000_000_000),
-            LiveReq {
-                timeout_wall_ms: Some(20_000), // backstop only
-                progress_cycles: Some(50_000_000),
-                ..Default::default()
-            },
-        );
-        writeln!(w, "{line}").expect("write");
-        w.flush().expect("flush");
-        let mut reply = String::new();
-        r.read_line(&mut reply).expect("read");
-        let v = bench::json::parse(reply.trim()).expect("parse");
-        assert_eq!(v.get("event").and_then(|e| e.str()), Some("accepted"));
+        let mut submit = |seed, progress_cycles| {
+            let line = bgserve::proto::submit_line(
+                CheckKernel::Fwk,
+                MODES[LIVE_MODE],
+                &long_program(seed, 1_000_000_000_000),
+                LiveReq {
+                    timeout_wall_ms: Some(20_000), // backstop only
+                    progress_cycles,
+                    ..Default::default()
+                },
+            );
+            writeln!(w, "{line}").expect("write");
+            w.flush().expect("flush");
+        };
+        submit(0xD15C, Some(50_000_000));
+        assert_eq!(next_event(&mut r), "accepted");
+        // Job 1 holds the run slot once it reports progress.
+        assert_eq!(next_event(&mut r), "progress");
+        submit(0xD15D, None);
+        while next_event(&mut r) != "accepted" {}
     } // both halves drop here: the peer is gone
 
-    // The server must notice, cancel the job, and count one session
-    // drop — well before the 20 s wall backstop.
+    // The server must notice, cancel both jobs (the running one and the
+    // queued one) and count one session drop — well before the 20 s
+    // wall backstop.
     let mut c2 = Client::connect(&ep).expect("connect c2");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
     loop {
         let status = c2.status().expect("status");
-        let cancelled = status.path_num(&["cancelled"]).unwrap_or(0.0);
-        let drops = status.path_num(&["session_drops"]).unwrap_or(0.0);
-        if cancelled >= 1.0 && drops >= 1.0 {
+        let count = |k: &str| status.path_num(&[k]).unwrap_or(0.0);
+        let got = [
+            count("cancelled"),
+            count("session_drops"),
+            count("completed"),
+        ];
+        if got == [2.0, 1.0, 2.0] {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "disconnect never auto-cancelled (cancelled={cancelled}, drops={drops})"
+            "disconnect never wound both jobs down: [cancelled, drops, completed] = {got:?}"
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    // Each job published its end while its session's node still stood.
+    let trees = published_trees(&mon_path);
+    for job in [1, 2] {
+        assert!(
+            trees
+                .iter()
+                .any(|t| job_phase(t, 0, job) == Some("cancelled")),
+            "no snapshot shows sessions/0 jobs/{job} cancelled"
+        );
+    }
+    // And then the session's node went. Every submit publishes a
+    // snapshot (a cache hit too), so resubmit until one shows it gone.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
+    loop {
+        c2.submit(CheckKernel::Cnk, MODES[0], &small_program(0xD15E))
+            .expect("submit");
+        let trees = published_trees(&mon_path);
+        let last = trees.last().expect("a published tree");
+        if child(last, "sessions/0").is_none() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed session's node never left the tree"
+        );
+    }
     c2.shutdown().expect("shutdown");
     drop(c2);
+    handle.join().expect("join");
+    let _ = std::fs::remove_file(&mon_path);
+}
+
+#[test]
+fn one_run_slot_serves_a_sequence_of_misses() {
+    // With one run slot, one parked steward runs every miss in turn.
+    let ep = sock("steward-reuse");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 1;
+    let handle = spawn(opts).expect("spawn");
+
+    const K: u64 = 8;
+    let mut c = Client::connect(&ep).expect("connect");
+    for i in 0..K {
+        let p = generate(0x57E0 + i);
+        let kernel = CheckKernel::ALL[i as usize % 2];
+        let r = c
+            .submit(kernel, MODES[i as usize % MODES.len()], &p)
+            .expect("submit");
+        assert!(!r.cached, "job {} is a miss", r.job);
+        let oracle = run_mode(&p, kernel, MODES[0]).expect("oracle");
+        assert_eq!(
+            r.triple(),
+            oracle.triple(),
+            "miss {i} diverged from its one-shot run"
+        );
+    }
+    let status = c.status().expect("status");
+    assert_eq!(status.path_num(&["cache_misses"]), Some(K as f64));
+    assert_eq!(status.path_num(&["completed"]), Some(K as f64));
+    c.shutdown().expect("shutdown");
+    drop(c);
     handle.join().expect("join");
 }
 
