@@ -4,7 +4,8 @@
 # digest — confirmed by the server's --paranoid re-run. Then exercise
 # the live-job path (a tight --timeout-cycles budget must yield a
 # "timeout" reply that is never memoized, with the server still
-# serving), render the monitor stream — state-monitor tree included —
+# serving), run one 1 024-node job and check that no monitor line grows
+# with it, render the monitor stream — state-monitor tree included —
 # through bgtop, and run the in-process selfcheck twice (4 concurrent
 # sessions differentially compared against one-shot oracle runs; then
 # 2 sessions on one run slot, where parked stewards run every miss and
@@ -87,11 +88,30 @@ grep -q "0 session drops" <<<"$status" \
   || { echo "FAIL: clean one-shot submits were miscounted as drops: $status" >&2; exit 1; }
 echo "serve smoke OK: timeout reported, never cached, server kept serving"
 
-# 4) The monitor stream the server published renders through bgtop,
+# 4) A monitor line carries machine-wide totals, not a record per node:
+#    after a 1 024-node job every line stays under 4 KiB (a per-node
+#    array made it ~69 KB, and every later line carried it too).
+cat > "$out/rack.bgck" <<'EOF_SCRIPT'
+nodes 1024
+seed 1024
+op compute 5000
+op gettid
+op allreduce 16
+EOF_SCRIPT
+rack=$("$bin" submit --listen "unix:$sock" --script "$out/rack.bgck" --kernel cnk --json)
+echo "$rack" | tee "$out/rack.json"
+[ "$(field "$rack" outcome)" = "completed" ] \
+  || { echo "FAIL: the 1024-node job did not complete" >&2; exit 1; }
+long=$(awk 'length($0) > 4096 { n++ } END { print n + 0 }' "$out/monitor.jsonl")
+[ "$long" = "0" ] \
+  || { echo "FAIL: $long monitor line(s) over 4 KiB" >&2; exit 1; }
+echo "serve smoke OK: every monitor line under 4 KiB after a 1024-node job"
+
+# 5) The monitor stream the server published renders through bgtop,
 #    including the per-session state-monitor tree.
 if [ -x "$bgtop" ]; then
-  "$bgtop" "$out/monitor.jsonl" --once --nodes 4 | tee "$out/bgtop-frame.txt" | head -5
-  "$bgtop" "$out/monitor.jsonl" --once --sessions --nodes 4 > "$out/bgtop-sessions.txt"
+  "$bgtop" "$out/monitor.jsonl" --once | tee "$out/bgtop-frame.txt" | head -5
+  "$bgtop" "$out/monitor.jsonl" --once --sessions > "$out/bgtop-sessions.txt"
   grep -q "sessions:" "$out/bgtop-sessions.txt" \
     || { echo "FAIL: bgtop --sessions printed no session section" >&2; exit 1; }
   grep -q "jobs/" "$out/bgtop-sessions.txt" \
@@ -106,13 +126,13 @@ fi
 wait "$server"
 trap - EXIT
 
-# 5) The service leg of the differential matrix: 4 concurrent sessions,
+# 6) The service leg of the differential matrix: 4 concurrent sessions,
 #    modes swept across the matrix, every triple compared against an
 #    in-process oracle run, every resubmission paranoid-verified, plus
 #    the built-in timeout/no-poisoned-cache leg.
 "$bin" selfcheck --sessions 4 --jobs 2 --threads 4 | tee "$out/selfcheck.txt"
 
-# 6) One run slot, so at most one steward parks between jobs: the 64
+# 7) One run slot, so at most one steward parks between jobs: the 64
 #    misses and 64 paranoid re-runs of 2 sessions run on woken parked
 #    stewards (a second one starts only while both sessions have a job
 #    in flight), each compared against its oracle run.

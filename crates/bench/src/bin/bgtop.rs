@@ -1,13 +1,13 @@
 //! `bgtop` — live state monitor for running benchmarks.
 //!
 //! Usage: `bgtop <monitor.jsonl> [--once] [--sessions] [--interval-ms <n>]
-//! [--nodes <n>] [--deadline-ms <n>]`
+//! [--deadline-ms <n>]`
 //!
 //! Attach a benchmark with `--monitor-out <path>` (or point at a
 //! `bgserve --monitor-out` stream); the writer publishes one JSON line
 //! per finished work unit (shard, kernel, message size, service job).
 //! `bgtop` tails that file and renders the most recent snapshot as a
-//! per-subsystem cycle-accounting table plus the hottest nodes. With
+//! per-subsystem cycle-accounting table and machine-wide totals. With
 //! `--once` it waits (up to the deadline) for the first complete frame,
 //! renders it, and exits (the CI demo mode); otherwise it polls until
 //! the snapshot reports all units done. `--sessions` additionally
@@ -32,14 +32,12 @@ struct Args {
     once: bool,
     sessions: bool,
     interval_ms: u64,
-    top_nodes: usize,
     deadline_ms: u64,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bgtop <monitor.jsonl> [--once] [--sessions] [--interval-ms <n>] [--nodes <n>] \
-         [--deadline-ms <n>]"
+        "usage: bgtop <monitor.jsonl> [--once] [--sessions] [--interval-ms <n>] [--deadline-ms <n>]"
     );
     std::process::exit(2);
 }
@@ -49,7 +47,6 @@ fn parse_args() -> Args {
     let mut once = false;
     let mut sessions = false;
     let mut interval_ms = 500u64;
-    let mut top_nodes = 8usize;
     let mut deadline_ms = 30_000u64;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -61,12 +58,6 @@ fn parse_args() -> Args {
                     usage()
                 };
                 interval_ms = v;
-            }
-            "--nodes" => {
-                let Some(v) = it.next().and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                top_nodes = v;
             }
             "--deadline-ms" => {
                 let Some(v) = it.next().and_then(|s| s.parse().ok()) else {
@@ -88,7 +79,6 @@ fn parse_args() -> Args {
         once,
         sessions,
         interval_ms,
-        top_nodes,
         deadline_ms,
     }
 }
@@ -118,7 +108,7 @@ fn main() {
                 if fresh {
                     last_seq = seq;
                     waited_ms = 0;
-                    print!("{}", render_snapshot(&snap, args.top_nodes));
+                    print!("{}", render_snapshot(&snap));
                     if args.sessions {
                         match snap.get("state") {
                             Some(state) => print!("\nsessions:\n{}", render_state(state)),

@@ -242,6 +242,19 @@ pub fn str_field(obj: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
+/// The most characters of outside text that an error message quotes.
+const QUOTE_CHARS: usize = 64;
+
+/// `text` quoted as `{:?}` does, cut to its first 64 characters, so an
+/// error that names bad input stays short however long the input was.
+pub fn quote_head(text: &str) -> String {
+    let end = text
+        .char_indices()
+        .nth(QUOTE_CHARS)
+        .map_or(text.len(), |(i, _)| i);
+    format!("{:?}", &text[..end])
+}
+
 /// Parse one JSON document (object, array, or scalar). Malformed input,
 /// including a torn final line from a still-running writer or nesting
 /// deeper than [`MAX_DEPTH`], is an error string with a byte offset,
@@ -469,5 +482,12 @@ mod tests {
             let e = parse(&too_deep).expect_err("too deep");
             assert!(e.contains(&format!("{MAX_DEPTH} levels")), "{e}");
         }
+    }
+
+    #[test]
+    fn quote_head_cuts_at_a_char_boundary() {
+        assert_eq!(quote_head("warp"), "\"warp\"");
+        let long = "é".repeat(100);
+        assert_eq!(quote_head(&long), format!("{:?}", "é".repeat(QUOTE_CHARS)));
     }
 }

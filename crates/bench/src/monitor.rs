@@ -3,9 +3,10 @@
 //! An experiment run with `--monitor-out <path>` builds a [`Monitor`] and
 //! calls [`Monitor::publish`] as shards complete. Each publish adds
 //! one JSON line describing overall progress plus the merged
-//! cycle-accounting profile so far (per-domain totals and per-node heat
-//! counters). `bgtop <path>` tails the file, parses the most recent
-//! line, and renders it as a per-subsystem / per-node table.
+//! cycle-accounting profile so far (per-domain totals and machine-wide
+//! message heat), a line whose size does not grow with the node count.
+//! `bgtop <path>` tails the file, parses the most recent line, and
+//! renders it as a per-subsystem table.
 //!
 //! The file is opened once, and each publish appends one line with one
 //! write. No earlier line is kept in memory, so a long-lived server's
@@ -243,16 +244,9 @@ pub fn write_snapshot(
     w.end_obj().key("heat").obj();
     w.key("events").u64(snap.total_events());
     w.key("cycles").u64(snap.total_cycles());
-    w.key("messages").u64(snap.total_messages());
-    w.key("peak_live_msgs").u64(snap.peak_live_msgs());
-    w.end_obj().key("nodes").arr();
-    for (i, n) in snap.nodes.iter().enumerate() {
-        w.obj().key("node").u64(i as u64);
-        w.key("events").u64(n.events).key("cycles").u64(n.cycles);
-        w.key("messages").u64(n.messages);
-        w.key("peak_live").u64(n.peak_live_msgs).end_obj();
-    }
-    w.end_arr().end_obj();
+    w.key("messages").u64(snap.messages);
+    w.key("peak_live_msgs").u64(snap.peak_live_msgs);
+    w.end_obj().end_obj();
     if let Some(state) = state {
         w.key("state");
         state.write(w);
@@ -261,9 +255,8 @@ pub fn write_snapshot(
 }
 
 /// Render a parsed monitor snapshot as the `bgtop` terminal view:
-/// header with progress, per-subsystem table, and the `top_nodes`
-/// hottest nodes by attributed cycles.
-pub fn render_snapshot(snap: &Json, top_nodes: usize) -> String {
+/// header with progress, per-subsystem table and machine-wide totals.
+pub fn render_snapshot(snap: &Json) -> String {
     let bench = snap.get("bench").and_then(Json::str).unwrap_or("?");
     let seq = snap.path_num(&["seq"]).unwrap_or(0.0) as u64;
     let done = snap.path_num(&["done"]).unwrap_or(0.0) as u64;
@@ -301,40 +294,6 @@ pub fn render_snapshot(snap: &Json, top_nodes: usize) -> String {
         profile.path_num(&["heat", "messages"]).unwrap_or(0.0),
         profile.path_num(&["heat", "peak_live_msgs"]).unwrap_or(0.0),
     ));
-    if let Some(nodes) = profile.get("nodes").and_then(Json::arr) {
-        let mut ranked: Vec<&Json> = nodes.iter().collect();
-        ranked.sort_by(|a, b| {
-            let ca = a.path_num(&["cycles"]).unwrap_or(0.0);
-            let cb = b.path_num(&["cycles"]).unwrap_or(0.0);
-            cb.partial_cmp(&ca)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    let ia = a.path_num(&["node"]).unwrap_or(0.0);
-                    let ib = b.path_num(&["node"]).unwrap_or(0.0);
-                    ia.partial_cmp(&ib).unwrap_or(std::cmp::Ordering::Equal)
-                })
-        });
-        out.push_str(&format!(
-            "\nhottest nodes ({} of {}):\n{:<6} {:>12} {:>16} {:>10} {:>10}\n",
-            top_nodes.min(ranked.len()),
-            ranked.len(),
-            "node",
-            "events",
-            "cycles",
-            "msgs",
-            "peak_live"
-        ));
-        for n in ranked.iter().take(top_nodes) {
-            out.push_str(&format!(
-                "{:<6} {:>12} {:>16} {:>10} {:>10}\n",
-                n.path_num(&["node"]).unwrap_or(0.0),
-                n.path_num(&["events"]).unwrap_or(0.0),
-                n.path_num(&["cycles"]).unwrap_or(0.0),
-                n.path_num(&["messages"]).unwrap_or(0.0),
-                n.path_num(&["peak_live"]).unwrap_or(0.0),
-            ));
-        }
-    }
     out
 }
 
@@ -402,28 +361,16 @@ mod tests {
         );
         assert_eq!(v.path_num(&["profile", "heat", "cycles"]), Some(1000.0));
         assert_eq!(v.path_num(&["profile", "heat", "messages"]), Some(1.0));
-        let nodes = v
-            .get("profile")
-            .and_then(|p| p.get("nodes"))
-            .and_then(Json::arr)
-            .expect("nodes array");
-        assert_eq!(nodes.len(), 3);
-        assert_eq!(nodes[1].path_num(&["cycles"]), Some(750.0));
-        assert_eq!(nodes[2].path_num(&["peak_live"]), Some(1.0));
     }
 
     #[test]
-    fn render_ranks_nodes_by_cycles() {
+    fn render_shows_progress_and_subsystems() {
         let line = snapshot_json("demo", 1, 28, 28, &sample_snapshot());
         let v = json::parse(&line).unwrap();
-        let view = render_snapshot(&v, 2);
+        let view = render_snapshot(&v);
         assert!(view.contains("bgtop — demo"));
         assert!(view.contains("28/28 units done"));
         assert!(view.contains("sched"), "{view}");
-        // Node 1 (750 cycles) outranks node 0 (250).
-        let pos1 = view.find("\n1 ").expect("node 1 row");
-        let pos0 = view.find("\n0 ").expect("node 0 row");
-        assert!(pos1 < pos0, "{view}");
     }
 
     #[test]

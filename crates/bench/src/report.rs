@@ -118,9 +118,9 @@ impl Report {
         }
         self.scalar("profile.heat.events", snap.total_events() as f64);
         self.scalar("profile.heat.cycles", snap.total_cycles() as f64);
-        self.scalar("profile.heat.messages", snap.total_messages() as f64);
-        self.scalar("profile.heat.peak_live_msgs", snap.peak_live_msgs() as f64);
-        self.scalar("profile.nodes", snap.nodes.len() as f64);
+        self.scalar("profile.heat.messages", snap.messages as f64);
+        self.scalar("profile.heat.peak_live_msgs", snap.peak_live_msgs as f64);
+        self.scalar("profile.nodes", f64::from(snap.nodes));
         self
     }
 

@@ -155,7 +155,7 @@ impl POp {
                 want(1)?;
                 Ok(POp::SendRing { bytes: args[0] })
             }
-            other => Err(format!("unknown op {other:?}")),
+            other => Err(format!("unknown op {}", bench::json::quote_head(other))),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A small blocking client for the service protocol — used by the
 //! `bgserve` CLI subcommands, the selfcheck, and the integration tests.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 
 use bench::json::{self, str_field, u64_field, Json};
 use bgcheck::program::Program;
@@ -70,15 +70,22 @@ impl Client {
             .map_err(|e| format!("send: {e}"))
     }
 
+    /// Read one reply line, holding no more than [`proto::MAX_LINE`] + 1
+    /// bytes of it whatever the server sends.
     fn read_event(&mut self) -> Result<Json, String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("server closed the connection".to_string());
+        let mut buf = Vec::new();
+        match proto::read_line(&mut self.reader, &mut buf) {
+            Ok(true) => {}
+            Ok(false) => return Err("server closed the connection".to_string()),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(format!(
+                    "reply line exceeds the {}-byte limit",
+                    proto::MAX_LINE
+                ))
+            }
+            Err(e) => return Err(format!("read: {e}")),
         }
+        let line = std::str::from_utf8(&buf).map_err(|e| format!("read: {e}"))?;
         json::parse(line.trim())
     }
 

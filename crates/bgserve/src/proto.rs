@@ -49,6 +49,8 @@
 //! and `0x`-prefixed hex strings everywhere a u64 is expected
 //! ([`bench::json::parse_u64`]).
 
+use std::io::{BufRead, Read};
+
 use bench::json::{self, parse_u64, u64_field, Json, Writer};
 use bench::monitor::write_snapshot;
 use bgcheck::program::{POp, Program};
@@ -60,6 +62,30 @@ use crate::cache::CachedResult;
 
 /// Wire protocol version, reported by `pong`.
 pub const PROTO_VERSION: u64 = 1;
+
+/// The longest line either side reads, newline excluded: a request on
+/// the server, a reply on the client. No reply the server writes comes
+/// near it, because a reply's length does not follow the job's node
+/// count and an error quotes at most 64 characters of client text
+/// ([`json::quote_head`]).
+pub const MAX_LINE: usize = 1 << 20;
+
+/// Read the next line into `buf`, newline stripped, holding at most
+/// [`MAX_LINE`] + 1 bytes of it. `Ok(false)`: end of stream. A line
+/// longer than [`MAX_LINE`] is an `InvalidData` error.
+pub fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    buf.clear();
+    let limit = MAX_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE {
+        return Err(std::io::ErrorKind::InvalidData.into());
+    }
+    Ok(true)
+}
 
 /// A parsed client request.
 #[derive(Clone, Debug)]
@@ -204,7 +230,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let mode = match v.get("mode").and_then(|m| m.str()) {
                 None => MODES[0],
                 Some(label) => Mode::from_label(label).ok_or_else(|| {
-                    format!("unknown mode label {label:?} (one of {})", mode_labels())
+                    format!(
+                        "unknown mode label {} (one of {})",
+                        json::quote_head(label),
+                        mode_labels()
+                    )
                 })?,
             };
             let nodes = u64_field(&v, "nodes")?;
@@ -246,7 +276,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let job = u64_field(&v, "job")?;
             Ok(Request::Cancel { job })
         }
-        other => Err(format!("unknown op {other:?}")),
+        other => Err(format!("unknown op {}", json::quote_head(other))),
     }
 }
 
@@ -451,6 +481,26 @@ mod tests {
         assert_eq!(parse_u64(&Json::Num(3.5)), None);
         assert_eq!(parse_u64(&Json::Num(-1.0)), None);
         assert_eq!(parse_u64(&Json::Num(2f64.powi(60))), None);
+    }
+
+    #[test]
+    fn request_lines_are_capped_at_max_line() {
+        let mut buf = Vec::new();
+        let mut at_cap = vec![b'a'; MAX_LINE];
+        at_cap.extend_from_slice(b"\nnext\r\nlast");
+        let mut r = std::io::Cursor::new(at_cap);
+        assert!(read_line(&mut r, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_LINE);
+        assert!(read_line(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"next\r", "parse_request trims the \\r");
+        assert!(read_line(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"last");
+        assert!(!read_line(&mut r, &mut buf).unwrap());
+
+        let mut r = std::io::Cursor::new(vec![b'a'; 2 * MAX_LINE]);
+        let err = read_line(&mut r, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(buf.len(), MAX_LINE + 1, "buffers no more than the cap");
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! `progress_cycles` reports the same triple as one without.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -71,11 +71,6 @@ use bgsim::CancelToken;
 use crate::cache::{CachedResult, ResultCache};
 use crate::key::JobKey;
 use crate::proto::{self, Request, StatusSnapshot, SubmitReq};
-
-/// The longest request line a session accepts, newline excluded. A
-/// longer line is answered with one `error` and the session is closed,
-/// so no client can make the server buffer more than this per session.
-const MAX_LINE: usize = 1 << 20;
 
 /// Minimum host time between mid-run monitor publishes triggered by
 /// progress reports (completions always publish immediately).
@@ -910,23 +905,6 @@ impl Job {
     }
 }
 
-/// Read the next request line into `buf`, newline stripped, holding at
-/// most [`MAX_LINE`] + 1 bytes of it. `Ok(false)`: end of stream. A line
-/// longer than [`MAX_LINE`] is an `InvalidData` error.
-fn read_request(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-    buf.clear();
-    let limit = MAX_LINE as u64 + 1;
-    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
-        return Ok(false);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-    } else if buf.len() > MAX_LINE {
-        return Err(std::io::ErrorKind::InvalidData.into());
-    }
-    Ok(true)
-}
-
 /// Wake the accept loop so it can observe the stop flag.
 fn poke(ep: &Endpoint) {
     let _ = ep.connect();
@@ -955,13 +933,17 @@ fn session(stream: Stream, state: Arc<State>) {
     let mut reader = BufReader::new(read_half);
     let mut buf = Vec::new();
     loop {
-        match read_request(&mut reader, &mut buf) {
+        // A line over `proto::MAX_LINE` is answered with one `error` and
+        // closes the session, so no client can make the server buffer
+        // more than that per session.
+        match proto::read_line(&mut reader, &mut buf) {
             Ok(true) => {}
             Ok(false) => break,
             Err(e) => {
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     let detail = format!(
-                        "request line exceeds the {MAX_LINE}-byte limit; closing the session"
+                        "request line exceeds the {}-byte limit; closing the session",
+                        proto::MAX_LINE
                     );
                     let _ = send_shared(&state, &shared, proto::error_line(&detail));
                 }
@@ -1223,26 +1205,6 @@ mod tests {
         // Its turn passed on, and the slot it never took is still free.
         let q = slots.lock();
         assert_eq!((q.free, q.head, q.issued), (1, 2, 2));
-    }
-
-    #[test]
-    fn request_lines_are_capped_at_max_line() {
-        let mut buf = Vec::new();
-        let mut at_cap = vec![b'a'; MAX_LINE];
-        at_cap.extend_from_slice(b"\nnext\r\nlast");
-        let mut r = std::io::Cursor::new(at_cap);
-        assert!(read_request(&mut r, &mut buf).unwrap());
-        assert_eq!(buf.len(), MAX_LINE);
-        assert!(read_request(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"next\r", "parse_request trims the \\r");
-        assert!(read_request(&mut r, &mut buf).unwrap());
-        assert_eq!(buf, b"last");
-        assert!(!read_request(&mut r, &mut buf).unwrap());
-
-        let mut r = std::io::Cursor::new(vec![b'a'; 2 * MAX_LINE]);
-        let err = read_request(&mut r, &mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(buf.len(), MAX_LINE + 1, "buffers no more than the cap");
     }
 
     /// Spin until `cond` holds of the steward pool; the deadline turns a

@@ -194,7 +194,7 @@ const PINS: &[(&str, &str)] = &[
     ("pong", "{\"event\":\"pong\",\"proto\":1}"),
     ("status", "{\"event\":\"status\",\"proto\":1,\"submitted\":1,\"completed\":2,\"cache_entries\":3,\"cache_hits\":4,\"cache_misses\":5,\"disk_write_errors\":11,\"paranoid_checks\":6,\"paranoid_failures\":7,\"cancelled\":8,\"timeouts\":9,\"session_drops\":10}"),
     ("accepted", "{\"event\":\"accepted\",\"job\":7,\"key\":\"00000000deadbeef\"}"),
-    ("telemetry", "{\"event\":\"telemetry\",\"job\":7,\"snapshot\":{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":7,\"done\":1,\"total\":1,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0},\"nodes\":[{\"node\":0,\"events\":1,\"cycles\":250,\"messages\":1,\"peak_live\":0},{\"node\":1,\"events\":1,\"cycles\":750,\"messages\":0,\"peak_live\":0}]}}}"),
+    ("telemetry", "{\"event\":\"telemetry\",\"job\":7,\"snapshot\":{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":7,\"done\":1,\"total\":1,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0}}}}"),
     ("progress", "{\"event\":\"progress\",\"job\":3,\"cycle\":\"18446744073709551615\",\"events\":\"10\",\"d_cycles\":\"5\",\"d_events\":\"2\",\"live_threads\":8,\"heat_events\":\"100\",\"heat_cycles\":\"200\"}"),
     ("result", "{\"event\":\"result\",\"job\":7,\"kernel\":\"cnk\",\"mode\":\"fast\",\"outcome\":\"completed\",\"final_cycle\":\"18446744073709551612\",\"digest\":\"0x0123456789abcdef\",\"coverage\":\"0xfedcba9876543210\",\"cached\":true,\"paranoid\":\"ok\",\"key\":\"00000000deadbeef\"}"),
     ("cancel-ack", "{\"event\":\"cancel-ack\",\"job\":3,\"cancelled\":true}"),
@@ -202,7 +202,7 @@ const PINS: &[(&str, &str)] = &[
     ("error", "{\"event\":\"error\",\"detail\":\"bad \\\"op\\\" at C:\\\\x\\n\\ttab\\u0001é\"}"),
     ("submit", "{\"op\":\"submit\",\"kernel\":\"fwk\",\"mode\":\"heap\",\"nodes\":2,\"seed\":\"18446744073709551614\",\"ops\":[[\"compute\",\"9000\"],[\"gettid\"],[\"allreduce\",\"16\"]],\"faults\":{\"events\":[[\"2000000\",1,\"coll-drop\",\"1000000\"],[\"18446744073709551606\",0,\"torus-corrupt\",\"0\"]]},\"timeout_cycles\":\"5000000\",\"timeout_wall_ms\":\"2500\",\"progress_cycles\":\"100000\"}"),
     ("cache-entry", "{\"key\":\"0000000000000abc\",\"kernel\":\"cnk\",\"mode\":\"fast\",\"outcome\":\"completed\",\"final_cycle\":\"18446744073709551612\",\"digest\":\"0x0123456789abcdef\",\"coverage\":\"0xfedcba9876543210\"}"),
-    ("monitor", "{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":1,\"done\":1,\"total\":2,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0},\"nodes\":[{\"node\":0,\"events\":1,\"cycles\":250,\"messages\":1,\"peak_live\":0},{\"node\":1,\"events\":1,\"cycles\":750,\"messages\":0,\"peak_live\":0}]},\"state\":{\"values\":{\"endpoint\":\"unix:/tmp/\\\"q\\\".sock\"},\"children\":{\"sessions/0\":{\"values\":{\"peer\":\"open\"},\"children\":{\"jobs/1\":{\"values\":{\"cycle\":\"12345\",\"phase\":\"running\"},\"children\":{}}}}}}}\n{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":2,\"done\":2,\"total\":2,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0},\"nodes\":[{\"node\":0,\"events\":1,\"cycles\":250,\"messages\":1,\"peak_live\":0},{\"node\":1,\"events\":1,\"cycles\":750,\"messages\":0,\"peak_live\":0}]}}\n"),
+    ("monitor", "{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":1,\"done\":1,\"total\":2,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0}},\"state\":{\"values\":{\"endpoint\":\"unix:/tmp/\\\"q\\\".sock\"},\"children\":{\"sessions/0\":{\"values\":{\"peer\":\"open\"},\"children\":{\"jobs/1\":{\"values\":{\"cycle\":\"12345\",\"phase\":\"running\"},\"children\":{}}}}}}}\n{\"schema_version\":3,\"bench\":\"bgserve\",\"seq\":2,\"done\":2,\"total\":2,\"profile\":{\"enabled\":true,\"domains\":{\"engine_heap\":{\"events\":0,\"cycles\":0},\"fast_path\":{\"events\":0,\"cycles\":0},\"torus\":{\"events\":1,\"cycles\":250},\"collective\":{\"events\":0,\"cycles\":0},\"sched\":{\"events\":1,\"cycles\":750},\"ciod\":{\"events\":0,\"cycles\":0},\"fault_ras\":{\"events\":0,\"cycles\":0}},\"heat\":{\"events\":2,\"cycles\":1000,\"messages\":1,\"peak_live_msgs\":0}}}\n"),
     ("report", "{\"bench\":\"pins\",\"schema_version\":3,\"scalars\":{\"linux.core0.max_delta\":38076,\"cnk.mbs.512\":569.6956474310025,\"bad\":null},\"strings\":{\"digest.cnk.512\":\"d9e11d160a9398a5\",\"we\\\"ird\":\"a\\\\b\"},\"metrics\":{\"cnk\":{\"engine.coalesced_ops\":{\"kind\":\"gauge\",\"scope\":\"machine\",\"values\":{\"machine\":12}},\"noise.cycles\":{\"kind\":\"histogram\",\"scope\":\"per_node\",\"values\":{\"node1\":{\"count\":3,\"sum\":739,\"min\":0,\"max\":700,\"mean\":246.333,\"buckets\":{\"0\":1,\"6\":1,\"10\":1}}}},\"syscall.count\":{\"kind\":\"counter\",\"scope\":\"per_core\",\"values\":{\"core3\":9}}},\"empty\":{}}}"),
     ("report-txt", "schema_version                                                            3\nscalars.linux.core0.max_delta                                         38076\nscalars.cnk.mbs.512                                        569.6956474310025\nscalars.bad                                                            null\nstrings.digest.cnk.512                                     d9e11d160a9398a5\nstrings.we\"ird                                                          a\\b\n# registry: cnk\n---------- Begin Simulation Statistics ----------\nengine.coalesced_ops.machine                                             12\nnoise.cycles.node1.count                                                  3\nnoise.cycles.node1.sum                                                  739\nnoise.cycles.node1.min                                                    0\nnoise.cycles.node1.max                                                  700\nnoise.cycles.node1.mean                                              246.33\nnoise.cycles.node1.bucket0                                                1\nnoise.cycles.node1.bucket6                                                1\nnoise.cycles.node1.bucket10                                               1\nsyscall.count.core3                                                       9\n---------- End Simulation Statistics   ----------\n# registry: empty\n---------- Begin Simulation Statistics ----------\n---------- End Simulation Statistics   ----------\n"),
     ("trace", "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"cycles@850MHz\"},\"traceEvents\":[{\"name\":\"compute\",\"cat\":\"op\",\"pid\":0,\"tid\":1,\"ts\":100,\"ph\":\"X\",\"dur\":500,\"args\":{\"tid\":3}},{\"name\":\"ss\\\"hd\",\"cat\":\"noise\",\"pid\":1,\"tid\":9999,\"ts\":950,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"a\":1,\"b\":330}}]}"),

@@ -1,7 +1,8 @@
 //! End-to-end service tests over real sockets: cache-hit identity,
 //! paranoid verification, mode-neutral cache sharing, LRU eviction,
-//! TCP endpoints, protocol-error recovery, the request-line cap, the
-//! live monitor file and its state tree, disk-tier write failures, and
+//! TCP endpoints, protocol-error recovery, the request- and reply-line
+//! caps, reply and monitor lines that do not grow with the node count,
+//! the live monitor file and its state tree, disk-tier write failures, and
 //! the live-job paths (cancellation, cycle/wall timeouts, progress
 //! streaming, disconnect auto-cancel, run slots that never hold a short
 //! miss behind a long job, one run slot serving a run of misses).
@@ -210,17 +211,21 @@ fn protocol_errors_do_not_poison_the_session() {
     let handle = spawn(opts).expect("spawn");
 
     // Drive the raw protocol: garbage, a line nested far past the
-    // parser's depth cap (and far under the line cap), then a bad
-    // submit, then a good ping — all on one connection.
+    // parser's depth cap (and far under the line cap), an op name of
+    // 500 000 backslashes (quoted in full, its error would be twice the
+    // line cap), then a bad submit, then a good ping — all on one
+    // connection.
     use std::io::{BufRead, BufReader, Write};
     let stream = ep.connect().expect("connect");
     let mut w = stream.try_clone().expect("clone");
     let mut r = BufReader::new(stream);
     let mut line = String::new();
     let deep = "[".repeat(100_000);
+    let backslashes = format!("{{\"op\":\"{}\"}}", "\\\\".repeat(500_000));
     for (req, want) in [
         ("{torn", "error"),
         (deep.as_str(), "error"),
+        (backslashes.as_str(), "error"),
         ("{\"op\":\"warp\"}", "error"),
         (
             "{\"op\":\"submit\",\"kernel\":\"cnk\",\"nodes\":2,\"seed\":1,\"ops\":[[\"no-such\"]]}",
@@ -232,6 +237,12 @@ fn protocol_errors_do_not_poison_the_session() {
         w.flush().expect("flush");
         line.clear();
         r.read_line(&mut line).expect("read");
+        assert!(
+            line.len() <= bgserve::proto::MAX_LINE,
+            "{}-byte reply to request {}",
+            line.len(),
+            bench::json::quote_head(req)
+        );
         let v = bench::json::parse(line.trim()).expect("parse");
         assert_eq!(
             v.get("event").and_then(|e| e.str()),
@@ -283,13 +294,110 @@ fn monitor_stream_is_tailable_while_serving() {
     assert_eq!(snap.get("bench").and_then(|b| b.str()), Some("bgserve"));
     assert_eq!(bench::monitor::malformed_snapshots(&text), 0);
     // The snapshot renders through the bgtop path without panicking.
-    let frame = bench::monitor::render_snapshot(&snap, 4);
+    let frame = bench::monitor::render_snapshot(&snap);
     assert!(frame.contains("bgserve"), "{frame}");
 
     c.shutdown().expect("shutdown");
     drop(c);
     handle.join().expect("join");
     let _ = std::fs::remove_file(&mon_path);
+}
+
+/// Replies and monitor lines carry machine-wide totals, not a record per
+/// node, so a 1 024-node job's `telemetry` line, and every monitor line
+/// including those of a 2-node job after it, stay under 4 KiB.
+#[test]
+fn reply_and_monitor_lines_do_not_grow_with_the_node_count() {
+    use std::io::{BufRead, BufReader, Write};
+    const BOUND: usize = 4 << 10;
+    let ep = sock("bounded");
+    let mon_path: PathBuf =
+        std::env::temp_dir().join(format!("bgserve-test-{}-bounded.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&mon_path);
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 1;
+    opts.monitor =
+        Some(bench::monitor::Monitor::create(&mon_path, "bgserve", true).expect("monitor"));
+    let handle = spawn(opts).expect("spawn");
+
+    let stream = ep.connect().expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    let mut r = BufReader::new(stream);
+    for nodes in [1024, 2] {
+        let p = Program {
+            nodes,
+            ..small_program(u64::from(nodes))
+        };
+        let req = bgserve::proto::submit_line(CheckKernel::Cnk, MODES[0], &p, LiveReq::default());
+        writeln!(w, "{req}").expect("write");
+        let mut telemetry = 0;
+        loop {
+            let mut line = String::new();
+            r.read_line(&mut line).expect("read");
+            let v = bench::json::parse(line.trim()).expect("parse");
+            match v.get("event").and_then(|e| e.str()) {
+                Some("accepted") => {}
+                Some("telemetry") => {
+                    telemetry += 1;
+                    assert!(
+                        line.len() < BOUND,
+                        "{nodes}-node telemetry line: {} B",
+                        line.len()
+                    );
+                }
+                Some("result") => break,
+                other => panic!("unexpected event {other:?}: {line:.200}"),
+            }
+        }
+        assert_eq!(
+            telemetry, 1,
+            "a fresh {nodes}-node run streams one snapshot"
+        );
+    }
+    let text = std::fs::read_to_string(&mon_path).expect("read monitor");
+    assert!(text.lines().count() >= 2, "{text}");
+    for l in text.lines() {
+        assert!(l.len() < BOUND, "monitor line: {} B", l.len());
+    }
+
+    writeln!(w, "{{\"op\":\"shutdown\"}}").expect("write");
+    let mut line = String::new();
+    r.read_line(&mut line).expect("read");
+    drop((r, w));
+    handle.join().expect("join");
+    let _ = std::fs::remove_file(&mon_path);
+}
+
+/// The client reads at most `MAX_LINE` + 1 bytes of a reply: a server
+/// that sends a longer line gets an error naming the limit, and the
+/// client never buffers the rest.
+#[test]
+fn client_refuses_a_reply_line_over_the_cap() {
+    use std::io::{BufRead, BufReader, Write};
+    let ep = sock("huge-reply");
+    let Endpoint::Unix(path) = &ep else {
+        unreachable!("sock() builds unix endpoints")
+    };
+    let listener = std::os::unix::net::UnixListener::bind(path).expect("bind");
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut request = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut request)
+            .expect("read request");
+        let mut reply = vec![b'a'; 4 << 20];
+        reply.push(b'\n');
+        // The client hangs up once it has read past its cap, so this
+        // write fails partway.
+        let _ = (&stream).write_all(&reply);
+    });
+    let mut c = Client::connect(&ep).expect("connect");
+    let err = c.ping().expect_err("a 4 MiB reply line is refused");
+    let limit = format!("{}-byte limit", bgserve::proto::MAX_LINE);
+    assert!(err.contains(&limit), "error must name the limit: {err}");
+    drop(c);
+    server.join().expect("fake server");
+    let _ = std::fs::remove_file(path);
 }
 
 /// A compute-heavy FWK job: the timer tick and daemons generate a

@@ -226,9 +226,6 @@ pub struct MachineConfig {
     /// Determinism-neutral: enabling it cannot change trace digests or
     /// cycle counts.
     pub telemetry: bool,
-    /// Tracepoint buffer size when telemetry is enabled (preallocated;
-    /// overflow drops rather than reallocating).
-    pub telemetry_capacity: usize,
     /// Enable the event-reduction fast path (op coalescing + quiescence
     /// fast-forward): the simulator's one optimized-versus-reference
     /// switch. Digest-identical to the plain engine by construction;
@@ -240,9 +237,6 @@ pub struct MachineConfig {
     /// determinism-neutral by construction, so keeping it on cannot
     /// change trace digests or cycle counts.
     pub profiler: bool,
-    /// Flight-recorder ring capacity per domain (spans retained for the
-    /// crash dump).
-    pub profiler_ring: usize,
     /// RAS fault-injection schedule ([`crate::fault`]). Empty by
     /// default, and an empty schedule schedules no events at all — such
     /// runs are bit-identical to a build without fault injection.
@@ -264,10 +258,8 @@ impl Default for MachineConfig {
             seed: 0x5eed_cafe,
             trace_events: false,
             telemetry: false,
-            telemetry_capacity: 1 << 16,
             fast_path: true,
             profiler: true,
-            profiler_ring: 64,
             faults: crate::fault::FaultSchedule::default(),
         }
     }

@@ -80,6 +80,14 @@ pub struct MachineStats {
 /// link-level retransmit (token resend + re-traverse).
 pub const TORUS_RETRANSMIT: Cycle = 4_000;
 
+/// Tracepoint buffer size when telemetry is enabled (preallocated;
+/// overflow drops rather than reallocating).
+const TELEMETRY_CAPACITY: usize = 1 << 16;
+
+/// Flight-recorder ring capacity per profiler domain (spans retained
+/// for the crash dump).
+const PROFILER_RING: usize = 64;
+
 /// One in-flight message plus its scheduled delivery, stored together in
 /// the [`IdMap`] window (the two old side tables were always keyed by
 /// the same ids).
@@ -216,12 +224,12 @@ impl SimCore {
             barrier: BarrierNet::new(&cfg),
             trace: Trace::new(cfg.trace_events),
             tel: if cfg.telemetry {
-                Telemetry::standard(cfg.nodes, cfg.chip.cores, cfg.telemetry_capacity)
+                Telemetry::standard(cfg.nodes, cfg.chip.cores, TELEMETRY_CAPACITY)
             } else {
                 Telemetry::disabled()
             },
             prof: if cfg.profiler {
-                Profiler::standard(cfg.nodes, cfg.profiler_ring)
+                Profiler::standard(cfg.nodes, PROFILER_RING)
             } else {
                 Profiler::disabled()
             },
@@ -927,9 +935,10 @@ impl SimCore {
     /// Approximate heap bytes resident in the simulator core: engine
     /// queues and slab, per-node DRAM granules, per-core TLB/DAC arrays,
     /// thread table, deferral queues, in-flight messages, RNG columns,
-    /// and the profiler's heat table. An estimate (container capacities,
-    /// not allocator metadata), but it moves with the layout — which is
-    /// what the scale benchmarks need to compare layouts honestly.
+    /// and the profiler's per-node in-flight counters. An estimate
+    /// (container capacities, not allocator metadata), but it moves with
+    /// the layout — which is what the scale benchmarks need to compare
+    /// layouts honestly.
     pub fn resident_bytes_estimate(&self) -> usize {
         let spine = |cap: usize, elem: usize| cap * elem;
         let mut total = self.engine.resident_bytes();

@@ -29,7 +29,7 @@ pub use metrics::{
     Hist, MetricId, MetricKind, MetricView, MetricsRegistry, Scope, Slot, SlotValue,
 };
 pub use profiler::{
-    Domain, DomainStats, FlightRing, NodeHeat, ProfileSnapshot, Profiler, SpanRec, DOMAIN_COUNT,
+    Domain, DomainStats, FlightRing, ProfileSnapshot, Profiler, SpanRec, DOMAIN_COUNT,
 };
 pub use tracepoint::{TpKind, Tracepoint, NO_CORE};
 

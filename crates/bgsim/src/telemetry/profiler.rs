@@ -1,9 +1,13 @@
 //! Deterministic cycle-accounting profiler and crash flight recorder.
 //!
 //! The profiler attributes simulated cycles and event counts to
-//! coarse subsystems ([`Domain`]) and keeps per-node heat counters
-//! (events, cycles, messages, live/peak in-flight messages — the
-//! memory-accounting groundwork for rack-scale node layouts). It obeys
+//! coarse subsystems ([`Domain`]) and keeps machine-wide message heat:
+//! the message count and the most messages in flight to any one node
+//! (the per-node allocation a rack-scale layout must size for). The
+//! live profiler holds one in-flight counter per node for that peak;
+//! its [`ProfileSnapshot`] is a fixed-size record whatever the node
+//! count. Per-node attribution of one run lives in the tracepoints and
+//! the per-node metric slots of [`super::Telemetry`]. It obeys
 //! the same determinism-neutrality contract as the rest of
 //! `bgsim::telemetry` — by construction, not by luck:
 //!
@@ -12,7 +16,7 @@
 //!   RNG stream, never schedules an event, and never mutates thread or
 //!   engine state;
 //! * all storage is allocated at construction, so the hot-path cost of
-//!   a span is an array index and two adds — and when the profiler is
+//!   a span is two adds and a ring store — and when the profiler is
 //!   disabled, a single branch.
 //!
 //! The same run with the profiler enabled and disabled therefore
@@ -82,18 +86,6 @@ impl Domain {
 pub struct DomainStats {
     pub events: u64,
     pub cycles: u64,
-}
-
-/// Per-node heat counters. `live_msgs`/`peak_live_msgs` track in-flight
-/// messages addressed to the node — the peak is the node's high-water
-/// message allocation, the number a rack-scale SoA layout must size for.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeHeat {
-    pub events: u64,
-    pub cycles: u64,
-    pub messages: u64,
-    pub live_msgs: u64,
-    pub peak_live_msgs: u64,
 }
 
 /// One recorded span: a named slice of simulated cycles attributed to a
@@ -173,20 +165,20 @@ impl FlightRing {
 /// are no-ops when disabled; hooks stay in place permanently and cost
 /// one predictable branch.
 pub struct Profiler {
-    enabled: bool,
-    domains: [DomainStats; DOMAIN_COUNT],
+    /// The counters [`Profiler::snapshot`] hands out.
+    totals: ProfileSnapshot,
     rings: [FlightRing; DOMAIN_COUNT],
-    nodes: Vec<NodeHeat>,
+    /// In-flight messages addressed to each node.
+    live_msgs: Vec<u64>,
 }
 
 impl Profiler {
     /// The no-op profiler (`MachineConfig::with_profiler(false)`).
     pub fn disabled() -> Profiler {
         Profiler {
-            enabled: false,
-            domains: [DomainStats::default(); DOMAIN_COUNT],
+            totals: ProfileSnapshot::default(),
             rings: std::array::from_fn(|_| FlightRing::with_capacity(0)),
-            nodes: Vec::new(),
+            live_msgs: Vec::new(),
         }
     }
 
@@ -194,21 +186,24 @@ impl Profiler {
     /// flight-recorder slots per domain.
     pub fn standard(nodes: u32, ring_capacity: usize) -> Profiler {
         Profiler {
-            enabled: true,
-            domains: [DomainStats::default(); DOMAIN_COUNT],
+            totals: ProfileSnapshot {
+                enabled: true,
+                nodes,
+                ..ProfileSnapshot::default()
+            },
             rings: std::array::from_fn(|_| FlightRing::with_capacity(ring_capacity)),
-            nodes: vec![NodeHeat::default(); nodes as usize],
+            live_msgs: vec![0; nodes as usize],
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.totals.enabled
     }
 
-    /// Heap bytes currently reserved: the per-node heat table plus the
-    /// per-domain flight rings.
+    /// Heap bytes currently reserved: the per-node in-flight counters
+    /// plus the per-domain flight rings.
     pub fn resident_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<NodeHeat>()
+        self.live_msgs.capacity() * std::mem::size_of::<u64>()
             + self
                 .rings
                 .iter()
@@ -220,16 +215,12 @@ impl Profiler {
     /// domain, and append the span to the domain's flight ring.
     #[inline]
     pub fn span(&mut self, d: Domain, at: Cycle, node: u32, name: &'static str, cycles: u64) {
-        if !self.enabled {
+        if !self.totals.enabled {
             return;
         }
-        let ds = &mut self.domains[d.idx()];
+        let ds = &mut self.totals.domains[d.idx()];
         ds.events += 1;
         ds.cycles = ds.cycles.saturating_add(cycles);
-        if let Some(h) = self.nodes.get_mut(node as usize) {
-            h.events += 1;
-            h.cycles = h.cycles.saturating_add(cycles);
-        }
         self.rings[d.idx()].push(SpanRec {
             at,
             node,
@@ -238,41 +229,37 @@ impl Profiler {
         });
     }
 
-    /// A message left `src` for `dst`: count it against the sender and
-    /// raise the destination's live/peak in-flight gauges.
+    /// A message left `src` for `dst`: count it, and raise the peak if
+    /// `dst` now has more messages in flight than any node had before.
     #[inline]
     pub fn msg_enqueued(&mut self, src: u32, dst: u32) {
-        if !self.enabled {
+        if !self.totals.enabled {
             return;
         }
-        if let Some(h) = self.nodes.get_mut(src as usize) {
-            h.messages += 1;
+        let t = &mut self.totals;
+        if src < t.nodes {
+            t.messages += 1;
         }
-        if let Some(h) = self.nodes.get_mut(dst as usize) {
-            h.live_msgs += 1;
-            h.peak_live_msgs = h.peak_live_msgs.max(h.live_msgs);
+        if let Some(live) = self.live_msgs.get_mut(dst as usize) {
+            *live += 1;
+            t.peak_live_msgs = t.peak_live_msgs.max(*live);
         }
     }
 
     /// A message addressed to `dst` was delivered or dropped.
     #[inline]
     pub fn msg_retired(&mut self, dst: u32) {
-        if !self.enabled {
+        if !self.totals.enabled {
             return;
         }
-        if let Some(h) = self.nodes.get_mut(dst as usize) {
-            h.live_msgs = h.live_msgs.saturating_sub(1);
+        if let Some(live) = self.live_msgs.get_mut(dst as usize) {
+            *live = live.saturating_sub(1);
         }
     }
 
     /// Accumulated stats for one domain.
     pub fn domain(&self, d: Domain) -> DomainStats {
-        self.domains[d.idx()]
-    }
-
-    /// Per-node heat counters (empty when disabled).
-    pub fn node_heat(&self) -> &[NodeHeat] {
-        &self.nodes
+        self.totals.domains[d.idx()]
     }
 
     /// The flight ring for one domain.
@@ -282,17 +269,13 @@ impl Profiler {
 
     /// Copy the sim-side counters out for reporting/merging.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot {
-            enabled: self.enabled,
-            domains: self.domains,
-            nodes: self.nodes.clone(),
-        }
+        self.totals.clone()
     }
 
     /// Render the flight recorder for a crash/mismatch artifact: every
     /// domain's totals plus its most recent spans, oldest first.
     pub fn flight_dump(&self) -> String {
-        if !self.enabled {
+        if !self.totals.enabled {
             return String::from("flight recorder: profiler disabled\n");
         }
         let mut out = String::from("=== flight recorder (most recent spans per domain) ===\n");
@@ -318,14 +301,20 @@ impl Profiler {
     }
 }
 
-/// Sim-side profiler counters, detached from the machine. Merging is a
-/// commutative sum (peak is a max), so folding shard snapshots in any
+/// Sim-side profiler counters, detached from the machine: a fixed-size
+/// record, whatever the node count. Merging is a commutative sum
+/// (peak and node count are maxima), so folding shard snapshots in any
 /// order produces identical totals — the `--threads 1` vs. N guarantee.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
     pub enabled: bool,
     pub domains: [DomainStats; DOMAIN_COUNT],
-    pub nodes: Vec<NodeHeat>,
+    /// Messages sent machine-wide.
+    pub messages: u64,
+    /// Most messages in flight to any one node at once.
+    pub peak_live_msgs: u64,
+    /// Nodes of the largest machine folded in.
+    pub nodes: u32,
 }
 
 impl ProfileSnapshot {
@@ -336,16 +325,9 @@ impl ProfileSnapshot {
             a.events += b.events;
             a.cycles = a.cycles.saturating_add(b.cycles);
         }
-        if self.nodes.len() < other.nodes.len() {
-            self.nodes.resize(other.nodes.len(), NodeHeat::default());
-        }
-        for (a, b) in self.nodes.iter_mut().zip(other.nodes.iter()) {
-            a.events += b.events;
-            a.cycles = a.cycles.saturating_add(b.cycles);
-            a.messages += b.messages;
-            a.live_msgs += b.live_msgs;
-            a.peak_live_msgs = a.peak_live_msgs.max(b.peak_live_msgs);
-        }
+        self.messages += other.messages;
+        self.peak_live_msgs = self.peak_live_msgs.max(other.peak_live_msgs);
+        self.nodes = self.nodes.max(other.nodes);
     }
 
     /// (label, stats) for every domain, in stable order.
@@ -364,20 +346,6 @@ impl ProfileSnapshot {
             .iter()
             .fold(0u64, |a, d| a.saturating_add(d.cycles))
     }
-
-    /// Machine-wide message count (sum of per-node senders).
-    pub fn total_messages(&self) -> u64 {
-        self.nodes.iter().map(|n| n.messages).sum()
-    }
-
-    /// Highest in-flight message count any node saw.
-    pub fn peak_live_msgs(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.peak_live_msgs)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -391,12 +359,12 @@ mod tests {
         p.msg_enqueued(0, 1);
         assert!(!p.enabled());
         assert_eq!(p.domain(Domain::Torus), DomainStats::default());
-        assert!(p.node_heat().is_empty());
+        assert_eq!(p.snapshot(), ProfileSnapshot::default());
         assert!(p.ring(Domain::Torus).is_empty());
     }
 
     #[test]
-    fn spans_accumulate_per_domain_and_node() {
+    fn spans_accumulate_per_domain() {
         let mut p = Profiler::standard(2, 8);
         p.span(Domain::FastPath, 5, 0, "op_retire", 1000);
         p.span(Domain::FastPath, 9, 1, "op_retire", 500);
@@ -404,8 +372,8 @@ mod tests {
         let fp = p.domain(Domain::FastPath);
         assert_eq!((fp.events, fp.cycles), (2, 1500));
         assert_eq!(p.domain(Domain::Sched).events, 1);
-        assert_eq!(p.node_heat()[0].cycles, 1000);
-        assert_eq!(p.node_heat()[1].events, 2);
+        let s = p.snapshot();
+        assert_eq!((s.total_events(), s.total_cycles(), s.nodes), (3, 1500, 2));
     }
 
     #[test]
@@ -415,14 +383,16 @@ mod tests {
         p.msg_enqueued(0, 1);
         p.msg_retired(1);
         p.msg_enqueued(1, 0);
-        assert_eq!(p.node_heat()[0].messages, 2);
-        assert_eq!(p.node_heat()[1].live_msgs, 1);
-        assert_eq!(p.node_heat()[1].peak_live_msgs, 2);
-        assert_eq!(p.node_heat()[0].live_msgs, 1);
-        // Retire below zero saturates instead of wrapping.
+        let s = p.snapshot();
+        assert_eq!((s.messages, s.peak_live_msgs), (3, 2));
+        // Retire below zero saturates instead of wrapping: node 1 climbs
+        // from zero again.
         p.msg_retired(1);
         p.msg_retired(1);
-        assert_eq!(p.node_heat()[1].live_msgs, 0);
+        for _ in 0..3 {
+            p.msg_enqueued(0, 1);
+        }
+        assert_eq!(p.snapshot().peak_live_msgs, 3);
     }
 
     /// The flight ring drops the *oldest* span at capacity and never
@@ -441,8 +411,8 @@ mod tests {
         assert!(p.flight_dump().contains("[ciod] events=5"));
     }
 
-    /// Merging shard snapshots is order-invariant: sums commute and
-    /// peak-of-max equals max-of-peaks.
+    /// Merging shard snapshots is order-invariant: sums commute, and
+    /// peak-of-max equals max-of-peaks, also across machine sizes.
     #[test]
     fn snapshot_merge_is_commutative() {
         let mut a = Profiler::standard(2, 4);
@@ -461,7 +431,16 @@ mod tests {
         ba.merge(&sa);
         assert_eq!(ab, ba);
         assert_eq!(ab.domains[Domain::Torus.idx()].cycles, 400);
-        assert_eq!(ab.total_messages(), 3);
-        assert_eq!(ab.peak_live_msgs(), 2);
+        assert_eq!((ab.messages, ab.peak_live_msgs, ab.nodes), (3, 2, 2));
+
+        let mut c = Profiler::standard(5, 4);
+        c.msg_enqueued(4, 3);
+        let sc = c.snapshot();
+        let mut abc = ab.clone();
+        abc.merge(&sc);
+        let mut cab = sc.clone();
+        cab.merge(&ab);
+        assert_eq!(abc, cab);
+        assert_eq!((abc.messages, abc.peak_live_msgs, abc.nodes), (4, 2, 5));
     }
 }
