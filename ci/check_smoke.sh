@@ -6,7 +6,8 @@
 # generated programs, clean and faulted. Each program runs 10 times:
 # per kernel (cnk, fwk), the 2 modes fast and heap — fast is the
 # oracle — plus 3 oracle-mode repetitions through the shard pool. Any divergence leaves a minimized, replayable repro script in
-# the artifacts directory (uploaded by CI on failure):
+# the artifacts directory (uploaded by CI on failure). Last, a repeated
+# value flag must be refused as a usage error:
 #
 #   ./ci/check_smoke.sh [artifacts-dir] [fuzz-budget]
 set -euo pipefail
@@ -41,3 +42,12 @@ echo "check smoke OK: 5 canary repros each carry a flight-recorder dump"
   | tail -1
 
 echo "check smoke OK: selftest + corpus + $budget fuzzed programs clean"
+
+# 4) A repeated value flag is a usage error (exit 2), not a silent
+#    last-one-wins budget.
+rc=0
+"$bin" fuzz --budget 1 --budget 2 >/dev/null 2>"$out/dup.err" || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: fuzz --budget 1 --budget 2 exited $rc, expected 2" >&2; exit 1; }
+grep -q "duplicate --budget" "$out/dup.err" \
+  || { echo "FAIL: the usage error did not name --budget" >&2; exit 1; }
+echo "check smoke OK: a repeated --budget is refused with exit 2"

@@ -24,7 +24,11 @@
 //! * if no new snapshot appears within `--deadline-ms` (default
 //!   30 000), `bgtop` exits nonzero instead of looping — a typo'd path,
 //!   a dead writer, or a seq-less stream cannot hang a CI job.
+//!
+//! An unknown or repeated flag, a missing or non-numeric value, or a
+//! second path is a usage error (exit 2).
 
+use bench::cli::tokenize;
 use bench::monitor::{last_snapshot, malformed_snapshots, render_snapshot, render_state};
 
 struct Args {
@@ -43,43 +47,26 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut path = None;
-    let mut once = false;
-    let mut sessions = false;
-    let mut interval_ms = 500u64;
-    let mut deadline_ms = 30_000u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--once" => once = true,
-            "--sessions" => sessions = true,
-            "--interval-ms" => {
-                let Some(v) = it.next().and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                interval_ms = v;
-            }
-            "--deadline-ms" => {
-                let Some(v) = it.next().and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                deadline_ms = v;
-            }
-            _ if a.starts_with("--") => usage(),
-            _ => {
-                if path.replace(std::path::PathBuf::from(a)).is_some() {
-                    usage();
-                }
-            }
-        }
-    }
-    let Some(path) = path else { usage() };
+    let t = tokenize(
+        std::env::args().skip(1),
+        &["--interval-ms", "--deadline-ms"],
+        &["--once", "--sessions"],
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("bgtop: {e}");
+        usage()
+    });
+    let [path] = &t.rest[..] else { usage() };
+    let ms = |flag: &str, default: u64| match t.value(flag) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| usage()),
+    };
     Args {
-        path,
-        once,
-        sessions,
-        interval_ms,
-        deadline_ms,
+        path: std::path::PathBuf::from(path),
+        once: t.has("--once"),
+        sessions: t.has("--sessions"),
+        interval_ms: ms("--interval-ms", 500),
+        deadline_ms: ms("--deadline-ms", 30_000),
     }
 }
 

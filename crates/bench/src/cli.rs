@@ -43,11 +43,111 @@
 //! flag must not silently fall back to the default run.
 //!
 //! Hand-rolled because the workspace carries no external CLI dependency.
+//! [`tokenize`] is the flag splitter every binary of the workspace
+//! shares (`bgbench`, `bgtop`, `bgcheck`, `bgserve`): a value flag at
+//! most once, toggles idempotent, positionals in order.
 
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 use crate::experiments::{Experiment, EXPERIMENTS};
+
+/// A command line split by [`tokenize`].
+#[derive(Debug, Default)]
+pub struct Tokens {
+    /// The flags given, each once, in order.
+    pub given: Vec<&'static str>,
+    /// Each value flag given, with its value.
+    pub values: Vec<(&'static str, String)>,
+    /// Positional arguments, in order.
+    pub rest: Vec<String>,
+}
+
+impl Tokens {
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.contains(&flag)
+    }
+}
+
+/// Why [`tokenize`] refused a command line.
+#[derive(Debug)]
+pub enum FlagError {
+    /// A `--` argument that is no known flag, or a toggle given a value.
+    Unknown(String),
+    /// A value flag given twice.
+    Duplicate(&'static str),
+    /// A value flag with no value after it.
+    Missing(&'static str),
+}
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FlagError::Unknown(a) => write!(f, "unknown flag {a:?}"),
+            // Letting a repeated `--stats-out a --stats-out b` silently
+            // take the last value hid real mistakes (a CI script
+            // concatenating flag sets clobbered its own output path).
+            FlagError::Duplicate(flag) => write!(
+                f,
+                "duplicate {flag} flag: it may be given at most once \
+                 (an earlier value would be silently overridden)"
+            ),
+            FlagError::Missing(flag) => write!(f, "{flag} requires a value"),
+        }
+    }
+}
+
+/// Split `args` into flags and positionals. Each of `values` takes one
+/// value (`--flag v` or `--flag=v`) and may be given at most once; each
+/// of `toggles` takes none and may be repeated. Any other argument that
+/// starts with `--` is unknown; the rest are positionals.
+pub fn tokenize(
+    args: impl IntoIterator<Item = String>,
+    values: &[&'static str],
+    toggles: &[&'static str],
+) -> Result<Tokens, FlagError> {
+    let mut t = Tokens::default();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            t.rest.push(a);
+            continue;
+        }
+        let (name, inline) = match a.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        if let Some(&flag) = toggles.iter().find(|&&f| f == name) {
+            if inline.is_some() {
+                return Err(FlagError::Unknown(a));
+            }
+            if !t.has(flag) {
+                t.given.push(flag);
+            }
+            continue;
+        }
+        let Some(&flag) = values.iter().find(|&&f| f == name) else {
+            return Err(FlagError::Unknown(a));
+        };
+        if t.has(flag) {
+            return Err(FlagError::Duplicate(flag));
+        }
+        t.given.push(flag);
+        let v = match inline {
+            Some(v) => v,
+            None => it.next().ok_or(FlagError::Missing(flag))?,
+        };
+        t.values.push((flag, v));
+    }
+    Ok(t)
+}
 
 /// Every flag the runner knows; the first four apply to every
 /// experiment.
@@ -62,6 +162,9 @@ const FLAGS: [&str; 9] = [
     "--fault-script",
     "--monitor-out",
 ];
+
+/// The flags of [`FLAGS`] that take no value.
+const TOGGLES: [&str; 3] = ["--json", "--force", "--no-fast-path"];
 
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -106,53 +209,21 @@ impl Default for Cli {
 
 impl Cli {
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-        let mut cli = Cli::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            if !a.starts_with("--") {
-                cli.rest.push(a);
-                continue;
-            }
-            let (name, inline) = match a.split_once('=') {
-                Some((name, v)) => (name, Some(v.to_string())),
-                None => (a.as_str(), None),
-            };
-            let unknown = || format!("unknown flag {a:?} (known: {})", FLAGS.join(", "));
-            let Some(&flag) = FLAGS.iter().find(|&&f| f == name) else {
-                return Err(unknown());
-            };
-            // Boolean toggles stay idempotent (repeating them is harmless).
-            if matches!(flag, "--json" | "--force" | "--no-fast-path") {
-                if inline.is_some() {
-                    return Err(unknown());
-                }
-                match flag {
-                    "--json" => cli.json = true,
-                    "--force" => cli.force = true,
-                    _ => cli.fast_path = false,
-                }
-                if !cli.given.contains(&flag) {
-                    cli.given.push(flag);
-                }
-                continue;
-            }
-            // Value-carrying flags may appear at most once. Letting a
-            // repeated `--stats-out a --stats-out b` silently take the
-            // last value hid real mistakes (a CI script concatenating
-            // flag sets clobbered its own output path).
-            if cli.given.contains(&flag) {
-                return Err(format!(
-                    "duplicate {flag} flag: it may be given at most once \
-                     (an earlier value would be silently overridden)"
-                ));
-            }
-            cli.given.push(flag);
-            let v = match inline {
-                Some(v) => v,
-                None => it
-                    .next()
-                    .ok_or_else(|| format!("{flag} requires a value"))?,
-            };
+        let values: Vec<&'static str> =
+            FLAGS.into_iter().filter(|f| !TOGGLES.contains(f)).collect();
+        let t = tokenize(args, &values, &TOGGLES).map_err(|e| match e {
+            FlagError::Unknown(_) => format!("{e} (known: {})", FLAGS.join(", ")),
+            e => e.to_string(),
+        })?;
+        let mut cli = Cli {
+            json: t.has("--json"),
+            force: t.has("--force"),
+            fast_path: !t.has("--no-fast-path"),
+            rest: t.rest,
+            given: t.given,
+            ..Cli::default()
+        };
+        for (flag, v) in t.values {
             match flag {
                 "--stats-out" => cli.stats_out = Some(v.into()),
                 "--trace-out" => cli.trace_out = Some(v.into()),

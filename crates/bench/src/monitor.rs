@@ -15,6 +15,10 @@
 //! final line; [`last_snapshot`] skips it and the previous complete
 //! line wins.
 //!
+//! A publisher with live state of its own (bgserve's table of sessions
+//! and jobs) passes a callback that writes it as the line's `"state"`
+//! object; `bgtop --sessions` renders that with [`render_state`].
+//!
 //! This is strictly host-side observability: publishing reads finished
 //! [`ProfileSnapshot`]s, never the live simulation, so simulated
 //! results and trace digests are unaffected by whether a monitor is
@@ -22,80 +26,14 @@
 //! therefore *not* deterministic — only the final line (all shards
 //! done) is, which is what the CI demo checks.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use bgsim::telemetry::ProfileSnapshot;
 
 use crate::json::{self, Json, Writer};
 use crate::report::SCHEMA_VERSION;
-
-/// One node of a live state-monitor tree (the Ouisync `state_monitor`
-/// idiom): named values plus named children, shared across threads.
-/// `bgserve` hangs a `server → sessions/<id> → jobs/<id>` tree off its
-/// monitor and embeds a rendering of it in every published snapshot, so
-/// `bgtop --sessions` can show what every session is doing *right now*.
-///
-/// Cheap to clone (it is an `Arc`); locks are taken per node,
-/// parent-before-child only, so concurrent writers cannot deadlock.
-#[derive(Clone, Default)]
-pub struct StateNode(Arc<Mutex<NodeInner>>);
-
-#[derive(Default)]
-struct NodeInner {
-    values: BTreeMap<String, String>,
-    children: BTreeMap<String, StateNode>,
-}
-
-impl StateNode {
-    pub fn new() -> StateNode {
-        StateNode::default()
-    }
-
-    /// Fetch-or-create a child node.
-    pub fn child(&self, name: &str) -> StateNode {
-        let mut inner = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        inner.children.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Drop a child subtree (e.g. a session GC'd after close).
-    pub fn remove_child(&self, name: &str) {
-        let mut inner = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        inner.children.remove(name);
-    }
-
-    /// Set one live value on this node.
-    pub fn set(&self, key: &str, value: impl std::fmt::Display) {
-        let mut inner = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        inner.values.insert(key.to_string(), value.to_string());
-    }
-
-    /// Write the subtree as one JSON object:
-    /// `{"values":{...},"children":{"name":{...}}}` with keys in sorted
-    /// order (BTreeMap), so renders are stable for tests and diffs.
-    fn write(&self, w: &mut Writer) {
-        // Snapshot this node under its lock, then recurse *after*
-        // releasing it — child locks are only ever taken while no
-        // ancestor lock is held by this walker.
-        let (values, children) = {
-            let inner = self.0.lock().unwrap_or_else(|e| e.into_inner());
-            (inner.values.clone(), inner.children.clone())
-        };
-        w.obj().key("values").obj();
-        for (k, v) in &values {
-            w.key(k).str(v);
-        }
-        w.end_obj().key("children").obj();
-        for (k, c) in &children {
-            w.key(k);
-            c.write(w);
-        }
-        w.end_obj().end_obj();
-    }
-}
 
 /// A JSONL snapshot publisher bound to a `--monitor-out` path, which it
 /// holds open and appends to.
@@ -137,14 +75,14 @@ impl Monitor {
     /// `done`/`total` count finished work units (shards, kernels,
     /// message sizes, service jobs: whatever the writer iterates);
     /// `snap` is the profile merged over everything finished so far.
-    /// A `state` tree is embedded as the line's `"state"` object,
-    /// rendered at publish time.
+    /// `state`, when given, writes the line's `"state"` object at
+    /// publish time.
     pub fn publish(
         &mut self,
         done: usize,
         total: usize,
         snap: &ProfileSnapshot,
-        state: Option<&StateNode>,
+        state: Option<&dyn Fn(&mut Writer)>,
     ) {
         self.seq += 1;
         let mut w = Writer::default();
@@ -219,9 +157,10 @@ pub fn snapshot_json(
     w.finish()
 }
 
-/// Write one monitor snapshot as the next value of `w`, with `state`
-/// embedded as a top-level `"state"` object when given (bgserve embeds
-/// the snapshot in its `telemetry` lines this way).
+/// Write one monitor snapshot as the next value of `w` (bgserve embeds
+/// the snapshot in its `telemetry` lines this way). `state`, when
+/// given, writes the value of a top-level `"state"` key: bgserve's live
+/// work as a `{"values":{...},"children":{"name":{...}}}` tree.
 pub fn write_snapshot(
     w: &mut Writer,
     bench: &str,
@@ -229,7 +168,7 @@ pub fn write_snapshot(
     done: usize,
     total: usize,
     snap: &ProfileSnapshot,
-    state: Option<&StateNode>,
+    state: Option<&dyn Fn(&mut Writer)>,
 ) {
     w.obj().key("schema_version").u64(SCHEMA_VERSION.into());
     w.key("bench").str(bench).key("seq").u64(seq);
@@ -249,7 +188,7 @@ pub fn write_snapshot(
     w.end_obj().end_obj();
     if let Some(state) = state {
         w.key("state");
-        state.write(w);
+        state(w);
     }
     w.end_obj();
 }
@@ -297,8 +236,8 @@ pub fn render_snapshot(snap: &Json) -> String {
     out
 }
 
-/// Render a parsed `"state"` tree (the shape a [`StateNode`] writes) as
-/// an indented terminal view for `bgtop --sessions`:
+/// Render a parsed `"state"` tree (`{"values":{...},"children":{...}}`
+/// at every level) as an indented terminal view for `bgtop --sessions`:
 ///
 /// ```text
 /// server  submitted=3 ...
@@ -395,7 +334,30 @@ mod tests {
         assert!(last_snapshot("").is_none());
     }
 
-    fn with_state(seq: u64, done: usize, tree: &StateNode) -> String {
+    fn with_state(seq: u64, done: usize, phase: &str) -> String {
+        // server → sessions/0 → jobs/1, each node's values then children.
+        let tree = |w: &mut Writer| {
+            w.obj()
+                .key("values")
+                .obj()
+                .key("endpoint")
+                .str("unix:/tmp/x.sock");
+            w.end_obj().key("children").obj().key("sessions/0").obj();
+            w.key("values").obj().key("peer").str("open").end_obj();
+            w.key("children")
+                .obj()
+                .key("jobs/1")
+                .obj()
+                .key("values")
+                .obj();
+            w.key("cycle")
+                .str("12345")
+                .key("phase")
+                .str(phase)
+                .end_obj();
+            w.key("children").obj().end_obj().end_obj();
+            w.end_obj().end_obj().end_obj().end_obj();
+        };
         let mut w = Writer::default();
         write_snapshot(
             &mut w,
@@ -404,22 +366,15 @@ mod tests {
             done,
             1,
             &sample_snapshot(),
-            Some(tree),
+            Some(&tree),
         );
         w.finish()
     }
 
     #[test]
     fn state_tree_embeds_renders_and_survives_event_lines() {
-        let tree = StateNode::new();
-        tree.set("endpoint", "unix:/tmp/x.sock");
-        let s0 = tree.child("sessions/0");
-        s0.set("peer", "open");
-        let j1 = s0.child("jobs/1");
-        j1.set("phase", "running");
-        j1.set("cycle", 12_345u64);
         // The embedded snapshot parses back and carries the tree.
-        let line = with_state(1, 0, &tree);
+        let line = with_state(1, 0, "running");
         let v = json::parse(&line).expect("line parses");
         let state = v.get("state").expect("state section");
         assert_eq!(
@@ -437,13 +392,7 @@ mod tests {
         assert!(view.contains("sessions/0  peer=open"), "{view}");
         assert!(view.contains("jobs/1"), "{view}");
         assert!(view.contains("phase=running"), "{view}");
-        // Value updates are visible to later renders via the shared Arc.
-        j1.set("phase", "done");
-        let line2 = with_state(2, 1, &tree);
-        assert!(line2.contains("\"phase\":\"done\""));
-        s0.remove_child("jobs/1");
-        let line3 = with_state(3, 1, &tree);
-        assert!(!line3.contains("jobs/1"));
+        let line2 = with_state(2, 1, "done");
         // Event lines interleaved with snapshots are neither snapshots
         // nor malformed.
         let text = format!("{line}\n{{\"event\":\"session-drop\",\"session\":0}}\n{line2}\n");
@@ -457,7 +406,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mon.jsonl");
         let mut m = Monitor::create(&path, "bgserve", false).unwrap();
-        m.publish(0, 1, &sample_snapshot(), Some(&StateNode::new()));
+        let empty = |w: &mut Writer| {
+            w.obj().key("values").obj().end_obj();
+            w.key("children").obj().end_obj().end_obj();
+        };
+        m.publish(0, 1, &sample_snapshot(), Some(&empty));
         m.event("{\"event\":\"session-drop\",\"session\":3,\"jobs_cancelled\":1}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);

@@ -551,9 +551,10 @@ mod tests {
         assert!(j.contains("\"profile.heat.messages\":1"));
         assert!(j.contains("\"profile.heat.peak_live_msgs\":1"));
         assert!(j.contains("\"profile.nodes\":2"));
-        // A disabled profiler contributes nothing (no misleading zeros).
+        // No profile (`enabled: false`) contributes nothing (no
+        // misleading zeros).
         let mut r2 = Report::new("x");
-        r2.profile(&bgsim::Profiler::disabled().snapshot());
+        r2.profile(&bgsim::ProfileSnapshot::default());
         assert!(!r2.to_json().contains("profile."));
     }
 

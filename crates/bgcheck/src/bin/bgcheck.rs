@@ -13,13 +13,15 @@
 //! flight-recorder dump. `selftest --out` saves one annotated `.bgck` +
 //! flight dump per detected canary.
 //!
-//! Exit codes: 0 clean, 1 failure found, 2 usage error.
+//! Exit codes: 0 clean, 1 failure found, 2 usage error (an unknown,
+//! repeated or valueless flag, or a stray argument, included).
 
 #![deny(clippy::unwrap_used)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use bench::cli::{tokenize, Tokens};
 use bgcheck::runner::{mode_labels, run_mode, CheckKernel, MODES};
 use bgcheck::{check_program, generate, parse_script, shrink, to_script_with_pins, DigestPin};
 
@@ -34,74 +36,60 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_u64(flag: &str, v: Option<String>) -> Result<u64, String> {
-    let Some(v) = v else {
-        return Err(format!("{flag} requires a value"));
-    };
-    v.parse::<u64>()
-        .map_err(|_| format!("{flag} requires a number, got {v:?}"))
+fn parse_u64(t: &Tokens, flag: &str, default: u64) -> Result<u64, String> {
+    match t.value(flag) {
+        None => Ok(default),
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| format!("{flag} requires a number, got {v:?}")),
+    }
+}
+
+/// Split a subcommand's arguments; it takes at most `positionals`.
+fn split(
+    sub: &str,
+    args: impl Iterator<Item = String>,
+    values: &[&'static str],
+    toggles: &[&'static str],
+    positionals: usize,
+) -> Result<Tokens, String> {
+    let t = tokenize(args, values, toggles).map_err(|e| e.to_string())?;
+    match t.rest.get(positionals) {
+        Some(extra) => Err(format!("unexpected {sub} argument {extra:?}")),
+        None => Ok(t),
+    }
 }
 
 fn main() -> ExitCode {
+    run().unwrap_or_else(|e| usage(&e))
+}
+
+/// Run the subcommand; `Err` is a usage error.
+fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    Ok(match args.next().as_deref() {
         Some("fuzz") => {
-            let mut budget = 25u64;
-            let mut seed = 1u64;
-            let mut out = PathBuf::from("bgcheck-repro");
-            let mut rest = args;
-            while let Some(a) = rest.next() {
-                match a.as_str() {
-                    "--budget" => match parse_u64("--budget", rest.next()) {
-                        Ok(v) => budget = v,
-                        Err(e) => return usage(&e),
-                    },
-                    "--seed" => match parse_u64("--seed", rest.next()) {
-                        Ok(v) => seed = v,
-                        Err(e) => return usage(&e),
-                    },
-                    "--out" => match rest.next() {
-                        Some(v) => out = PathBuf::from(v),
-                        None => return usage("--out requires a value"),
-                    },
-                    other => return usage(&format!("unknown fuzz flag {other:?}")),
-                }
-            }
-            fuzz(budget, seed, &out)
+            let t = split("fuzz", args, &["--budget", "--seed", "--out"], &[], 0)?;
+            let out = PathBuf::from(t.value("--out").unwrap_or("bgcheck-repro"));
+            fuzz(
+                parse_u64(&t, "--budget", 25)?,
+                parse_u64(&t, "--seed", 1)?,
+                &out,
+            )
         }
         Some("replay") => {
-            let mut path = None;
-            let mut record = false;
-            for a in args {
-                match a.as_str() {
-                    "--record" => record = true,
-                    other if path.is_none() => path = Some(PathBuf::from(other)),
-                    other => return usage(&format!("unexpected replay argument {other:?}")),
-                }
-            }
-            let Some(path) = path else {
-                return usage("replay needs a script path");
-            };
-            replay(&path, record)
+            let t = split("replay", args, &[], &["--record"], 1)?;
+            let path = t.rest.first().ok_or("replay needs a script path")?;
+            replay(Path::new(path), t.has("--record"))
         }
         Some("corpus") => {
-            let Some(dir) = args.next() else {
-                return usage("corpus needs a directory");
-            };
-            corpus(Path::new(&dir))
+            let t = split("corpus", args, &[], &[], 1)?;
+            let dir = t.rest.first().ok_or("corpus needs a directory")?;
+            corpus(Path::new(dir))
         }
         Some("selftest") => {
-            let mut out: Option<PathBuf> = None;
-            let mut rest = args;
-            while let Some(a) = rest.next() {
-                match a.as_str() {
-                    "--out" => match rest.next() {
-                        Some(v) => out = Some(PathBuf::from(v)),
-                        None => return usage("--out requires a value"),
-                    },
-                    other => return usage(&format!("unknown selftest flag {other:?}")),
-                }
-            }
+            let t = split("selftest", args, &["--out"], &[], 0)?;
+            let out = t.value("--out").map(PathBuf::from);
             match bgcheck::selftest_with_artifacts(out.as_deref()) {
                 Ok(()) => {
                     println!("selftest: clean pass + all canaries detected");
@@ -119,9 +107,9 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some(other) => usage(&format!("unknown subcommand {other:?}")),
-        None => usage("missing subcommand"),
-    }
+        Some(other) => return Err(format!("unknown subcommand {other:?}")),
+        None => return Err("missing subcommand".to_string()),
+    })
 }
 
 fn fuzz(budget: u64, seed0: u64, out: &Path) -> ExitCode {

@@ -1,8 +1,9 @@
 //! The replayable program-script format.
 //!
 //! Line-oriented, `#` comments, in the same spirit as
-//! `FaultSchedule::parse` — and fault lines use exactly that format,
-//! prefixed with the `fault` keyword:
+//! `FaultSchedule::parse` — and fault lines are exactly that format,
+//! prefixed with the `fault` keyword and read by the same field parser
+//! ([`FaultEvent::parse_fields`]):
 //!
 //! ```text
 //! # minimal repro, shrunk from seed 77
@@ -19,7 +20,7 @@
 //! mode label, trace digest (16 hex digits), final cycle. Replay
 //! verifies every pin present; `bgcheck replay --record` mints them.
 
-use bgsim::fault::{FaultEvent, FaultKind, FaultSchedule};
+use bgsim::fault::{FaultEvent, FaultSchedule};
 
 use crate::program::{POp, Program};
 
@@ -93,27 +94,9 @@ pub fn parse_script(text: &str) -> Result<Replay, String> {
                 ops.push(op);
             }
             "fault" => {
-                // Same shape as FaultSchedule::parse lines.
-                let [at, node, kind, arg @ ..] = &rest[..] else {
-                    return Err(format!(
-                        "script line {lineno}: fault takes <cycle> <node> <kind> [arg]"
-                    ));
-                };
-                let kind = FaultKind::parse(kind)
-                    .ok_or_else(|| format!("script line {lineno}: unknown fault kind {kind:?}"))?;
-                let arg = match arg {
-                    [] => 0,
-                    [a] => num("fault arg", a, lineno)?,
-                    _ => {
-                        return Err(format!("script line {lineno}: too many fault arguments"));
-                    }
-                };
-                faults.push(FaultEvent {
-                    at: num("fault cycle", at, lineno)?,
-                    node: num("fault node", node, lineno)? as u32,
-                    kind,
-                    arg,
-                });
+                let ev = FaultEvent::parse_fields(&rest)
+                    .map_err(|e| format!("script line {lineno}: {e}"))?;
+                faults.push(ev);
             }
             "digest" => {
                 let [kernel, mode, hex, cycle] = rest[..] else {
@@ -240,5 +223,17 @@ mod tests {
         // Fault targeting a node the machine doesn't have.
         let e = parse_script("nodes 2\nfault 100 5 torus-drop 10\n").expect_err("bad node");
         assert!(e.contains("node 5"), "{e}");
+    }
+
+    #[test]
+    fn a_fault_node_beyond_u32_is_refused_not_wrapped() {
+        // 2^32 must not wrap to node 0, where it would replay as a fault
+        // on node 0 and `replay --record` would write `fault 100 0 ...`.
+        let e = parse_script("nodes 1\nfault 100 4294967296 torus-drop 5000\n")
+            .expect_err("node beyond u32");
+        assert!(e.contains("line 2: bad node \"4294967296\""), "{e}");
+        // A fault script refuses the same line the same way.
+        let f = FaultSchedule::parse("100 4294967296 torus-drop 5000").expect_err("node");
+        assert!(f.contains("line 1: bad node \"4294967296\""), "{f}");
     }
 }

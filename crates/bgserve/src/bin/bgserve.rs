@@ -14,9 +14,12 @@
 //! bgserve selfcheck [--threads N] [--sessions N] [--jobs N] [--seed N]
 //! ```
 //!
-//! Like the shared bench CLI, repeated value flags are rejected rather
-//! than silently last-one-wins.
+//! Flags split with the workspace's one tokenizer
+//! ([`bench::cli::tokenize`]): a repeated value flag is rejected rather
+//! than silently last-one-wins (exit 1), and an unknown flag or a stray
+//! argument is a usage error (exit 2).
 
+use bench::cli::{tokenize, FlagError, Tokens};
 use bench::json::Writer;
 use bench::monitor::Monitor;
 use bgcheck::program::{generate, Program};
@@ -45,48 +48,32 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Minimal flag parser with the same duplicate-rejection contract as
-/// `bench::cli`: a value flag given twice is an error, not a silent
-/// override.
-struct Flags {
-    values: Vec<(String, String)>,
-    toggles: Vec<String>,
-}
+/// A subcommand's flags; it takes no positional argument.
+struct Flags(Tokens);
 
 impl Flags {
-    fn parse(args: &[String], value_flags: &[&str], toggle_flags: &[&str]) -> Flags {
-        let mut values: Vec<(String, String)> = Vec::new();
-        let mut toggles = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if toggle_flags.contains(&a.as_str()) {
-                if !toggles.contains(a) {
-                    toggles.push(a.clone());
-                }
-            } else if value_flags.contains(&a.as_str()) {
-                if values.iter().any(|(k, _)| k == a) {
-                    die(&format!(
-                        "duplicate {a} flag: it may be given at most once \
-                         (an earlier value would be silently overridden)"
-                    ));
-                }
-                let Some(v) = it.next() else {
-                    die(&format!("{a} needs a value"));
-                };
-                values.push((a.clone(), v.clone()));
-            } else {
+    fn parse(
+        args: &[String],
+        value_flags: &[&'static str],
+        toggle_flags: &[&'static str],
+    ) -> Flags {
+        let t = match tokenize(args.iter().cloned(), value_flags, toggle_flags) {
+            Ok(t) => t,
+            Err(FlagError::Unknown(a)) => {
                 eprintln!("bgserve: unknown flag {a}");
                 usage();
             }
+            Err(e) => die(&e.to_string()),
+        };
+        if let Some(a) = t.rest.first() {
+            eprintln!("bgserve: unknown flag {a}");
+            usage();
         }
-        Flags { values, toggles }
+        Flags(t)
     }
 
     fn get(&self, k: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| f == k)
-            .map(|(_, v)| v.as_str())
+        self.0.value(k)
     }
 
     fn num(&self, k: &str, default: u64) -> u64 {
@@ -99,7 +86,7 @@ impl Flags {
     }
 
     fn has(&self, k: &str) -> bool {
-        self.toggles.iter().any(|t| t == k)
+        self.0.has(k)
     }
 
     /// An optional numeric flag; zero is rejected (the protocol treats

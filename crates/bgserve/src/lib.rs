@@ -30,7 +30,9 @@
 //! * [`cache`] — the LRU result cache, with an optional on-disk tier
 //!   written atomically via [`bench::report::write_atomic`];
 //! * [`proto`] — the wire protocol on [`bench::json`] (requests, events);
-//! * [`server`] — endpoints, sessions, the run slots that cap how
+//! * [`server`] — endpoints, sessions, the one table of live work (a
+//!   row per open session and per admitted job, with its cancel token,
+//!   and the monitor that renders them), the run slots that cap how
 //!   many simulations run at once, and the steward threads that run
 //!   them and park between jobs;
 //! * [`client`] — a small blocking client for the CLI and tests;

@@ -23,25 +23,31 @@
 //!   parked steward instead of starting a thread.
 //!
 //! Jobs are *live* (the CNK property that the service node can watch
-//! and steer running work, not just collect exit codes):
+//! and steer running work, not just collect exit codes). What is live
+//! is kept in one place, the [`Live`] table: one row per open session,
+//! one row per admitted job, and the monitor that shows them, behind
+//! one lock and one condvar. Every bookkeeping step is one operation on
+//! it:
 //!
-//! * each job that must simulate gets a [`CancelToken`] registered
-//!   under its job id; `{"op":"cancel","job":N}` from any session sets
-//!   it, and the run winds down cleanly at its next poll — or never
-//!   starts, if the token is set by the time its slot comes up;
+//! * each job that must simulate holds a [`CancelToken`] in its row;
+//!   `{"op":"cancel","job":N}` from any session looks the row up and
+//!   sets it, and the run winds down cleanly at its next poll — or
+//!   never starts, if the token is set by the time its slot comes up;
 //! * per-job `timeout_cycles` / `timeout_wall_ms` budgets yield a
 //!   `timeout` outcome the same way;
-//! * `progress_cycles` streams `progress` lines mid-run;
+//! * `progress_cycles` streams `progress` lines mid-run, and each
+//!   report's position lands in the job's row;
 //! * a session whose peer disconnects (reader EOF or a failed write)
-//!   auto-cancels its in-flight jobs and logs one structured
-//!   `session-drop` monitor event;
+//!   cancels its rows that still hold a token and logs one structured
+//!   `session-drop` monitor event; the session closes once none of its
+//!   rows are left;
 //! * cancelled/timed-out results are **never** memoized — the cache
 //!   only ever holds completed, deterministic triples;
-//! * a state-monitor tree (`server → sessions/<id> → jobs/<id>`) is
-//!   embedded in every published monitor snapshot for
-//!   `bgtop --sessions`. It holds live work only: a job's node goes
-//!   once the publish that shows it done is out, and a session's node
-//!   goes when its reader thread exits.
+//! * every published monitor snapshot renders the table as its `state`
+//!   object (`server → sessions/<id> → jobs/<id>`, children in numeric
+//!   order) for `bgtop --sessions`. It holds live work only: a job's
+//!   row goes once the publish that shows it done is out, and a
+//!   session's row goes when its reader thread exits.
 //!
 //! Determinism note: scheduling never affects results. Each job is a
 //! self-contained simulation, so when it runs and what runs beside it
@@ -51,7 +57,8 @@
 //! construction (pinned by proptest), so a job submitted with
 //! `progress_cycles` reports the same triple as one without.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +68,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bench::json::Writer;
-use bench::monitor::{Monitor, StateNode};
+use bench::monitor::Monitor;
 use bgcheck::program::Program;
 use bgcheck::runner::{run_mode_live, LiveOpts, RunRecord};
 use bgsim::machine::{CancelCause, ProgressCtl, ProgressReport, ProgressSink};
@@ -249,14 +256,108 @@ struct Stats {
     session_drops: AtomicU64,
 }
 
-/// The monitor aggregate: profiles of every fresh run merged
-/// commutatively (same rule as shard merging), appended to the monitor
-/// file one line per publish.
-struct MonitorAgg {
+/// The service's one table of live work: a row per open session, a row
+/// per admitted job, and the monitor that shows them with the profile
+/// of every fresh run merged in. It sits behind [`State::live`], beside
+/// the one condvar [`State::settled`]; no step holds it across a job.
+struct Live {
+    /// The server's own values in the rendered state.
+    endpoint: String,
+    threads: usize,
+    /// Each session's peer: `open`; `closed` once the reader saw it go
+    /// with nothing in flight; `dropped` if it went with jobs in flight,
+    /// which were cancelled.
+    sessions: BTreeMap<u64, &'static str>,
+    jobs: BTreeMap<u64, JobRow>,
     monitor: Option<Monitor>,
+    /// Profiles of every fresh run, merged commutatively (same rule as
+    /// shard merging).
     merged: ProfileSnapshot,
     /// Throttle for mid-run (progress-driven) publishes.
     last_progress_publish: Instant,
+}
+
+/// One admitted job, from its admission until its last write is out.
+struct JobRow {
+    session: u64,
+    /// Held while the job may still be cancelled: from before its
+    /// `accepted` line until just before its last write. A hit answered
+    /// inline never holds one.
+    token: Option<CancelToken>,
+    kernel: &'static str,
+    mode: &'static str,
+    /// `hit` or `miss`.
+    cache: &'static str,
+    phase: Cow<'static, str>,
+    /// The last progress report: cycle, events, live threads.
+    progress: Option<(u64, u64, usize)>,
+}
+
+impl Live {
+    fn new(endpoint: String, threads: usize, monitor: Option<Monitor>) -> Live {
+        Live {
+            endpoint,
+            threads,
+            sessions: BTreeMap::new(),
+            jobs: BTreeMap::new(),
+            monitor,
+            merged: ProfileSnapshot::default(),
+            last_progress_publish: Instant::now(),
+        }
+    }
+
+    /// Append one snapshot line, its `state` rendered from the table.
+    fn publish(&mut self, done: u64, total: u64) {
+        let Some(mut m) = self.monitor.take() else {
+            return;
+        };
+        let state = |w: &mut Writer| self.write_state(w);
+        m.publish(done as usize, total as usize, &self.merged, Some(&state));
+        self.monitor = Some(m);
+    }
+
+    /// Write the table as a `{"values":{...},"children":{...}}` tree:
+    /// the server, each session as `sessions/<id>`, each of its jobs as
+    /// `jobs/<id>`. Values are strings in key order; children come in
+    /// numeric order.
+    fn write_state(&self, w: &mut Writer) {
+        w.obj().key("values").obj();
+        w.key("endpoint").str(&self.endpoint);
+        w.key("threads").u64_str(self.threads as u64);
+        w.end_obj().key("children").obj();
+        // A job's session row stays until the job's row is gone, so
+        // every job renders under its own session.
+        let mut rows: Vec<(u64, &JobRow)> = self.jobs.iter().map(|(&id, r)| (id, r)).collect();
+        rows.sort_by_key(|&(id, r)| (r.session, id));
+        let mut rows = rows.into_iter().peekable();
+        for (sid, peer) in &self.sessions {
+            w.key(&format!("sessions/{sid}")).obj();
+            w.key("values").obj().key("peer").str(peer);
+            w.end_obj().key("children").obj();
+            while let Some((id, row)) = rows.next_if(|(_, r)| r.session == *sid) {
+                w.key(&format!("jobs/{id}"));
+                row.write(w);
+            }
+            w.end_obj().end_obj();
+        }
+        w.end_obj().end_obj();
+    }
+}
+
+impl JobRow {
+    fn write(&self, w: &mut Writer) {
+        w.obj().key("values").obj();
+        w.key("cache").str(self.cache);
+        if let Some((cycle, events, _)) = self.progress {
+            w.key("cycle").u64_str(cycle).key("events").u64_str(events);
+        }
+        w.key("kernel").str(self.kernel);
+        if let Some((_, _, live_threads)) = self.progress {
+            w.key("live_threads").u64_str(live_threads as u64);
+        }
+        w.key("mode").str(self.mode).key("phase").str(&self.phase);
+        w.end_obj().key("children").obj().end_obj().end_obj();
+    }
 }
 
 struct State {
@@ -267,12 +368,9 @@ struct State {
     next_session: AtomicU64,
     cache: Mutex<ResultCache>,
     stats: Stats,
-    monitor: Mutex<MonitorAgg>,
-    /// Every in-flight job's cancel token, by server-assigned job id
-    /// (`{"op":"cancel"}` can target a job from any session).
-    registry: Mutex<HashMap<u64, CancelToken>>,
-    /// Root of the live state-monitor tree (the `server` node).
-    tree: StateNode,
+    live: Mutex<Live>,
+    /// Signalled when a job row of a session that is closing leaves.
+    settled: Condvar,
     slots: RunSlots,
     stewards: Arc<Stewards>,
 }
@@ -299,105 +397,59 @@ impl State {
         }
     }
 
-    /// Count a finished job (completed, cancelled, or failed alike) and
-    /// refresh the monitor stream, state tree included.
-    fn finish_job(&self, fresh_profile: Option<&ProfileSnapshot>) {
-        let done = self.stats.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        let total = self.stats.submitted.load(Ordering::Relaxed);
-        if let Ok(mut agg) = self.monitor.lock() {
-            let agg = &mut *agg;
-            if let Some(p) = fresh_profile {
-                agg.merged.merge(p);
-            }
-            if let Some(m) = agg.monitor.as_mut() {
-                m.publish(done as usize, total as usize, &agg.merged, Some(&self.tree));
-            }
-        }
+    /// The table is only touched in short sections, never across a job,
+    /// so a poisoned lock still guards consistent rows.
+    fn live(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Publish the current aggregate + state tree without counting a
-    /// completion — the mid-run path, throttled so a fast progress
-    /// cadence cannot turn the monitor file into a hot loop.
-    fn publish_progress(&self) {
+    /// Set job `id`'s token if its row still holds one.
+    fn cancel(&self, id: u64) -> bool {
+        let live = self.live();
+        let token = live.jobs.get(&id).and_then(|row| row.token.as_ref());
+        token.map(CancelToken::cancel).is_some()
+    }
+
+    /// Mirror a progress report into job `id`'s row, and publish the
+    /// table without counting a completion — throttled, so a fast
+    /// progress cadence cannot turn the monitor file into a hot loop.
+    fn progress(&self, id: u64, r: &ProgressReport) {
         let done = self.stats.completed.load(Ordering::Relaxed);
         let total = self.stats.submitted.load(Ordering::Relaxed);
-        if let Ok(mut agg) = self.monitor.lock() {
-            if agg.monitor.is_none()
-                || agg.last_progress_publish.elapsed() < Duration::from_millis(PROGRESS_PUBLISH_MS)
-            {
-                return;
-            }
-            agg.last_progress_publish = Instant::now();
-            let agg = &mut *agg;
-            if let Some(m) = agg.monitor.as_mut() {
-                m.publish(done as usize, total as usize, &agg.merged, Some(&self.tree));
-            }
+        let mut live = self.live();
+        if let Some(row) = live.jobs.get_mut(&id) {
+            row.progress = Some((r.cycle, r.events, r.live_threads));
         }
+        if live.monitor.is_none()
+            || live.last_progress_publish.elapsed() < Duration::from_millis(PROGRESS_PUBLISH_MS)
+        {
+            return;
+        }
+        live.last_progress_publish = Instant::now();
+        live.publish(done, total);
     }
 
-    /// Append one structured event line to the monitor stream.
-    fn monitor_event(&self, line: &str) {
-        if let Ok(mut agg) = self.monitor.lock() {
-            if let Some(m) = agg.monitor.as_mut() {
-                m.event(line);
-            }
+    /// Wait until none of session `sid`'s job rows are left, then
+    /// remove its own row.
+    fn close_session(&self, sid: u64) {
+        let mut live = self.live();
+        while live.jobs.values().any(|row| row.session == sid) {
+            live = self
+                .settled
+                .wait(live)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        live.sessions.remove(&sid);
     }
 }
 
 /// Per-connection state shared between the session reader thread and
 /// its submit stewards: one writer (all response lines serialize
-/// through its mutex), the dead-peer latch, this session's in-flight
-/// cancel tokens, and how many of its jobs are with a steward.
+/// through its mutex) and the dead-peer latch.
 struct SessionShared {
     id: u64,
     writer: Mutex<Stream>,
     dead: AtomicBool,
-    jobs: Mutex<HashMap<u64, CancelToken>>,
-    node: StateNode,
-    /// Jobs handed to a steward and not yet finished; the session waits
-    /// for none to be left before it closes.
-    in_flight: Mutex<usize>,
-    settled: Condvar,
-}
-
-impl SessionShared {
-    /// The count is only touched in short sections, never across a job,
-    /// so a poisoned lock still guards a consistent value.
-    fn in_flight(&self) -> MutexGuard<'_, usize> {
-        self.in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wait until every job this session handed to a steward is done.
-    fn wait_settled(&self) {
-        let mut n = self.in_flight();
-        while *n > 0 {
-            n = self.settled.wait(n).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One job in its session's in-flight count, counted out on drop:
-/// after its steward has dropped the job, or as a panic unwinds it.
-struct InFlight(Arc<SessionShared>);
-
-impl InFlight {
-    fn start(shared: &Arc<SessionShared>) -> InFlight {
-        *shared.in_flight() += 1;
-        InFlight(Arc::clone(shared))
-    }
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        let mut n = self.0.in_flight();
-        *n -= 1;
-        if *n == 0 {
-            self.0.settled.notify_all();
-        }
-    }
 }
 
 /// Write `text` (one line, or several joined by newlines) to the session
@@ -419,30 +471,32 @@ fn send_shared(state: &State, shared: &SessionShared, text: String) -> std::io::
     res
 }
 
-/// Latch the session dead (idempotent), cancel its in-flight jobs, and
-/// record how it ended in the state tree + monitor stream.
+/// Latch the session dead (idempotent), cancel its rows that still hold
+/// a token, and record how it ended in its row + the monitor stream.
 fn drop_session(state: &State, shared: &SessionShared) {
     if shared.dead.swap(true, Ordering::SeqCst) {
         return;
     }
-    let tokens: Vec<CancelToken> = shared
-        .jobs
-        .lock()
-        .map(|j| j.values().cloned().collect())
-        .unwrap_or_default();
-    for t in &tokens {
-        t.cancel();
+    let mut live = state.live();
+    let mut cancelled = 0u64;
+    for row in live.jobs.values().filter(|row| row.session == shared.id) {
+        if let Some(t) = &row.token {
+            t.cancel();
+            cancelled += 1;
+        }
     }
-    if tokens.is_empty() {
-        shared.node.set("peer", "closed");
-    } else {
-        shared.node.set("peer", "dropped");
+    if let Some(peer) = live.sessions.get_mut(&shared.id) {
+        *peer = if cancelled == 0 { "closed" } else { "dropped" };
+    }
+    if cancelled > 0 {
         state.stats.session_drops.fetch_add(1, Ordering::Relaxed);
-        let mut w = Writer::default();
-        w.obj().key("event").str("session-drop");
-        w.key("session").u64(shared.id);
-        w.key("jobs_cancelled").u64(tokens.len() as u64).end_obj();
-        state.monitor_event(&w.finish());
+        if let Some(m) = live.monitor.as_mut() {
+            let mut w = Writer::default();
+            w.obj().key("event").str("session-drop");
+            w.key("session").u64(shared.id);
+            w.key("jobs_cancelled").u64(cancelled).end_obj();
+            m.event(&w.finish());
+        }
     }
 }
 
@@ -634,31 +688,27 @@ fn send_line(w: &mut Stream, mut text: String) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Build the progress sink for one job: stream a `progress` line per
-/// report, mirror the position into the job's state node, and bail out
-/// (cancelling the run) the moment the peer is unreachable.
+/// Build the progress sink for one job: mirror each report's position
+/// into the job's row, stream a `progress` line per report, and bail
+/// out (cancelling the run) the moment the peer is unreachable.
 fn progress_sink(job: &Job) -> Box<dyn ProgressSink> {
-    let (state, shared) = (Arc::clone(&job.state), Arc::clone(&job.shared));
-    let (jnode, id) = (job.node.clone(), job.id);
+    let (state, shared, id) = (Arc::clone(&job.state), Arc::clone(&job.shared), job.id);
     Box::new(move |r: &ProgressReport| {
-        jnode.set("cycle", r.cycle);
-        jnode.set("events", r.events);
-        jnode.set("live_threads", r.live_threads);
+        state.progress(id, r);
         if shared.dead.load(Ordering::SeqCst) {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
         if send_shared(&state, &shared, proto::progress_line(id, r)).is_err() {
             return ProgressCtl::Cancel(CancelCause::Requested);
         }
-        state.publish_progress();
         ProgressCtl::Continue
     })
 }
 
 /// Admit one submission on the session's reader thread. A cache hit is
 /// answered right here unless `--paranoid` asks for a re-run; a job that
-/// must simulate gets a registered cancel token, its `accepted` line and
-/// a steward, which waits for a run slot.
+/// must simulate gets a row holding its cancel token, its `accepted`
+/// line and a steward, which waits for a run slot.
 fn admit(state: &Arc<State>, shared: &Arc<SessionShared>, req: SubmitReq) -> std::io::Result<()> {
     let program = match req.to_program() {
         Ok(p) => p,
@@ -667,84 +717,120 @@ fn admit(state: &Arc<State>, shared: &Arc<SessionShared>, req: SubmitReq) -> std
     let key = JobKey::of(req.kernel, &program);
     let id = state.next_job.fetch_add(1, Ordering::Relaxed) + 1;
     state.stats.submitted.fetch_add(1, Ordering::Relaxed);
-    let job = Job {
-        state: Arc::clone(state),
-        shared: Arc::clone(shared),
-        id,
-        kd: key.digest(),
-        key_hex: key.hex(),
-        node: shared.node.child(&format!("jobs/{id}")),
-    };
-    job.node.set("kernel", req.kernel.label());
-    job.node.set("mode", req.mode.label());
-
-    let hit = state.cache.lock().ok().and_then(|mut c| c.get(job.kd));
+    let hit = state
+        .cache
+        .lock()
+        .ok()
+        .and_then(|mut c| c.get(key.digest()));
     let (count, cache) = match hit {
         Some(_) => (&state.stats.cache_hits, "hit"),
         None => (&state.stats.cache_misses, "miss"),
     };
     count.fetch_add(1, Ordering::Relaxed);
-    job.node.set("cache", cache);
-    let accepted = proto::accepted_line(id, &job.key_hex);
+    let row = |token, phase: &'static str| JobRow {
+        session: shared.id,
+        token,
+        kernel: req.kernel.label(),
+        mode: req.mode.label(),
+        cache,
+        phase: phase.into(),
+        progress: None,
+    };
     if let Some(entry) = hit.as_ref().filter(|_| !state.paranoid) {
+        let job = Job::start(state, shared, id, &key, row(None, "done"));
         let tail = job.reply_hit(entry, "off");
-        return job.send(accepted + "\n" + &tail);
+        return job.send(proto::accepted_line(id, &job.key_hex) + "\n" + &tail);
     }
 
-    // Register the cancel token *before* `accepted` goes out: a client
-    // that cancels immediately after reading `accepted` must find it.
+    // The row holds the cancel token *before* `accepted` goes out: a
+    // client that cancels immediately after reading `accepted` must
+    // find it.
     let token = CancelToken::new();
-    if let Ok(mut reg) = state.registry.lock() {
-        reg.insert(id, token.clone());
-    }
-    if let Ok(mut jobs) = shared.jobs.lock() {
-        jobs.insert(id, token.clone());
-    }
-    job.node.set("phase", "queued");
-    if let Err(e) = job.send(accepted) {
-        job.deregister();
-        return Err(e);
-    }
-    let in_flight = InFlight::start(shared);
-    state.stewards.run(Box::new(move || {
-        let _in_flight = in_flight;
-        job.steward(req, program, token, hit);
-    }));
+    let job = Job::start(state, shared, id, &key, row(Some(token.clone()), "queued"));
+    job.send(proto::accepted_line(id, &job.key_hex))?;
+    state
+        .stewards
+        .run(Box::new(move || job.steward(req, program, token, hit)));
     Ok(())
 }
 
-/// One admitted submission: its id, cache key and state node, and the
-/// session its lines go to.
+/// One admitted submission: its id and cache key, and the session its
+/// lines go to. Its row in the live table lives exactly as long.
 struct Job {
     state: Arc<State>,
     shared: Arc<SessionShared>,
     id: u64,
     kd: u64,
     key_hex: String,
-    node: StateNode,
 }
 
 impl Drop for Job {
     /// A job drops after the publish that shows it finished (or after
-    /// its peer vanished before it started), so its node can go: the
-    /// tree holds live work only.
+    /// its peer vanished before it started), so its row can go: the
+    /// table holds live work only. A session that is closing waits for
+    /// exactly this.
     fn drop(&mut self) {
-        self.shared.node.remove_child(&format!("jobs/{}", self.id));
+        let mut live = self.state.live();
+        let Some(row) = live.jobs.remove(&self.id) else {
+            return;
+        };
+        if live.sessions.get(&row.session) != Some(&"open") {
+            self.state.settled.notify_all();
+        }
     }
 }
 
 impl Job {
+    /// Put the job's row in the live table.
+    fn start(
+        state: &Arc<State>,
+        shared: &Arc<SessionShared>,
+        id: u64,
+        key: &JobKey,
+        row: JobRow,
+    ) -> Job {
+        state.live().jobs.insert(id, row);
+        Job {
+            state: Arc::clone(state),
+            shared: Arc::clone(shared),
+            id,
+            kd: key.digest(),
+            key_hex: key.hex(),
+        }
+    }
+
     fn send(&self, text: String) -> std::io::Result<()> {
         send_shared(&self.state, &self.shared, text)
     }
 
+    /// Take the row's cancel token: the job can no longer be cancelled.
     fn deregister(&self) {
-        if let Ok(mut reg) = self.state.registry.lock() {
-            reg.remove(&self.id);
+        if let Some(row) = self.state.live().jobs.get_mut(&self.id) {
+            row.token = None;
         }
-        if let Ok(mut jobs) = self.shared.jobs.lock() {
-            jobs.remove(&self.id);
+    }
+
+    fn set_phase(&self, phase: &'static str) {
+        if let Some(row) = self.state.live().jobs.get_mut(&self.id) {
+            row.phase = phase.into();
         }
+    }
+
+    /// Count the job finished (completed, cancelled, or failed alike),
+    /// show `phase` in its row, fold a fresh run's profile into the
+    /// aggregate, and publish.
+    fn finish(&self, phase: impl Into<Cow<'static, str>>, fresh_profile: Option<&ProfileSnapshot>) {
+        let stats = &self.state.stats;
+        let done = stats.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = stats.submitted.load(Ordering::Relaxed);
+        let mut live = self.state.live();
+        if let Some(row) = live.jobs.get_mut(&self.id) {
+            row.phase = phase.into();
+        }
+        if let Some(p) = fresh_profile {
+            live.merged.merge(p);
+        }
+        live.publish(done, total);
     }
 
     /// The tail of a cache hit: mark the job done, then render the
@@ -752,8 +838,7 @@ impl Job {
     /// update is published before anything is written: a client that
     /// acts on the result must find the stream already current.
     fn reply_hit(&self, entry: &CachedResult, paranoid: &str) -> String {
-        self.node.set("phase", "done");
-        self.state.finish_job(None);
+        self.finish("done", None);
         let result = proto::result_line(self.id, entry, true, paranoid, &self.key_hex);
         match &entry.profile {
             Some(p) => proto::telemetry_line(self.id, p) + "\n" + &result,
@@ -796,7 +881,7 @@ impl Job {
         token: CancelToken,
     ) -> String {
         let stats = &self.state.stats;
-        self.node.set("phase", "paranoid");
+        self.set_phase("paranoid");
         stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
         let fresh = self.state.slots.acquire(Some(&token)).map(|_slot| {
             let live = LiveOpts {
@@ -844,7 +929,7 @@ impl Job {
         let (state, id) = (&self.state, self.id);
         let sink = req.live.progress_cycles.map(|_| progress_sink(self));
         let ran = state.slots.acquire(Some(&token)).map(|_slot| {
-            self.node.set("phase", "running");
+            self.set_phase("running");
             let live = LiveOpts {
                 cancel: Some(token.clone()),
                 timeout_cycles: req.live.timeout_cycles,
@@ -871,16 +956,14 @@ impl Job {
                 } else if let Ok(mut c) = state.cache.lock() {
                     c.insert(self.kd, entry.clone());
                 }
-                self.node.set("phase", rec.outcome.clone());
-                state.finish_job(Some(&snap));
+                self.finish(rec.outcome.clone(), Some(&snap));
                 let result = proto::result_line(id, &entry, false, "off", &self.key_hex);
                 proto::telemetry_line(id, &snap) + "\n" + &result
             }
             Some(Err(e)) => {
                 // Failed runs are not cached: the failure may be transient
                 // (e.g. resource pressure) and a retry should re-execute.
-                self.node.set("phase", "error");
-                state.finish_job(None);
+                self.finish("error", None);
                 proto::error_line(&e)
             }
         }
@@ -890,7 +973,6 @@ impl Job {
     /// as cancelled, with an all-zero triple that is never cached.
     fn answer_cancelled(&self, req: &SubmitReq) -> String {
         self.state.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.node.set("phase", "cancelled");
         let entry = CachedResult {
             kernel: req.kernel.label().to_string(),
             mode: req.mode.label().to_string(),
@@ -900,7 +982,7 @@ impl Job {
             coverage: 0,
             profile: None,
         };
-        self.state.finish_job(None);
+        self.finish("cancelled", None);
         proto::result_line(self.id, &entry, false, "off", &self.key_hex)
     }
 }
@@ -915,16 +997,11 @@ fn session(stream: Stream, state: Arc<State>) {
         return;
     };
     let sid = state.next_session.fetch_add(1, Ordering::Relaxed);
-    let node = state.tree.child(&format!("sessions/{sid}"));
-    node.set("peer", "open");
+    state.live().sessions.insert(sid, "open");
     let shared = Arc::new(SessionShared {
         id: sid,
         writer: Mutex::new(stream),
         dead: AtomicBool::new(false),
-        jobs: Mutex::new(HashMap::new()),
-        node,
-        in_flight: Mutex::new(0),
-        settled: Condvar::new(),
     });
     // Jobs that must simulate run on stewards so the reader keeps
     // consuming requests mid-job — that is what lets one connection
@@ -967,18 +1044,7 @@ fn session(stream: Stream, state: Arc<State>) {
                 break;
             }
             Ok(Request::Cancel { job }) => {
-                let token = state
-                    .registry
-                    .lock()
-                    .ok()
-                    .and_then(|reg| reg.get(&job).cloned());
-                let cancelled = match token {
-                    Some(t) => {
-                        t.cancel();
-                        true
-                    }
-                    None => false,
-                };
+                let cancelled = state.cancel(job);
                 send_shared(&state, &shared, proto::cancel_ack_line(job, cancelled))
             }
             Ok(Request::Submit(req)) => admit(&state, &shared, req),
@@ -991,8 +1057,7 @@ fn session(stream: Stream, state: Arc<State>) {
     // this session still has in flight, then wait for its stewards to
     // wind those jobs down.
     drop_session(&state, &shared);
-    shared.wait_settled();
-    state.tree.remove_child(&format!("sessions/{sid}"));
+    state.close_session(sid);
 }
 
 /// A running server. Dropping the handle does not stop the server; a
@@ -1028,9 +1093,6 @@ impl ServerHandle {
 pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
     let listener = bind(&opts.endpoint)?;
     let threads = opts.threads.max(1);
-    let tree = StateNode::new();
-    tree.set("endpoint", opts.endpoint.label());
-    tree.set("threads", threads);
     let state = Arc::new(State {
         endpoint: opts.endpoint.clone(),
         paranoid: opts.paranoid,
@@ -1049,13 +1111,8 @@ pub fn spawn(opts: ServeOpts) -> Result<ServerHandle, String> {
             timeouts: AtomicU64::new(0),
             session_drops: AtomicU64::new(0),
         },
-        monitor: Mutex::new(MonitorAgg {
-            monitor: opts.monitor,
-            merged: ProfileSnapshot::default(),
-            last_progress_publish: Instant::now(),
-        }),
-        registry: Mutex::new(HashMap::new()),
-        tree,
+        live: Mutex::new(Live::new(opts.endpoint.label(), threads, opts.monitor)),
+        settled: Condvar::new(),
         slots: RunSlots::new(threads),
         stewards: Stewards::new(threads),
     });
@@ -1129,6 +1186,51 @@ mod tests {
         assert!(unix.contains("socket path"), "{unix}");
         let tcp = Endpoint::parse("tcp:").unwrap_err();
         assert!(tcp.contains("host:port"), "{tcp}");
+    }
+
+    #[test]
+    fn the_table_renders_sessions_and_jobs_in_numeric_order() {
+        let mut live = Live::new("unix:/tmp/\"q\".sock".to_string(), 2, None);
+        live.sessions.insert(11, "dropped");
+        live.sessions.insert(3, "open");
+        let row = |session, cache, phase| JobRow {
+            session,
+            token: None,
+            kernel: "cnk",
+            mode: "fast",
+            cache,
+            phase: Cow::Borrowed(phase),
+            progress: None,
+        };
+        live.jobs.insert(2, row(3, "hit", "done"));
+        live.jobs.insert(4, row(11, "miss", "cancelled"));
+        live.jobs.insert(
+            10,
+            JobRow {
+                token: Some(CancelToken::new()),
+                kernel: "fwk",
+                mode: "heap",
+                progress: Some((123_456, 789, 3)),
+                ..row(3, "miss", "running")
+            },
+        );
+        let mut w = Writer::default();
+        live.write_state(&mut w);
+        // String keys would put sessions/11 before sessions/3 and jobs/10
+        // before jobs/2; job 4 renders under its own session, after
+        // session 3's job 10.
+        assert_eq!(
+            w.finish(),
+            concat!(
+                r#"{"values":{"endpoint":"unix:/tmp/\"q\".sock","threads":"2"},"children":{"#,
+                r#""sessions/3":{"values":{"peer":"open"},"children":{"#,
+                r#""jobs/2":{"values":{"cache":"hit","kernel":"cnk","mode":"fast","phase":"done"},"children":{}},"#,
+                r#""jobs/10":{"values":{"cache":"miss","cycle":"123456","events":"789","kernel":"fwk","#,
+                r#""live_threads":"3","mode":"heap","phase":"running"},"children":{}}}},"#,
+                r#""sessions/11":{"values":{"peer":"dropped"},"children":{"#,
+                r#""jobs/4":{"values":{"cache":"miss","kernel":"cnk","mode":"fast","phase":"cancelled"},"children":{}}}}}}"#,
+            )
+        );
     }
 
     /// Spin until the gate has handed out `n` tickets.

@@ -7,7 +7,8 @@
 //! order, number format or escaping is a change of format, not of
 //! style.
 
-use bench::monitor::{Monitor, StateNode};
+use bench::json::Writer;
+use bench::monitor::Monitor;
 use bench::report::{chrome_trace_json, Report};
 use bgcheck::program::{POp, Program};
 use bgcheck::runner::{CheckKernel, MODES};
@@ -129,13 +130,25 @@ fn renders() -> Vec<(&'static str, String)> {
 
     let dir = scratch("monitor");
     let path = dir.join("mon.jsonl");
-    let tree = StateNode::new();
-    tree.set("endpoint", "unix:/tmp/\"q\".sock");
-    let s0 = tree.child("sessions/0");
-    s0.set("peer", "open");
-    let j1 = s0.child("jobs/1");
-    j1.set("phase", "running");
-    j1.set("cycle", 12_345u64);
+    let tree = |w: &mut Writer| {
+        w.obj().key("values").obj();
+        w.key("endpoint").str("unix:/tmp/\"q\".sock").end_obj();
+        w.key("children").obj().key("sessions/0").obj();
+        w.key("values").obj().key("peer").str("open").end_obj();
+        w.key("children")
+            .obj()
+            .key("jobs/1")
+            .obj()
+            .key("values")
+            .obj();
+        w.key("cycle")
+            .str("12345")
+            .key("phase")
+            .str("running")
+            .end_obj();
+        w.key("children").obj().end_obj().end_obj();
+        w.end_obj().end_obj().end_obj().end_obj();
+    };
     let mut m = Monitor::create(&path, "bgserve", false).expect("monitor");
     m.publish(1, 2, &profile(), Some(&tree));
     m.publish(2, 2, &profile(), None);

@@ -247,7 +247,8 @@ fn protocol_errors_do_not_poison_the_session() {
         assert_eq!(
             v.get("event").and_then(|e| e.str()),
             Some(want),
-            "request {req:.40?}"
+            "request {}",
+            bench::json::quote_head(req)
         );
         if req == deep {
             let detail = v.get("detail").and_then(|d| d.str()).unwrap_or("");
@@ -792,6 +793,35 @@ fn cancel_mid_run_stops_a_running_job() {
         assert_eq!(status.path_num(&["cancelled"]), Some(1.0));
         c2.shutdown().expect("shutdown");
     });
+    handle.join().expect("join");
+}
+
+#[test]
+fn cancel_is_refused_for_a_finished_miss_a_hit_and_an_unknown_job() {
+    // Only a job that may still be cancelled holds a token: a miss whose
+    // answer is in, a hit answered inline and an id never handed out
+    // each get `false`, and none of them counts as cancelled.
+    let ep = sock("cancel-refused");
+    let mut opts = ServeOpts::new(ep.clone());
+    opts.threads = 1;
+    let handle = spawn(opts).expect("spawn");
+
+    let mut c = Client::connect(&ep).expect("connect");
+    let p = small_program(0xCA7);
+    let miss = c.submit(CheckKernel::Cnk, MODES[0], &p).expect("miss");
+    let hit = c.submit(CheckKernel::Cnk, MODES[0], &p).expect("hit");
+    assert!(!miss.cached && hit.cached);
+    let cancelled = |c: &mut Client| c.status().expect("status").path_num(&["cancelled"]);
+    assert_eq!(cancelled(&mut c), Some(0.0));
+    for job in [miss.job, hit.job, 999] {
+        assert!(
+            !c.cancel(job).expect("cancel"),
+            "job {job} is not in flight"
+        );
+    }
+    assert_eq!(cancelled(&mut c), Some(0.0));
+    c.shutdown().expect("shutdown");
+    drop(c);
     handle.join().expect("join");
 }
 

@@ -232,11 +232,6 @@ pub struct MachineConfig {
     /// `false` (`--no-fast-path` on the bench bins) is the reference,
     /// one heap event per completion.
     pub fast_path: bool,
-    /// Enable the cycle-accounting profiler + crash flight recorder
-    /// (`telemetry::Profiler`). On by default: like telemetry it is
-    /// determinism-neutral by construction, so keeping it on cannot
-    /// change trace digests or cycle counts.
-    pub profiler: bool,
     /// RAS fault-injection schedule ([`crate::fault`]). Empty by
     /// default, and an empty schedule schedules no events at all — such
     /// runs are bit-identical to a build without fault injection.
@@ -259,7 +254,6 @@ impl Default for MachineConfig {
             trace_events: false,
             telemetry: false,
             fast_path: true,
-            profiler: true,
             faults: crate::fault::FaultSchedule::default(),
         }
     }
@@ -305,15 +299,6 @@ impl MachineConfig {
         self
     }
 
-    /// Toggle the cycle-accounting profiler (on by default). Either
-    /// setting produces bit-identical trace digests; turning it off
-    /// only loses the `profile.*` report section and the crash
-    /// flight-recorder dump.
-    pub fn with_profiler(mut self, on: bool) -> MachineConfig {
-        self.profiler = on;
-        self
-    }
-
     /// Install a RAS fault-injection schedule ([`crate::fault`]).
     pub fn with_faults(mut self, faults: crate::fault::FaultSchedule) -> MachineConfig {
         self.faults = faults;
@@ -339,7 +324,7 @@ impl MachineConfig {
     /// Deliberately **excluded**, because each is proven digest-neutral
     /// by the differential checker (or is pure host-side
     /// observability): `seed` and `faults` (separate key components),
-    /// `fast_path`, and the trace/telemetry/profiler
+    /// `fast_path`, and the trace/telemetry
     /// toggles. Folding those in would fragment a result cache across
     /// equivalent modes for no behavioral difference.
     pub fn semantic_digest(&self) -> u64 {

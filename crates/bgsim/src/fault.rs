@@ -122,6 +122,32 @@ pub struct FaultEvent {
     pub arg: u64,
 }
 
+impl FaultEvent {
+    /// Parse the fields of one fault line, `<cycle> <node> <kind>
+    /// [arg]`: the one parser behind fault scripts and the `fault` lines
+    /// of `.bgck` program scripts. A node id must fit in a `u32`. The
+    /// error names the bad field; each caller prefixes its own line.
+    pub fn parse_fields(fields: &[&str]) -> Result<FaultEvent, String> {
+        let [at, node, kind, rest @ ..] = fields else {
+            return Err("a fault takes <cycle> <node> <kind> [arg]".to_string());
+        };
+        let at = at.parse().map_err(|_| format!("bad cycle {at:?}"))?;
+        let node = node.parse().map_err(|_| format!("bad node {node:?}"))?;
+        let kind = FaultKind::parse(kind).ok_or_else(|| format!("unknown fault kind {kind:?}"))?;
+        let arg = match rest {
+            [] => 0,
+            [arg] => arg.parse().map_err(|_| format!("bad arg {arg:?}"))?,
+            _ => return Err("trailing fields".to_string()),
+        };
+        Ok(FaultEvent {
+            at,
+            node,
+            kind,
+            arg,
+        })
+    }
+}
+
 /// The full fault plan for a run. Built from a seed
 /// ([`FaultSchedule::from_seed`]) or an explicit script
 /// ([`FaultSchedule::parse`]); empty by default (and an empty schedule
@@ -195,33 +221,10 @@ impl FaultSchedule {
             if line.is_empty() {
                 continue;
             }
-            let mut f = line.split_whitespace();
-            let err = |what: &str| format!("fault script line {}: {what}: {raw:?}", lineno + 1);
-            let at: Cycle = f
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("bad cycle"))?;
-            let node: u32 = f
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("bad node"))?;
-            let kind = f
-                .next()
-                .and_then(FaultKind::parse)
-                .ok_or_else(|| err("unknown fault kind"))?;
-            let arg: u64 = match f.next() {
-                Some(s) => s.parse().map_err(|_| err("bad arg"))?,
-                None => 0,
-            };
-            if f.next().is_some() {
-                return Err(err("trailing fields"));
-            }
-            events.push(FaultEvent {
-                at,
-                node,
-                kind,
-                arg,
-            });
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let ev = FaultEvent::parse_fields(&fields)
+                .map_err(|e| format!("fault script line {}: {e}: {raw:?}", lineno + 1))?;
+            events.push(ev);
         }
         Ok(FaultSchedule { events })
     }

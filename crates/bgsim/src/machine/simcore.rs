@@ -155,8 +155,8 @@ pub struct SimCore {
     pub trace: Trace,
     /// The telemetry subsystem (no-op unless `cfg.telemetry`).
     pub tel: Telemetry,
-    /// The cycle-accounting profiler + flight recorder (no-op unless
-    /// `cfg.profiler`; on by default and determinism-neutral).
+    /// The cycle-accounting profiler + flight recorder (always on;
+    /// determinism-neutral by construction).
     pub prof: Profiler,
     pub hub: RngHub,
     pub threads: Vec<Thread>,
@@ -228,11 +228,7 @@ impl SimCore {
             } else {
                 Telemetry::disabled()
             },
-            prof: if cfg.profiler {
-                Profiler::standard(cfg.nodes, PROFILER_RING)
-            } else {
-                Profiler::disabled()
-            },
+            prof: Profiler::standard(cfg.nodes, PROFILER_RING),
             hub: RngHub::new(cfg.seed),
             threads: Vec::new(),
             inbox: Vec::new(),

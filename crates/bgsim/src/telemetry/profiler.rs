@@ -16,13 +16,12 @@
 //!   RNG stream, never schedules an event, and never mutates thread or
 //!   engine state;
 //! * all storage is allocated at construction, so the hot-path cost of
-//!   a span is two adds and a ring store — and when the profiler is
-//!   disabled, a single branch.
+//!   a span is two adds and a ring store.
 //!
-//! The same run with the profiler enabled and disabled therefore
-//! produces bit-identical trace digests, and the sim-side counters are
-//! identical across `--threads 1` vs. N (`ProfileSnapshot::merge` is a
-//! commutative sum, so shard completion order cannot leak in).
+//! It is therefore always on: recording cannot change a trace digest,
+//! and the sim-side counters are identical across `--threads 1` vs. N
+//! (`ProfileSnapshot::merge` is a commutative sum, so shard completion
+//! order cannot leak in).
 //!
 //! Each domain also feeds a bounded [`FlightRing`] of recent spans —
 //! the crash flight recorder. On panic, invariant failure, or bgcheck
@@ -161,9 +160,8 @@ impl FlightRing {
     }
 }
 
-/// The per-machine profiler carried by `SimCore`. All recording methods
-/// are no-ops when disabled; hooks stay in place permanently and cost
-/// one predictable branch.
+/// The per-machine profiler carried by `SimCore`; its hooks stay in
+/// place permanently.
 pub struct Profiler {
     /// The counters [`Profiler::snapshot`] hands out.
     totals: ProfileSnapshot,
@@ -173,16 +171,7 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// The no-op profiler (`MachineConfig::with_profiler(false)`).
-    pub fn disabled() -> Profiler {
-        Profiler {
-            totals: ProfileSnapshot::default(),
-            rings: std::array::from_fn(|_| FlightRing::with_capacity(0)),
-            live_msgs: Vec::new(),
-        }
-    }
-
-    /// An enabled profiler for a machine shape, with `ring_capacity`
+    /// A profiler for a machine shape, with `ring_capacity`
     /// flight-recorder slots per domain.
     pub fn standard(nodes: u32, ring_capacity: usize) -> Profiler {
         Profiler {
@@ -194,10 +183,6 @@ impl Profiler {
             rings: std::array::from_fn(|_| FlightRing::with_capacity(ring_capacity)),
             live_msgs: vec![0; nodes as usize],
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.totals.enabled
     }
 
     /// Heap bytes currently reserved: the per-node in-flight counters
@@ -215,9 +200,6 @@ impl Profiler {
     /// domain, and append the span to the domain's flight ring.
     #[inline]
     pub fn span(&mut self, d: Domain, at: Cycle, node: u32, name: &'static str, cycles: u64) {
-        if !self.totals.enabled {
-            return;
-        }
         let ds = &mut self.totals.domains[d.idx()];
         ds.events += 1;
         ds.cycles = ds.cycles.saturating_add(cycles);
@@ -233,9 +215,6 @@ impl Profiler {
     /// `dst` now has more messages in flight than any node had before.
     #[inline]
     pub fn msg_enqueued(&mut self, src: u32, dst: u32) {
-        if !self.totals.enabled {
-            return;
-        }
         let t = &mut self.totals;
         if src < t.nodes {
             t.messages += 1;
@@ -249,9 +228,6 @@ impl Profiler {
     /// A message addressed to `dst` was delivered or dropped.
     #[inline]
     pub fn msg_retired(&mut self, dst: u32) {
-        if !self.totals.enabled {
-            return;
-        }
         if let Some(live) = self.live_msgs.get_mut(dst as usize) {
             *live = live.saturating_sub(1);
         }
@@ -275,9 +251,6 @@ impl Profiler {
     /// Render the flight recorder for a crash/mismatch artifact: every
     /// domain's totals plus its most recent spans, oldest first.
     pub fn flight_dump(&self) -> String {
-        if !self.totals.enabled {
-            return String::from("flight recorder: profiler disabled\n");
-        }
         let mut out = String::from("=== flight recorder (most recent spans per domain) ===\n");
         for d in Domain::ALL {
             let ds = self.domain(d);
@@ -307,6 +280,8 @@ impl Profiler {
 /// order produces identical totals — the `--threads 1` vs. N guarantee.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
+    /// `false`: no profile — the default record, which a run with
+    /// telemetry off or an empty aggregate reports.
     pub enabled: bool,
     pub domains: [DomainStats; DOMAIN_COUNT],
     /// Messages sent machine-wide.
@@ -351,17 +326,6 @@ impl ProfileSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = Profiler::disabled();
-        p.span(Domain::Torus, 10, 0, "send", 100);
-        p.msg_enqueued(0, 1);
-        assert!(!p.enabled());
-        assert_eq!(p.domain(Domain::Torus), DomainStats::default());
-        assert_eq!(p.snapshot(), ProfileSnapshot::default());
-        assert!(p.ring(Domain::Torus).is_empty());
-    }
 
     #[test]
     fn spans_accumulate_per_domain() {
