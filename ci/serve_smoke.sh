@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Service smoke: boot bgserve, submit the same pinned-seed job twice,
+# Service smoke: check that a zero count flag is refused before
+# anything serves, boot bgserve, submit the same pinned-seed job twice,
 # and assert the second answer is a cache hit with a bit-identical
 # digest — confirmed by the server's --paranoid re-run. Then exercise
 # the live-job path (a tight --timeout-cycles budget must yield a
@@ -23,6 +24,28 @@ bgtop=./target/release/bgtop
 
 sock="$out/bgserve.sock"
 rm -f "$sock"
+
+# 0) A zero count is a usage error that names its flag: `serve` exits
+#    without listening (the timeout only bounds a server that would
+#    otherwise serve forever) and `selfcheck` without running a job.
+zero_sock="$out/zero.sock"
+rm -f "$zero_sock"
+refused() { # <flag> <command...>: must exit nonzero, naming <flag>
+  local flag=$1 rc=0 err
+  shift
+  err=$(timeout 10 "$@" 2>&1) || rc=$?
+  if [ "$rc" = 0 ] || [ "$rc" = 124 ]; then
+    echo "FAIL: $flag 0 was not refused (exit $rc)" >&2; exit 1
+  fi
+  grep -q -- "$flag must be at least 1 (got 0)" <<<"$err" \
+    || { echo "FAIL: refusing $flag 0 did not name the flag: $err" >&2; exit 1; }
+}
+refused --threads "$bin" serve --listen "unix:$zero_sock" --threads 0
+[ ! -e "$zero_sock" ] || { echo "FAIL: serve --threads 0 bound its socket" >&2; exit 1; }
+refused --cache-cap "$bin" serve --listen "unix:$zero_sock" --cache-cap 0
+[ ! -e "$zero_sock" ] || { echo "FAIL: serve --cache-cap 0 bound its socket" >&2; exit 1; }
+refused --jobs "$bin" selfcheck --jobs 0
+echo "serve smoke OK: zero --threads, --cache-cap and --jobs refused, naming the flag"
 
 # 1) Boot the service with paranoid cache verification and a live
 #    monitor stream; wait until it answers a ping.

@@ -10,8 +10,8 @@
 //! bookkeeping leaked (futex waiters, pending CIOD replies, partition
 //! overlap).
 
-use bgsim::machine::{LiveHook, Machine, ProgressSink, RunOutcome};
-use bgsim::{CancelToken, MachineConfig};
+use bgsim::machine::{LiveHook, Machine, RunOutcome};
+use bgsim::MachineConfig;
 
 use crate::program::Program;
 
@@ -226,62 +226,22 @@ pub fn run_mode(p: &Program, kernel: CheckKernel, mode: Mode) -> Result<RunRecor
     run_one(p, kernel, mode, false).map(|(r, _)| r)
 }
 
-/// Single-mode entry that also returns the machine's cycle-accounting
-/// profile — the service path, which streams the profile back to the
-/// submitting client as a monitor snapshot.
-pub fn run_mode_with_profile(
-    p: &Program,
-    kernel: CheckKernel,
-    mode: Mode,
-) -> Result<(RunRecord, bgsim::ProfileSnapshot), String> {
-    run_one(p, kernel, mode, false).map(|(r, m)| {
-        let snap = m.profile_snapshot();
-        (r, snap)
-    })
-}
-
-/// Live-run knobs for [`run_mode_live`]: everything optional, and
-/// `LiveOpts::default()` reproduces `run_mode_with_profile` exactly.
-#[derive(Clone, Default)]
-pub struct LiveOpts {
-    /// Shared cancel flag polled between events.
-    pub cancel: Option<CancelToken>,
-    /// Simulated-cycle budget for the run.
-    pub timeout_cycles: Option<u64>,
-    /// Wall-clock budget in milliseconds (the one non-deterministic
-    /// knob — timed-out results must not be memoized).
-    pub timeout_wall_ms: Option<u64>,
-    /// Progress-report cadence in simulated cycles (0/None = no
-    /// reports; cancel/deadline polling still runs).
-    pub progress_cycles: Option<u64>,
-}
-
-impl LiveOpts {
-    fn into_hook(self, sink: Option<Box<dyn ProgressSink>>) -> LiveHook {
-        let mut hook = LiveHook::new().with_interval(self.progress_cycles.unwrap_or(0));
-        hook.sink = sink;
-        hook.cancel = self.cancel;
-        hook.timeout_cycles = self.timeout_cycles;
-        hook.timeout_wall = self.timeout_wall_ms.map(std::time::Duration::from_millis);
-        hook
-    }
-}
-
-/// The steerable service entry: like [`run_mode_with_profile`], but the
-/// run can stream progress to `sink` and be stopped early by a cancel
-/// token or deadline. A cancelled/timed-out run returns a normal
-/// `Ok` record whose outcome is `cancelled`/`timeout`; its invariant
-/// sweep is skipped (quiescence assumptions do not hold mid-run) and
-/// its triple must never be treated as the job's canonical answer.
+/// The steerable service entry: a single-mode run that also returns the
+/// machine's cycle-accounting profile, with `hook` attached, so the run
+/// can stream progress to a sink and be stopped early by a cancel token
+/// or deadline (`LiveHook::default()` attaches nothing). A
+/// cancelled/timed-out run returns a normal `Ok` record whose outcome is
+/// `cancelled`/`timeout`; its invariant sweep is skipped (quiescence
+/// assumptions do not hold mid-run) and its triple must never be treated
+/// as the job's canonical answer.
 pub fn run_mode_live(
     p: &Program,
     kernel: CheckKernel,
     mode: Mode,
-    opts: LiveOpts,
-    sink: Option<Box<dyn ProgressSink>>,
+    hook: LiveHook,
 ) -> Result<(RunRecord, bgsim::ProfileSnapshot), String> {
     let mut m = build_machine(p, kernel, mode, false)?;
-    m.attach_live_hook(opts.into_hook(sink));
+    m.attach_live_hook(hook);
     let out = run_caught(&mut m)?;
     let interrupted = matches!(out, RunOutcome::Cancelled { .. });
     let rec = RunRecord {
@@ -537,8 +497,8 @@ mod tests {
             faults: Default::default(),
         };
         let plain = run_mode(&p, CheckKernel::Cnk, MODES[0]).expect("plain run");
-        let (rec, snap) =
-            run_mode_with_profile(&p, CheckKernel::Cnk, MODES[0]).expect("profiled run");
+        let (rec, snap) = run_mode_live(&p, CheckKernel::Cnk, MODES[0], LiveHook::default())
+            .expect("profiled run");
         assert_eq!(rec.triple(), plain.triple());
         assert!(snap.total_cycles() > 0, "profile must carry accounting");
     }

@@ -85,6 +85,14 @@ impl Flags {
         }
     }
 
+    /// A count flag: a number of at least 1.
+    fn count(&self, k: &str, default: usize) -> usize {
+        match self.num(k, default as u64) {
+            0 => die(&format!("{k} must be at least 1 (got 0)")),
+            n => n as usize,
+        }
+    }
+
     fn has(&self, k: &str) -> bool {
         self.0.has(k)
     }
@@ -119,8 +127,8 @@ fn serve_cmd(args: &[String]) {
         &["--paranoid", "--force"],
     );
     let mut opts = ServeOpts::new(f.endpoint());
-    opts.threads = f.num("--threads", opts.threads as u64).max(1) as usize;
-    opts.cache_cap = f.num("--cache-cap", opts.cache_cap as u64).max(1) as usize;
+    opts.threads = f.count("--threads", opts.threads);
+    opts.cache_cap = f.count("--cache-cap", opts.cache_cap);
     opts.cache_dir = f.get("--cache-dir").map(std::path::PathBuf::from);
     opts.paranoid = f.has("--paranoid");
     if let Some(path) = f.get("--monitor-out") {
@@ -291,9 +299,9 @@ fn simple_cmd(args: &[String], which: &str) {
 fn selfcheck_cmd(args: &[String]) {
     let f = Flags::parse(args, &["--threads", "--sessions", "--jobs", "--seed"], &[]);
     let opts = SelfcheckOpts {
-        threads: f.num("--threads", 4).max(1) as usize,
-        sessions: f.num("--sessions", 4).max(1) as usize,
-        jobs_per_session: f.num("--jobs", 2).max(1) as usize,
+        threads: f.count("--threads", 4),
+        sessions: f.count("--sessions", 4),
+        jobs_per_session: f.count("--jobs", 2),
         base_seed: f.num("--seed", 1000),
     };
     match selfcheck::run(&opts) {

@@ -70,8 +70,8 @@ use std::time::{Duration, Instant};
 use bench::json::Writer;
 use bench::monitor::Monitor;
 use bgcheck::program::Program;
-use bgcheck::runner::{run_mode_live, LiveOpts, RunRecord};
-use bgsim::machine::{CancelCause, ProgressCtl, ProgressReport, ProgressSink};
+use bgcheck::runner::{run_mode_live, RunRecord};
+use bgsim::machine::{CancelCause, LiveHook, ProgressCtl, ProgressReport, ProgressSink};
 use bgsim::telemetry::ProfileSnapshot;
 use bgsim::CancelToken;
 
@@ -884,11 +884,11 @@ impl Job {
         self.set_phase("paranoid");
         stats.paranoid_checks.fetch_add(1, Ordering::Relaxed);
         let fresh = self.state.slots.acquire(Some(&token)).map(|_slot| {
-            let live = LiveOpts {
+            let live = LiveHook {
                 cancel: Some(token.clone()),
-                ..LiveOpts::default()
+                ..LiveHook::default()
             };
-            run_mode_live(program, req.kernel, req.mode, live, None)
+            run_mode_live(program, req.kernel, req.mode, live)
         });
         let failure = match fresh {
             // Cancelled before the slot came up, or during the re-run.
@@ -930,13 +930,14 @@ impl Job {
         let sink = req.live.progress_cycles.map(|_| progress_sink(self));
         let ran = state.slots.acquire(Some(&token)).map(|_slot| {
             self.set_phase("running");
-            let live = LiveOpts {
+            let live = LiveHook {
+                interval_cycles: req.live.progress_cycles.unwrap_or(0),
+                sink,
                 cancel: Some(token.clone()),
                 timeout_cycles: req.live.timeout_cycles,
-                timeout_wall_ms: req.live.timeout_wall_ms,
-                progress_cycles: req.live.progress_cycles,
+                timeout_wall: req.live.timeout_wall_ms.map(Duration::from_millis),
             };
-            run_mode_live(program, req.kernel, req.mode, live, sink)
+            run_mode_live(program, req.kernel, req.mode, live)
         });
         match ran {
             // Cancelled while still queued: never simulated a cycle.

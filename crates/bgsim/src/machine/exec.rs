@@ -154,8 +154,14 @@ impl Machine {
         &*self.kernel
     }
 
-    pub fn kernel_mut(&mut self) -> &mut dyn Kernel {
-        &mut *self.kernel
+    /// The kernel as its concrete type, or `None` if it is another.
+    pub fn kernel_as<K: Kernel>(&self) -> Option<&K> {
+        (&*self.kernel as &dyn std::any::Any).downcast_ref()
+    }
+
+    /// Mutable [`Machine::kernel_as`].
+    pub fn kernel_as_mut<K: Kernel>(&mut self) -> Option<&mut K> {
+        (&mut *self.kernel as &mut dyn std::any::Any).downcast_mut()
     }
 
     pub fn comm(&self) -> &dyn CommModel {
@@ -399,11 +405,6 @@ impl Machine {
             ids.fastforward_cycles,
             Slot::Machine,
             stats.fastforward_cycles,
-        );
-        self.sc.tel.gauge(
-            ids.batched_packets,
-            Slot::Machine,
-            self.sc.stats.batched_packets,
         );
     }
 
@@ -694,7 +695,6 @@ impl Machine {
                     } if gen == s.gen => {
                         debug_assert_eq!(until, s.until);
                         let busy = until.saturating_sub(started);
-                        t.stats.busy_cycles += busy;
                         t.state = ThreadState::Ready;
                         t.pending_done = None;
                         busy
@@ -897,7 +897,6 @@ impl Machine {
     /// `inject_fault` events and from scheduled `MachineCheck` RAS
     /// faults.
     fn raise_fault(&mut self, core: CoreId, kind: u32) {
-        self.sc.stats.faults += 1;
         self.sc.trace.record(
             self.sc.engine.now(),
             TraceEvent::Fault { core: core.0, kind },
@@ -1012,7 +1011,6 @@ impl Machine {
                 .count(self.sc.tel.ids.stale_opdone, Slot::Core(core.0), 1);
             return;
         }
-        t.stats.busy_cycles += until.saturating_sub(started);
         t.state = ThreadState::Ready;
         t.pending_done = None; // this event was the pending completion
         self.sc
@@ -1219,9 +1217,7 @@ impl Machine {
                 };
                 wl.next(&mut env)
             };
-            let t = &mut self.sc.threads[tid.idx()];
-            t.workload = Some(wl);
-            t.stats.ops += 1;
+            self.sc.threads[tid.idx()].workload = Some(wl);
             match self.dispatch_op(tid, op) {
                 Disp::Continue => continue,
                 Disp::Scheduled | Disp::Released => return,
@@ -1322,7 +1318,6 @@ impl Machine {
     }
 
     fn dispatch_syscall(&mut self, tid: Tid, req: &SysReq) -> Disp {
-        self.sc.threads[tid.idx()].stats.syscalls += 1;
         self.sc.trace.record(
             self.sc.engine.now(),
             TraceEvent::SyscallEnter {
@@ -1404,7 +1399,6 @@ impl Machine {
         let core = self.sc.threads[tid.idx()].core;
         let t = &mut self.sc.threads[tid.idx()];
         t.state = ThreadState::Blocked(kind);
-        t.stats.blocks += 1;
         self.sc.release_core(core);
         self.refill_core(core);
     }

@@ -20,8 +20,8 @@ mod thread;
 
 pub use exec::{Machine, RunOutcome};
 pub use progress::{CancelCause, CancelToken, LiveHook, ProgressCtl, ProgressReport, ProgressSink};
-pub use simcore::{MachineStats, NetDomain, NetMsg, SimCore};
-pub use thread::{BlockKind, Inbox, RecvInfo, Thread, ThreadState, ThreadStats};
+pub use simcore::{NetDomain, NetMsg, SimCore};
+pub use thread::{BlockKind, Inbox, RecvInfo, Thread, ThreadState};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -199,8 +199,10 @@ pub enum CommAction {
 /// Kernel-private event tags (the machine routes them back verbatim).
 pub type KernelEventTag = u64;
 
-/// The operating system under test.
-pub trait Kernel {
+/// The operating system under test. `Any` lets a caller that knows
+/// which kernel it booted reach its concrete type through
+/// [`Machine::kernel_as`].
+pub trait Kernel: std::any::Any {
     fn name(&self) -> &'static str;
 
     /// Cold-boot all nodes. `reproducible` selects the §III restart path

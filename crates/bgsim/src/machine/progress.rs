@@ -132,15 +132,6 @@ pub struct LiveHook {
 }
 
 impl LiveHook {
-    pub fn new() -> LiveHook {
-        LiveHook::default()
-    }
-
-    pub fn with_interval(mut self, cycles: u64) -> LiveHook {
-        self.interval_cycles = cycles;
-        self
-    }
-
     /// True when attaching this hook would change nothing.
     pub fn is_noop(&self) -> bool {
         self.sink.is_none()

@@ -1,7 +1,7 @@
 //! `SimCore`: the mutable machine state handed to kernels and comm models.
 //!
 //! `SimCore` owns mechanics only — the event engine, thread table,
-//! physical memory, TLBs/DACs, networks, trace, and statistics. All
+//! physical memory, TLBs/DACs, networks, trace, and telemetry. All
 //! *policy* stays in the `Kernel`/`CommModel` implementations, which
 //! receive `&mut SimCore` in their callbacks. Cross-component effects
 //! (waking a thread, killing a process, dispatching onto a core) go
@@ -51,29 +51,6 @@ pub struct NetMsg {
     /// Marshaled payload, if the protocol carries real data
     /// (function-ship requests/replies do; timing-only messages don't).
     pub payload: Vec<u8>,
-}
-
-/// Whole-machine statistics.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct MachineStats {
-    pub torus_msgs: u64,
-    pub torus_bytes: u64,
-    pub coll_msgs: u64,
-    pub coll_bytes: u64,
-    pub ipis: u64,
-    pub faults: u64,
-    pub noise_events: u64,
-    /// Packet completions folded into single per-leg delivery events by
-    /// the batched network model (packets beyond the first of each
-    /// message leg — the events a per-packet engine would have popped).
-    pub batched_packets: u64,
-    /// Torus messages hit by an injected link fault. The torus never
-    /// loses traffic — hardware CRC retry redelivers after the outage —
-    /// so these count retransmissions, not losses.
-    pub torus_dropped: u64,
-    /// Collective messages genuinely lost to an injected CIOD-link
-    /// fault; recovery, if any, is the kernel's software retry.
-    pub coll_dropped: u64,
 }
 
 /// Extra per-message latency modeling the torus hardware's CRC-triggered
@@ -197,7 +174,6 @@ pub struct SimCore {
     /// Threads of each process, indexed by `ProcId` (process ids are
     /// allocated sequentially by the kernels).
     proc_threads: Vec<ThreadList>,
-    pub stats: MachineStats,
 
     // Deferral queues drained by the executor, FIFO. `launch` queues
     // every rank's main thread before the first drain, and a rack-wide
@@ -250,7 +226,6 @@ impl SimCore {
             outages: Vec::new(),
             next_msg: 0,
             proc_threads: Vec::new(),
-            stats: MachineStats::default(),
             dispatch_q: VecDeque::new(),
             unblock_q: VecDeque::new(),
             kill_q: VecDeque::new(),
@@ -422,8 +397,6 @@ impl SimCore {
             started,
         };
         let old_done = t.pending_done.take();
-        t.stats.noise_cycles += cycles;
-        self.stats.noise_events += 1;
         let node = self.node_of_core(core);
         self.trace.record(
             self.engine.now(),
@@ -476,7 +449,7 @@ impl SimCore {
     pub fn preempt(&mut self, core: CoreId) -> Option<Tid> {
         let tid = self.running[core.idx()]?;
         let t = &mut self.threads[tid.idx()];
-        let ThreadState::Running { until, started, .. } = t.state else {
+        let ThreadState::Running { until, .. } = t.state else {
             return None;
         };
         if !t.preemptible {
@@ -485,7 +458,6 @@ impl SimCore {
         let now = self.engine.now();
         let remaining = until.saturating_sub(now);
         t.resume_cycles = Some(remaining);
-        t.stats.busy_cycles += now.saturating_sub(started);
         // Any scheduled OpDone for the old generation becomes stale;
         // cancel it outright rather than leaving it to pop and discard.
         t.gen_ctr += 1;
@@ -578,7 +550,6 @@ impl SimCore {
 
     /// Send an IPI to a core, arriving after the interconnect delay.
     pub fn send_ipi(&mut self, core: CoreId, kind: u32) {
-        self.stats.ipis += 1;
         // On-chip IPI latency: a handful of cycles.
         let at = self.engine.now() + 12;
         self.engine.schedule(at, EvKind::Ipi { core: core.0, kind });
@@ -637,18 +608,19 @@ impl SimCore {
         let id = self.next_msg_id();
         self.prof
             .span(Domain::Torus, self.engine.now(), src.0, "send", xfer);
-        self.stats.torus_msgs += 1;
-        self.stats.torus_bytes += bytes;
-        self.stats.batched_packets += self.torus.packets(bytes).saturating_sub(1);
         self.tel
             .count(self.tel.ids.torus_sends, Slot::Node(src.0), 1);
+        self.tel.count(
+            self.tel.ids.batched_packets,
+            Slot::Machine,
+            self.torus.packets(bytes).saturating_sub(1),
+        );
         let mut arrival = self.engine.now() + xfer + extra_delay;
         // An active injected outage on either endpoint: the hardware CRC
         // catches the mangled packets and the link-level retry redelivers
         // once the outage lifts — delayed, never lost.
         if let Some(end) = self.outage_end(src, dst, NetDomain::Torus) {
             arrival = arrival.max(end) + TORUS_RETRANSMIT;
-            self.stats.torus_dropped += 1;
             self.tel
                 .count(self.tel.ids.torus_dropped_pkts, Slot::Node(src.0), 1);
         }
@@ -686,11 +658,13 @@ impl SimCore {
         let id = self.next_msg_id();
         self.prof
             .span(Domain::Collective, self.engine.now(), src.0, "send", xfer);
-        self.stats.coll_msgs += 1;
-        self.stats.coll_bytes += bytes;
-        self.stats.batched_packets += crate::collective::packets(bytes).saturating_sub(1);
         self.tel
             .count(self.tel.ids.coll_sends, Slot::Node(src.0), 1);
+        self.tel.count(
+            self.tel.ids.batched_packets,
+            Slot::Machine,
+            crate::collective::packets(bytes).saturating_sub(1),
+        );
         let arrival = self.engine.now() + xfer + extra_delay;
         // An active injected outage on either endpoint: the collective
         // link has no hardware retry toward the I/O node, so the message
@@ -705,7 +679,6 @@ impl SimCore {
                     tag,
                 },
             );
-            self.stats.coll_dropped += 1;
             self.tel
                 .count(self.tel.ids.coll_dropped_pkts, Slot::Node(src.0), 1);
             return id;
@@ -816,14 +789,12 @@ impl SimCore {
                 NetDomain::Torus => {
                     let arrival = self.inflight.get(id).map_or(now, |e| e.arrival);
                     if self.redeliver_at(id, arrival.max(until) + TORUS_RETRANSMIT) {
-                        self.stats.torus_dropped += 1;
                         self.tel
                             .count(self.tel.ids.torus_dropped_pkts, Slot::Node(node.0), 1);
                     }
                 }
                 NetDomain::Collective => {
                     if self.drop_inflight(id) {
-                        self.stats.coll_dropped += 1;
                         self.tel
                             .count(self.tel.ids.coll_dropped_pkts, Slot::Node(node.0), 1);
                     }
@@ -875,7 +846,6 @@ impl SimCore {
                         continue;
                     };
                     if self.redeliver_at(id, arrival + TORUS_RETRANSMIT) {
-                        self.stats.torus_dropped += 1;
                         self.tel
                             .count(self.tel.ids.torus_dropped_pkts, Slot::Node(node.0), 1);
                         n += 1;
@@ -1055,7 +1025,6 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert_eq!(s.threads[0].stats.noise_cycles, 100);
     }
 
     #[test]
@@ -1063,7 +1032,6 @@ mod tests {
         let mut s = sc(2);
         let id = s.torus_send(NodeId(0), NodeId(1), 1024, 7, vec![], 0);
         assert!(s.inflight.contains(id));
-        assert_eq!(s.stats.torus_msgs, 1);
         // The delivery event exists.
         assert_eq!(s.engine.pending(), 1);
     }

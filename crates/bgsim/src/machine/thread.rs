@@ -64,28 +64,13 @@ pub struct RecvInfo {
     pub tag: u32,
 }
 
-/// Per-thread accounting.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct ThreadStats {
-    /// Cycles spent executing ops (including noise stretching).
-    pub busy_cycles: u64,
-    /// Cycles added by noise events while running.
-    pub noise_cycles: u64,
-    /// Ops issued.
-    pub ops: u64,
-    /// Syscalls issued.
-    pub syscalls: u64,
-    /// Times blocked.
-    pub blocks: u64,
-}
-
 /// A software thread.
 ///
 /// The fields the op-completion path touches (completion event → next
-/// op → schedule) come first and fill the first two cache lines;
-/// identity and exit status follow. `align(64)` starts every record of
-/// the thread table on a line boundary, so at rack scale an event
-/// touches two lines of its thread. What the workload collects at op
+/// op → schedule) come first; identity and exit status follow, and the
+/// whole record fits two cache lines. `align(64)` starts every record
+/// of the thread table on a line boundary, so at rack scale an event
+/// touches at most two lines of its thread. What the workload collects at op
 /// boundaries (results, receive info, signals) lives in the [`Inbox`]
 /// column beside the table.
 #[repr(C, align(64))]
@@ -99,7 +84,6 @@ pub struct Thread {
     /// Remaining cycles of a preempted compute op.
     pub resume_cycles: Option<u64>,
     pub workload: Option<Box<dyn Workload>>,
-    pub stats: ThreadStats,
     pub node: NodeId,
     /// Fixed hardware-core affinity (CNK pins; FWK also pins in our model
     /// to isolate noise effects, matching the paper's tuned-Linux setup).
@@ -139,7 +123,6 @@ impl Thread {
             pending_done: None,
             resume_cycles: None,
             workload: Some(workload),
-            stats: ThreadStats::default(),
             node,
             core,
             gen_ctr: 0,
@@ -202,19 +185,22 @@ mod tests {
     fn hot_fields_share_the_first_two_cache_lines() {
         use std::mem::{align_of, offset_of, size_of};
         assert_eq!(align_of::<Thread>(), 64);
-        assert_eq!(size_of::<Thread>(), 192, "three cache lines per thread");
-        let hot = [
+        assert_eq!(size_of::<Thread>(), 128, "two cache lines per thread");
+        let ends = [
             offset_of!(Thread, state) + size_of::<ThreadState>(),
             offset_of!(Thread, pending_done) + 16,
             offset_of!(Thread, resume_cycles) + 16,
             offset_of!(Thread, workload) + 16,
-            offset_of!(Thread, stats) + size_of::<ThreadStats>(),
             offset_of!(Thread, node) + 4,
             offset_of!(Thread, core) + 4,
             offset_of!(Thread, gen_ctr) + 4,
             offset_of!(Thread, preemptible) + 1,
+            offset_of!(Thread, tid) + 4,
+            offset_of!(Thread, proc) + 4,
+            offset_of!(Thread, rank) + size_of::<Option<Rank>>(),
+            offset_of!(Thread, exit_code) + size_of::<Option<i32>>(),
         ];
-        assert!(hot.iter().all(|&end| end <= 128), "{hot:?}");
+        assert!(ends.iter().all(|&end| end <= 128), "{ends:?}");
     }
 
     #[test]

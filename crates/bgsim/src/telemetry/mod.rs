@@ -105,6 +105,10 @@ pub struct WellKnownIds {
     pub stale_timeslice: MetricId,
     pub coalesced_ops: MetricId,
     pub fastforward_cycles: MetricId,
+    /// Packets beyond the first of each message leg: the deliveries a
+    /// per-packet network would have popped, which the batched torus
+    /// and collective models fold into one event. Counted where the
+    /// message is sent.
     pub batched_packets: MetricId,
     pub ras_events: MetricId,
     pub ciod_retries: MetricId,

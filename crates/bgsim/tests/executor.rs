@@ -5,15 +5,31 @@ use bgsim::ade::{AdeKernel, FixedLatencyComm};
 use bgsim::machine::{Machine, Recorder, RunOutcome, WlEnv, Workload};
 use bgsim::op::{ApiLayer, CommOp, Op, Protocol};
 use bgsim::scan::ScanTarget;
+use bgsim::trace::TraceEvent;
 use bgsim::MachineConfig;
 use sysabi::{AppImage, JobSpec, NodeMode, Rank, SysReq};
 
 fn machine(nodes: u32, seed: u64) -> Machine {
     Machine::new(
-        MachineConfig::nodes(nodes).with_seed(seed),
+        MachineConfig::nodes(nodes).with_seed(seed).with_trace(),
         Box::new(AdeKernel::new()),
         Box::new(FixedLatencyComm::new()),
     )
+}
+
+/// The retained trace's events, in record order.
+fn events(m: &Machine) -> impl Iterator<Item = &TraceEvent> {
+    m.sc.trace.entries().iter().map(|e| &e.what)
+}
+
+/// Cycles `tid`'s ops were priced at when they started.
+fn op_cycles(m: &Machine, tid: u32) -> u64 {
+    events(m)
+        .map(|e| match *e {
+            TraceEvent::OpStart { tid: t, cost, .. } if t == tid => cost,
+            _ => 0,
+        })
+        .sum()
 }
 
 fn spec(nodes: u32) -> JobSpec {
@@ -266,8 +282,10 @@ fn syscalls_route_through_kernel() {
     })
     .unwrap();
     assert!(m.run().completed());
-    let t = m.sc.thread(sysabi::Tid(0));
-    assert_eq!(t.stats.syscalls, 3);
+    let entered = events(&m)
+        .filter(|e| matches!(e, TraceEvent::SyscallEnter { tid: 0, .. }))
+        .count();
+    assert_eq!(entered, 3);
 }
 
 #[test]
@@ -290,7 +308,7 @@ fn spawn_runs_child_on_other_core() {
     assert_eq!(m.sc.threads.len(), 2);
     let child = m.sc.thread(sysabi::Tid(1));
     assert_eq!(child.core, sysabi::CoreId(1));
-    assert!(child.stats.busy_cycles >= 5000);
+    assert!(op_cycles(&m, 1) >= 5000);
 }
 
 #[test]
@@ -365,8 +383,13 @@ fn stats_track_network_traffic() {
     })
     .unwrap();
     assert!(m.run().completed());
-    assert_eq!(m.sc.stats.torus_msgs, 1);
-    assert_eq!(m.sc.stats.torus_bytes, 12345);
+    let sent: Vec<u64> = events(&m)
+        .filter_map(|e| match *e {
+            TraceEvent::MsgSend { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent, [12345]);
 }
 
 #[test]

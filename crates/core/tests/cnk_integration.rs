@@ -4,6 +4,7 @@ use bgsim::ade::FixedLatencyComm;
 use bgsim::machine::{Machine, RunOutcome};
 use bgsim::op::Op;
 use bgsim::script::{script, wl};
+use bgsim::trace::TraceEvent;
 use bgsim::MachineConfig;
 use cnk::mem::RegionKind;
 use cnk::{Cnk, CnkConfig};
@@ -14,10 +15,27 @@ use sysabi::{
 
 fn machine_with(cfg: CnkConfig, nodes: u32, seed: u64) -> Machine {
     Machine::new(
-        MachineConfig::nodes(nodes).with_seed(seed),
+        MachineConfig::nodes(nodes).with_seed(seed).with_trace(),
         Box::new(Cnk::new(cfg)),
         Box::new(FixedLatencyComm::new()),
     )
+}
+
+/// How many retained trace events match `f`.
+fn traced(m: &Machine, f: impl Fn(&TraceEvent) -> bool) -> usize {
+    m.sc.trace.entries().iter().filter(|e| f(&e.what)).count()
+}
+
+/// Cycles `tid`'s ops were priced at when they started.
+fn op_cycles(m: &Machine, tid: Tid) -> u64 {
+    m.sc.trace
+        .entries()
+        .iter()
+        .map(|e| match e.what {
+            TraceEvent::OpStart { tid: t, cost, .. } if t == tid.0 => cost,
+            _ => 0,
+        })
+        .sum()
 }
 
 fn machine(nodes: u32, seed: u64) -> Machine {
@@ -29,8 +47,7 @@ fn smp_spec() -> JobSpec {
 }
 
 fn cnk_of(m: &Machine) -> &Cnk {
-    // Safe: this machine was constructed with a Cnk kernel.
-    unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) }
+    m.kernel_as().expect("a CNK machine")
 }
 
 #[test]
@@ -143,7 +160,9 @@ fn io_syscall_round_trip_takes_network_time() {
         "write completed suspiciously fast: {}",
         out.at()
     );
-    assert_eq!(m.sc.stats.coll_msgs, 2, "request + reply");
+    // The job only function-ships, so both messages are collective.
+    let sent = traced(&m, |e| matches!(e, TraceEvent::MsgSend { .. }));
+    assert_eq!(sent, 2, "request + reply");
 }
 
 #[test]
@@ -243,7 +262,7 @@ fn pthread_create_join_via_clone_and_futex() {
     let out = m.run();
     assert!(out.completed(), "{out:?}");
     // The child actually ran its 50k compute on core 1.
-    assert!(m.sc.thread(Tid(1)).stats.busy_cycles >= 50_000);
+    assert!(op_cycles(&m, Tid(1)) >= 50_000);
 }
 
 #[test]
@@ -492,7 +511,8 @@ fn heap_extension_repositions_main_guard_via_ipi() {
     assert!(out.completed(), "{out:?}");
     // Nobody was killed.
     assert_eq!(m.sc.thread(Tid(0)).exit_code, Some(0));
-    assert!(m.sc.stats.ipis >= 1, "guard reposition must use an IPI");
+    let ipis = traced(&m, |e| matches!(e, TraceEvent::Ipi { .. }));
+    assert!(ipis >= 1, "guard reposition must use an IPI");
 }
 
 #[test]
@@ -534,7 +554,8 @@ fn heap_guard_rearmed_by_ipi_after_a_spawned_thread_grows_the_heap() {
         m.run_until(100_000),
         RunOutcome::ReachedCycle { .. }
     ));
-    assert!(m.sc.stats.ipis >= 1, "the reposition must use an IPI");
+    let ipis = traced(&m, |e| matches!(e, TraceEvent::Ipi { .. }));
+    assert!(ipis >= 1, "the reposition must use an IPI");
     let g = cnk_of(&m).process(ProcId(0)).unwrap().heap_guard.unwrap();
     assert_eq!((g.lo, g.hi), (brk0 + (1 << 20), brk0 + (1 << 20) + guard));
     let dac = armed(&m);
@@ -895,7 +916,7 @@ fn affinity_extension_lets_remote_proc_use_idle_cores() {
             // The worker thread exists and ran on core 1.
             let worker = m.sc.threads.last().unwrap();
             assert_eq!(worker.core, sysabi::CoreId(1));
-            assert!(worker.stats.busy_cycles >= 77_000);
+            assert!(op_cycles(&m, worker.tid) >= 77_000);
         }
     }
 }
@@ -937,7 +958,7 @@ fn mmap_of_file_copies_in_readonly() {
     let mut m = machine(1, 21);
     // Pre-populate an input file on the ION filesystem.
     {
-        let k = unsafe { &mut *(m.kernel_mut() as *mut dyn bgsim::Kernel as *mut Cnk) };
+        let k: &mut Cnk = m.kernel_as_mut().unwrap();
         let vfs = k.vfs_mut();
         let root = vfs.root();
         let ino = vfs.create_at(root, "input.bin", 0o644, 1000, 100).unwrap();
@@ -1133,4 +1154,89 @@ fn tlb_smaller_than_the_static_map_still_fails_launch() {
         assert_eq!(m.sc.threads.len(), 1, "{mode:?}");
         assert!(m.sc.tlbs.iter().all(|t| t.pinned_count() == 0), "{mode:?}");
     }
+}
+
+#[test]
+fn batched_packets_are_counted_at_the_send_sites() {
+    // One torus send and one function-shipped write: the gauge holds
+    // every packet beyond the first of each message leg, whether the run
+    // is stopped on the way or not.
+    const TORUS_BYTES: u64 = 100_000;
+    let job = || {
+        let mut m = Machine::new(
+            MachineConfig::nodes(2)
+                .with_seed(31)
+                .with_telemetry()
+                .with_trace(),
+            Box::new(Cnk::new(CnkConfig::default())),
+            Box::new(FixedLatencyComm::new()),
+        );
+        m.boot();
+        m.launch(
+            &JobSpec::new(AppImage::static_test("app"), 2, NodeMode::Smp),
+            &mut |r: Rank| {
+                let (api, tag) = (bgsim::op::ApiLayer::Dcmf, 0);
+                if r.0 == 0 {
+                    script(vec![
+                        Op::Comm(bgsim::op::CommOp::Send {
+                            to: Rank(1),
+                            bytes: TORUS_BYTES,
+                            tag,
+                            proto: bgsim::op::Protocol::Eager,
+                            layer: api,
+                        }),
+                        Op::Syscall(SysReq::Write {
+                            fd: Fd::STDOUT,
+                            data: vec![b'x'; 5000],
+                        }),
+                    ])
+                } else {
+                    script(vec![Op::Comm(bgsim::op::CommOp::Recv {
+                        from: Some(Rank(0)),
+                        tag,
+                        layer: api,
+                    })])
+                }
+            },
+        )
+        .unwrap();
+        m
+    };
+    let batched = |m: &Machine| {
+        m.sc.tel
+            .metrics
+            .value("engine.batched_packets", bgsim::Slot::Machine)
+    };
+
+    let mut whole = job();
+    let end = whole.run();
+    assert!(end.completed(), "{end:?}");
+    // The torus send, then the write's request and reply.
+    let sent: Vec<u64> = whole
+        .sc
+        .trace
+        .entries()
+        .iter()
+        .filter_map(|e| match e.what {
+            TraceEvent::MsgSend { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent.len(), 3, "{sent:?}");
+    assert_eq!(sent[0], TORUS_BYTES);
+    let expected = (whole.sc.torus.packets(TORUS_BYTES) - 1)
+        + sent[1..]
+            .iter()
+            .map(|&b| bgsim::collective::packets(b) - 1)
+            .sum::<u64>();
+    assert!(expected > whole.sc.torus.packets(TORUS_BYTES) - 1);
+    assert_eq!(batched(&whole), Some(expected));
+
+    let mut split = job();
+    assert!(matches!(
+        split.run_until(end.at() / 2),
+        RunOutcome::ReachedCycle { .. }
+    ));
+    assert_eq!(split.run(), end);
+    assert_eq!(batched(&split), Some(expected));
 }

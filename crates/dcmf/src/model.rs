@@ -115,8 +115,6 @@ pub struct Dcmf {
     /// Jitter stream for the software-collective path (present once a
     /// job is configured).
     sw_coll_rng: Option<SmallRng>,
-    /// Messages sent (statistics).
-    pub sends: u64,
 }
 
 impl Dcmf {
@@ -133,7 +131,6 @@ impl Dcmf {
             coll: CollRound::default(),
             coll_seq: 0,
             sw_coll_rng: None,
-            sends: 0,
         }
     }
 
@@ -232,7 +229,6 @@ impl Dcmf {
         let extra = self.p.eager_send + self.p.rndzv_ctrl;
         let id = sc.torus_send(src_node, dst_node, CTRL_BYTES, 0, vec![], extra);
         self.inflight.insert(id, Inflight::Cts { rid });
-        self.sends += 1;
     }
 
     fn finish_collective(&mut self, sc: &mut SimCore) {
@@ -323,7 +319,6 @@ impl CommModel for Dcmf {
                             bytes: *bytes,
                         },
                     );
-                    self.sends += 1;
                     sc.tel
                         .count(sc.tel.ids.dcmf_eager, Slot::Node(src_node.0), 1);
                     let core = sc.thread(tid).core;
@@ -360,7 +355,6 @@ impl CommModel for Dcmf {
                     let extra = rts_cost + self.p.rndzv_ctrl;
                     let id = sc.torus_send(src_node, dst_node, CTRL_BYTES, 0, vec![], extra);
                     self.inflight.insert(id, Inflight::Rts { rid });
-                    self.sends += 1;
                     sc.tel
                         .count(sc.tel.ids.dcmf_rndzv, Slot::Node(src_node.0), 1);
                     let core = sc.thread(tid).core;
@@ -444,7 +438,6 @@ impl CommModel for Dcmf {
                     vec![],
                     extra,
                 );
-                self.sends += 1;
                 let src_node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_put, Slot::Node(src_node.0), 1);
                 let core = sc.thread(tid).core;
@@ -491,7 +484,6 @@ impl CommModel for Dcmf {
                     vec![],
                     extra,
                 );
-                self.sends += 1;
                 let src_node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_get, Slot::Node(src_node.0), 1);
                 let core = sc.thread(tid).core;
@@ -639,7 +631,6 @@ impl CommModel for Dcmf {
                     extra,
                 );
                 self.inflight.insert(id, Inflight::RndzvData { rid });
-                self.sends += 1;
                 sc.tel.tp(
                     sc.now(),
                     msg.dst_node.0,
@@ -702,7 +693,6 @@ impl CommModel for Dcmf {
                 let extra = self.p.get_complete + self.layer_recv(layer) + self.landing_cost(bytes);
                 let id = sc.torus_send(msg.dst_node, msg.src_node, bytes, 0, vec![], extra);
                 self.inflight.insert(id, Inflight::GetReply { origin });
-                self.sends += 1;
             }
             Inflight::GetReply { origin } => {
                 sc.defer_unblock(origin, Some(SysRet::Val(0)));

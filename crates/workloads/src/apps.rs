@@ -430,6 +430,7 @@ impl AppProfiles {
 mod tests {
     use super::*;
     use bgsim::machine::Machine;
+    use bgsim::trace::TraceEvent;
     use bgsim::MachineConfig;
     use cnk::Cnk;
     use dcmf::Dcmf;
@@ -438,7 +439,7 @@ mod tests {
     #[test]
     fn omp_region_completes_and_spawns_workers() {
         let mut m = Machine::new(
-            MachineConfig::single_node().with_seed(41),
+            MachineConfig::single_node().with_seed(41).with_trace(),
             Box::new(Cnk::with_defaults()),
             Box::new(Dcmf::with_defaults()),
         );
@@ -453,14 +454,23 @@ mod tests {
         assert_eq!(m.sc.threads.len(), 4, "3 workers spawned");
         // Workers actually computed.
         for t in 1..4u32 {
-            assert!(m.sc.thread(sysabi::Tid(t)).stats.busy_cycles > 5 * 30_000);
+            let cycles: u64 =
+                m.sc.trace
+                    .entries()
+                    .iter()
+                    .map(|e| match e.what {
+                        TraceEvent::OpStart { tid, cost, .. } if tid == t => cost,
+                        _ => 0,
+                    })
+                    .sum();
+            assert!(cycles > 5 * 30_000, "worker {t} ran {cycles} cycles");
         }
     }
 
     #[test]
     fn halo_phase_over_mpi() {
         let mut m = Machine::new(
-            MachineConfig::nodes(4).with_seed(42),
+            MachineConfig::nodes(4).with_seed(42).with_trace(),
             Box::new(Cnk::with_defaults()),
             Box::new(Dcmf::with_defaults()),
         );
@@ -472,6 +482,13 @@ mod tests {
         .unwrap();
         let out = m.run();
         assert!(out.completed(), "{out:?}");
-        assert!(m.sc.stats.torus_msgs >= 4 * 12, "halo messages missing");
+        // The stencil only talks over the torus: every send is a halo.
+        let sends =
+            m.sc.trace
+                .entries()
+                .iter()
+                .filter(|e| matches!(e.what, TraceEvent::MsgSend { .. }))
+                .count();
+        assert!(sends >= 4 * 12, "halo messages missing");
     }
 }

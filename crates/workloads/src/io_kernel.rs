@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(rec.len("ckpt_io_cycles_rank0"), 3);
         assert_eq!(rec.len("ckpt_io_cycles_rank1"), 3);
         // The files exist with full content on the ION filesystem.
-        let k = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) };
+        let k: &Cnk = m.kernel_as().unwrap();
         let vfs = k.vfs();
         for rank in 0..2 {
             for phase in 0..3 {
@@ -219,7 +219,7 @@ mod tests {
     fn checkpoints_also_work_on_fwk() {
         let (m, rec) = run(Box::new(Fwk::with_defaults()), 1);
         assert_eq!(rec.len("ckpt_io_cycles_rank0"), 3);
-        let k = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Fwk) };
+        let k: &Fwk = m.kernel_as().unwrap();
         assert!(k.vfs().resolve(k.vfs().root(), "/ckpt/rank0.0002").is_ok());
     }
 }

@@ -228,13 +228,14 @@ mod tests {
     use bgsim::ade::FixedLatencyComm;
     use bgsim::machine::Machine;
     use bgsim::script::{script, wl};
+    use bgsim::trace::TraceEvent;
     use bgsim::MachineConfig;
     use cnk::Cnk;
     use sysabi::{AppImage, JobSpec, NodeMode, Rank};
 
     fn run_on_cnk(factory: &mut dyn bgsim::WorkloadFactory) -> Machine {
         let mut m = Machine::new(
-            MachineConfig::single_node(),
+            MachineConfig::single_node().with_trace(),
             Box::new(Cnk::with_defaults()),
             Box::new(FixedLatencyComm::new()),
         );
@@ -283,7 +284,16 @@ mod tests {
         // Child ran to completion on core 2 before the join returned.
         let child = m.sc.thread(sysabi::Tid(1));
         assert_eq!(child.core, sysabi::CoreId(2));
-        assert!(child.stats.busy_cycles >= 30_000);
+        let child_cycles: u64 =
+            m.sc.trace
+                .entries()
+                .iter()
+                .map(|e| match e.what {
+                    TraceEvent::OpStart { tid: 1, cost, .. } => cost,
+                    _ => 0,
+                })
+                .sum();
+        assert!(child_cycles >= 30_000);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! Run: `cargo run --example io_offload`
 
 use bgsim::machine::{Machine, Recorder, Workload};
+use bgsim::trace::TraceEvent;
 use bgsim::MachineConfig;
 use cnk::Cnk;
 use dcmf::Dcmf;
@@ -13,7 +14,7 @@ use workloads::io_kernel::CheckpointApp;
 
 fn main() {
     let nodes = 8;
-    let mut cfg = MachineConfig::nodes(nodes).with_seed(7);
+    let mut cfg = MachineConfig::nodes(nodes).with_seed(7).with_trace();
     cfg.io_ratio = 8; // one I/O node per 8 compute nodes in this partition
     let io_nodes = cfg.io_nodes();
     let mut m = Machine::new(
@@ -32,13 +33,20 @@ fn main() {
     .unwrap();
     let out = m.run();
     println!("checkpoint job: {out:?}");
-    println!(
-        "collective-network messages: {} ({} bytes)",
-        m.sc.stats.coll_msgs, m.sc.stats.coll_bytes
-    );
+    // The job only function-ships I/O, so every message the trace
+    // holds crossed the collective network.
+    let (msgs, bytes) =
+        m.sc.trace
+            .entries()
+            .iter()
+            .fold((0, 0), |(n, b), e| match e.what {
+                TraceEvent::MsgSend { bytes, .. } => (n + 1, b + bytes),
+                _ => (n, b),
+            });
+    println!("collective-network messages: {msgs} ({bytes} bytes)");
 
     // Inspect the resulting filesystem on the I/O nodes.
-    let cnk = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) };
+    let cnk: &Cnk = m.kernel_as().expect("booted with CNK");
     let vfs = cnk.vfs();
     let ckpt = vfs.resolve(vfs.root(), "/ckpt").expect("/ckpt missing");
     println!("\nfiles under /ckpt on the I/O-node filesystem:");

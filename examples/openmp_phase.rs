@@ -13,6 +13,7 @@
 use bgsim::machine::{Machine, Workload};
 use bgsim::op::{CommOp, Op};
 use bgsim::script::{script, wl};
+use bgsim::trace::TraceEvent;
 use bgsim::MachineConfig;
 use cnk::{Cnk, CnkConfig};
 use dcmf::Dcmf;
@@ -28,7 +29,7 @@ fn run(extension: bool) {
         ..CnkConfig::default()
     };
     let mut m = Machine::new(
-        MachineConfig::single_node().with_seed(88),
+        MachineConfig::single_node().with_seed(88).with_trace(),
         Box::new(Cnk::new(cfg)),
         Box::new(Dcmf::with_defaults()),
     );
@@ -99,10 +100,19 @@ fn run(extension: bool) {
     let out = m.run();
     println!("   outcome: {out:?}");
     for tid in 4..m.sc.threads.len() as u32 {
-        let t = m.sc.thread(Tid(tid));
+        // What the worker's ops cost when they started, from the trace.
+        let busy: u64 =
+            m.sc.trace
+                .entries()
+                .iter()
+                .map(|e| match e.what {
+                    TraceEvent::OpStart { tid: t, cost, .. } if t == tid => cost,
+                    _ => 0,
+                })
+                .sum();
         println!(
-            "   worker t{tid} on {} busy {} cycles",
-            t.core, t.stats.busy_cycles
+            "   worker t{tid} on {} busy {busy} cycles",
+            m.sc.thread(Tid(tid)).core
         );
     }
     println!();

@@ -15,7 +15,7 @@ use sysabi::{AppImage, Fd, JobSpec, NodeMode, ProcId, Rank, SysReq};
 fn main() {
     // A 4-node machine running CNK with the DCMF messaging stack.
     let mut machine = Machine::new(
-        MachineConfig::nodes(4).with_seed(2026),
+        MachineConfig::nodes(4).with_seed(2026).with_telemetry(),
         Box::new(Cnk::with_defaults()),
         Box::new(Dcmf::with_defaults()),
     );
@@ -62,17 +62,25 @@ fn main() {
 
     // Read each rank's console from its ioproxy — the paper's Fig. 2
     // path in action.
-    let kernel = machine.kernel();
-    let cnk = unsafe { &*(kernel as *const dyn bgsim::Kernel as *const Cnk) };
+    let cnk: &Cnk = machine.kernel_as().expect("booted with CNK");
     for ri in &job.ranks {
         if let Some(console) = cnk.console_of(&machine.sc, ProcId(ri.proc.0)) {
             print!("[stdout {}] {}", ri.rank, String::from_utf8_lossy(&console));
         }
     }
 
-    println!("\nmachine stats: {:?}", machine.sc.stats);
-    println!(
-        "collective-network messages (function-ship request+reply per write): {}",
-        machine.sc.stats.coll_msgs
-    );
+    // Every count the run kept lives in its telemetry registry, one
+    // slot per node or core; print the machine-wide totals.
+    println!("\ntelemetry totals:");
+    let mut coll_msgs = 0;
+    for metric in machine.sc.tel.metrics.sorted() {
+        let total: u64 = metric.vals.iter().sum();
+        if total > 0 {
+            println!("  {:<28} {total}", metric.name);
+        }
+        if metric.name == "net.coll_sends" {
+            coll_msgs = total;
+        }
+    }
+    println!("collective-network messages (function-ship request+reply per write): {coll_msgs}");
 }

@@ -122,7 +122,7 @@ fn the_suite_also_runs_on_fwk() {
         Box::new(Dcmf::with_defaults()),
     );
     {
-        let k = unsafe { &mut *(m2.kernel_mut() as *mut dyn bgsim::Kernel as *mut Fwk) };
+        let k: &mut Fwk = m2.kernel_as_mut().unwrap();
         let vfs = k.vfs_mut();
         let root = vfs.root();
         let lib = vfs.mkdir_at(root, "lib", 0o755, 0, 0).unwrap();

@@ -841,3 +841,14 @@ fn ordering_cnk_lt_stripped_lt_full() {
     assert!(cnk.instructions < s.instructions / 10);
     assert!(s.instructions < f.instructions);
 }
+
+#[test]
+fn kernel_as_answers_only_for_the_booted_kernel() {
+    let mut m = machine(Box::new(Cnk::with_defaults()), 1, 1);
+    assert!(m.kernel_as::<Cnk>().is_some());
+    assert!(m.kernel_as::<Fwk>().is_none());
+    assert!(m.kernel_as_mut::<Fwk>().is_none());
+    let mut m = machine(Box::new(Fwk::with_defaults()), 1, 1);
+    assert!(m.kernel_as::<Cnk>().is_none());
+    assert!(m.kernel_as_mut::<Fwk>().is_some());
+}

@@ -102,7 +102,7 @@ fn cnk_survives_ciod_flap_via_retry() {
     assert!(backoff > 0, "retries recorded no backoff");
     assert!(dropped > 0, "outage dropped no packets");
     // The checkpoint file is complete despite the flap.
-    let k = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) };
+    let k: &Cnk = m.kernel_as().unwrap();
     let vfs = k.vfs();
     for phase in 0..2 {
         let path = format!("/ckpt/rank0.{phase:04}");
@@ -180,7 +180,7 @@ fn exhausted_retries_surface_as_eio() {
         vec![Errno::EIO as i32 as f64],
         "open through a dead link must fail with EIO"
     );
-    let k = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) };
+    let k: &Cnk = m.kernel_as().unwrap();
     assert!(
         k.ras_report().contains("io-eio"),
         "RAS log missing the exhaustion record:\n{}",
@@ -222,7 +222,7 @@ fn machine_check_terminates_job_cleanly() {
     assert!(out.at() < 5_000_000, "job was not terminated: {out:?}");
     let stats = m.sc.tel.take_metrics();
     assert_eq!(stats.value("ras.events", Slot::Node(0)), Some(1));
-    let k = unsafe { &*(m.kernel() as *const dyn bgsim::Kernel as *const Cnk) };
+    let k: &Cnk = m.kernel_as().unwrap();
     assert!(
         k.ras_report().contains("machine-check"),
         "RAS log missing machine check:\n{}",

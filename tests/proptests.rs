@@ -631,17 +631,15 @@ proptest! {
         kernel_pick in any::<bool>(),
         mode_idx in 0usize..4,
     ) {
-        use bgcheck::runner::{
-            run_mode_live, run_mode_with_profile, CheckKernel, LiveOpts, MODES,
-        };
-        use bgsim::machine::{ProgressCtl, ProgressReport, ProgressSink};
+        use bgcheck::runner::{run_mode_live, CheckKernel, MODES};
+        use bgsim::machine::{LiveHook, ProgressCtl, ProgressReport, ProgressSink};
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
         let p = bgcheck::program::generate(seed);
         let kernel = if kernel_pick { CheckKernel::Cnk } else { CheckKernel::Fwk };
         let mode = MODES[mode_idx % MODES.len()];
-        let (base, base_prof) = run_mode_with_profile(&p, kernel, mode)
+        let (base, base_prof) = run_mode_live(&p, kernel, mode, LiveHook::default())
             .map_err(TestCaseError::fail)?;
 
         for interval in [1_000u64, 64_000] {
@@ -651,11 +649,12 @@ proptest! {
                 counter.fetch_add(1, Ordering::Relaxed);
                 ProgressCtl::Continue
             });
-            let opts = LiveOpts {
-                progress_cycles: Some(interval),
-                ..Default::default()
+            let hook = LiveHook {
+                interval_cycles: interval,
+                sink: Some(sink),
+                ..LiveHook::default()
             };
-            let (live, live_prof) = run_mode_live(&p, kernel, mode, opts, Some(sink))
+            let (live, live_prof) = run_mode_live(&p, kernel, mode, hook)
                 .map_err(TestCaseError::fail)?;
             prop_assert_eq!(
                 live.triple(),
