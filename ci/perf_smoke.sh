@@ -167,6 +167,19 @@ EOF
 
 echo "perf smoke OK: fast-path digests identical to the heap path"
 
+# Trace export keeps every event: at its default 12 000 samples the FWQ
+# Linux run records 123 172 exportable events, more than the 65 536 a
+# bounded event buffer would hold, and the Chrome trace must carry them
+# all.
+"$bgbench" fig5_7_fwq --force --trace-out "$out/fig5_7_fwq.json" >/dev/null
+python3 - "$out/fig5_7_fwq.linux.json" <<'EOF'
+import json, sys
+n = len(json.load(open(sys.argv[1]))["traceEvents"])
+assert n > 65536, f"{sys.argv[1]}: {n} events, expected more than 65536"
+print(f"fig5_7_fwq Linux trace: {n} events")
+EOF
+echo "perf smoke OK: --trace-out keeps every event"
+
 # Unknown-flag check: the bench CLI must refuse a flag it does not
 # have (here `--engine`; there is one event-queue structure, so no
 # backend to select) with a usage error, exit 2, instead of silently

@@ -22,6 +22,7 @@ fn bench_fast_path(c: &mut Criterion) {
                     200,
                     1,
                     fast,
+                    false,
                     &FaultSpec::None,
                 );
                 black_box((run.digest, run.events))

@@ -7,8 +7,9 @@
 //!   anything else JSON);
 //! * `--json` — print the report as JSON on stdout (or force JSON for a
 //!   `.txt` stats path);
-//! * `--trace-out <path>` — write the runs' tracepoints there as
-//!   Chrome/Perfetto trace-event JSON;
+//! * `--trace-out <path>` — keep the traced runs' event streams and
+//!   write every event of them there as Chrome/Perfetto trace-event
+//!   JSON (without the flag no run keeps its entries);
 //! * `--force` — allow `--stats-out`/`--trace-out`/`--monitor-out` to
 //!   overwrite an existing file (refused otherwise, so a rerun cannot
 //!   silently clobber a previous run's evidence).

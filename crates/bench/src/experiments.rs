@@ -35,7 +35,8 @@ use workloads::linpack::LinpackConfig;
 use crate::cli::{Arg, Cli, Command};
 use crate::harness::{
     allreduce_us, bsp_runtime, checkpoint_io, fwq, io_fwq, launched, linpack_seconds,
-    measure_latency_us, nn_throughput, run_fwq, torus_neighbors, KernelKind, LatencyRow, SimRun,
+    machine_config, measure_latency_us, nn_throughput, run_fwq, torus_neighbors, KernelKind,
+    LatencyRow, SimRun,
 };
 use crate::monitor::Monitor;
 use crate::par::run_shards;
@@ -194,14 +195,20 @@ impl Ctx<'_> {
         self.nodes = self.nodes.max(run.nodes);
     }
 
-    /// [`Ctx::add`], and write the run's tracepoints as the
+    /// Whether a run this experiment hands to [`Ctx::traced`] must keep
+    /// its trace entries: only under `--trace-out`.
+    pub fn keep_trace(&self) -> bool {
+        self.cli.trace_out.is_some()
+    }
+
+    /// [`Ctx::add`], and write the run's kept trace entries as the
     /// `--trace-out` part `suffix`: `trace.json` + `"cnk"` writes
     /// `trace.cnk.json`, and an empty suffix writes the path as-is.
     pub fn traced(&mut self, suffix: &str, run: &SimRun) {
         self.add(run);
-        if self.cli.trace_out.is_some() {
+        if self.keep_trace() {
             self.traces
-                .push((suffix.to_string(), chrome_trace_json(&run.tps)));
+                .push((suffix.to_string(), chrome_trace_json(&run.trace)));
         }
     }
 
@@ -302,7 +309,7 @@ fn hex(digest: u64) -> String {
 /// `--no-fast-path` baselines the speedup of the event-reduction fast
 /// path and cross-checks that its digests match the heap path exactly.
 pub fn fig5_7_fwq(ctx: &mut Ctx, samples: u32) {
-    let fast = ctx.cli.fast_path;
+    let (fast, trace) = (ctx.cli.fast_path, ctx.keep_trace());
     let faults = ctx.cli.fault_spec_for(1); // single-node FWQ runs
     println!(
         "== FWQ (Fixed Work Quanta), {samples} samples/core, 4 cores, 1 node{} ==\n",
@@ -314,7 +321,7 @@ pub fn fig5_7_fwq(ctx: &mut Ctx, samples: u32) {
             .iter()
             .map(|&kind| {
                 let faults = faults.clone();
-                move || run_fwq(kind, samples, 0xF00D, fast, &faults)
+                move || run_fwq(kind, samples, 0xF00D, fast, trace, &faults)
             })
             .collect(),
     );
@@ -417,7 +424,7 @@ pub fn table1_latency(ctx: &mut Ctx) {
     let rows: Vec<Vec<String>> = LatencyRow::ALL
         .iter()
         .map(|&row| {
-            let (got, run) = measure_latency_us(row);
+            let (got, run) = measure_latency_us(row, ctx.keep_trace());
             let want = row.paper_us();
             let key = key_of(row.label());
             ctx.report.scalar(&format!("{key}.measured_us"), got);
@@ -456,7 +463,7 @@ pub fn fig8_throughput(ctx: &mut Ctx) {
     println!("== Fig. 8: rendezvous near-neighbor exchange throughput ==\n");
     let nodes = 64; // 4x4x4 torus: 6 distinct neighbors, the paper's case
     let sizes: Vec<u64> = (9..=22).map(|p| 1u64 << p).collect(); // 512 B .. 4 MB
-    let fast = ctx.cli.fast_path;
+    let (fast, trace) = (ctx.cli.fast_path, ctx.keep_trace());
     let faults = ctx.cli.fault_spec_for(nodes);
     let mut shards: Vec<(u64, KernelKind)> = Vec::new();
     for &bytes in &sizes {
@@ -469,7 +476,7 @@ pub fn fig8_throughput(ctx: &mut Ctx) {
             .iter()
             .map(|&(bytes, kind)| {
                 let faults = faults.clone();
-                move || nn_throughput(kind, nodes, bytes, 8, fast, &faults)
+                move || nn_throughput(kind, nodes, bytes, 8, fast, trace, &faults)
             })
             .collect(),
     );
@@ -576,7 +583,8 @@ pub fn stability_linpack(ctx: &mut Ctx, runs: u32) {
         let key = kind.label().to_lowercase();
         let mut times = Vec::new();
         for s in 0..runs {
-            let (secs, run) = linpack_seconds(kind, nodes, cfg, 0xB00 + u64::from(s));
+            let trace = s == 0 && ctx.keep_trace();
+            let (secs, run) = linpack_seconds(kind, nodes, cfg, 0xB00 + u64::from(s), trace);
             times.push(secs);
             if s == 0 {
                 // Determinism evidence and one representative trace per
@@ -637,13 +645,14 @@ pub fn stability_allreduce(ctx: &mut Ctx, divisor: u32) {
     let cnk_iters = 1_000_000 / divisor;
     let fwk_iters = 100_000 / divisor;
     println!("== §V.D: mpiBench_Allreduce stability ==\n");
+    let trace = ctx.keep_trace();
     let mut results = ctx.shards(
         [
             (KernelKind::Cnk, 16, cnk_iters),
             (KernelKind::Fwk, 4, fwk_iters),
         ]
         .into_iter()
-        .map(|(kind, nodes, iters)| move || allreduce_us(kind, nodes, iters, 0xA11))
+        .map(|(kind, nodes, iters)| move || allreduce_us(kind, nodes, iters, 0xA11, trace))
         .collect(),
     );
     let (fwk, fwk_run) = results.pop().expect("fwk shard");
@@ -823,12 +832,10 @@ fn duration(seconds: f64) -> String {
 }
 
 /// The two-chip device under test of [`repro_bringup`]: rank 0
-/// computes, then sends 4 KiB to rank 1.
-fn repro_machine() -> Machine {
-    let cfg = MachineConfig::nodes(2)
-        .with_seed(0xCAFE)
-        .with_trace()
-        .with_telemetry();
+/// computes, then sends 4 KiB to rank 1. It keeps its trace entries when
+/// `trace` asks (`--trace-out`, or a run whose arrival is read off them).
+fn repro_machine(trace: bool) -> Machine {
+    let cfg = machine_config(2, 0xCAFE, trace);
     launched(cfg, Box::new(Cnk::with_defaults()), "dut", 2, |r| {
         if r.0 == 0 {
             script(vec![
@@ -855,12 +862,13 @@ fn repro_machine() -> Machine {
     })
 }
 
-/// The first packet arrival at chip 1 in a machine's trace.
+/// The first packet arrival at chip 1 in a machine's kept trace.
 fn first_arrival(m: &Machine) -> Option<u64> {
-    m.sc.trace.entries().iter().find_map(|e| match e.what {
-        TraceEvent::MsgRecv { dst: 1, .. } => Some(e.at),
-        _ => None,
-    })
+    m.sc.trace
+        .entries()
+        .iter()
+        .find(|e| e.node == 1 && matches!(e.what, TraceEvent::MsgRecv { .. }))
+        .map(|e| e.at)
 }
 
 /// §III: the chip-bringup methodology — cycle reproducibility, the
@@ -880,7 +888,7 @@ pub fn repro_bringup(ctx: &mut Ctx) {
     // 1. Bit-identical reruns.
     let mut digests = Vec::new();
     for i in 0..3 {
-        let run = SimRun::run(&mut repro_machine());
+        let run = SimRun::run(&mut repro_machine(i == 0 && ctx.keep_trace()));
         if i == 0 {
             ctx.report.string("digest.probe", &hex(run.digest));
             ctx.traced("", &run);
@@ -901,7 +909,7 @@ pub fn repro_bringup(ctx: &mut Ctx) {
     //    full reproducible run, exactly how a bringup engineer would
     //    narrow in.
     let arrival_cycle = {
-        let mut m = repro_machine();
+        let mut m = repro_machine(true);
         m.run();
         first_arrival(&m).expect("no arrival in probe run")
     };
@@ -910,7 +918,7 @@ pub fn repro_bringup(ctx: &mut Ctx) {
     let window = (arrival_cycle - 60)..(arrival_cycle + 60);
     let mut wave = Waveform::new();
     for cycle in window.clone() {
-        let mut m = repro_machine();
+        let mut m = repro_machine(false);
         m.run_until(cycle);
         wave.push(m.scan_destructive(ScanTarget::Cores)).unwrap();
     }
@@ -930,7 +938,7 @@ pub fn repro_bringup(ctx: &mut Ctx) {
     //    is identical across reruns once the barrier network is held in
     //    its canonical state.
     let arrival = |_: u32| -> u64 {
-        let mut m = repro_machine();
+        let mut m = repro_machine(true);
         m.reproducible_reset(); // barrier net now canonical
         m.launch(
             &JobSpec::new(AppImage::static_test("dut"), 2, NodeMode::Smp),
@@ -991,9 +999,8 @@ pub fn noise_ablation(ctx: &mut Ctx, samples: u32) {
             noise,
             ..FwkConfig::default()
         });
-        let cfg = MachineConfig::single_node()
-            .with_seed(0xAB1A)
-            .with_telemetry();
+        // Only the representative run is traced.
+        let cfg = machine_config(1, 0xAB1A, i == 0 && ctx.keep_trace());
         let (series, run) = fwq(Box::new(kernel), cfg, samples);
         let key = key_of(&name);
         let mut row = vec![name];
@@ -1062,8 +1069,10 @@ pub fn noise_injection(ctx: &mut Ctx, iters: u32) {
         let key = key_of(name.split(':').next().unwrap());
         let mut row = vec![name.to_string()];
         for (i, &n) in node_counts.iter().enumerate() {
-            let (t, run) = bsp_runtime(n, noise.clone(), iters, 0x1723);
-            if noise.is_empty() && n == 64 {
+            let representative = noise.is_empty() && n == 64;
+            let trace = representative && ctx.keep_trace();
+            let (t, run) = bsp_runtime(n, noise.clone(), iters, 0x1723, trace);
+            if representative {
                 ctx.report.string("digest.no_noise_64", &hex(run.digest));
                 // Representative trace: the noise-free 64-node run.
                 ctx.traced("", &run);
@@ -1106,10 +1115,11 @@ pub fn noise_injection(ctx: &mut Ctx, iters: u32) {
 pub fn io_noise(ctx: &mut Ctx, samples: u32) {
     let faults = ctx.cli.fault_spec_for(1); // single-node runs
     println!("== §IV.A: concurrent checkpoint I/O vs FWQ noise on cores 1-3 ==\n");
+    let trace = ctx.keep_trace();
     let mut rows = Vec::new();
     for kind in [KernelKind::Cnk, KernelKind::Fwk] {
         for checkpoints in [0, 10] {
-            let (series, run) = io_fwq(kind, samples, checkpoints, 0x10, &faults);
+            let (series, run) = io_fwq(kind, samples, checkpoints, 0x10, trace, &faults);
             let mode = if checkpoints > 0 {
                 "checkpointing"
             } else {
@@ -1190,8 +1200,10 @@ pub fn io_proxy_ablation(ctx: &mut Ctx) {
     println!("   (every rank checkpoints simultaneously through one I/O node)\n");
     let mut rows = Vec::new();
     for nodes in [2u32, 4, 8, 16] {
-        let (bgp_samples, bgp_run) = checkpoint_io(nodes, false, 3, 0x10B);
-        let (bgl_samples, bgl_run) = checkpoint_io(nodes, true, 3, 0x10B);
+        // Only the largest pset is traced.
+        let trace = nodes == 16 && ctx.keep_trace();
+        let (bgp_samples, bgp_run) = checkpoint_io(nodes, false, 3, 0x10B, trace);
+        let (bgl_samples, bgl_run) = checkpoint_io(nodes, true, 3, 0x10B, trace);
         let bgp = Summary::of(&bgp_samples);
         let bgl = Summary::of(&bgl_samples);
         for (style, r) in [("bgp", &bgp_run), ("bgl", &bgl_run)] {
@@ -1234,9 +1246,9 @@ pub fn io_proxy_ablation(ctx: &mut Ctx) {
 // ---- §III, §IV.C ablations ---------------------------------------------------
 
 /// A 64 MiB stream on each of `streams` VN-mode ranks (one per core)
-/// under an L2 bank mapping.
-fn l2_stream(map: L2BankMap, streams: u32) -> SimRun {
-    let mut cfg = MachineConfig::single_node().with_seed(3).with_telemetry();
+/// under an L2 bank mapping, keeping its trace entries if `trace`.
+fn l2_stream(map: L2BankMap, streams: u32, trace: bool) -> SimRun {
+    let mut cfg = machine_config(1, 3, trace);
     cfg.chip.l2_bank_map = map;
     // Model concurrent streams through the shared-cost function directly:
     // run one VN-mode rank per core, each streaming.
@@ -1286,7 +1298,7 @@ pub fn l2_bank_ablation(ctx: &mut Ctx) {
         chip.l2_bank_map = map;
         let model_1 = bgsim::chip::stream_cycles(&chip, 64 << 20, 1);
         let model_4 = bgsim::chip::stream_cycles(&chip, 64 << 20, 4);
-        let run = l2_stream(map, 4);
+        let run = l2_stream(map, 4, ctx.keep_trace());
         let run_cycles = run.final_cycle;
         let key = format!("{map:?}").to_lowercase();
         ctx.report

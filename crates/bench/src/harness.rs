@@ -8,8 +8,8 @@ use bgsim::machine::{Machine, Recorder, Workload};
 use bgsim::noise::NoiseSource;
 use bgsim::op::{ApiLayer, CommOp, Op, Protocol};
 use bgsim::script::wl;
-use bgsim::telemetry::{MetricsRegistry, ProfileSnapshot, Scope, Slot, Tracepoint};
-use bgsim::trace::TraceEvent;
+use bgsim::telemetry::{MetricsRegistry, ProfileSnapshot, Scope, Slot};
+use bgsim::trace::{TraceEntry, TraceEvent};
 use bgsim::{Kernel, MachineConfig};
 use cnk::{Cnk, CnkConfig};
 use dcmf::Dcmf;
@@ -52,8 +52,8 @@ impl KernelKind {
 /// The record of one finished simulation: its determinism evidence
 /// (trace digest, final cycle), its host cost, and what its telemetry
 /// observed. Experiments hand these to the runner, which merges the
-/// profiles, sums cycles and events, and writes the tracepoints to
-/// `--trace-out`.
+/// profiles, sums cycles and events, and writes the kept trace entries
+/// to `--trace-out`.
 pub struct SimRun {
     pub digest: u64,
     pub final_cycle: u64,
@@ -67,8 +67,10 @@ pub struct SimRun {
     /// bit-identical across host thread counts). Empty for a run with
     /// telemetry off: the rack sweep neither snapshots nor reports one.
     pub profile: ProfileSnapshot,
-    /// Kernel tracepoints (empty with telemetry off).
-    pub tps: Vec<Tracepoint>,
+    /// The run's kept trace entries: empty unless its machine kept them
+    /// (every simulation here takes a `trace` flag, which `--trace-out`
+    /// sets).
+    pub trace: Vec<TraceEntry>,
     /// The run's metrics registry, for the figures that read it.
     pub stats: MetricsRegistry,
 }
@@ -97,9 +99,18 @@ impl SimRun {
             } else {
                 ProfileSnapshot::default()
             },
-            tps: m.sc.tel.events().to_vec(),
+            trace: m.sc.trace.entries().to_vec(),
             stats: m.sc.tel.take_metrics(),
         }
+    }
+}
+
+/// The machine of a harness simulation: `nodes` nodes with telemetry
+/// on, keeping its trace entries only when `trace` asks (`--trace-out`).
+pub(crate) fn machine_config(nodes: u32, seed: u64, trace: bool) -> MachineConfig {
+    MachineConfig {
+        trace_events: trace,
+        ..MachineConfig::nodes(nodes).with_seed(seed).with_telemetry()
     }
 }
 
@@ -134,12 +145,14 @@ fn fwq_series(rec: &Recorder) -> Vec<Vec<f64>> {
 /// the per-core sample series and the run, whose registry gains a
 /// per-core `fwq.sample_cycles` histogram (its exact min/max/delta
 /// reproduce the Fig. 5–7 max-delta table). `fast_path` selects the
-/// event-reduction fast path (`--no-fast-path` baselines it).
+/// event-reduction fast path (`--no-fast-path` baselines it), and
+/// `trace` keeps the run's trace entries.
 pub fn run_fwq(
     kind: KernelKind,
     samples: u32,
     seed: u64,
     fast_path: bool,
+    trace: bool,
     faults: &FaultSpec,
 ) -> (Vec<Vec<f64>>, SimRun) {
     // Large runs get a small throwaway warmup first, so the timed run
@@ -147,13 +160,10 @@ pub fn run_fwq(
     // faults, allocator growth). Simulation outputs are deterministic
     // and unaffected; only `wall_seconds` is de-noised.
     if samples > 2_000 {
-        let warm = run_fwq(kind, 2_000, seed, fast_path, faults);
+        let warm = run_fwq(kind, 2_000, seed, fast_path, false, faults);
         std::hint::black_box(warm.1.digest);
     }
-    let cfg = MachineConfig::nodes(1)
-        .with_seed(seed)
-        .with_telemetry()
-        .with_fast_path(fast_path);
+    let cfg = machine_config(1, seed, trace).with_fast_path(fast_path);
     let (series, mut run) = fwq(kind.build(), faults.apply(cfg), samples);
     let h = run.stats.histogram("fwq.sample_cycles", Scope::PerCore);
     for (core, s) in (0u32..).zip(&series) {
@@ -231,15 +241,14 @@ impl LatencyRow {
 }
 
 /// Measure one Table I row on CNK, 2 nodes, SMP mode, 8-byte payload;
-/// returns the latency in µs and the run.
-pub fn measure_latency_us(row: LatencyRow) -> (f64, SimRun) {
+/// returns the latency in µs and the run. The put row reads the data's
+/// arrival off the run's trace, so it keeps its entries whatever `trace`
+/// says.
+pub fn measure_latency_us(row: LatencyRow, trace: bool) -> (f64, SimRun) {
     const PAYLOAD: u64 = 8;
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    let cfg = MachineConfig::nodes(2)
-        .with_seed(42)
-        .with_trace()
-        .with_telemetry();
+    let cfg = machine_config(2, 42, trace || row == LatencyRow::DcmfPut);
     let mut m = launched(cfg, Box::new(Cnk::with_defaults()), "lat", 2, move |r| {
         let rec = rec2.clone();
         let mut step = 0;
@@ -343,17 +352,16 @@ pub fn measure_latency_us(row: LatencyRow) -> (f64, SimRun) {
             rec.series("op_done")[0] - issue
         }
         LatencyRow::DcmfPut => {
-            let arrival =
-                m.sc.trace
-                    .entries()
-                    .iter()
-                    .find_map(|e| match e.what {
-                        TraceEvent::MsgRecv { dst: 1, bytes, .. } if bytes == PAYLOAD => {
-                            Some(e.at as f64)
-                        }
-                        _ => None,
-                    })
-                    .expect("put data never arrived");
+            let arrival = run
+                .trace
+                .iter()
+                .find_map(|e| match e.what {
+                    TraceEvent::MsgRecv { bytes, .. } if e.node == 1 && bytes == PAYLOAD => {
+                        Some(e.at as f64)
+                    }
+                    _ => None,
+                })
+                .expect("put data never arrived");
             arrival - issue
         }
     };
@@ -379,15 +387,13 @@ pub fn nn_throughput(
     bytes: u64,
     seed: u64,
     fast_path: bool,
+    trace: bool,
     faults: &FaultSpec,
 ) -> (f64, SimRun) {
     // Telemetry is pure observation (no event scheduling, no RNG), so
     // turning it on here leaves the pinned BENCH_*.json digests intact —
     // `tests/fault_injection.rs` re-checks that every run.
-    let cfg = MachineConfig::nodes(nodes)
-        .with_seed(seed)
-        .with_telemetry()
-        .with_fast_path(fast_path);
+    let cfg = machine_config(nodes, seed, trace).with_fast_path(fast_path);
     let rec = Recorder::new();
     let rec2 = rec.clone();
     let mut m = launched(faults.apply(cfg), kind.build(), "nn", nodes, move |r| {
@@ -413,10 +419,11 @@ pub fn linpack_seconds(
     nodes: u32,
     cfg: LinpackConfig,
     seed: u64,
+    trace: bool,
 ) -> (f64, SimRun) {
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    let mcfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let mcfg = machine_config(nodes, seed, trace);
     let mut m = launched(mcfg, kind.build(), "hpl", nodes, move |r| {
         Box::new(LinpackRank::new(cfg, r.0, rec2.clone()))
     });
@@ -425,10 +432,16 @@ pub fn linpack_seconds(
 }
 
 /// The allreduce loop; returns per-iteration times in µs and the run.
-pub fn allreduce_us(kind: KernelKind, nodes: u32, iters: u32, seed: u64) -> (Vec<f64>, SimRun) {
+pub fn allreduce_us(
+    kind: KernelKind,
+    nodes: u32,
+    iters: u32,
+    seed: u64,
+    trace: bool,
+) -> (Vec<f64>, SimRun) {
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    let cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let cfg = machine_config(nodes, seed, trace);
     let mut m = launched(cfg, kind.build(), "mpibench", nodes, move |r| {
         Box::new(AllreduceLoop::new(iters, r.0, rec2.clone()))
     });
@@ -446,14 +459,20 @@ pub fn allreduce_us(kind: KernelKind, nodes: u32, iters: u32, seed: u64) -> (Vec
 /// A bulk-synchronous loop on CNK with `noise` injected: `iters`
 /// iterations of a 1 ms compute quantum plus an 8-byte allreduce.
 /// Returns rank 0's total cycles and the run.
-pub fn bsp_runtime(nodes: u32, noise: Vec<NoiseSource>, iters: u32, seed: u64) -> (u64, SimRun) {
+pub fn bsp_runtime(
+    nodes: u32,
+    noise: Vec<NoiseSource>,
+    iters: u32,
+    seed: u64,
+    trace: bool,
+) -> (u64, SimRun) {
     let kernel = Cnk::new(CnkConfig {
         injected_noise: noise,
         ..CnkConfig::default()
     });
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    let cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+    let cfg = machine_config(nodes, seed, trace);
     let mut m = launched(cfg, Box::new(kernel), "bsp", nodes, move |r| {
         let rec = rec2.clone();
         let mut i = 0;
@@ -492,13 +511,12 @@ pub fn io_fwq(
     samples: u32,
     checkpoints: u32,
     seed: u64,
+    trace: bool,
     faults: &FaultSpec,
 ) -> (Vec<Vec<f64>>, SimRun) {
     let rec = Recorder::new();
     let rec2 = rec.clone();
-    let cfg = MachineConfig::single_node()
-        .with_seed(seed)
-        .with_telemetry();
+    let cfg = machine_config(1, seed, trace);
     let mut m = launched(faults.apply(cfg), kind.build(), "io-fwq", 1, move |_r| {
         let rec = rec2.clone();
         let mut creates: Vec<PthreadCreate> = (1..4)
@@ -543,8 +561,14 @@ pub fn io_fwq(
 /// once through one I/O node, served by per-process ioproxies (BG/P) or
 /// one serialized CIOD thread (`bgl`). Returns every checkpoint's I/O
 /// cycles and the run.
-pub fn checkpoint_io(nodes: u32, bgl: bool, phases: u32, seed: u64) -> (Vec<f64>, SimRun) {
-    let mut cfg = MachineConfig::nodes(nodes).with_seed(seed).with_telemetry();
+pub fn checkpoint_io(
+    nodes: u32,
+    bgl: bool,
+    phases: u32,
+    seed: u64,
+    trace: bool,
+) -> (Vec<f64>, SimRun) {
+    let mut cfg = machine_config(nodes, seed, trace);
     cfg.io_ratio = nodes; // one ION for the whole pset: worst case
     let kernel = Cnk::new(CnkConfig {
         bgl_io_mode: bgl,
@@ -570,7 +594,7 @@ mod tests {
     #[test]
     fn all_table1_rows_within_10_percent() {
         for row in LatencyRow::ALL {
-            let (got, _) = measure_latency_us(row);
+            let (got, _) = measure_latency_us(row, false);
             let want = row.paper_us();
             let err = (got - want).abs() / want;
             assert!(err < 0.10, "{}: {got:.3} vs {want} us", row.label());
@@ -579,8 +603,8 @@ mod tests {
 
     #[test]
     fn fwq_contrast_cnk_vs_fwk() {
-        let (cnk, _) = run_fwq(KernelKind::Cnk, 500, 1, true, &FaultSpec::None);
-        let (fwk_series, fwk) = run_fwq(KernelKind::Fwk, 500, 1, true, &FaultSpec::None);
+        let (cnk, _) = run_fwq(KernelKind::Cnk, 500, 1, true, false, &FaultSpec::None);
+        let (fwk_series, fwk) = run_fwq(KernelKind::Fwk, 500, 1, true, false, &FaultSpec::None);
         let c0 = Summary::of(&cnk[0]);
         let f0 = Summary::of(&fwk_series[0]);
         assert!(c0.max_variation_frac() < 0.0001);
@@ -601,7 +625,14 @@ mod tests {
 
     #[test]
     fn noiseless_fwk_sits_between() {
-        let (quiet, _) = run_fwq(KernelKind::FwkNoiseless, 500, 2, true, &FaultSpec::None);
+        let (quiet, _) = run_fwq(
+            KernelKind::FwkNoiseless,
+            500,
+            2,
+            true,
+            false,
+            &FaultSpec::None,
+        );
         let s = Summary::of(&quiet[0]);
         // No daemons: variation collapses to the hardware jitter band.
         assert!(s.max_variation_frac() < 0.0001, "{s:?}");

@@ -7,15 +7,14 @@
 //! dump. The runner (`crate::experiments::run`) hands every
 //! experiment's report to [`Report::emit`] with the parsed [`Cli`],
 //! which is what gives the whole suite a uniform `--stats-out <path>` /
-//! `--json` interface. [`chrome_trace_json`] renders a run's
-//! tracepoints for `--trace-out`.
+//! `--json` interface. [`chrome_trace_json`] renders a run's kept trace
+//! entries for `--trace-out`.
 
 use std::fmt::Write as _;
 use std::io::Write;
 
-use bgsim::telemetry::{
-    MetricsRegistry, ProfileSnapshot, Scope, SlotValue, TpKind, Tracepoint, NO_CORE,
-};
+use bgsim::telemetry::{MetricsRegistry, ProfileSnapshot, Scope, SlotValue};
+use bgsim::trace::{TraceEntry, TraceEvent, NO_CORE};
 
 use crate::cli::Cli;
 use crate::json::{Num, Writer};
@@ -316,49 +315,93 @@ fn slot_label(scope: Scope, i: usize) -> String {
     }
 }
 
-/// Render tracepoints as a Chrome trace-event JSON document, viewable in
-/// `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
+/// Render kept trace entries as a Chrome trace-event JSON document,
+/// viewable in `chrome://tracing` or
+/// [ui.perfetto.dev](https://ui.perfetto.dev).
 ///
-/// Mapping: pid = node, tid = core, ts/dur = simulated cycles (the
-/// viewer labels them as microseconds; at 850 MHz divide by 850 for real
-/// microseconds). Ops render as complete ("X") slices so preemption and
-/// kills cannot unbalance begin/end pairs; function-ship request/reply
-/// pairs render as async ("b"/"e") spans keyed by request id; everything
-/// else is an instant ("i").
-pub fn chrome_trace_json(events: &[Tracepoint]) -> String {
+/// Mapping: pid = node, tid = core (9999 for an event without one),
+/// ts/dur = simulated cycles (the viewer labels them as microseconds; at
+/// 850 MHz divide by 850 for real microseconds). Ops render as complete
+/// ("X") slices so preemption and kills cannot unbalance begin/end pairs;
+/// function-ship requests and retries open async ("b") spans keyed by
+/// request id, which replies close ("e"; a retry's `bytes` arg is its
+/// attempt number); every other event is an instant ("i") whose `args`
+/// carry its two operands ([`chrome_fields`]). Op ends, message sends
+/// and message receives are skipped: the op slice already spans its op,
+/// and the DCMF phases mark the messages.
+pub fn chrome_trace_json(entries: &[TraceEntry]) -> String {
     let mut w = Writer::default();
     w.obj().key("displayTimeUnit").str("ms");
     w.key("otherData").obj();
     w.key("clock").str("cycles@850MHz").end_obj();
     w.key("traceEvents").arr();
-    for e in events {
+    for e in entries {
+        let Some((name, cat, a, b)) = chrome_fields(&e.what) else {
+            continue;
+        };
         let tid = if e.core == NO_CORE { 9999 } else { e.core };
-        w.obj().key("name").str(e.name);
-        w.key("cat").str(e.kind.category());
+        w.obj().key("name").str(name);
+        w.key("cat").str(cat);
         w.key("pid").u64(e.node.into()).key("tid").u64(tid.into());
         w.key("ts").u64(e.at);
-        match e.kind {
-            TpKind::OpStart => {
-                w.key("ph").str("X").key("dur").u64(e.b);
-                w.key("args").obj().key("tid").u64(e.a);
+        match e.what {
+            TraceEvent::OpStart { .. } => {
+                w.key("ph").str("X").key("dur").u64(b);
+                w.key("args").obj().key("tid").u64(a);
             }
-            TpKind::FshipReq => {
-                w.key("ph").str("b").key("id").u64(e.a);
-                w.key("args").obj().key("bytes").u64(e.b);
+            TraceEvent::FshipReq { .. } | TraceEvent::FshipRetry { .. } => {
+                w.key("ph").str("b").key("id").u64(a);
+                w.key("args").obj().key("bytes").u64(b);
             }
-            TpKind::FshipRep => {
-                w.key("ph").str("e").key("id").u64(e.a);
-                w.key("args").obj().key("latency_cycles").u64(e.b);
+            TraceEvent::FshipReply { .. } => {
+                w.key("ph").str("e").key("id").u64(a);
+                w.key("args").obj().key("latency_cycles").u64(b);
             }
             _ => {
                 w.key("ph").str("i").key("s").str("t");
-                w.key("args").obj().key("a").u64(e.a).key("b").u64(e.b);
+                w.key("args").obj().key("a").u64(a).key("b").u64(b);
             }
         }
         w.end_obj().end_obj();
     }
     w.end_arr().end_obj();
     w.finish()
+}
+
+/// An event's Chrome name, category and two operands `(a, b)`, or `None`
+/// for the kinds the exporter skips. An op's operands are its tid and
+/// cost, a function-ship event's its request id and bytes, attempt or
+/// latency.
+fn chrome_fields(e: &TraceEvent) -> Option<(&'static str, &'static str, u64, u64)> {
+    use TraceEvent as E;
+    Some(match *e {
+        E::OpEnd { .. } | E::MsgSend { .. } | E::MsgRecv { .. } => return None,
+        E::OpStart { tid, opname, cost } => (opname, "op", tid.into(), cost),
+        E::SyscallEnter { tid, name } => (name, "syscall", tid.into(), 0),
+        E::SyscallExit {
+            tid, name, cost, ..
+        } => (name, "syscall", tid.into(), cost),
+        E::SchedPick { tid } => ("pick_next", "sched", tid.into(), 0),
+        E::Preempt { tid, remaining } => ("timeslice", "sched", tid.into(), remaining),
+        E::FutexWait { tid, uaddr } => ("wait", "futex", tid.into(), uaddr),
+        E::FutexWake { uaddr, woken } => ("wake", "futex", uaddr, woken),
+        E::GuardFault { tid, vaddr } => ("dac_guard", "fault", tid.into(), vaddr),
+        E::GuardStorm { hits } => ("dac_storm", "fault", hits, 0),
+        E::PageFault { tid, faults } => ("demand_page", "fault", tid.into(), faults),
+        E::TlbRefill { tid, misses } => ("sw_refill", "fault", tid.into(), misses),
+        E::Segv { tid, vaddr, why } => (why, "fault", tid.into(), vaddr),
+        E::Fault { kind, name, arg } => (name, "fault", kind.into(), arg),
+        E::Ras { code, detail } => (code, "fault", detail, 0),
+        E::DaemonWake { name, src, cost } => (name, "noise", src, cost),
+        E::Noise { tag, cycles } => ("stretch", "noise", tag, cycles),
+        E::Ipi { kind } => ("ipi", "irq", kind.into(), 0),
+        E::FshipReq { id, name, bytes } => (name, "fship", id, bytes),
+        E::FshipRetry { id, attempt } => ("retry", "fship", id, attempt),
+        E::FshipReply { id, latency } => ("reply", "fship", id, latency),
+        E::MsgPhase { phase, peer, bytes } => (phase, "dcmf", peer, bytes),
+        // A negative exit code shows sign-extended.
+        E::ThreadExit { tid, code } => ("exit", "thread", tid.into(), code as u64),
+    })
 }
 
 /// Render the registry as a gem5-style flat stats text dump: one
@@ -435,43 +478,49 @@ mod tests {
 
     #[test]
     fn chrome_trace_shapes() {
+        let entry = |at, core, what| TraceEntry {
+            at,
+            node: 0,
+            core,
+            what,
+        };
         let events = [
-            Tracepoint {
-                at: 100,
-                node: 0,
-                core: 1,
-                kind: TpKind::OpStart,
-                name: "compute",
-                a: 3,
-                b: 500,
-            },
-            Tracepoint {
-                at: 200,
-                node: 0,
-                core: 0,
-                kind: TpKind::FshipReq,
-                name: "write",
-                a: 42,
-                b: 96,
-            },
-            Tracepoint {
-                at: 900,
-                node: 0,
-                core: 0,
-                kind: TpKind::FshipRep,
-                name: "write",
-                a: 42,
-                b: 700,
-            },
-            Tracepoint {
-                at: 950,
-                node: 0,
-                core: 2,
-                kind: TpKind::Noise,
-                name: "sshd",
-                a: 1,
-                b: 330,
-            },
+            entry(
+                100,
+                1,
+                TraceEvent::OpStart {
+                    tid: 3,
+                    opname: "compute",
+                    cost: 500,
+                },
+            ),
+            entry(600, 1, TraceEvent::OpEnd { tid: 3 }),
+            entry(
+                200,
+                0,
+                TraceEvent::FshipReq {
+                    id: 42,
+                    name: "write",
+                    bytes: 96,
+                },
+            ),
+            entry(
+                900,
+                NO_CORE,
+                TraceEvent::FshipReply {
+                    id: 42,
+                    latency: 700,
+                },
+            ),
+            entry(
+                950,
+                2,
+                TraceEvent::DaemonWake {
+                    name: "sshd",
+                    src: 1,
+                    cost: 330,
+                },
+            ),
         ];
         let j = chrome_trace_json(&events);
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -479,6 +528,9 @@ mod tests {
         assert!(j.contains("\"ph\":\"b\"") && j.contains("\"ph\":\"e\""));
         assert!(j.contains("\"ph\":\"i\""));
         assert!(j.contains("\"cat\":\"noise\""));
+        assert!(j.contains("\"tid\":9999"), "a reply has no core");
+        // The op end is skipped: the slice already spans the op.
+        assert_eq!(j.matches("\"ts\":").count(), 4);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use bgcheck::runner::{CheckKernel, MODES};
 use bgserve::cache::{CachedResult, ResultCache};
 use bgserve::proto::{self, LiveReq, StatusSnapshot};
 use bgsim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use bgsim::telemetry::{DomainStats, MetricsRegistry, Scope, Slot, TpKind, Tracepoint};
+use bgsim::telemetry::{DomainStats, MetricsRegistry, Scope, Slot};
+use bgsim::trace::{TraceEntry, TraceEvent, NO_CORE};
 use bgsim::{Domain, ProfileSnapshot, Profiler, ProgressReport};
 
 fn profile() -> ProfileSnapshot {
@@ -179,23 +180,25 @@ fn renders() -> Vec<(&'static str, String)> {
     out.push(("report-txt", r.to_stats_txt()));
 
     let events = [
-        Tracepoint {
+        TraceEntry {
             at: 100,
             node: 0,
             core: 1,
-            kind: TpKind::OpStart,
-            name: "compute",
-            a: 3,
-            b: 500,
+            what: TraceEvent::OpStart {
+                tid: 3,
+                opname: "compute",
+                cost: 500,
+            },
         },
-        Tracepoint {
+        TraceEntry {
             at: 950,
             node: 1,
-            core: bgsim::telemetry::NO_CORE,
-            kind: TpKind::Noise,
-            name: "ss\"hd",
-            a: 1,
-            b: 330,
+            core: NO_CORE,
+            what: TraceEvent::DaemonWake {
+                name: "ss\"hd",
+                src: 1,
+                cost: 330,
+            },
         },
     ];
     out.push(("trace", chrome_trace_json(&events)));

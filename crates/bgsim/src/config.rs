@@ -219,10 +219,11 @@ pub struct MachineConfig {
     pub barrier_ns: f64,
     /// Master seed for all stochastic streams.
     pub seed: u64,
-    /// Record a full event trace (needed by reproducibility tests and
-    /// scan-based debugging; small runs only).
+    /// Keep every trace entry, of every event kind (needed by
+    /// reproducibility tests, `first_divergence` and `--trace-out`;
+    /// small runs only). The digest covers the stream either way.
     pub trace_events: bool,
-    /// Enable the telemetry subsystem (metrics registry + tracepoints).
+    /// Enable the telemetry subsystem (the metrics registry).
     /// Determinism-neutral: enabling it cannot change trace digests or
     /// cycle counts.
     pub telemetry: bool,
@@ -285,7 +286,7 @@ impl MachineConfig {
         self
     }
 
-    /// Enable the telemetry subsystem (metrics + tracepoints).
+    /// Enable the telemetry subsystem (the metrics registry).
     pub fn with_telemetry(mut self) -> MachineConfig {
         self.telemetry = true;
         self

@@ -16,18 +16,6 @@ pub fn cycles_to_us(c: Cycle) -> f64 {
     c as f64 / CLOCK_MHZ as f64
 }
 
-/// Convert microseconds to cycles at the BG/P clock (rounded).
-#[inline]
-pub fn us_to_cycles(us: f64) -> Cycle {
-    (us * CLOCK_MHZ as f64).round() as Cycle
-}
-
-/// Convert cycles to seconds.
-#[inline]
-pub fn cycles_to_s(c: Cycle) -> f64 {
-    cycles_to_us(c) / 1e6
-}
-
 /// Convert nanoseconds to cycles (rounded).
 #[inline]
 pub fn ns_to_cycles(ns: f64) -> Cycle {
@@ -55,17 +43,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn us_roundtrip() {
-        // 1.6 us (DCMF eager latency) is 1360 cycles at 850 MHz.
-        assert_eq!(us_to_cycles(1.6), 1360);
+    fn us_conversion() {
+        // 1360 cycles at 850 MHz is 1.6 us (DCMF eager latency).
         assert!((cycles_to_us(1360) - 1.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fwq_sample_is_sub_millisecond() {
-        // The paper's FWQ quantum: 658,958 cycles ≈ 0.000775 s.
-        let s = cycles_to_s(658_958);
-        assert!(s > 0.0007 && s < 0.0009, "quantum {s}");
     }
 
     #[test]

@@ -216,11 +216,6 @@ impl Engine {
         self.insert(at, seq, kind)
     }
 
-    /// Schedule `kind` `delta` cycles from now.
-    pub fn schedule_in(&mut self, delta: Cycle, kind: EvKind) -> EvHandle {
-        self.schedule(self.now + delta, kind)
-    }
-
     /// Store `kind` in a free slab slot and push its key.
     fn insert(&mut self, at: Cycle, seq: u64, kind: EvKind) -> EvHandle {
         let at = at.max(self.now);
@@ -451,16 +446,6 @@ mod tests {
         assert_eq!(e.pending(), 1);
         assert!(e.pop_until(50).is_some());
         assert_eq!(e.now(), 50);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut e = Engine::new();
-        e.schedule(10, EvKind::Kernel { node: 0, tag: 1 });
-        e.pop();
-        e.schedule_in(5, EvKind::Kernel { node: 0, tag: 2 });
-        let ev = e.pop().unwrap();
-        assert_eq!(ev.at, 15);
     }
 
     #[test]

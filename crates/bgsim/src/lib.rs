@@ -64,5 +64,5 @@ pub use machine::{
 pub use op::{ApiLayer, CloneArgs, CommOp, Op, Protocol};
 pub use telemetry::{
     coverage_digest, first_divergence, DivergenceReport, Domain, Hist, MetricId, MetricsRegistry,
-    ProfileSnapshot, Profiler, Scope, Slot, Telemetry, TpKind, Tracepoint,
+    ProfileSnapshot, Profiler, Scope, Slot, Telemetry,
 };

@@ -16,8 +16,8 @@ use crate::machine::{
 };
 use crate::op::Op;
 use crate::scan::{ScanRecord, ScanTarget};
-use crate::telemetry::{Domain, Slot, TpKind};
-use crate::trace::TraceEvent;
+use crate::telemetry::{Domain, Slot};
+use crate::trace::{TraceEvent, NO_CORE};
 
 /// Cycles charged to the interrupted thread per delivered IPI.
 const IPI_OVERHEAD: u64 = 80;
@@ -685,7 +685,7 @@ impl Machine {
             // borrow covers the gate and the retirement bookkeeping; the
             // clock moves only after the gate passes, and nothing before
             // `advance_inline` observes the clock.
-            let busy = {
+            let (busy, core) = {
                 let t = &mut self.sc.threads[s.tid.idx()];
                 match t.state {
                     ThreadState::Running {
@@ -697,7 +697,7 @@ impl Machine {
                         let busy = until.saturating_sub(started);
                         t.state = ThreadState::Ready;
                         t.pending_done = None;
-                        busy
+                        (busy, t.core.0)
                     }
                     _ => continue,
                 }
@@ -706,7 +706,7 @@ impl Machine {
             self.idle_kernel_events = 0;
             self.sc
                 .trace
-                .record(s.until, TraceEvent::OpEnd { tid: s.tid.0 });
+                .record(s.until, s.node, core, TraceEvent::OpEnd { tid: s.tid.0 });
             // Profiler attribution: this completion retired through the
             // micro run queue, not a heap pop. The split is stable across
             // a clock stop: a `run_until` bound defers a fast retirement
@@ -827,8 +827,9 @@ impl Machine {
                 };
                 self.sc.trace.record(
                     self.sc.engine.now(),
+                    msg.dst_node.0,
+                    NO_CORE,
                     TraceEvent::MsgRecv {
-                        dst: msg.dst_node.0,
                         bytes: msg.bytes,
                         tag: msg.tag,
                     },
@@ -847,22 +848,16 @@ impl Machine {
             }
             EvKind::Ipi { core, kind } => {
                 let core = CoreId(core);
-                self.sc
-                    .trace
-                    .record(self.sc.engine.now(), TraceEvent::Ipi { core: core.0, kind });
                 let node = self.sc.node_of_core(core);
-                self.sc
-                    .tel
-                    .count(self.sc.tel.ids.ipis, Slot::Core(core.0), 1);
-                self.sc.tel.tp(
+                self.sc.trace.record(
                     self.sc.engine.now(),
                     node.0,
                     core.0,
-                    TpKind::Ipi,
-                    "ipi",
-                    u64::from(kind),
-                    0,
+                    TraceEvent::Ipi { kind },
                 );
+                self.sc
+                    .tel
+                    .count(self.sc.tel.ids.ipis, Slot::Core(core.0), 1);
                 // The IPI itself is a zero-cycle span; the stretch below
                 // accounts the IPI_OVERHEAD cycles, avoiding double
                 // counting in the Sched domain.
@@ -897,23 +892,20 @@ impl Machine {
     /// `inject_fault` events and from scheduled `MachineCheck` RAS
     /// faults.
     fn raise_fault(&mut self, core: CoreId, kind: u32) {
-        self.sc.trace.record(
-            self.sc.engine.now(),
-            TraceEvent::Fault { core: core.0, kind },
-        );
         let node = self.sc.node_of_core(core);
-        self.sc
-            .tel
-            .count(self.sc.tel.ids.hw_faults, Slot::Core(core.0), 1);
-        self.sc.tel.tp(
+        self.sc.trace.record(
             self.sc.engine.now(),
             node.0,
             core.0,
-            TpKind::HwFault,
-            "parity",
-            u64::from(kind),
-            0,
+            TraceEvent::Fault {
+                kind,
+                name: "parity",
+                arg: 0,
+            },
         );
+        self.sc
+            .tel
+            .count(self.sc.tel.ids.hw_faults, Slot::Core(core.0), 1);
         self.sc.prof.span(
             Domain::FaultRas,
             self.sc.engine.now(),
@@ -933,23 +925,17 @@ impl Machine {
         let core0 = self.sc.core_of(node, 0);
         self.sc.trace.record(
             self.sc.engine.now(),
+            node.0,
+            core0.0,
             TraceEvent::Fault {
-                core: core0.0,
                 kind: ev.kind.code(),
+                name: ev.kind.name(),
+                arg: ev.arg,
             },
         );
         self.sc
             .tel
             .count(self.sc.tel.ids.ras_events, Slot::Node(node.0), 1);
-        self.sc.tel.tp(
-            self.sc.engine.now(),
-            node.0,
-            core0.0,
-            TpKind::HwFault,
-            ev.kind.name(),
-            u64::from(ev.kind.code()),
-            ev.arg,
-        );
         self.sc.prof.span(
             Domain::FaultRas,
             self.sc.engine.now(),
@@ -1013,10 +999,13 @@ impl Machine {
         }
         t.state = ThreadState::Ready;
         t.pending_done = None; // this event was the pending completion
-        self.sc
-            .trace
-            .record(self.sc.engine.now(), TraceEvent::OpEnd { tid: tid.0 });
-        let node = self.sc.threads[tid.idx()].node.0;
+        let (node, core) = (t.node.0, t.core.0);
+        self.sc.trace.record(
+            self.sc.engine.now(),
+            node,
+            core,
+            TraceEvent::OpEnd { tid: tid.0 },
+        );
         self.sc.prof.span(
             Domain::EngineHeap,
             self.sc.engine.now(),
@@ -1091,9 +1080,7 @@ impl Machine {
                 freed_cores.push(core);
             }
             self.sc
-                .trace
-                .record(self.sc.engine.now(), TraceEvent::ThreadExit { tid: tid.0 });
-            self.tp_thread_exit(tid, code);
+                .trace_thread(tid, TraceEvent::ThreadExit { tid: tid.0, code });
             self.kernel.on_exit(&mut self.sc, tid);
         }
         for core in freed_cores {
@@ -1119,9 +1106,7 @@ impl Machine {
             self.sc.release_core(core);
         }
         self.sc
-            .trace
-            .record(self.sc.engine.now(), TraceEvent::ThreadExit { tid: tid.0 });
-        self.tp_thread_exit(tid, code);
+            .trace_thread(tid, TraceEvent::ThreadExit { tid: tid.0, code });
         self.kernel.on_exit(&mut self.sc, tid);
         self.refill_core(core);
     }
@@ -1139,22 +1124,6 @@ impl Machine {
         }
     }
 
-    fn tp_thread_exit(&mut self, tid: Tid, code: i32) {
-        if self.sc.tel.enabled() {
-            let t = &self.sc.threads[tid.idx()];
-            let (node, core) = (t.node, t.core);
-            self.sc.tel.tp(
-                self.sc.engine.now(),
-                node.0,
-                core.0,
-                TpKind::ThreadExit,
-                "exit",
-                tid.0 as u64,
-                code as u64,
-            );
-        }
-    }
-
     fn refill_core(&mut self, core: CoreId) {
         if !self.sc.core_idle(core) {
             return;
@@ -1165,14 +1134,11 @@ impl Machine {
                     .tel
                     .count(self.sc.tel.ids.sched_picks, Slot::Core(core.0), 1);
                 let node = self.sc.node_of_core(core);
-                self.sc.tel.tp(
+                self.sc.trace.record(
                     self.sc.engine.now(),
                     node.0,
                     core.0,
-                    TpKind::SchedPick,
-                    "pick_next",
-                    next.0 as u64,
-                    0,
+                    TraceEvent::SchedPick { tid: next.0 },
                 );
                 self.sc
                     .prof
@@ -1318,49 +1284,40 @@ impl Machine {
     }
 
     fn dispatch_syscall(&mut self, tid: Tid, req: &SysReq) -> Disp {
+        let (node, core) = {
+            let t = &self.sc.threads[tid.idx()];
+            (t.node, t.core)
+        };
         self.sc.trace.record(
             self.sc.engine.now(),
+            node.0,
+            core.0,
             TraceEvent::SyscallEnter {
                 tid: tid.0,
                 name: req.name(),
             },
         );
-        let (node, core) = {
-            let t = &self.sc.threads[tid.idx()];
-            (t.node, t.core)
-        };
         self.sc
             .tel
             .count(self.sc.tel.ids.syscalls, Slot::Core(core.0), 1);
-        self.sc.tel.tp(
-            self.sc.engine.now(),
-            node.0,
-            core.0,
-            TpKind::SyscallEnter,
-            req.name(),
-            tid.0 as u64,
-            0,
-        );
         let action = self.kernel.syscall(&mut self.sc, tid, req);
         match action {
             SyscallAction::Done { ret, cost } => {
                 let ok = !ret.is_err();
                 self.sc.trace.record(
                     self.sc.engine.now(),
-                    TraceEvent::SyscallExit { tid: tid.0, ok },
+                    node.0,
+                    core.0,
+                    TraceEvent::SyscallExit {
+                        tid: tid.0,
+                        ok,
+                        name: req.name(),
+                        cost,
+                    },
                 );
                 self.sc
                     .tel
                     .hist(self.sc.tel.ids.syscall_cycles, Slot::Core(core.0), cost);
-                self.sc.tel.tp(
-                    self.sc.engine.now(),
-                    node.0,
-                    core.0,
-                    TpKind::SyscallExit,
-                    req.name(),
-                    tid.0 as u64,
-                    cost,
-                );
                 self.sc
                     .prof
                     .span(Domain::Sched, self.sc.engine.now(), node.0, "syscall", cost);
@@ -1438,27 +1395,12 @@ impl Machine {
     }
 
     fn trace_start(&mut self, tid: Tid, opname: &'static str, cost: u64) {
-        self.sc.trace.record(
-            self.sc.engine.now(),
-            TraceEvent::OpStart {
-                tid: tid.0,
-                opname,
-                cost,
-            },
-        );
-        if self.sc.tel.enabled() {
-            let t = &self.sc.threads[tid.idx()];
-            let (node, core) = (t.node, t.core);
-            self.sc.tel.tp(
-                self.sc.engine.now(),
-                node.0,
-                core.0,
-                TpKind::OpStart,
-                opname,
-                tid.0 as u64,
-                cost,
-            );
-        }
+        let what = TraceEvent::OpStart {
+            tid: tid.0,
+            opname,
+            cost,
+        };
+        self.sc.trace_thread(tid, what);
     }
 
     /// Deliver a signal to a thread at its next op boundary (test and

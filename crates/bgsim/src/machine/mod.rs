@@ -537,10 +537,6 @@ impl Recorder {
             .unwrap_or_default()
     }
 
-    pub fn series_names(&self) -> Vec<String> {
-        self.inner.borrow().keys().cloned().collect()
-    }
-
     pub fn len(&self, name: &str) -> usize {
         self.inner
             .borrow()
@@ -565,7 +561,6 @@ mod tests {
         r2.record("a", 2.0);
         assert_eq!(r.series("a"), vec![1.0, 2.0]);
         assert_eq!(r.series("missing"), Vec::<f64>::new());
-        assert_eq!(r.series_names(), vec!["a".to_string()]);
     }
 
     #[test]
@@ -576,7 +571,6 @@ mod tests {
         a.push(1.0);
         b.extend_from_slice(&[2.0, 3.0]);
         assert_eq!(r.series("s"), vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.series_names(), vec!["s".to_string()]);
     }
 
     #[test]

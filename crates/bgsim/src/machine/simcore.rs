@@ -24,9 +24,9 @@ use crate::machine::Workload;
 use crate::mem::PhysMem;
 use crate::op::Op;
 use crate::rng::{LazyStreams, RngHub};
-use crate::telemetry::{Domain, Profiler, Slot, Telemetry, TpKind};
+use crate::telemetry::{Domain, Profiler, Slot, Telemetry};
 use crate::torus::Torus;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent, NO_CORE};
 
 /// Which network fabric carries a message, and therefore who receives it:
 /// torus traffic goes to the `CommModel`, collective traffic to the
@@ -56,10 +56,6 @@ pub struct NetMsg {
 /// Extra per-message latency modeling the torus hardware's CRC-triggered
 /// link-level retransmit (token resend + re-traverse).
 pub const TORUS_RETRANSMIT: Cycle = 4_000;
-
-/// Tracepoint buffer size when telemetry is enabled (preallocated;
-/// overflow drops rather than reallocating).
-const TELEMETRY_CAPACITY: usize = 1 << 16;
 
 /// Flight-recorder ring capacity per profiler domain (spans retained
 /// for the crash dump).
@@ -200,7 +196,7 @@ impl SimCore {
             barrier: BarrierNet::new(&cfg),
             trace: Trace::new(cfg.trace_events),
             tel: if cfg.telemetry {
-                Telemetry::standard(cfg.nodes, cfg.chip.cores, TELEMETRY_CAPACITY)
+                Telemetry::standard(cfg.nodes, cfg.chip.cores)
             } else {
                 Telemetry::disabled()
             },
@@ -279,6 +275,13 @@ impl SimCore {
         &self.threads[tid.idx()]
     }
 
+    /// Record `what` in the trace now, on `tid`'s node and core.
+    pub fn trace_thread(&mut self, tid: Tid, what: TraceEvent) {
+        let t = &self.threads[tid.idx()];
+        let (node, core) = (t.node.0, t.core.0);
+        self.trace.record(self.engine.now(), node, core, what);
+    }
+
     /// What `tid`'s workload collects at its next op boundary.
     pub fn inbox_mut(&mut self, tid: Tid) -> &mut Inbox {
         &mut self.inbox[tid.idx()]
@@ -303,14 +306,6 @@ impl SimCore {
         (0..cpn)
             .filter(|&c| self.streaming[CoreId::global(node, c, cpn).idx()])
             .count() as u32
-    }
-
-    /// Live threads on a given hardware core.
-    pub fn live_on_core(&self, core: CoreId) -> usize {
-        self.threads
-            .iter()
-            .filter(|t| t.core == core && t.state.is_live())
-            .count()
     }
 
     /// Number of live (non-exited) threads. O(1): the executor keeps
@@ -400,25 +395,14 @@ impl SimCore {
         let node = self.node_of_core(core);
         self.trace.record(
             self.engine.now(),
-            TraceEvent::Noise {
-                node: node.0,
-                tag,
-                cycles,
-            },
+            node.0,
+            core.0,
+            TraceEvent::Noise { tag, cycles },
         );
         self.tel
             .count(self.tel.ids.noise_events, Slot::Node(node.0), 1);
         self.tel
             .hist(self.tel.ids.noise_cycles, Slot::Core(core.0), cycles);
-        self.tel.tp(
-            self.engine.now(),
-            node.0,
-            core.0,
-            TpKind::Noise,
-            "stretch",
-            tag,
-            cycles,
-        );
         self.prof.span(
             Domain::Sched,
             self.engine.now(),
@@ -472,14 +456,14 @@ impl SimCore {
             }
         }
         self.tel.count(self.tel.ids.preempts, Slot::Core(core.0), 1);
-        self.tel.tp(
+        self.trace.record(
             now,
             node.0,
             core.0,
-            TpKind::Preempt,
-            "timeslice",
-            tid.0 as u64,
-            remaining,
+            TraceEvent::Preempt {
+                tid: tid.0,
+                remaining,
+            },
         );
         self.prof.span(Domain::Sched, now, node.0, "preempt", 0);
         Some(tid)
@@ -560,8 +544,9 @@ impl SimCore {
     fn enqueue_msg(&mut self, msg: NetMsg, arrival: Cycle) {
         self.trace.record(
             self.engine.now(),
+            msg.src_node.0,
+            NO_CORE,
             TraceEvent::MsgSend {
-                src: msg.src_node.0,
                 dst: msg.dst_node.0,
                 bytes: msg.bytes,
                 tag: msg.tag,
@@ -672,8 +657,9 @@ impl SimCore {
         if let Some(_end) = self.outage_end(src, dst, NetDomain::Collective) {
             self.trace.record(
                 self.engine.now(),
+                src.0,
+                NO_CORE,
                 TraceEvent::MsgSend {
-                    src: src.0,
                     dst: dst.0,
                     bytes,
                     tag,
@@ -973,7 +959,6 @@ mod tests {
         assert_eq!(t1, Tid(1));
         assert_eq!(s.threads_of(ProcId(0)), &[t0, t1]);
         assert_eq!(s.live_threads(), 2);
-        assert_eq!(s.live_on_core(CoreId(0)), 1);
         // A one-thread process, after a process with none.
         let t2 = s.create_thread(ProcId(2), NodeId(0), CoreId(2), Box::new(Nop));
         assert_eq!(s.threads_of(ProcId(1)), &[]);

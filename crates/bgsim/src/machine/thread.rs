@@ -43,10 +43,6 @@ pub enum ThreadState {
 }
 
 impl ThreadState {
-    pub fn is_running(&self) -> bool {
-        matches!(self, ThreadState::Running { .. })
-    }
-
     pub fn is_blocked(&self) -> bool {
         matches!(self, ThreadState::Blocked(_))
     }
@@ -170,12 +166,6 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(ThreadState::Running {
-            gen: 0,
-            until: 10,
-            started: 0
-        }
-        .is_running());
         assert!(ThreadState::Blocked(BlockKind::Futex).is_blocked());
         assert!(!ThreadState::Exited.is_live());
         assert!(ThreadState::Idle.is_live());

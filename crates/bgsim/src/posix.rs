@@ -24,7 +24,8 @@ use sysabi::futex::FUTEX_BITSET_MATCH_ANY;
 use sysabi::{Errno, FutexOp, NodeId, Sig, SigDisposition, SysReq, SysRet, Tid};
 
 use crate::machine::{BlockKind, MemOpResult, SimCore, SyscallAction, ThreadState};
-use crate::telemetry::{Slot, TpKind};
+use crate::telemetry::Slot;
+use crate::trace::TraceEvent;
 
 /// One waiter parked on a futex word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -334,15 +335,7 @@ impl Posix {
                 ft.wait(pa, tid, bitset);
                 let core = sc.thread(tid).core;
                 sc.tel.count(sc.tel.ids.futex_waits, Slot::Core(core.0), 1);
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::FutexWait,
-                    "wait",
-                    tid.0 as u64,
-                    uaddr,
-                );
+                sc.trace_thread(tid, TraceEvent::FutexWait { tid: tid.0, uaddr });
                 SyscallAction::Block {
                     kind: BlockKind::Futex,
                 }
@@ -359,15 +352,7 @@ impl Posix {
                 }
                 let core = sc.thread(tid).core;
                 sc.tel.count(sc.tel.ids.futex_wakes, Slot::Core(core.0), n);
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::FutexWake,
-                    "wake",
-                    uaddr,
-                    n,
-                );
+                sc.trace_thread(tid, TraceEvent::FutexWake { uaddr, woken: n });
                 done(SysRet::Val(n as i64), cost)
             }
             FutexOp::Requeue {
@@ -441,16 +426,15 @@ impl Posix {
         why: &'static str,
         proc: Option<&PosixProc>,
     ) -> MemOpResult {
-        let (node, core) = (sc.thread(tid).node, sc.thread(tid).core);
+        let core = sc.thread(tid).core;
         sc.tel.count(sc.tel.ids.segv_faults, Slot::Core(core.0), 1);
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            core.0,
-            TpKind::Segv,
-            why,
-            tid.0 as u64,
-            vaddr,
+        sc.trace_thread(
+            tid,
+            TraceEvent::Segv {
+                tid: tid.0,
+                vaddr,
+                why,
+            },
         );
         self.post_signal(sc, tid, Sig::Segv, proc);
         MemOpResult {

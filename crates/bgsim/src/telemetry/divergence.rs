@@ -68,12 +68,8 @@ mod tests {
     use super::*;
     use crate::trace::TraceEvent;
 
-    fn noise(node: u32, cycles: u64) -> TraceEvent {
-        TraceEvent::Noise {
-            node,
-            tag: 0,
-            cycles,
-        }
+    fn noise(cycles: u64) -> TraceEvent {
+        TraceEvent::Noise { tag: 0, cycles }
     }
 
     #[test]
@@ -81,8 +77,8 @@ mod tests {
         let mut a = Trace::new(true);
         let mut b = Trace::new(true);
         for i in 0..50 {
-            a.record(i, noise(0, i));
-            b.record(i, noise(0, i));
+            a.record(i, 0, 0, noise(i));
+            b.record(i, 0, 0, noise(i));
         }
         assert!(first_divergence(&a, &b, 3).is_none());
     }
@@ -92,16 +88,16 @@ mod tests {
         let mut a = Trace::new(true);
         let mut b = Trace::new(true);
         for i in 0..50 {
-            a.record(i, noise(0, i));
+            a.record(i, 0, 0, noise(i));
             // Run B has one extra-long noise event at index 20.
-            b.record(i, noise(0, if i == 20 { 9999 } else { i }));
+            b.record(i, 0, 0, noise(if i == 20 { 9999 } else { i }));
         }
         let d = first_divergence(&a, &b, 3).expect("must diverge");
         assert_eq!(d.index, 20);
-        assert_eq!(d.a.unwrap().what, noise(0, 20));
-        assert_eq!(d.b.unwrap().what, noise(0, 9999));
+        assert_eq!(d.a.unwrap().what, noise(20));
+        assert_eq!(d.b.unwrap().what, noise(9999));
         assert_eq!(d.context.len(), 3);
-        assert_eq!(d.context[2].what, noise(0, 19));
+        assert_eq!(d.context[2].what, noise(19));
     }
 
     #[test]
@@ -109,9 +105,9 @@ mod tests {
         let mut a = Trace::new(true);
         let mut b = Trace::new(true);
         for i in 0..10 {
-            a.record(i, noise(0, i));
+            a.record(i, 0, 0, noise(i));
             if i < 8 {
-                b.record(i, noise(0, i));
+                b.record(i, 0, 0, noise(i));
             }
         }
         let d = first_divergence(&a, &b, 2).expect("must diverge");

@@ -1,14 +1,15 @@
 //! The deterministic telemetry subsystem: a boot-allocated metrics
-//! registry, typed cycle-domain tracepoints, the cycle-accounting
-//! profiler and first-divergence reporting. Rendering lives with the
-//! callers: `bench::report` exports Chrome/Perfetto trace JSON and
-//! gem5-style flat and JSON stats dumps.
+//! registry, the cycle-accounting profiler and first-divergence
+//! reporting. Events are not kept here: the run's one event stream is
+//! `crate::trace`. Rendering lives with the callers: `bench::report`
+//! exports Chrome/Perfetto trace JSON and gem5-style flat and JSON stats
+//! dumps.
 //!
 //! Determinism neutrality is by construction, not by luck:
 //!
 //! * every recorded value is a simulated-cycle count or a plain count —
 //!   no wall clock anywhere;
-//! * recording appends to telemetry-private buffers and never reads an
+//! * recording adds to telemetry-private storage and never reads an
 //!   RNG stream, never schedules an event, and never mutates thread or
 //!   engine state;
 //! * all metric storage is allocated at boot (registration), so the
@@ -16,13 +17,13 @@
 //!   telemetry is disabled, a single branch.
 //!
 //! The same run with telemetry enabled and disabled therefore produces
-//! bit-identical trace digests and final cycle counts; a test in
-//! `tests/cross_kernel.rs` enforces this for both kernels.
+//! bit-identical trace digests, kept trace entries and final cycle
+//! counts; a test in `tests/cross_kernel.rs` enforces this for both
+//! kernels.
 
 mod divergence;
 mod metrics;
 mod profiler;
-mod tracepoint;
 
 pub use divergence::{first_divergence, DivergenceReport};
 pub use metrics::{
@@ -31,9 +32,6 @@ pub use metrics::{
 pub use profiler::{
     Domain, DomainStats, FlightRing, ProfileSnapshot, Profiler, SpanRec, DOMAIN_COUNT,
 };
-pub use tracepoint::{TpKind, Tracepoint, NO_CORE};
-
-use crate::cycles::Cycle;
 
 /// Coverage signal for fuzzers: an FNV-1a hash over the registry's
 /// nonzero counter/histogram slots (name-sorted, so registration order
@@ -161,16 +159,13 @@ impl WellKnownIds {
     }
 }
 
-/// The per-machine telemetry facade carried by `SimCore`. All recording
-/// methods are no-ops when disabled; hooks stay in place permanently
-/// and cost one predictable branch.
+/// The per-machine metrics registry facade carried by `SimCore`. All
+/// recording methods are no-ops when disabled; hooks stay in place
+/// permanently and cost one predictable branch.
 pub struct Telemetry {
     enabled: bool,
     pub metrics: MetricsRegistry,
     pub ids: WellKnownIds,
-    events: Vec<Tracepoint>,
-    capacity: usize,
-    dropped: u64,
 }
 
 impl Telemetry {
@@ -183,62 +178,23 @@ impl Telemetry {
             enabled: false,
             metrics,
             ids,
-            events: Vec::new(),
-            capacity: 0,
-            dropped: 0,
         }
     }
 
     /// Enabled telemetry for a machine shape, with the standard metric
-    /// catalog registered and a bounded tracepoint buffer preallocated
-    /// (recording past `capacity` counts drops instead of reallocating).
-    pub fn standard(nodes: u32, cores_per_node: u32, capacity: usize) -> Telemetry {
+    /// catalog registered.
+    pub fn standard(nodes: u32, cores_per_node: u32) -> Telemetry {
         let mut metrics = MetricsRegistry::new(nodes, cores_per_node);
         let ids = WellKnownIds::register(&mut metrics);
         Telemetry {
             enabled: true,
             metrics,
             ids,
-            events: Vec::with_capacity(capacity),
-            capacity,
-            dropped: 0,
         }
     }
 
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Record a tracepoint. Alloc-free: the buffer was preallocated and
-    /// overflow drops (counted) rather than growing.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn tp(
-        &mut self,
-        at: Cycle,
-        node: u32,
-        core: u32,
-        kind: TpKind,
-        name: &'static str,
-        a: u64,
-        b: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(Tracepoint {
-            at,
-            node,
-            core,
-            kind,
-            name,
-            a,
-            b,
-        });
     }
 
     /// Increment a counter.
@@ -268,16 +224,6 @@ impl Telemetry {
         self.metrics.set(id, slot, v);
     }
 
-    /// Recorded tracepoints, in record order.
-    pub fn events(&self) -> &[Tracepoint] {
-        &self.events
-    }
-
-    /// Tracepoints dropped because the buffer was full.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
-    }
-
     /// Move the metrics registry out (bench post-processing), leaving an
     /// empty one behind.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
@@ -298,23 +244,15 @@ mod tests {
         let mut t = Telemetry::disabled();
         t.count(t.ids.syscalls, Slot::Core(0), 1);
         t.hist(t.ids.noise_cycles, Slot::Core(0), 39);
-        t.tp(5, 0, 0, TpKind::Noise, "x", 0, 0);
         assert!(!t.enabled());
-        assert!(t.events().is_empty());
         assert_eq!(t.metrics.value("syscall.count", Slot::Core(0)), Some(0));
-        assert_eq!(t.dropped_events(), 0);
     }
 
     #[test]
-    fn standard_records_and_bounds() {
-        let mut t = Telemetry::standard(1, 4, 2);
+    fn standard_records() {
+        let mut t = Telemetry::standard(1, 4);
         t.count(t.ids.syscalls, Slot::Core(1), 3);
         t.hist(t.ids.noise_cycles, Slot::Core(1), 17);
-        for i in 0..5 {
-            t.tp(i, 0, 1, TpKind::Noise, "n", i, 0);
-        }
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped_events(), 3);
         assert_eq!(t.metrics.value("syscall.count", Slot::Core(1)), Some(3));
         assert_eq!(
             t.metrics.hist("noise.cycles", Slot::Core(1)).unwrap().max(),
@@ -324,8 +262,8 @@ mod tests {
 
     #[test]
     fn coverage_digest_separates_counter_vectors() {
-        let mut a = Telemetry::standard(1, 4, 8);
-        let mut b = Telemetry::standard(1, 4, 8);
+        let mut a = Telemetry::standard(1, 4);
+        let mut b = Telemetry::standard(1, 4);
         let base_a = coverage_digest(&a.metrics, 0);
         assert_eq!(
             base_a,
@@ -347,7 +285,7 @@ mod tests {
 
     #[test]
     fn take_metrics_leaves_working_registry() {
-        let mut t = Telemetry::standard(1, 4, 8);
+        let mut t = Telemetry::standard(1, 4);
         t.count(t.ids.syscalls, Slot::Core(0), 2);
         let taken = t.take_metrics();
         assert_eq!(taken.value("syscall.count", Slot::Core(0)), Some(2));

@@ -6,8 +6,9 @@
 //! (the per-node allocation a rack-scale layout must size for). The
 //! live profiler holds one in-flight counter per node for that peak;
 //! its [`ProfileSnapshot`] is a fixed-size record whatever the node
-//! count. Per-node attribution of one run lives in the tracepoints and
-//! the per-node metric slots of [`super::Telemetry`]. It obeys
+//! count. Per-node attribution of one run lives in its kept trace
+//! entries (`crate::trace`) and the per-node metric slots of
+//! [`super::Telemetry`]. It obeys
 //! the same determinism-neutrality contract as the rest of
 //! `bgsim::telemetry` — by construction, not by luck:
 //!
@@ -32,8 +33,8 @@ use crate::cycles::Cycle;
 
 /// Cycle-accounting subsystems. `EngineHeap` and `FastPath` split op
 /// retirement by which driver retired it (the heap pop vs. the
-/// event-reduction fast path); the rest follow the tracepoint
-/// categories.
+/// event-reduction fast path); the rest follow the trace exporter's
+/// event categories.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     EngineHeap,

@@ -22,7 +22,6 @@ use sysabi::{SysReq, SysRet};
 
 use crate::ioproxy::IoProxy;
 use crate::vfs::{Ino, Vfs};
-use crate::wire;
 
 /// Baseline ION-side service cost in cycles (shared-buffer handoff +
 /// proxy wakeup + syscall entry on the ION's Linux).
@@ -115,24 +114,10 @@ impl Ciod {
         v
     }
 
-    /// Service a marshaled request for `proc`: decode → execute in the
-    /// proxy → encode the reply. Returns the reply bytes.
-    ///
-    /// A decode failure is answered with EINVAL rather than a crash — a
-    /// malformed message must not take down the I/O node.
-    pub fn service_wire(&mut self, vfs: &mut Vfs, proc: u32, req_bytes: &[u8]) -> Vec<u8> {
-        let Some(proxy) = self.proxies.get_mut(&proc) else {
-            return wire::encode_ret(&SysRet::Err(sysabi::Errno::ESRCH));
-        };
-        let ret = match wire::decode_req(req_bytes) {
-            Ok(req) => proxy.execute(vfs, &req),
-            Err(_) => SysRet::Err(sysabi::Errno::EINVAL),
-        };
-        wire::encode_ret(&ret)
-    }
-
-    /// Convenience for already-decoded requests (used by the FWK, which
-    /// services I/O locally with the same proxy semantics).
+    /// Execute a decoded request in `proc`'s proxy (ESRCH if it has
+    /// none). The I/O node's caller (`Cnk::ion_service`) decodes the
+    /// request off the wire first, drops one that does not decode, and
+    /// encodes the reply.
     pub fn service(&mut self, vfs: &mut Vfs, proc: u32, req: &SysReq) -> SysRet {
         match self.proxies.get_mut(&proc) {
             Some(p) => p.execute(vfs, req),
@@ -152,7 +137,15 @@ impl Ciod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use sysabi::{Fd, OpenFlags};
+
+    /// The I/O node's path: decode the marshaled request, service it,
+    /// encode the reply.
+    fn serve_bytes(c: &mut Ciod, vfs: &mut Vfs, proc: u32, req: &[u8]) -> Vec<u8> {
+        let req = wire::decode_req(req).expect("well-formed request");
+        wire::encode_ret(&c.service(vfs, proc, &req))
+    }
 
     #[test]
     fn wire_service_roundtrip() {
@@ -164,7 +157,7 @@ mod tests {
             flags: OpenFlags::WRONLY | OpenFlags::CREAT,
             mode: 0o644,
         });
-        let reply = c.service_wire(&mut vfs, 7, &open);
+        let reply = serve_bytes(&mut c, &mut vfs, 7, &open);
         let fd = match wire::decode_ret(&reply).unwrap() {
             SysRet::Val(v) => Fd(v as i32),
             other => panic!("{other:?}"),
@@ -173,7 +166,7 @@ mod tests {
             fd,
             data: b"payload".to_vec(),
         });
-        let reply = c.service_wire(&mut vfs, 7, &write);
+        let reply = serve_bytes(&mut c, &mut vfs, 7, &write);
         assert_eq!(wire::decode_ret(&reply).unwrap(), SysRet::Val(7));
         let ino = vfs.resolve(vfs.root(), "/out").unwrap();
         assert_eq!(vfs.read_at(ino, 0, 64).unwrap(), b"payload");
@@ -184,22 +177,10 @@ mod tests {
         let mut vfs = Vfs::new();
         let mut c = Ciod::new(0);
         let req = wire::encode_req(&SysReq::Getcwd);
-        let reply = c.service_wire(&mut vfs, 99, &req);
+        let reply = serve_bytes(&mut c, &mut vfs, 99, &req);
         assert_eq!(
             wire::decode_ret(&reply).unwrap(),
             SysRet::Err(sysabi::Errno::ESRCH)
-        );
-    }
-
-    #[test]
-    fn malformed_request_is_einval_not_crash() {
-        let mut vfs = Vfs::new();
-        let mut c = Ciod::new(0);
-        c.attach_proc(&vfs, 1, 0, 0, vfs.console());
-        let reply = c.service_wire(&mut vfs, 1, &[0xde, 0xad]);
-        assert_eq!(
-            wire::decode_ret(&reply).unwrap(),
-            SysRet::Err(sysabi::Errno::EINVAL)
         );
     }
 

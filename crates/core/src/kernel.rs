@@ -18,8 +18,9 @@ use bgsim::noise::NoiseSource;
 use bgsim::op::CloneArgs;
 use bgsim::posix::{done, err, Posix, PosixPolicy};
 use bgsim::rng::LazyStreams;
-use bgsim::telemetry::{Domain, Slot, TpKind};
+use bgsim::telemetry::{Domain, Slot};
 use bgsim::tlb::{Tlb, TlbEntry};
+use bgsim::trace::{TraceEvent, NO_CORE};
 use ciod::vfs::Ino;
 use ciod::{service_cycles, Ciod, RetryPolicy, Vfs};
 use sysabi::{
@@ -407,23 +408,21 @@ impl Cnk {
         );
         sc.tel
             .count(sc.tel.ids.fship_requests, Slot::Node(node.0), 1);
-        let core = sc.thread(tid).core;
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            core.0,
-            TpKind::FshipReq,
-            req.name(),
-            id,
-            bytes,
+        sc.trace_thread(
+            tid,
+            TraceEvent::FshipReq {
+                id,
+                name: req.name(),
+                bytes,
+            },
         );
         sc.prof
             .span(Domain::Ciod, sc.now(), node.0, "fship_req", marshal);
         sc.coll_send(node, node, bytes, id * 4 + 1, payload, marshal);
     }
 
-    /// Append to the RAS log (and telemetry) — the §V "RAS events are
-    /// reported and handled" path.
+    /// Append to the RAS log (and count and trace it) — the §V "RAS
+    /// events are reported and handled" path.
     fn ras(&mut self, sc: &mut SimCore, node: NodeId, code: &'static str, detail: u64) {
         self.ras_log.push(RasRecord {
             at: sc.now(),
@@ -432,15 +431,8 @@ impl Cnk {
             detail,
         });
         sc.tel.count(sc.tel.ids.ras_events, Slot::Node(node.0), 1);
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            bgsim::telemetry::NO_CORE,
-            TpKind::HwFault,
-            code,
-            detail,
-            0,
-        );
+        sc.trace
+            .record(sc.now(), node.0, NO_CORE, TraceEvent::Ras { code, detail });
     }
 
     /// A reply-timeout timer fired for io `id`: resend with exponential
@@ -476,14 +468,14 @@ impl Cnk {
         sc.tel.count(sc.tel.ids.ciod_retries, Slot::Node(node.0), 1);
         sc.tel
             .count(sc.tel.ids.ciod_backoff_cycles, Slot::Node(node.0), backoff);
-        sc.tel.tp(
+        sc.trace.record(
             sc.now(),
             node.0,
-            bgsim::telemetry::NO_CORE,
-            TpKind::FshipReq,
-            "retry",
-            id,
-            attempt as u64,
+            NO_CORE,
+            TraceEvent::FshipRetry {
+                id,
+                attempt: attempt.into(),
+            },
         );
         sc.prof
             .span(Domain::Ciod, sc.now(), node.0, "fship_retry", backoff);
@@ -592,14 +584,11 @@ impl Cnk {
             Slot::Node(msg.dst_node.0),
             latency,
         );
-        sc.tel.tp(
+        sc.trace.record(
             sc.now(),
             msg.dst_node.0,
-            bgsim::telemetry::NO_CORE,
-            TpKind::FshipRep,
-            "reply",
-            id,
-            latency,
+            NO_CORE,
+            TraceEvent::FshipReply { id, latency },
         );
         sc.prof.span(
             Domain::Ciod,
@@ -644,17 +633,8 @@ impl Cnk {
 
     fn guard_hit(&mut self, sc: &mut SimCore, tid: Tid, vaddr: u64) {
         let core = sc.thread(tid).core;
-        let node = sc.thread(tid).node;
         sc.tel.count(sc.tel.ids.guard_faults, Slot::Core(core.0), 1);
-        sc.tel.tp(
-            sc.now(),
-            node.0,
-            core.0,
-            TpKind::GuardFault,
-            "dac_guard",
-            tid.0 as u64,
-            vaddr,
-        );
+        sc.trace_thread(tid, TraceEvent::GuardFault { tid: tid.0, vaddr });
         // A DAC guard hit is delivered as SIGSEGV; default kills the
         // process (stack smashed into the heap).
         let p = self.procs.get(sc.thread(tid).proc.0 as u64);
@@ -1313,14 +1293,15 @@ impl Kernel for Cnk {
         };
         let core = sc.core_of(node, core_local);
         sc.tel.count(sc.tel.ids.daemon_wakes, Slot::Core(core.0), 1);
-        sc.tel.tp(
+        sc.trace.record(
             sc.now(),
             node.0,
             core.0,
-            TpKind::DaemonWake,
-            src_name,
-            src_idx as u64,
-            cost,
+            TraceEvent::DaemonWake {
+                name: src_name,
+                src: src_idx as u64,
+                cost,
+            },
         );
         sc.stretch_running(core, cost, tag);
         self.schedule_noise(sc, node, src_idx, core_local);
@@ -1388,14 +1369,11 @@ impl Kernel for Cnk {
                     let core = sc.core_of(node, local);
                     sc.tel
                         .count(sc.tel.ids.guard_faults, Slot::Core(core.0), ev.arg);
-                    sc.tel.tp(
+                    sc.trace.record(
                         sc.now(),
                         node.0,
                         core.0,
-                        TpKind::GuardFault,
-                        "dac_storm",
-                        ev.arg,
-                        0,
+                        TraceEvent::GuardStorm { hits: ev.arg },
                     );
                     sc.stretch_running(core, ev.arg * GUARD_STORM_COST, 0x3000);
                 }

@@ -10,7 +10,8 @@ use bgsim::machine::{
 };
 use bgsim::op::{ApiLayer, CommOp, Protocol};
 use bgsim::rng::uniform_incl;
-use bgsim::telemetry::{Slot, TpKind, NO_CORE};
+use bgsim::telemetry::Slot;
+use bgsim::trace::{TraceEvent, NO_CORE};
 use sysabi::{NodeId, Rank, SysRet, Tid};
 
 use crate::params::DcmfParams;
@@ -321,15 +322,13 @@ impl CommModel for Dcmf {
                     );
                     sc.tel
                         .count(sc.tel.ids.dcmf_eager, Slot::Node(src_node.0), 1);
-                    let core = sc.thread(tid).core;
-                    sc.tel.tp(
-                        sc.now(),
-                        src_node.0,
-                        core.0,
-                        TpKind::MsgPhase,
-                        "eager_send",
-                        to.0 as u64,
-                        *bytes,
+                    sc.trace_thread(
+                        tid,
+                        TraceEvent::MsgPhase {
+                            phase: "eager_send",
+                            peer: u64::from(to.0),
+                            bytes: *bytes,
+                        },
                     );
                     CommAction::RunFor { cycles: send_cost }
                 } else {
@@ -357,15 +356,13 @@ impl CommModel for Dcmf {
                     self.inflight.insert(id, Inflight::Rts { rid });
                     sc.tel
                         .count(sc.tel.ids.dcmf_rndzv, Slot::Node(src_node.0), 1);
-                    let core = sc.thread(tid).core;
-                    sc.tel.tp(
-                        sc.now(),
-                        src_node.0,
-                        core.0,
-                        TpKind::MsgPhase,
-                        "rts_send",
-                        to.0 as u64,
-                        *bytes,
+                    sc.trace_thread(
+                        tid,
+                        TraceEvent::MsgPhase {
+                            phase: "rts_send",
+                            peer: u64::from(to.0),
+                            bytes: *bytes,
+                        },
                     );
                     CommAction::RunFor { cycles: rts_cost }
                 }
@@ -440,15 +437,13 @@ impl CommModel for Dcmf {
                 );
                 let src_node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_put, Slot::Node(src_node.0), 1);
-                let core = sc.thread(tid).core;
-                sc.tel.tp(
-                    sc.now(),
-                    src_node.0,
-                    core.0,
-                    TpKind::MsgPhase,
-                    "put_inject",
-                    to.0 as u64,
-                    *bytes,
+                sc.trace_thread(
+                    tid,
+                    TraceEvent::MsgPhase {
+                        phase: "put_inject",
+                        peer: u64::from(to.0),
+                        bytes: *bytes,
+                    },
                 );
                 let ack_extra = self.layer_recv(*layer);
                 self.inflight.insert(
@@ -486,15 +481,13 @@ impl CommModel for Dcmf {
                 );
                 let src_node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_get, Slot::Node(src_node.0), 1);
-                let core = sc.thread(tid).core;
-                sc.tel.tp(
-                    sc.now(),
-                    src_node.0,
-                    core.0,
-                    TpKind::MsgPhase,
-                    "get_request",
-                    from.0 as u64,
-                    *bytes,
+                sc.trace_thread(
+                    tid,
+                    TraceEvent::MsgPhase {
+                        phase: "get_request",
+                        peer: u64::from(from.0),
+                        bytes: *bytes,
+                    },
                 );
                 self.inflight.insert(
                     id,
@@ -513,15 +506,13 @@ impl CommModel for Dcmf {
                 self.coll.is_reduce = false;
                 let node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_coll, Slot::Node(node.0), 1);
-                let core = sc.thread(tid).core;
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::MsgPhase,
-                    "barrier_enter",
-                    rank.0 as u64,
-                    0,
+                sc.trace_thread(
+                    tid,
+                    TraceEvent::MsgPhase {
+                        phase: "barrier_enter",
+                        peer: u64::from(rank.0),
+                        bytes: 0,
+                    },
                 );
                 self.finish_collective(sc);
                 CommAction::Block {
@@ -534,15 +525,13 @@ impl CommModel for Dcmf {
                 self.coll.bytes_max = self.coll.bytes_max.max(*bytes);
                 let node = self.node_of(rank);
                 sc.tel.count(sc.tel.ids.dcmf_coll, Slot::Node(node.0), 1);
-                let core = sc.thread(tid).core;
-                sc.tel.tp(
-                    sc.now(),
-                    node.0,
-                    core.0,
-                    TpKind::MsgPhase,
-                    "allreduce_enter",
-                    rank.0 as u64,
-                    *bytes,
+                sc.trace_thread(
+                    tid,
+                    TraceEvent::MsgPhase {
+                        phase: "allreduce_enter",
+                        peer: u64::from(rank.0),
+                        bytes: *bytes,
+                    },
                 );
                 self.finish_collective(sc);
                 CommAction::Block {
@@ -599,14 +588,15 @@ impl CommModel for Dcmf {
                         self.unexpected.push(Unexpected::Rts { rid, src, dst, tag });
                     }
                 }
-                sc.tel.tp(
+                sc.trace.record(
                     sc.now(),
                     msg.dst_node.0,
                     NO_CORE,
-                    TpKind::MsgPhase,
-                    "cts_send",
-                    rid,
-                    CTRL_BYTES,
+                    TraceEvent::MsgPhase {
+                        phase: "cts_send",
+                        peer: rid,
+                        bytes: CTRL_BYTES,
+                    },
                 );
                 self.send_cts(sc, rid);
             }
@@ -631,28 +621,30 @@ impl CommModel for Dcmf {
                     extra,
                 );
                 self.inflight.insert(id, Inflight::RndzvData { rid });
-                sc.tel.tp(
+                sc.trace.record(
                     sc.now(),
                     msg.dst_node.0,
                     NO_CORE,
-                    TpKind::MsgPhase,
-                    "rndzv_data_inject",
-                    rid,
-                    bytes,
+                    TraceEvent::MsgPhase {
+                        phase: "rndzv_data_inject",
+                        peer: rid,
+                        bytes,
+                    },
                 );
             }
             Inflight::RndzvData { rid } => {
                 let Some(r) = self.rndzv.get_mut(&rid) else {
                     return;
                 };
-                sc.tel.tp(
+                sc.trace.record(
                     sc.now(),
                     msg.dst_node.0,
                     NO_CORE,
-                    TpKind::MsgPhase,
-                    "rndzv_data_landed",
-                    rid,
-                    r.bytes,
+                    TraceEvent::MsgPhase {
+                        phase: "rndzv_data_landed",
+                        peer: rid,
+                        bytes: r.bytes,
+                    },
                 );
                 match r.receiver {
                     Some(recv_tid) => {

@@ -148,7 +148,7 @@ fn measure(row: Row) -> f64 {
                     .entries()
                     .iter()
                     .find_map(|e| match e.what {
-                        TraceEvent::MsgRecv { dst: 1, bytes, .. } if bytes == PAYLOAD => {
+                        TraceEvent::MsgRecv { bytes, .. } if e.node == 1 && bytes == PAYLOAD => {
                             Some(e.at as f64)
                         }
                         _ => None,

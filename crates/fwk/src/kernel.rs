@@ -13,8 +13,9 @@ use bgsim::machine::{
 use bgsim::op::CloneArgs;
 use bgsim::posix::{done, err, Posix, PosixPolicy, PosixProc};
 use bgsim::rng::LazyStreams;
-use bgsim::telemetry::{Domain, Slot, TpKind};
+use bgsim::telemetry::{Domain, Slot};
 use bgsim::tlb::{TlbEntry, TLB_MISS_CYCLES};
+use bgsim::trace::TraceEvent;
 use ciod::{IoProxy, Vfs};
 use sysabi::{
     CloneFlags, CoreId, Errno, JobSpec, NodeId, ProcId, Rank, Sig, SysReq, SysRet, Tid, UtsName,
@@ -677,27 +678,27 @@ impl Kernel for Fwk {
                 Slot::Core(core.0),
                 out.faults as u64,
             );
-            sc.tel.tp(
+            sc.trace.record(
                 sc.now(),
                 node.0,
                 core.0,
-                TpKind::PageFault,
-                "demand_page",
-                tid.0 as u64,
-                out.faults as u64,
+                TraceEvent::PageFault {
+                    tid: tid.0,
+                    faults: out.faults as u64,
+                },
             );
         }
         if tlb_misses > 0 {
             sc.tel
                 .count(sc.tel.ids.tlb_refills, Slot::Core(core.0), tlb_misses);
-            sc.tel.tp(
+            sc.trace.record(
                 sc.now(),
                 node.0,
                 core.0,
-                TpKind::TlbRefill,
-                "sw_refill",
-                tid.0 as u64,
-                tlb_misses,
+                TraceEvent::TlbRefill {
+                    tid: tid.0,
+                    misses: tlb_misses,
+                },
             );
         }
         let cost = chip::stream_cycles(&sc.cfg.chip, bytes, 1).max(1)
@@ -770,14 +771,15 @@ impl Kernel for Fwk {
                 }
                 let core = sc.core_of(node, core_local);
                 sc.tel.count(sc.tel.ids.daemon_wakes, Slot::Core(core.0), 1);
-                sc.tel.tp(
+                sc.trace.record(
                     sc.now(),
                     node.0,
                     core.0,
-                    TpKind::DaemonWake,
-                    self.cfg.noise[src_idx].name,
-                    src_idx as u64,
-                    cost,
+                    TraceEvent::DaemonWake {
+                        name: self.cfg.noise[src_idx].name,
+                        src: src_idx as u64,
+                        cost,
+                    },
                 );
                 // Zero-cycle span: the stretch below accounts `cost`
                 // cycles in Sched, this names the daemon for the flight
@@ -835,14 +837,15 @@ impl Kernel for Fwk {
                 let cost = RECOVERY_COST[i];
                 let core = sc.core_of(node, 0);
                 sc.tel.count(sc.tel.ids.daemon_wakes, Slot::Core(core.0), 1);
-                sc.tel.tp(
+                sc.trace.record(
                     sc.now(),
                     node.0,
                     core.0,
-                    TpKind::DaemonWake,
-                    "ras-recovery",
-                    i as u64,
-                    cost,
+                    TraceEvent::DaemonWake {
+                        name: "ras-recovery",
+                        src: i as u64,
+                        cost,
+                    },
                 );
                 sc.prof
                     .span(Domain::FaultRas, sc.now(), node.0, "ras_recovery", 0);

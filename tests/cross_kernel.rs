@@ -389,35 +389,139 @@ fn cycle_reproducibility_contrast() {
 
 #[test]
 fn telemetry_is_determinism_neutral() {
-    // The telemetry subsystem must be a pure observer: enabling
-    // tracepoints and metrics changes neither the event stream nor the
-    // final cycle count, on either kernel.
-    let run = |kernel: Box<dyn bgsim::Kernel>, telemetry: bool| -> (u64, u64) {
-        let mut cfg = MachineConfig::single_node().with_seed(0xDE7).with_trace();
-        if telemetry {
-            cfg = cfg.with_telemetry();
-        }
+    // The telemetry subsystem must be a pure observer: enabling the
+    // metrics changes neither the event stream (digest and every kept
+    // entry, scheduler, futex and fault events included) nor the final
+    // cycle count, on either kernel. Keeping trace entries is an
+    // observer too: it moves neither the outcome, the final cycle, the
+    // digest nor the profile.
+    use bgsim::trace::{TraceEntry, TraceEvent};
+    use std::mem::{discriminant, Discriminant};
+
+    /// FWQ on four threads.
+    fn fwq(_r: Rank) -> Box<dyn Workload> {
+        Box::new(workloads::fwq::FwqMain::new(
+            workloads::fwq::FwqConfig::quick(80),
+            Recorder::new(),
+            4,
+        ))
+    }
+    /// An OpenMP region over futex barriers, then a checkpoint through
+    /// the I/O path (run under a fault script that storms the DAC guards
+    /// and cuts the collective link under it).
+    fn irs(_r: Rank) -> Box<dyn Workload> {
+        workloads::apps::AppProfiles::irs(0, Recorder::new())
+    }
+    /// Two threads sharing core 2 that yield to each other.
+    fn yielders(_r: Rank) -> Box<dyn Workload> {
+        let mut step = 0u64;
+        wl(move |env| {
+            step += 1;
+            match step {
+                1 | 2 => Op::Spawn {
+                    args: bgsim::CloneArgs::nptl(0x7500_0000 + step * 0x100000, 0, 0),
+                    child: script(
+                        (0..6)
+                            .map(|i| match i % 2 {
+                                0 => Op::Compute { cycles: 10_000 },
+                                _ => Op::Syscall(SysReq::SchedYield),
+                            })
+                            .collect(),
+                    ),
+                    core_hint: Some(2),
+                },
+                _ => {
+                    let _ = env.take_ret();
+                    Op::End
+                }
+            }
+        })
+    }
+
+    struct Run {
+        outcome: bgsim::machine::RunOutcome,
+        digest: u64,
+        profile: bgsim::ProfileSnapshot,
+        entries: Vec<TraceEntry>,
+    }
+    type Prog = fn(Rank) -> Box<dyn Workload>;
+    let progs: [(Prog, &str); 3] = [
+        (fwq, ""),
+        (irs, "200000 0 guard-storm 3\n1500000 0 coll-drop 900000"),
+        (yielders, ""),
+    ];
+    let run = |kernel: Box<dyn bgsim::Kernel>,
+               (prog, faults): (Prog, &str),
+               telemetry: bool,
+               keep: bool|
+     -> Run {
+        let mut cfg = MachineConfig {
+            telemetry,
+            trace_events: keep,
+            faults: bgsim::FaultSchedule::parse(faults).unwrap(),
+            ..MachineConfig::single_node().with_seed(0xDE7)
+        };
+        cfg.chip.threads_per_core = 3;
         let mut m = Machine::new(cfg, kernel, Box::new(Dcmf::with_defaults()));
         m.boot();
-        let rec = Recorder::new();
-        let rec2 = rec.clone();
-        m.launch(&spec(1), &mut move |_r: Rank| {
-            Box::new(workloads::fwq::FwqMain::new(
-                workloads::fwq::FwqConfig::quick(80),
-                rec2.clone(),
-                4,
-            )) as Box<dyn Workload>
-        })
-        .unwrap();
-        let out = m.run();
-        assert!(out.completed(), "{out:?}");
-        (m.trace_digest(), out.at())
+        m.launch(&spec(1), &mut |r: Rank| prog(r)).unwrap();
+        let outcome = m.run();
+        assert!(outcome.completed(), "{outcome:?}");
+        Run {
+            outcome,
+            digest: m.trace_digest(),
+            profile: m.profile_snapshot(),
+            entries: m.sc.trace.entries().to_vec(),
+        }
     };
+    let kind = |what: TraceEvent| discriminant(&what);
     for (name, mk) in kernels() {
-        let off = run(mk(), false);
-        let on = run(mk(), true);
-        assert_eq!(off.0, on.0, "{name}: trace digest changed by telemetry");
-        assert_eq!(off.1, on.1, "{name}: final cycle changed by telemetry");
+        let mut seen: Vec<Discriminant<TraceEvent>> = Vec::new();
+        for prog in progs {
+            let off = run(mk(), prog, false, true);
+            let on = run(mk(), prog, true, true);
+            assert_eq!(
+                off.digest, on.digest,
+                "{name}: trace digest changed by telemetry"
+            );
+            assert_eq!(
+                off.outcome.at(),
+                on.outcome.at(),
+                "{name}: final cycle changed by telemetry"
+            );
+            assert!(
+                off.entries == on.entries,
+                "{name}: kept entries changed by telemetry"
+            );
+            let bare = run(mk(), prog, true, false);
+            assert!(bare.entries.is_empty(), "{name}: entries kept unasked");
+            assert_eq!(
+                (&bare.outcome, bare.digest),
+                (&on.outcome, on.digest),
+                "{name}: keeping entries moved the outcome, cycle or digest"
+            );
+            assert_eq!(
+                bare.profile, on.profile,
+                "{name}: keeping entries moved the profile"
+            );
+            seen.extend(on.entries.iter().map(|e| discriminant(&e.what)));
+        }
+        // The comparison covers the kinds that moved into the trace: a
+        // scheduler pick, a futex wait, and a memory fault of the
+        // kernel's own kind (guard storms on CNK, demand paging on the
+        // FWK).
+        let fault = if name == "cnk" {
+            kind(TraceEvent::GuardStorm { hits: 0 })
+        } else {
+            kind(TraceEvent::PageFault { tid: 0, faults: 0 })
+        };
+        for want in [
+            kind(TraceEvent::SchedPick { tid: 0 }),
+            kind(TraceEvent::FutexWait { tid: 0, uaddr: 0 }),
+            fault,
+        ] {
+            assert!(seen.contains(&want), "{name}: {want:?} never kept");
+        }
     }
 }
 
@@ -458,13 +562,10 @@ fn first_divergence_pinpoints_injected_fault() {
         .expect("fault run must diverge from clean run");
     let entry = d.b.as_ref().expect("divergent side has an entry");
     assert_eq!(entry.at, fault_at, "divergence at the injection cycle");
-    assert_eq!(
-        entry.what,
-        TraceEvent::Fault {
-            core: 1,
-            kind: FAULT_PARITY
-        },
-        "first divergent event is the injected fault itself"
+    assert!(
+        entry.core == 1
+            && matches!(entry.what, TraceEvent::Fault { kind, .. } if kind == FAULT_PARITY),
+        "first divergent event is the injected fault itself: {entry:?}"
     );
     // Context holds the matching entries before the divergence (fewer
     // than requested if the streams diverge early).

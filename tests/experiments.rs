@@ -8,14 +8,16 @@ use bench::harness::{
     allreduce_us, bsp_runtime, checkpoint_io, io_fwq, linpack_seconds, measure_latency_us,
     nn_throughput, run_fwq, torus_neighbors, KernelKind, LatencyRow,
 };
+use bench::report::chrome_trace_json;
 use bench::stats::Summary;
 use bgsim::fault::FaultSpec;
 use bgsim::telemetry::Slot;
+use bgsim::trace::TraceEvent;
 use workloads::linpack::LinpackConfig;
 
 #[test]
 fn fig5_fwk_noise_shape() {
-    let (_, run) = run_fwq(KernelKind::Fwk, 3_000, 0xF16, true, &FaultSpec::None);
+    let (_, run) = run_fwq(KernelKind::Fwk, 3_000, 0xF16, true, false, &FaultSpec::None);
     // Core 1 is the quiet core; 0, 2, 3 see daemon spikes (Fig. 5's
     // per-core asymmetry). The registry histogram is the same data
     // `bgbench fig5_7_fwq` exports via --stats-out.
@@ -36,8 +38,51 @@ fn fig5_fwk_noise_shape() {
 }
 
 #[test]
+fn fwq_trace_export_keeps_every_event() {
+    // `bgbench fig5_7_fwq --trace-out` at its default 12 000 samples:
+    // the Linux run records more events than a 65 536-entry buffer
+    // holds, and the Chrome trace must carry every exportable one (all
+    // but op ends and message sends/receives), in record order.
+    let (_, run) = run_fwq(
+        KernelKind::Fwk,
+        12_000,
+        0xF00D,
+        true,
+        true,
+        &FaultSpec::None,
+    );
+    let exportable: Vec<_> = run
+        .trace
+        .iter()
+        .filter(|e| {
+            !matches!(
+                e.what,
+                TraceEvent::OpEnd { .. } | TraceEvent::MsgSend { .. } | TraceEvent::MsgRecv { .. }
+            )
+        })
+        .collect();
+    assert!(
+        exportable.len() > 65_536,
+        "only {} exportable events",
+        exportable.len()
+    );
+    let json = chrome_trace_json(&run.trace);
+    assert_eq!(json.matches("\"ts\":").count(), exportable.len());
+    let last = exportable.last().expect("events recorded");
+    let tail = format!("\"ts\":{},", last.at);
+    assert_eq!(
+        json.rfind("\"ts\":"),
+        json.rfind(&tail),
+        "last event missing"
+    );
+    // Without a kept trace the same run keeps no entries.
+    let (_, bare) = run_fwq(KernelKind::Fwk, 500, 0xF00D, true, false, &FaultSpec::None);
+    assert!(bare.trace.is_empty());
+}
+
+#[test]
 fn fig6_fig7_cnk_noise_bound() {
-    let (series, _) = run_fwq(KernelKind::Cnk, 3_000, 0xF17, true, &FaultSpec::None);
+    let (series, _) = run_fwq(KernelKind::Cnk, 3_000, 0xF17, true, false, &FaultSpec::None);
     for (c, samples) in series.iter().enumerate() {
         let s = Summary::of(samples);
         assert_eq!(s.min, 658_958.0);
@@ -53,7 +98,7 @@ fn fig6_fig7_cnk_noise_bound() {
 #[test]
 fn table1_all_rows() {
     for row in LatencyRow::ALL {
-        let (got, _) = measure_latency_us(row);
+        let (got, _) = measure_latency_us(row, false);
         let want = row.paper_us();
         assert!(
             (got - want).abs() / want < 0.10,
@@ -70,7 +115,7 @@ fn fig8_throughput_curve() {
     let mut prev = 0.0;
     let mut last_cnk = 0.0;
     for &s in &sizes {
-        let (bw, _) = nn_throughput(KernelKind::Cnk, 8, s, 88, true, &FaultSpec::None);
+        let (bw, _) = nn_throughput(KernelKind::Cnk, 8, s, 88, true, false, &FaultSpec::None);
         assert!(bw > prev, "not rising at {s}: {bw} <= {prev}");
         prev = bw;
         last_cnk = bw;
@@ -80,7 +125,15 @@ fn fig8_throughput_curve() {
         last_cnk > 0.75 * peak,
         "no saturation: {last_cnk} of {peak}"
     );
-    let (fwk_bw, _) = nn_throughput(KernelKind::Fwk, 8, 1 << 20, 88, true, &FaultSpec::None);
+    let (fwk_bw, _) = nn_throughput(
+        KernelKind::Fwk,
+        8,
+        1 << 20,
+        88,
+        true,
+        false,
+        &FaultSpec::None,
+    );
     assert!(
         last_cnk > fwk_bw * 1.15,
         "CNK should beat Linux caps: {last_cnk} vs {fwk_bw}"
@@ -96,7 +149,7 @@ fn linpack_stability_contrast() {
     };
     let runs = |kind| -> Summary {
         let times: Vec<f64> = (0..6)
-            .map(|s| linpack_seconds(kind, 4, cfg, 0x11A + s).0)
+            .map(|s| linpack_seconds(kind, 4, cfg, 0x11A + s, false).0)
             .collect();
         Summary::of(&times)
     };
@@ -118,8 +171,8 @@ fn linpack_stability_contrast() {
 
 #[test]
 fn allreduce_stability_contrast() {
-    let cnk = Summary::of(&allreduce_us(KernelKind::Cnk, 16, 500, 0xA1).0);
-    let fwk = Summary::of(&allreduce_us(KernelKind::Fwk, 4, 2_000, 0xA1).0);
+    let cnk = Summary::of(&allreduce_us(KernelKind::Cnk, 16, 500, 0xA1, false).0);
+    let fwk = Summary::of(&allreduce_us(KernelKind::Fwk, 4, 2_000, 0xA1, false).0);
     assert!(cnk.stddev < 0.01, "cnk stddev {} us", cnk.stddev);
     // Paper: 8.9 µs; accept the right order of magnitude.
     assert!(
@@ -136,7 +189,7 @@ fn noise_injection_amplifies_with_scale_and_granularity() {
     use bgsim::noise::NoiseSource;
 
     // 400 iterations of 1 ms compute + allreduce.
-    let bsp = |nodes: u32, noise: Vec<NoiseSource>| bsp_runtime(nodes, noise, 400, 0xBEEF).0;
+    let bsp = |nodes: u32, noise: Vec<NoiseSource>| bsp_runtime(nodes, noise, 400, 0xBEEF, false).0;
 
     let slowdown = |nodes: u32, noise: Vec<NoiseSource>| -> f64 {
         let base = bsp(nodes, vec![]);
@@ -164,7 +217,7 @@ fn io_offload_isolates_compute_noise() {
     // on CNK. (Scaled-down version of `bgbench io_noise`: 1 500 samples,
     // 6 checkpoints.)
     let run = |kind| -> f64 {
-        let (series, _) = io_fwq(kind, 1_500, 6, 0x10, &FaultSpec::None);
+        let (series, _) = io_fwq(kind, 1_500, 6, 0x10, false, &FaultSpec::None);
         // Worst FWQ delta across cores 2 and 3 (the writeback cores).
         series[2..4]
             .iter()
@@ -184,7 +237,7 @@ fn io_offload_isolates_compute_noise() {
 fn bgl_style_serialized_ciod_degrades_with_pset_size() {
     // Two checkpoints per rank (`bgbench io_proxy_ablation` writes three).
     let mean_io = |nodes: u32, bgl: bool| -> f64 {
-        let (all, _) = checkpoint_io(nodes, bgl, 2, 0x10B);
+        let (all, _) = checkpoint_io(nodes, bgl, 2, 0x10B, false);
         all.iter().sum::<f64>() / all.len() as f64
     };
     let bgp = mean_io(8, false);

@@ -39,7 +39,7 @@ fn empty_schedule_reproduces_recorded_bench_digests() {
     ] {
         for bytes in [512u64, 8192] {
             for (kind, key) in [(KernelKind::Cnk, "cnk"), (KernelKind::Fwk, "linux_caps")] {
-                let (_, run) = nn_throughput(kind, 64, bytes, 8, fast, &FaultSpec::None);
+                let (_, run) = nn_throughput(kind, 64, bytes, 8, fast, false, &FaultSpec::None);
                 let want = recorded_digest(file, &format!("digest.{key}.{bytes}"));
                 assert_eq!(
                     format!("{:016x}", run.digest),
@@ -236,11 +236,11 @@ fn machine_check_terminates_job_cleanly() {
 #[test]
 fn seeded_faults_are_thread_invariant() {
     let faults = FaultSpec::Seed(13);
-    let (_, baseline) = nn_throughput(KernelKind::Cnk, 16, 4096, 8, true, &faults);
+    let (_, baseline) = nn_throughput(KernelKind::Cnk, 16, 4096, 8, true, false, &faults);
     let jobs: Vec<_> = (0..4)
         .map(|_| {
             let faults = faults.clone();
-            move || nn_throughput(KernelKind::Cnk, 16, 4096, 8, true, &faults).1
+            move || nn_throughput(KernelKind::Cnk, 16, 4096, 8, true, false, &faults).1
         })
         .collect();
     for r in bench::par::run_shards(4, jobs) {
@@ -256,8 +256,8 @@ fn seeded_faults_are_thread_invariant() {
 /// Linux cannot shed them) — while CNK's FWQ samples stay tight.
 #[test]
 fn fwk_shows_recovery_noise_under_faults() {
-    let (_, quiet) = run_fwq(KernelKind::Fwk, 300, 9, true, &FaultSpec::None);
-    let (_, faulted) = run_fwq(KernelKind::Fwk, 300, 9, true, &FaultSpec::Seed(13));
+    let (_, quiet) = run_fwq(KernelKind::Fwk, 300, 9, true, false, &FaultSpec::None);
+    let (_, faulted) = run_fwq(KernelKind::Fwk, 300, 9, true, false, &FaultSpec::Seed(13));
     let qn = quiet
         .stats
         .value("noise.events", Slot::Node(0))
@@ -271,7 +271,7 @@ fn fwk_shows_recovery_noise_under_faults() {
         "fault run should wake extra daemons: {fnz} vs {qn}"
     );
     // CNK under the same seed logs the events but keeps computing.
-    let (_, cnk) = run_fwq(KernelKind::Cnk, 300, 9, true, &FaultSpec::Seed(13));
+    let (_, cnk) = run_fwq(KernelKind::Cnk, 300, 9, true, false, &FaultSpec::Seed(13));
     assert!(
         cnk.stats
             .value("ras.events", Slot::Node(0))

@@ -22,7 +22,7 @@ fn shard_pool_is_thread_count_invariant() {
             .iter()
             .map(|&(kind, bytes)| {
                 move || {
-                    let (_, r) = nn_throughput(kind, 8, bytes, 8, true, &FaultSpec::None);
+                    let (_, r) = nn_throughput(kind, 8, bytes, 8, true, false, &FaultSpec::None);
                     (r.digest, r.final_cycle)
                 }
             })
