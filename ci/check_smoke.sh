@@ -5,9 +5,11 @@
 # scripts × 2 kernels × 2 modes), and fuzz a bounded budget of freshly
 # generated programs, clean and faulted. Each program runs 10 times:
 # per kernel (cnk, fwk), the 2 modes fast and heap — fast is the
-# oracle — plus 3 oracle-mode repetitions through the shard pool. Any divergence leaves a minimized, replayable repro script in
-# the artifacts directory (uploaded by CI on failure). Last, a repeated
-# value flag must be refused as a usage error:
+# oracle — plus 3 oracle-mode repetitions through the shard pool. Any
+# divergence leaves a minimized, replayable repro script and the
+# failing run's replayed trace tail in the artifacts directory (CI
+# uploads it on every run). Last, a repeated value flag must be refused
+# as a usage error:
 #
 #   ./ci/check_smoke.sh [artifacts-dir] [fuzz-budget]
 set -euo pipefail
@@ -21,16 +23,17 @@ bin=./target/release/bgcheck
 
 # 1) The checker checks itself: a checker that stopped detecting
 #    divergence would pass everything silently. --out saves one
-#    annotated .bgck repro + flight-recorder dump per detected canary;
-#    a canary failure without both artifacts is a checker regression.
+#    annotated .bgck repro + replayed trace tail (the failing leg rerun
+#    with its trace kept, its last entries) per detected canary; a
+#    canary failure without both artifacts is a checker regression.
 "$bin" selftest --out "$out/selftest"
 for name in seedskew extrafault droptailop digestxor cycleskew; do
   [ -s "$out/selftest/canary-$name.bgck" ] \
     || { echo "FAIL: selftest wrote no canary-$name.bgck repro" >&2; exit 1; }
   [ -s "$out/selftest/canary-$name.flight.txt" ] \
-    || { echo "FAIL: canary-$name detected without a flight-recorder dump" >&2; exit 1; }
+    || { echo "FAIL: canary-$name detected without a replayed trace tail" >&2; exit 1; }
 done
-echo "check smoke OK: 5 canary repros each carry a flight-recorder dump"
+echo "check smoke OK: 5 canary repros each carry a replayed trace tail"
 
 # 2) Digest-pinned regression corpus: every script must replay to the
 #    exact (digest, final cycle) recorded when it was minted.

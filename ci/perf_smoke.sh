@@ -265,6 +265,17 @@ EOF
 
 echo "perf smoke OK: RAS fault smoke passed"
 
+# 3) A machine check that kills the io_noise job before its sampler
+#    cores record a sample must still report (a `-` for each empty
+#    core), not panic.
+printf '900000 0 machine-check 0\n' > "$out/machine_check.faults"
+rc=0
+"$bgbench" io_noise 400 --fault-script "$out/machine_check.faults" --force \
+  --stats-out "$out/io_mce.json" >"$out/io_mce.txt" 2>&1 || rc=$?
+[ "$rc" -eq 0 ] || { cat "$out/io_mce.txt" >&2; echo "FAIL: io_noise under a machine check exited $rc" >&2; exit 1; }
+validate_schema "$out/io_mce.json"
+echo "perf smoke OK: io_noise reports a job a machine check killed"
+
 # ---- rack-scale layout smoke -------------------------------------------------
 # Small fig_scale sweep (64 and 512 nodes keep the leg CI-sized; the
 # checked-in BENCH_scale.json is the full sweep on the reference host).
@@ -302,7 +313,7 @@ print(f"fig_scale: {s['scale.n512.bytes_per_node']:.0f} B/node, "
 EOF
 echo "perf smoke OK: rack-scale digests identical across --threads 1/4"
 
-# 3) Panic-free kernel core: ciod, bgsim, cnk, and bgcheck all carry
+# 4) Panic-free kernel core: ciod, bgsim, cnk, and bgcheck all carry
 #    #![deny(clippy::unwrap_used)] in-source; a plain clippy run is the
 #    gate (a CLI -D flag would leak into vendored path deps).
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then

@@ -1134,6 +1134,11 @@ pub fn io_noise(ctx: &mut Ctx, samples: u32) {
             ctx.report.registry(&key, run.stats);
             let mut row = vec![kind.label().to_string(), mode.to_string()];
             for (core, s) in series.iter().enumerate().skip(1) {
+                // A machine check can kill the job before a core samples.
+                if s.is_empty() {
+                    row.push("-".to_string());
+                    continue;
+                }
                 let s = Summary::of(s);
                 ctx.report
                     .scalar(&format!("{key}.core{core}.max_delta"), s.max - s.min);

@@ -277,9 +277,9 @@ mod tests {
     use bgsim::{Domain, Profiler};
 
     fn sample_snapshot() -> ProfileSnapshot {
-        let mut p = Profiler::standard(3, 8);
-        p.span(Domain::Torus, 100, 0, "send", 250);
-        p.span(Domain::Sched, 200, 1, "noise_stretch", 750);
+        let mut p = Profiler::standard(3);
+        p.span(Domain::Torus, 250);
+        p.span(Domain::Sched, 750);
         p.msg_enqueued(0, 2);
         p.snapshot()
     }

@@ -591,8 +591,8 @@ mod tests {
 
     #[test]
     fn profile_block_emits_domain_and_heat_keys() {
-        let mut prof = bgsim::Profiler::standard(2, 8);
-        prof.span(bgsim::Domain::Torus, 10, 0, "send", 120);
+        let mut prof = bgsim::Profiler::standard(2);
+        prof.span(bgsim::Domain::Torus, 120);
         prof.msg_enqueued(0, 1);
         let mut r = Report::new("x");
         r.profile(&prof.snapshot());

@@ -16,9 +16,9 @@ use bench::monitor::{last_snapshot, malformed_snapshots, snapshot_json};
 use bgsim::{Domain, Profiler};
 
 fn sample_line(bench: &str, seq: u64, done: usize, total: usize) -> String {
-    let mut p = Profiler::standard(2, 8);
-    p.span(Domain::Torus, 100 * seq, 0, "send", 250);
-    p.span(Domain::Sched, 17, 1, "quote\"in\\name", 75);
+    let mut p = Profiler::standard(2);
+    p.span(Domain::Torus, 250);
+    p.span(Domain::Sched, 75);
     p.msg_enqueued(0, 1);
     snapshot_json(bench, seq, done, total, &p.snapshot())
 }

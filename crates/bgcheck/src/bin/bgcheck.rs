@@ -10,8 +10,8 @@
 //! `fuzz` reports a coverage-digest novelty count per seed (how many of
 //! the run's telemetry-coverage fingerprints were not seen before); on a
 //! failure it writes the minimized `.bgck` repro plus the failing run's
-//! flight-recorder dump. `selftest --out` saves one annotated `.bgck` +
-//! flight dump per detected canary.
+//! replayed trace tail. `selftest --out` saves one annotated `.bgck` +
+//! trace tail per detected canary.
 //!
 //! Exit codes: 0 clean, 1 failure found, 2 usage error (an unknown,
 //! repeated or valueless flag, or a stray argument, included).
@@ -94,10 +94,7 @@ fn run() -> Result<ExitCode, String> {
                 Ok(()) => {
                     println!("selftest: clean pass + all canaries detected");
                     if let Some(dir) = &out {
-                        println!(
-                            "selftest: canary repros + flight dumps in {}",
-                            dir.display()
-                        );
+                        println!("selftest: canary repros + trace tails in {}", dir.display());
                     }
                     ExitCode::SUCCESS
                 }
@@ -156,7 +153,7 @@ fn fuzz(budget: u64, seed0: u64, out: &Path) -> ExitCode {
                 if let Some(flight) = &fail.flight {
                     let fpath = out.join(format!("fuzz-{seed}.flight.txt"));
                     match std::fs::write(&fpath, flight) {
-                        Ok(()) => eprintln!("flight-recorder dump written to {}", fpath.display()),
+                        Ok(()) => eprintln!("replayed trace tail written to {}", fpath.display()),
                         Err(e) => eprintln!("error: writing {}: {e}", fpath.display()),
                     }
                 }

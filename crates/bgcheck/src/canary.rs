@@ -44,8 +44,8 @@ pub fn selftest() -> Result<(), String> {
     selftest_with_artifacts(None)
 }
 
-/// [`selftest`], optionally saving one `.bgck` script + flight-recorder
-/// dump per detected canary under `out` (CI keeps these as artifacts so
+/// [`selftest`], optionally saving one `.bgck` script + replayed trace
+/// tail per detected canary under `out` (CI keeps these as artifacts so
 /// a checker regression comes with the evidence attached).
 pub fn selftest_with_artifacts(out: Option<&Path>) -> Result<(), String> {
     let p = selftest_program();
@@ -67,8 +67,8 @@ pub fn selftest_with_artifacts(out: Option<&Path>) -> Result<(), String> {
 }
 
 /// Save `canary-<name>.bgck` (the self-test program annotated with the
-/// verdict) and `canary-<name>.flight.txt` (the failing run's flight-
-/// recorder dump) under `dir`.
+/// verdict) and `canary-<name>.flight.txt` (the failing run's evidence:
+/// its replay's trace tail) under `dir`.
 fn write_canary_artifacts(dir: &Path, c: Canary, p: &Program, f: &Failure) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let name = format!("{c:?}").to_lowercase();
@@ -84,7 +84,7 @@ fn write_canary_artifacts(dir: &Path, c: Canary, p: &Program, f: &Failure) -> Re
     let flight = f
         .flight
         .as_deref()
-        .unwrap_or("(no flight-recorder dump captured for this failure)");
+        .unwrap_or("(no replayed trace tail captured for this failure)");
     let fpath = dir.join(format!("canary-{name}.flight.txt"));
     std::fs::write(&fpath, flight).map_err(|e| format!("writing {}: {e}", fpath.display()))?;
     Ok(())
@@ -99,15 +99,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bgcheck-canary-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         selftest_with_artifacts(Some(&dir)).expect("self-test");
-        // Every detected canary left a repro script and a flight dump.
+        // Every detected canary left a repro script and a trace tail.
         for c in Canary::ALL {
             let name = format!("{c:?}").to_lowercase();
             assert!(dir.join(format!("canary-{name}.bgck")).exists());
             let flight = std::fs::read_to_string(dir.join(format!("canary-{name}.flight.txt")))
-                .expect("flight dump file");
+                .expect("trace tail file");
             assert!(
-                !flight.starts_with("(no flight"),
-                "canary {c:?} failure carried no flight dump"
+                !flight.starts_with("(no replayed"),
+                "canary {c:?} failure carried no trace tail"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

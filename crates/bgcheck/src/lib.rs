@@ -20,7 +20,8 @@
 //! 3. On a mismatch, [`shrink`] reduces the program to a minimal still-
 //!    failing case and [`script`] serializes it as a replayable text
 //!    script (the same line-oriented shape as `FaultSchedule::parse`),
-//!    with a first-divergence report from the telemetry subsystem.
+//!    with a first-divergence report from the telemetry subsystem and
+//!    the failing run's last trace entries, from one replay of it.
 //! 4. [`canary`] is the checker's own regression harness: deliberately
 //!    injected mutations that a working checker must catch.
 

@@ -11,6 +11,7 @@
 //! overlap).
 
 use bgsim::machine::{LiveHook, Machine, RunOutcome};
+use bgsim::trace::{TraceEntry, NO_CORE};
 use bgsim::MachineConfig;
 
 use crate::program::Program;
@@ -138,8 +139,10 @@ pub struct Failure {
     pub detail: String,
     /// Rendered first-divergence report, when one could be produced.
     pub divergence: Option<String>,
-    /// Flight-recorder dump from the failing run's machine — the last
-    /// spans each subsystem executed before the failure was detected.
+    /// The failing run's recent past, replayed: the last trace entries
+    /// of one rerun of the same program, kernel and mode with its trace
+    /// kept, under a header saying whether the rerun reproduced the
+    /// failure. `None` when the machine could not be built.
     pub flight: Option<String>,
 }
 
@@ -154,12 +157,16 @@ impl Failure {
             s.push_str(d);
         }
         if let Some(f) = &self.flight {
-            s.push_str("\nflight recorder:\n");
+            s.push('\n');
             s.push_str(f);
         }
         s
     }
 }
+
+/// How many trace entries a failure's evidence ends with: the last ones
+/// the replay kept.
+const EVIDENCE_ENTRIES: usize = 256;
 
 fn build_machine(
     p: &Program,
@@ -185,45 +192,81 @@ fn build_machine(
     Ok(m)
 }
 
-/// Run `m` to the end. A panic mid-run must not lose the flight
-/// recorder: catch it, fold the dump into the error, and let the caller
-/// report it as a checker failure instead of tearing down the process.
+/// Run `m` to the end. A panic mid-run must not tear down the process:
+/// catch it and return its message, so the caller reports a checker
+/// failure (and can replay the run for evidence).
 fn run_caught(m: &mut Machine) -> Result<RunOutcome, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run())).map_err(|payload| {
-        let msg = payload
+        payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("run panicked: {msg}\nflight recorder:\n{}", m.flight_dump())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
     })
 }
 
-/// Run `p` once in the given mode. Returns the record and, when
-/// `keep_trace` is set, the machine itself (for divergence reports).
-fn run_one(
+/// One finished run: the machine, and how the run ended — its outcome,
+/// or the message of the panic that stopped it (the machine then holds
+/// the state, and a kept trace the entries, up to the panic).
+struct Ran {
+    kernel: CheckKernel,
+    mode: Mode,
+    m: Machine,
+    out: Result<RunOutcome, String>,
+}
+
+impl Ran {
+    /// The run's record; `Err` if it panicked. A cancelled or timed-out
+    /// run skips the invariant sweep (quiescence assumptions do not
+    /// hold mid-run).
+    fn record(&self) -> Result<RunRecord, String> {
+        let out = self
+            .out
+            .as_ref()
+            .map_err(|msg| format!("run panicked: {msg}"))?;
+        let interrupted = matches!(out, RunOutcome::Cancelled { .. });
+        Ok(RunRecord {
+            kernel: self.kernel.label(),
+            mode: self.mode.label().to_string(),
+            outcome: outcome_label(out),
+            final_cycle: out.at(),
+            digest: self.m.trace_digest(),
+            violations: if interrupted {
+                Vec::new()
+            } else {
+                self.m.check_invariants()
+            },
+            coverage: self.m.coverage_digest(),
+        })
+    }
+}
+
+/// The one build-run path every run takes: build, boot and launch `p`
+/// in `mode`, attach `hook`, and run under the panic catch.
+/// `keep_trace` keeps the trace entries (divergence reports and failure
+/// evidence read them). `Err` when the machine could not be built.
+fn run(
     p: &Program,
     kernel: CheckKernel,
     mode: Mode,
     keep_trace: bool,
-) -> Result<(RunRecord, Machine), String> {
+    hook: LiveHook,
+) -> Result<Ran, String> {
     let mut m = build_machine(p, kernel, mode, keep_trace)?;
-    let out = run_caught(&mut m)?;
-    let rec = RunRecord {
-        kernel: kernel.label(),
-        mode: mode.label().to_string(),
-        outcome: outcome_label(&out),
-        final_cycle: out.at(),
-        digest: m.trace_digest(),
-        violations: m.check_invariants(),
-        coverage: m.coverage_digest(),
-    };
-    Ok((rec, m))
+    m.attach_live_hook(hook);
+    let out = run_caught(&mut m);
+    Ok(Ran {
+        kernel,
+        mode,
+        m,
+        out,
+    })
 }
 
-/// Public single-mode entry (replay/record paths).
+/// Run and record `p` once in `mode` (the checker's legs, and the
+/// replay/record paths).
 pub fn run_mode(p: &Program, kernel: CheckKernel, mode: Mode) -> Result<RunRecord, String> {
-    run_one(p, kernel, mode, false).map(|(r, _)| r)
+    run(p, kernel, mode, false, LiveHook::default())?.record()
 }
 
 /// The steerable service entry: a single-mode run that also returns the
@@ -231,42 +274,86 @@ pub fn run_mode(p: &Program, kernel: CheckKernel, mode: Mode) -> Result<RunRecor
 /// can stream progress to a sink and be stopped early by a cancel token
 /// or deadline (`LiveHook::default()` attaches nothing). A
 /// cancelled/timed-out run returns a normal `Ok` record whose outcome is
-/// `cancelled`/`timeout`; its invariant sweep is skipped (quiescence
-/// assumptions do not hold mid-run) and its triple must never be treated
-/// as the job's canonical answer.
+/// `cancelled`/`timeout`; its invariant sweep is skipped and its triple
+/// must never be treated as the job's canonical answer.
 pub fn run_mode_live(
     p: &Program,
     kernel: CheckKernel,
     mode: Mode,
     hook: LiveHook,
 ) -> Result<(RunRecord, bgsim::ProfileSnapshot), String> {
-    let mut m = build_machine(p, kernel, mode, false)?;
-    m.attach_live_hook(hook);
-    let out = run_caught(&mut m)?;
-    let interrupted = matches!(out, RunOutcome::Cancelled { .. });
-    let rec = RunRecord {
-        kernel: kernel.label(),
-        mode: mode.label().to_string(),
-        outcome: outcome_label(&out),
-        final_cycle: out.at(),
-        digest: m.trace_digest(),
-        violations: if interrupted {
-            Vec::new()
-        } else {
-            m.check_invariants()
-        },
-        coverage: m.coverage_digest(),
-    };
-    let snap = m.profile_snapshot();
-    Ok((rec, snap))
+    let ran = run(p, kernel, mode, false, hook)?;
+    Ok((ran.record()?, ran.m.profile_snapshot()))
 }
 
-/// Re-run two modes with retained traces and render where they first
-/// diverge (entry index, both entries, surrounding context).
-fn diverge_report(p: &Program, kernel: CheckKernel, a: Mode, b: Mode) -> Option<String> {
-    let (_, ma) = run_one(p, kernel, a, true).ok()?;
-    let (_, mb) = run_one(p, kernel, b, true).ok()?;
-    bgsim::first_divergence(&ma.sc.trace, &mb.sc.trace, 3).map(|d| d.render())
+/// Re-run mode `a` with its trace retained and render where it first
+/// diverges from `b`, a retained rerun of another mode (entry index,
+/// both entries, surrounding context).
+fn diverge_report(p: &Program, kernel: CheckKernel, a: Mode, b: &Ran) -> Option<String> {
+    let ra = replay(p, kernel, a)?;
+    bgsim::first_divergence(&ra.m.sc.trace, &b.m.sc.trace, 3).map(|d| d.render())
+}
+
+/// Rerun `p` in `mode` with its trace kept, for a failure's evidence;
+/// `None` when the machine cannot be built.
+fn replay(p: &Program, kernel: CheckKernel, mode: Mode) -> Option<Ran> {
+    run(p, kernel, mode, true, LiveHook::default()).ok()
+}
+
+/// How a run ended, as a report fragment: its `(outcome, final cycle,
+/// digest)`, or its error.
+fn ended(r: Result<&RunRecord, &str>) -> String {
+    match r {
+        Ok(r) => format!(
+            "outcome={} cycle={} digest={:016x}",
+            r.outcome, r.final_cycle, r.digest
+        ),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// One kept trace entry as an evidence line: cycle, node, core (`-`
+/// for none) and the event.
+fn render_entry(e: &TraceEntry) -> String {
+    let core = if e.core == NO_CORE {
+        "-".to_string()
+    } else {
+        e.core.to_string()
+    };
+    format!("{:>12} n{:<4} c{:<4} {:?}\n", e.at, e.node, core, e.what)
+}
+
+/// A failure's evidence from `replay`, the failing run rerun with its
+/// trace kept: a header saying whether the replay reproduced what the
+/// failing run produced (`failed`: its record, or its error), then the
+/// replay's last [`EVIDENCE_ENTRIES`] trace entries, oldest first.
+fn evidence(replay: &Ran, failed: Result<&RunRecord, &str>) -> String {
+    let rec = replay.record();
+    let verdict = match (rec.as_ref().map_err(String::as_str), failed) {
+        (Ok(r), Ok(f)) if r.triple() == f.triple() => format!(
+            "reproduced the failing run's (outcome, final cycle, digest): {}",
+            ended(Ok(r))
+        ),
+        (Err(e), Err(_)) => format!("{e}, as the failing run did"),
+        (r, f) => format!(
+            "did not reproduce the failing run: replay {}, failing run {}",
+            ended(r),
+            ended(f)
+        ),
+    };
+    let entries = replay.m.sc.trace.entries();
+    let tail = &entries[entries.len().saturating_sub(EVIDENCE_ENTRIES)..];
+    let mut s = format!(
+        "replay of {}/{} with its trace kept: {verdict}\nlast {} of {} trace entries:\n",
+        replay.kernel.label(),
+        replay.mode.label(),
+        tail.len(),
+        entries.len()
+    );
+    for e in tail {
+        s.push_str(&render_entry(e));
+    }
+    s
 }
 
 /// Deliberate checker-facing mutations for the self-test: a working
@@ -333,8 +420,8 @@ impl Canary {
 /// Check one program across the full mode matrix. `Ok` carries every
 /// run record (for digest recording); `Err` the first failure.
 ///
-/// The `Err` variant is deliberately fat (divergence report + flight
-/// dump): it is built at most once per check, on the cold path.
+/// The `Err` variant is deliberately fat (divergence report + replayed
+/// evidence): it is built at most once per check, on the cold path.
 #[allow(clippy::result_large_err)]
 pub fn check_program(p: &Program) -> Result<Vec<RunRecord>, Failure> {
     check_program_tampered(p, None)
@@ -355,14 +442,14 @@ pub fn check_program_tampered(
                 Some(c) if Canary::applies(kernel, m_spec) => (c.tamper_program(p), Some(c)),
                 _ => (p.clone(), None),
             };
-            let (mut rec, m) = run_one(&prog, kernel, m_spec, false).map_err(|e| Failure {
+            let mut rec = run_mode(&prog, kernel, m_spec).map_err(|e| Failure {
                 kind: FailureKind::Error,
                 kernel: kernel.label(),
                 base_mode: m_spec.label().to_string(),
                 mode: m_spec.label().to_string(),
+                flight: replay(&prog, kernel, m_spec).map(|r| evidence(&r, Err(&e))),
                 detail: e,
                 divergence: None,
-                flight: None,
             })?;
             if let Some(c) = tamper_rec {
                 c.tamper_record(&mut rec);
@@ -375,30 +462,35 @@ pub fn check_program_tampered(
                     mode: rec.mode.clone(),
                     detail: rec.violations.join("\n  "),
                     divergence: None,
-                    flight: Some(m.flight_dump()),
+                    flight: replay(&prog, kernel, m_spec).map(|r| evidence(&r, Ok(&rec))),
                 });
             }
             match &base {
                 None => base = Some(rec.clone()),
                 Some(b) => {
                     if rec.triple() != b.triple() {
-                        let divergence = if b.digest != rec.digest && canary.is_none() {
-                            diverge_report(p, kernel, MODES[0], m_spec)
-                        } else {
-                            None
-                        };
+                        // One rerun of the failing mode serves the
+                        // divergence report and the evidence.
+                        let rerun = replay(&prog, kernel, m_spec);
+                        let divergence = rerun
+                            .as_ref()
+                            .filter(|_| b.digest != rec.digest && canary.is_none())
+                            .and_then(|r| diverge_report(p, kernel, MODES[0], r));
+                        let flight = rerun.map(|r| evidence(&r, Ok(&rec)));
                         return Err(Failure {
                             kind: FailureKind::Mismatch,
                             kernel: kernel.label(),
                             base_mode: b.mode.clone(),
                             mode: rec.mode.clone(),
                             detail: format!(
-                                "{}: outcome={} cycle={} digest={:016x}\n  {}: outcome={} cycle={} digest={:016x}",
-                                b.mode, b.outcome, b.final_cycle, b.digest,
-                                rec.mode, rec.outcome, rec.final_cycle, rec.digest
+                                "{}: {}\n  {}: {}",
+                                b.mode,
+                                ended(Ok(b)),
+                                rec.mode,
+                                ended(Ok(&rec))
                             ),
                             divergence,
-                            flight: Some(m.flight_dump()),
+                            flight,
                         });
                     }
                 }
@@ -411,7 +503,7 @@ pub fn check_program_tampered(
         let jobs: Vec<_> = (0..SHARD_WAYS)
             .map(|_| {
                 let prog = p.clone();
-                move || run_one(&prog, kernel, MODES[0], false).map(|(r, _)| r)
+                move || run_mode(&prog, kernel, MODES[0])
             })
             .collect();
         let Some(b) = base else { continue };
@@ -424,9 +516,9 @@ pub fn check_program_tampered(
                 kernel: kernel.label(),
                 base_mode: b.mode.clone(),
                 mode: format!("shard{i}"),
+                flight: replay(p, kernel, MODES[0]).map(|r| evidence(&r, Err(&e))),
                 detail: e,
                 divergence: None,
-                flight: None,
             })?;
             if rec.triple() != b.triple() {
                 return Err(Failure {
@@ -439,7 +531,7 @@ pub fn check_program_tampered(
                         b.digest, rec.digest, b.final_cycle, rec.final_cycle
                     ),
                     divergence: None,
-                    flight: None,
+                    flight: replay(p, kernel, MODES[0]).map(|r| evidence(&r, Ok(&rec))),
                 });
             }
         }
@@ -501,6 +593,52 @@ mod tests {
             .expect("profiled run");
         assert_eq!(rec.triple(), plain.triple());
         assert!(snap.total_cycles() > 0, "profile must carry accounting");
+    }
+
+    /// A detected canary's evidence is one replay of the tampered leg
+    /// with its trace kept: the header names that leg and says the
+    /// replay reproduced it, and the evidence ends with exactly the last
+    /// `EVIDENCE_ENTRIES` entries of the same tampered program, kernel
+    /// and mode run in-process with `with_trace()`.
+    #[test]
+    fn failure_evidence_is_the_failing_legs_replayed_tail() {
+        // The self-test program, four times over: a trace long enough
+        // that its head and its tail are different entries.
+        let mut p = crate::canary::selftest_program();
+        p.ops = p.ops.repeat(4);
+        let c = Canary::SeedSkew;
+        let f = check_program_tampered(&p, Some(c)).expect_err("canary must be detected");
+        assert_eq!(f.kind, FailureKind::Mismatch);
+        let flight = f.flight.expect("a mismatch carries evidence");
+
+        let (kernel, mode) = (CheckKernel::Fwk, Mode { fast: false });
+        assert!(Canary::applies(kernel, mode), "the tampered leg");
+        let render = |q: &Program, mode: Mode| {
+            let mut m = build_machine(q, kernel, mode, true).expect("build");
+            assert!(m.run().completed());
+            m.sc.trace.entries().to_vec()
+        };
+        let entries = render(&c.tamper_program(&p), mode);
+        assert!(
+            entries.len() > EVIDENCE_ENTRIES,
+            "{} entries",
+            entries.len()
+        );
+        let lines = |es: &[TraceEntry]| es.iter().map(render_entry).collect::<String>();
+        let tail = lines(&entries[entries.len() - EVIDENCE_ENTRIES..]);
+        assert_ne!(tail, lines(&entries[..EVIDENCE_ENTRIES]));
+        assert!(
+            flight.ends_with(&tail),
+            "evidence is not the tampered leg's last {EVIDENCE_ENTRIES} entries:\n{flight}"
+        );
+        assert!(
+            flight.starts_with("replay of fwk/heap with its trace kept: reproduced"),
+            "{}",
+            flight.lines().next().unwrap_or_default()
+        );
+        // The other leg (the oracle mode, untampered) ends elsewhere.
+        let other = render(&p, MODES[0]);
+        assert_ne!(tail, lines(&other[other.len() - EVIDENCE_ENTRIES..]));
     }
 
     #[test]

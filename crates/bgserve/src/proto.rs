@@ -112,12 +112,6 @@ pub struct LiveReq {
     pub progress_cycles: Option<u64>,
 }
 
-impl LiveReq {
-    pub fn is_default(&self) -> bool {
-        *self == LiveReq::default()
-    }
-}
-
 /// A job submission, still in wire terms (faults unresolved).
 #[derive(Clone, Debug)]
 pub struct SubmitReq {
@@ -552,7 +546,7 @@ mod tests {
         let Request::Submit(req) = parse_request(&plain).expect("parse") else {
             panic!("not a submit");
         };
-        assert!(req.live.is_default());
+        assert_eq!(req.live, LiveReq::default());
         // Zero budgets are rejected (a 0-cycle timeout would cancel
         // every job before its first event — always a client bug).
         let bad = format!("{},\"timeout_cycles\":0}}", &plain[..plain.len() - 1]);

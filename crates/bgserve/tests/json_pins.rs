@@ -20,9 +20,9 @@ use bgsim::trace::{TraceEntry, TraceEvent, NO_CORE};
 use bgsim::{Domain, ProfileSnapshot, Profiler, ProgressReport};
 
 fn profile() -> ProfileSnapshot {
-    let mut p = Profiler::standard(2, 8);
-    p.span(Domain::Torus, 100, 0, "send", 250);
-    p.span(Domain::Sched, 200, 1, "noise", 750);
+    let mut p = Profiler::standard(2);
+    p.span(Domain::Torus, 250);
+    p.span(Domain::Sched, 750);
     p.msg_enqueued(0, 2);
     p.snapshot()
 }

@@ -42,12 +42,6 @@ impl BarrierNet {
         }
     }
 
-    /// Cycles for a full-partition barrier once the last participant
-    /// arrives.
-    pub fn crossing_cycles(&self) -> Cycle {
-        self.round_trip
-    }
-
     /// Record a barrier crossing (statistics).
     pub fn cross(&mut self) -> Cycle {
         self.crossings += 1;
@@ -97,7 +91,7 @@ mod tests {
     #[test]
     fn barrier_is_sub_microsecond() {
         let n = net();
-        let us = cycles::cycles_to_us(n.crossing_cycles());
+        let us = cycles::cycles_to_us(n.round_trip);
         assert!(us < 1.5, "barrier {us} us");
     }
 

@@ -181,12 +181,6 @@ impl Machine {
         self.sc.prof.snapshot()
     }
 
-    /// Render the crash flight recorder (recent spans per domain) for a
-    /// repro artifact or panic dump.
-    pub fn flight_dump(&self) -> String {
-        self.sc.prof.flight_dump()
-    }
-
     /// Coverage signal for fuzzers: counter vector + trace-digest prefix
     /// ([`crate::telemetry::coverage_digest`]).
     pub fn coverage_digest(&self) -> u64 {
@@ -712,9 +706,7 @@ impl Machine {
             // a clock stop: a `run_until` bound defers a fast retirement
             // past the bound, and the next run re-enters the regime with
             // identical state, so a split run attributes identically.
-            self.sc
-                .prof
-                .span(Domain::FastPath, s.until, s.node, "op_retire", busy);
+            self.sc.prof.span(Domain::FastPath, busy);
             self.advance_thread(s.tid);
         }
         self.flush_fast();
@@ -816,9 +808,7 @@ impl Machine {
         match kind {
             EvKind::OpDone { tid, gen } => self.on_op_done(Tid(tid), gen),
             EvKind::Kernel { node, tag } => {
-                self.sc
-                    .prof
-                    .span(Domain::Sched, self.sc.engine.now(), node, "kernel_event", 0);
+                self.sc.prof.span(Domain::Sched, 0);
                 self.kernel.kernel_event(&mut self.sc, NodeId(node), tag);
             }
             EvKind::NetDeliver { msg_id } => {
@@ -838,9 +828,7 @@ impl Machine {
                     NetDomain::Torus => Domain::Torus,
                     NetDomain::Collective => Domain::Collective,
                 };
-                self.sc
-                    .prof
-                    .span(dom, self.sc.engine.now(), msg.dst_node.0, "deliver", 0);
+                self.sc.prof.span(dom, 0);
                 match msg.domain {
                     NetDomain::Torus => self.comm.net_deliver(&mut self.sc, msg),
                     NetDomain::Collective => self.kernel.net_deliver(&mut self.sc, msg),
@@ -861,9 +849,7 @@ impl Machine {
                 // The IPI itself is a zero-cycle span; the stretch below
                 // accounts the IPI_OVERHEAD cycles, avoiding double
                 // counting in the Sched domain.
-                self.sc
-                    .prof
-                    .span(Domain::Sched, self.sc.engine.now(), node.0, "ipi", 0);
+                self.sc.prof.span(Domain::Sched, 0);
                 // The interrupted thread pays the IPI entry/exit cost.
                 self.sc
                     .stretch_running(core, IPI_OVERHEAD, u64::from(kind) | 0x1000);
@@ -873,14 +859,7 @@ impl Machine {
                 self.raise_fault(CoreId(core), kind);
             }
             EvKind::CollDone { tid, coll: _ } => {
-                let node = self.sc.threads[Tid(tid).idx()].node.0;
-                self.sc.prof.span(
-                    Domain::Collective,
-                    self.sc.engine.now(),
-                    node,
-                    "coll_done",
-                    0,
-                );
+                self.sc.prof.span(Domain::Collective, 0);
                 self.sc.defer_unblock(Tid(tid), Some(SysRet::Val(0)));
             }
             EvKind::Ras { idx } => self.on_ras_fault(idx),
@@ -906,13 +885,7 @@ impl Machine {
         self.sc
             .tel
             .count(self.sc.tel.ids.hw_faults, Slot::Core(core.0), 1);
-        self.sc.prof.span(
-            Domain::FaultRas,
-            self.sc.engine.now(),
-            node.0,
-            "hw_fault",
-            0,
-        );
+        self.sc.prof.span(Domain::FaultRas, 0);
         self.kernel.on_fault(&mut self.sc, core, kind);
     }
 
@@ -936,13 +909,7 @@ impl Machine {
         self.sc
             .tel
             .count(self.sc.tel.ids.ras_events, Slot::Node(node.0), 1);
-        self.sc.prof.span(
-            Domain::FaultRas,
-            self.sc.engine.now(),
-            node.0,
-            ev.kind.name(),
-            0,
-        );
+        self.sc.prof.span(Domain::FaultRas, 0);
         match ev.kind {
             FaultKind::TorusDrop => {
                 self.sc.fault_link_outage(node, NetDomain::Torus, ev.arg);
@@ -1006,13 +973,9 @@ impl Machine {
             core,
             TraceEvent::OpEnd { tid: tid.0 },
         );
-        self.sc.prof.span(
-            Domain::EngineHeap,
-            self.sc.engine.now(),
-            node,
-            "op_retire",
-            until.saturating_sub(started),
-        );
+        self.sc
+            .prof
+            .span(Domain::EngineHeap, until.saturating_sub(started));
         // Non-preemptive continuation: the same thread keeps its core and
         // fetches its next op immediately (CNK semantics; FWK timeslice
         // switches happen via kernel events).
@@ -1140,9 +1103,7 @@ impl Machine {
                     core.0,
                     TraceEvent::SchedPick { tid: next.0 },
                 );
-                self.sc
-                    .prof
-                    .span(Domain::Sched, self.sc.engine.now(), node.0, "sched_pick", 0);
+                self.sc.prof.span(Domain::Sched, 0);
                 self.sc.dispatch(next);
             }
         }
@@ -1318,9 +1279,7 @@ impl Machine {
                 self.sc
                     .tel
                     .hist(self.sc.tel.ids.syscall_cycles, Slot::Core(core.0), cost);
-                self.sc
-                    .prof
-                    .span(Domain::Sched, self.sc.engine.now(), node.0, "syscall", cost);
+                self.sc.prof.span(Domain::Sched, cost);
                 self.sc.inbox[tid.idx()].pending_ret = Some(ret);
                 if cost == 0 {
                     Disp::Continue

@@ -57,10 +57,6 @@ pub struct NetMsg {
 /// link-level retransmit (token resend + re-traverse).
 pub const TORUS_RETRANSMIT: Cycle = 4_000;
 
-/// Flight-recorder ring capacity per profiler domain (spans retained
-/// for the crash dump).
-const PROFILER_RING: usize = 64;
-
 /// One in-flight message plus its scheduled delivery, stored together in
 /// the [`IdMap`] window (the two old side tables were always keyed by
 /// the same ids).
@@ -128,7 +124,7 @@ pub struct SimCore {
     pub trace: Trace,
     /// The telemetry subsystem (no-op unless `cfg.telemetry`).
     pub tel: Telemetry,
-    /// The cycle-accounting profiler + flight recorder (always on;
+    /// The cycle-accounting profiler (always on;
     /// determinism-neutral by construction).
     pub prof: Profiler,
     pub hub: RngHub,
@@ -200,7 +196,7 @@ impl SimCore {
             } else {
                 Telemetry::disabled()
             },
-            prof: Profiler::standard(cfg.nodes, PROFILER_RING),
+            prof: Profiler::standard(cfg.nodes),
             hub: RngHub::new(cfg.seed),
             threads: Vec::new(),
             inbox: Vec::new(),
@@ -403,13 +399,7 @@ impl SimCore {
             .count(self.tel.ids.noise_events, Slot::Node(node.0), 1);
         self.tel
             .hist(self.tel.ids.noise_cycles, Slot::Core(core.0), cycles);
-        self.prof.span(
-            Domain::Sched,
-            self.engine.now(),
-            node.0,
-            "noise_stretch",
-            cycles,
-        );
+        self.prof.span(Domain::Sched, cycles);
         // The reschedule path: cancel the superseded completion in O(1)
         // (no payload clone, no stale event left in the queue) and
         // schedule the new one.
@@ -465,7 +455,7 @@ impl SimCore {
                 remaining,
             },
         );
-        self.prof.span(Domain::Sched, now, node.0, "preempt", 0);
+        self.prof.span(Domain::Sched, 0);
         Some(tid)
     }
 
@@ -591,8 +581,7 @@ impl SimCore {
         let hops = self.torus.hops(src, dst);
         let xfer = self.torus.transfer_cycles(bytes, hops);
         let id = self.next_msg_id();
-        self.prof
-            .span(Domain::Torus, self.engine.now(), src.0, "send", xfer);
+        self.prof.span(Domain::Torus, xfer);
         self.tel
             .count(self.tel.ids.torus_sends, Slot::Node(src.0), 1);
         self.tel.count(
@@ -641,8 +630,7 @@ impl SimCore {
         );
         let xfer = self.coll.cn_ion_cycles(src, bytes);
         let id = self.next_msg_id();
-        self.prof
-            .span(Domain::Collective, self.engine.now(), src.0, "send", xfer);
+        self.prof.span(Domain::Collective, xfer);
         self.tel
             .count(self.tel.ids.coll_sends, Slot::Node(src.0), 1);
         self.tel.count(
@@ -763,8 +751,7 @@ impl SimCore {
     pub fn fault_link_outage(&mut self, node: NodeId, domain: NetDomain, window: Cycle) {
         let now = self.engine.now();
         let until = now + window;
-        self.prof
-            .span(Domain::FaultRas, now, node.0, "link_outage", window);
+        self.prof.span(Domain::FaultRas, window);
         self.outages.push(LinkOutage {
             node,
             domain,
@@ -792,13 +779,7 @@ impl SimCore {
     /// Delay every in-flight message on `domain` touching `node` by
     /// `extra` cycles. Returns how many were affected.
     pub fn fault_delay_inflight(&mut self, node: NodeId, domain: NetDomain, extra: Cycle) -> u64 {
-        self.prof.span(
-            Domain::FaultRas,
-            self.engine.now(),
-            node.0,
-            "delay_inflight",
-            extra,
-        );
+        self.prof.span(Domain::FaultRas, extra);
         let mut n = 0;
         for id in self.inflight_ids(node, domain) {
             let Some(arrival) = self.inflight.get(id).map(|e| e.arrival) else {
@@ -817,13 +798,7 @@ impl SimCore {
     /// are XOR-mangled, so the receiver's decode fails and its own error
     /// path runs. Returns how many messages were hit.
     pub fn fault_corrupt_inflight(&mut self, node: NodeId, domain: NetDomain) -> u64 {
-        self.prof.span(
-            Domain::FaultRas,
-            self.engine.now(),
-            node.0,
-            "corrupt_inflight",
-            0,
-        );
+        self.prof.span(Domain::FaultRas, 0);
         let mut n = 0;
         for id in self.inflight_ids(node, domain) {
             match domain {

@@ -1,9 +1,11 @@
 //! The deterministic telemetry subsystem: a boot-allocated metrics
 //! registry, the cycle-accounting profiler and first-divergence
 //! reporting. Events are not kept here: the run's one event stream is
-//! `crate::trace`. Rendering lives with the callers: `bench::report`
-//! exports Chrome/Perfetto trace JSON and gem5-style flat and JSON stats
-//! dumps.
+//! `crate::trace`, and the profiler keeps counts, not a history. A
+//! failure's recent past is replayed (the run with its trace kept)
+//! rather than recorded on every run. Rendering lives with the callers:
+//! `bench::report` exports Chrome/Perfetto trace JSON and gem5-style
+//! flat and JSON stats dumps.
 //!
 //! Determinism neutrality is by construction, not by luck:
 //!
@@ -29,9 +31,7 @@ pub use divergence::{first_divergence, DivergenceReport};
 pub use metrics::{
     Hist, MetricId, MetricKind, MetricView, MetricsRegistry, Scope, Slot, SlotValue,
 };
-pub use profiler::{
-    Domain, DomainStats, FlightRing, ProfileSnapshot, Profiler, SpanRec, DOMAIN_COUNT,
-};
+pub use profiler::{Domain, DomainStats, ProfileSnapshot, Profiler, DOMAIN_COUNT};
 
 /// Coverage signal for fuzzers: an FNV-1a hash over the registry's
 /// nonzero counter/histogram slots (name-sorted, so registration order

@@ -1,4 +1,4 @@
-//! Deterministic cycle-accounting profiler and crash flight recorder.
+//! Deterministic cycle-accounting profiler.
 //!
 //! The profiler attributes simulated cycles and event counts to
 //! coarse subsystems ([`Domain`]) and keeps machine-wide message heat:
@@ -13,23 +13,20 @@
 //! `bgsim::telemetry` — by construction, not by luck:
 //!
 //! * every recorded value is a simulated-cycle count or a plain count;
-//! * recording appends to profiler-private storage and never reads an
+//! * recording adds to profiler-private counters and never reads an
 //!   RNG stream, never schedules an event, and never mutates thread or
 //!   engine state;
 //! * all storage is allocated at construction, so the hot-path cost of
-//!   a span is two adds and a ring store.
+//!   a span is two adds.
 //!
 //! It is therefore always on: recording cannot change a trace digest,
 //! and the sim-side counters are identical across `--threads 1` vs. N
 //! (`ProfileSnapshot::merge` is a commutative sum, so shard completion
 //! order cannot leak in).
 //!
-//! Each domain also feeds a bounded [`FlightRing`] of recent spans —
-//! the crash flight recorder. On panic, invariant failure, or bgcheck
-//! mismatch, [`Profiler::flight_dump`] renders the rings so the repro
-//! artifact carries the last thing every subsystem did.
-
-use crate::cycles::Cycle;
+//! The profiler keeps no event history. What a failing run did last is
+//! recovered by replaying it with its trace kept: runs are
+//! deterministic, so the replay is the run (bgcheck's failure evidence).
 
 /// Cycle-accounting subsystems. `EngineHeap` and `FastPath` split op
 /// retirement by which driver retired it (the heap pop vs. the
@@ -88,128 +85,39 @@ pub struct DomainStats {
     pub cycles: u64,
 }
 
-/// One recorded span: a named slice of simulated cycles attributed to a
-/// domain on a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRec {
-    pub at: Cycle,
-    pub node: u32,
-    pub name: &'static str,
-    pub cycles: u64,
-}
-
-/// Bounded FIFO of recent spans for one domain. At capacity the oldest
-/// entry is evicted (and counted) — record order is never reordered.
-///
-/// Stored as a flat overwrite ring (slot cursor instead of a deque):
-/// the steady-state push on the hot retire path is one store and a
-/// cursor bump, with no element shifting.
-#[derive(Clone, Debug, Default)]
-pub struct FlightRing {
-    capacity: usize,
-    dropped: u64,
-    entries: Vec<SpanRec>,
-    /// Index of the oldest retained entry once the ring has wrapped;
-    /// equivalently the slot the next eviction overwrites.
-    head: usize,
-}
-
-impl FlightRing {
-    fn with_capacity(capacity: usize) -> FlightRing {
-        FlightRing {
-            capacity,
-            dropped: 0,
-            entries: Vec::with_capacity(capacity),
-            head: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, s: SpanRec) {
-        if self.entries.len() < self.capacity {
-            self.entries.push(s);
-            return;
-        }
-        self.dropped += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries[self.head] = s;
-        self.head += 1;
-        if self.head == self.capacity {
-            self.head = 0;
-        }
-    }
-
-    /// Retained spans, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &SpanRec> {
-        let (older, newer) = self.entries.split_at(self.head);
-        newer.iter().chain(older.iter())
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Spans evicted (or refused, at capacity 0) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 /// The per-machine profiler carried by `SimCore`; its hooks stay in
 /// place permanently.
 pub struct Profiler {
     /// The counters [`Profiler::snapshot`] hands out.
     totals: ProfileSnapshot,
-    rings: [FlightRing; DOMAIN_COUNT],
     /// In-flight messages addressed to each node.
     live_msgs: Vec<u64>,
 }
 
 impl Profiler {
-    /// A profiler for a machine shape, with `ring_capacity`
-    /// flight-recorder slots per domain.
-    pub fn standard(nodes: u32, ring_capacity: usize) -> Profiler {
+    /// A profiler for a machine of `nodes` nodes.
+    pub fn standard(nodes: u32) -> Profiler {
         Profiler {
             totals: ProfileSnapshot {
                 enabled: true,
                 nodes,
                 ..ProfileSnapshot::default()
             },
-            rings: std::array::from_fn(|_| FlightRing::with_capacity(ring_capacity)),
             live_msgs: vec![0; nodes as usize],
         }
     }
 
-    /// Heap bytes currently reserved: the per-node in-flight counters
-    /// plus the per-domain flight rings.
+    /// Heap bytes currently reserved: the per-node in-flight counters.
     pub fn resident_bytes(&self) -> usize {
         self.live_msgs.capacity() * std::mem::size_of::<u64>()
-            + self
-                .rings
-                .iter()
-                .map(|r| r.entries.capacity() * std::mem::size_of::<SpanRec>())
-                .sum::<usize>()
     }
 
-    /// Attribute `cycles` simulated cycles at `at` on `node` to a
-    /// domain, and append the span to the domain's flight ring.
+    /// Attribute one span of `cycles` simulated cycles to a domain.
     #[inline]
-    pub fn span(&mut self, d: Domain, at: Cycle, node: u32, name: &'static str, cycles: u64) {
+    pub fn span(&mut self, d: Domain, cycles: u64) {
         let ds = &mut self.totals.domains[d.idx()];
         ds.events += 1;
         ds.cycles = ds.cycles.saturating_add(cycles);
-        self.rings[d.idx()].push(SpanRec {
-            at,
-            node,
-            name,
-            cycles,
-        });
     }
 
     /// A message left `src` for `dst`: count it, and raise the peak if
@@ -234,44 +142,9 @@ impl Profiler {
         }
     }
 
-    /// Accumulated stats for one domain.
-    pub fn domain(&self, d: Domain) -> DomainStats {
-        self.totals.domains[d.idx()]
-    }
-
-    /// The flight ring for one domain.
-    pub fn ring(&self, d: Domain) -> &FlightRing {
-        &self.rings[d.idx()]
-    }
-
     /// Copy the sim-side counters out for reporting/merging.
     pub fn snapshot(&self) -> ProfileSnapshot {
         self.totals.clone()
-    }
-
-    /// Render the flight recorder for a crash/mismatch artifact: every
-    /// domain's totals plus its most recent spans, oldest first.
-    pub fn flight_dump(&self) -> String {
-        let mut out = String::from("=== flight recorder (most recent spans per domain) ===\n");
-        for d in Domain::ALL {
-            let ds = self.domain(d);
-            let ring = self.ring(d);
-            out.push_str(&format!(
-                "[{}] events={} cycles={} retained={} evicted={}\n",
-                d.label(),
-                ds.events,
-                ds.cycles,
-                ring.len(),
-                ring.dropped()
-            ));
-            for s in ring.entries() {
-                out.push_str(&format!(
-                    "  at={:<14} node={:<5} cycles={:<12} {}\n",
-                    s.at, s.node, s.cycles, s.name
-                ));
-            }
-        }
-        out
     }
 }
 
@@ -330,20 +203,20 @@ mod tests {
 
     #[test]
     fn spans_accumulate_per_domain() {
-        let mut p = Profiler::standard(2, 8);
-        p.span(Domain::FastPath, 5, 0, "op_retire", 1000);
-        p.span(Domain::FastPath, 9, 1, "op_retire", 500);
-        p.span(Domain::Sched, 9, 1, "preempt", 0);
-        let fp = p.domain(Domain::FastPath);
-        assert_eq!((fp.events, fp.cycles), (2, 1500));
-        assert_eq!(p.domain(Domain::Sched).events, 1);
+        let mut p = Profiler::standard(2);
+        p.span(Domain::FastPath, 1000);
+        p.span(Domain::FastPath, 500);
+        p.span(Domain::Sched, 0);
         let s = p.snapshot();
+        let fp = s.domains[Domain::FastPath.idx()];
+        assert_eq!((fp.events, fp.cycles), (2, 1500));
+        assert_eq!(s.domains[Domain::Sched.idx()].events, 1);
         assert_eq!((s.total_events(), s.total_cycles(), s.nodes), (3, 1500, 2));
     }
 
     #[test]
     fn message_heat_tracks_live_and_peak() {
-        let mut p = Profiler::standard(2, 4);
+        let mut p = Profiler::standard(2);
         p.msg_enqueued(0, 1);
         p.msg_enqueued(0, 1);
         p.msg_retired(1);
@@ -360,32 +233,16 @@ mod tests {
         assert_eq!(p.snapshot().peak_live_msgs, 3);
     }
 
-    /// The flight ring drops the *oldest* span at capacity and never
-    /// reorders the survivors — the ISSUE's ring contract.
-    #[test]
-    fn flight_ring_drops_oldest_without_reordering() {
-        let mut p = Profiler::standard(1, 3);
-        for i in 0..5u64 {
-            p.span(Domain::Ciod, i, 0, "fship", i * 10);
-        }
-        let ring = p.ring(Domain::Ciod);
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let ats: Vec<u64> = ring.entries().map(|s| s.at).collect();
-        assert_eq!(ats, vec![2, 3, 4], "oldest evicted, order preserved");
-        assert!(p.flight_dump().contains("[ciod] events=5"));
-    }
-
     /// Merging shard snapshots is order-invariant: sums commute, and
     /// peak-of-max equals max-of-peaks, also across machine sizes.
     #[test]
     fn snapshot_merge_is_commutative() {
-        let mut a = Profiler::standard(2, 4);
-        a.span(Domain::Torus, 1, 0, "send", 100);
+        let mut a = Profiler::standard(2);
+        a.span(Domain::Torus, 100);
         a.msg_enqueued(0, 1);
-        let mut b = Profiler::standard(2, 4);
-        b.span(Domain::Torus, 2, 1, "send", 300);
-        b.span(Domain::Collective, 3, 0, "send", 50);
+        let mut b = Profiler::standard(2);
+        b.span(Domain::Torus, 300);
+        b.span(Domain::Collective, 50);
         b.msg_enqueued(1, 0);
         b.msg_enqueued(1, 0);
 
@@ -398,7 +255,7 @@ mod tests {
         assert_eq!(ab.domains[Domain::Torus.idx()].cycles, 400);
         assert_eq!((ab.messages, ab.peak_live_msgs, ab.nodes), (3, 2, 2));
 
-        let mut c = Profiler::standard(5, 4);
+        let mut c = Profiler::standard(5);
         c.msg_enqueued(4, 3);
         let sc = c.snapshot();
         let mut abc = ab.clone();

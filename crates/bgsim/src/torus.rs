@@ -183,13 +183,6 @@ impl Torus {
     pub fn inject_cycles(&self) -> Cycle {
         self.inject_cycles
     }
-
-    /// Peak payload bandwidth of one link in bytes/cycle, after packet
-    /// overhead.
-    pub fn link_payload_bpc(&self) -> f64 {
-        self.link_bytes_per_cycle * self.packet_payload as f64
-            / (self.packet_payload + self.packet_overhead) as f64
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +293,11 @@ mod tests {
         // 1 MB at ~0.5 B/cycle ≈ 2.2M cycles with overhead; hop latency
         // negligible.
         let c = t.transfer_cycles(1 << 20, 1);
-        let ideal = (1u64 << 20) as f64 / t.link_payload_bpc();
+        // Peak payload bandwidth of one link in bytes/cycle, after
+        // packet overhead.
+        let bpc = t.link_bytes_per_cycle * t.packet_payload as f64
+            / (t.packet_payload + t.packet_overhead) as f64;
+        let ideal = (1u64 << 20) as f64 / bpc;
         assert!((c as f64) < ideal * 1.05);
         assert!((c as f64) > ideal * 0.95);
     }

@@ -16,7 +16,7 @@
 use crate::cycles::Cycle;
 
 /// The `core` of an event with no core affinity (a node-level message
-/// phase, a function-ship reply, a RAS log record).
+/// phase, a function-ship reply, a kernel RAS event).
 pub const NO_CORE: u32 = u32::MAX;
 
 /// One recorded trace entry: when and where an event happened, and
@@ -164,7 +164,8 @@ pub enum TraceEvent {
         peer: u64,
         bytes: u64,
     },
-    /// CNK appended `code` to its RAS log.
+    /// CNK reported a RAS event of its own: `code` names it (`io-eio`,
+    /// `ion-drop-corrupt`, ...). Injected faults are `Fault` entries.
     Ras {
         code: &'static str,
         detail: u64,

@@ -138,17 +138,6 @@ struct PendingReq {
     timer: Option<EvHandle>,
 }
 
-/// One entry of the kernel's RAS event log (§V: "RAS events are
-/// reported and handled").
-#[derive(Clone, Copy, Debug)]
-pub struct RasRecord {
-    pub at: u64,
-    pub node: u32,
-    /// Short event code (`coll-drop`, `io-retry`, `io-eio`, ...).
-    pub code: &'static str,
-    pub detail: u64,
-}
-
 /// What a pending function-ship request will do on completion.
 enum PendingIo {
     /// Ordinary syscall: hand the demarshaled result to the thread.
@@ -200,8 +189,10 @@ pub struct Cnk {
     /// the reply instead of re-running the side effect. Only populated
     /// when fault injection is on.
     served: HashMap<u64, Vec<u8>>,
-    /// The kernel RAS event log.
-    ras_log: Vec<RasRecord>,
+    /// A machine check has hit this machine: a fatal one tears the job
+    /// down with CIOD requests legitimately in flight. Like the ION
+    /// state, it survives compute-chip resets.
+    machine_checked: bool,
     booted: bool,
 }
 
@@ -226,7 +217,7 @@ impl Cnk {
             noise_rng: LazyStreams::new("cnk-injected-noise"),
             ion_busy_until: Vec::new(),
             served: HashMap::new(),
-            ras_log: Vec::new(),
+            machine_checked: false,
             booted: false,
         }
     }
@@ -416,20 +407,13 @@ impl Cnk {
                 bytes,
             },
         );
-        sc.prof
-            .span(Domain::Ciod, sc.now(), node.0, "fship_req", marshal);
+        sc.prof.span(Domain::Ciod, marshal);
         sc.coll_send(node, node, bytes, id * 4 + 1, payload, marshal);
     }
 
-    /// Append to the RAS log (and count and trace it) — the §V "RAS
-    /// events are reported and handled" path.
-    fn ras(&mut self, sc: &mut SimCore, node: NodeId, code: &'static str, detail: u64) {
-        self.ras_log.push(RasRecord {
-            at: sc.now(),
-            node: node.0,
-            code,
-            detail,
-        });
+    /// Report a kernel RAS event: count it and trace it as a `Ras`
+    /// entry — the §V "RAS events are reported and handled" path.
+    fn ras(sc: &mut SimCore, node: NodeId, code: &'static str, detail: u64) {
         sc.tel.count(sc.tel.ids.ras_events, Slot::Node(node.0), 1);
         sc.trace
             .record(sc.now(), node.0, NO_CORE, TraceEvent::Ras { code, detail });
@@ -449,7 +433,7 @@ impl Cnk {
                 .pending_io
                 .remove(id)
                 .expect("pending io vanished mid-timeout");
-            self.ras(sc, node, "io-eio", id);
+            Self::ras(sc, node, "io-eio", id);
             let (PendingIo::Plain { tid } | PendingIo::MmapFill { tid, .. }) = req.io;
             sc.defer_unblock(tid, Some(SysRet::Err(Errno::EIO)));
             return;
@@ -477,8 +461,7 @@ impl Cnk {
                 attempt: attempt.into(),
             },
         );
-        sc.prof
-            .span(Domain::Ciod, sc.now(), node.0, "fship_retry", backoff);
+        sc.prof.span(Domain::Ciod, backoff);
         sc.coll_send(node, node, bytes, id * 4 + 1, payload, marshal);
     }
 
@@ -502,7 +485,7 @@ impl Cnk {
         // the daemon logs and drops it — the compute node's retry timer
         // recovers. Sending garbage back would be worse than silence.
         let Some(prefix) = msg.payload.get(0..4) else {
-            self.ras(sc, msg.src_node, "ion-drop-corrupt", id);
+            Self::ras(sc, msg.src_node, "ion-drop-corrupt", id);
             return;
         };
         let proc = u32::from_be_bytes(prefix.try_into().unwrap_or([0; 4]));
@@ -521,7 +504,7 @@ impl Cnk {
                 (ret, service_cycles(&req))
             }
             Err(_) => {
-                self.ras(sc, msg.src_node, "ion-drop-corrupt", id);
+                Self::ras(sc, msg.src_node, "ion-drop-corrupt", id);
                 return;
             }
         };
@@ -544,8 +527,7 @@ impl Cnk {
             self.served.insert(id, reply.clone());
         }
         let bytes = reply.len() as u64;
-        sc.prof
-            .span(Domain::Ciod, sc.now(), msg.dst_node.0, "ion_service", delay);
+        sc.prof.span(Domain::Ciod, delay);
         sc.coll_send(msg.dst_node, msg.src_node, bytes, id * 4 + 2, reply, delay);
     }
 
@@ -563,7 +545,7 @@ impl Cnk {
         // one (fault injection off: unreachable), fall through and the
         // decode below degrades to a clean `EIO`.
         if ciod::wire::decode_ret(&msg.payload).is_err() && req.timer.is_some() {
-            self.ras(sc, msg.dst_node, "cn-drop-corrupt", id);
+            Self::ras(sc, msg.dst_node, "cn-drop-corrupt", id);
             return;
         }
         let PendingReq {
@@ -590,13 +572,7 @@ impl Cnk {
             NO_CORE,
             TraceEvent::FshipReply { id, latency },
         );
-        sc.prof.span(
-            Domain::Ciod,
-            sc.now(),
-            msg.dst_node.0,
-            "fship_reply",
-            latency,
-        );
+        sc.prof.span(Domain::Ciod, latency);
         let ret = ciod::wire::decode_ret(&msg.payload).unwrap_or(SysRet::Err(Errno::EIO));
         let demarshal = FSHIP_DEMARSHAL + msg.bytes / 8 * FSHIP_PER_8B;
         match pending {
@@ -642,24 +618,6 @@ impl Cnk {
             .post_signal(sc, tid, Sig::Segv, p.map(|p| &p.posix));
     }
 
-    /// The kernel RAS event log, in record order.
-    pub fn ras_log(&self) -> &[RasRecord] {
-        &self.ras_log
-    }
-
-    /// Human-readable RAS exit report (one line per event), the §V
-    /// "report to the control system" stand-in.
-    pub fn ras_report(&self) -> String {
-        let mut s = String::new();
-        for r in &self.ras_log {
-            s.push_str(&format!(
-                "cycle {} node {} {} detail={}\n",
-                r.at, r.node, r.code, r.detail
-            ));
-        }
-        s
-    }
-
     /// `CiodShortWrite`: truncate the data of every in-flight shipped
     /// write touching `node` to half, re-marshaling the request — the
     /// application sees a genuine POSIX short write and must continue
@@ -700,7 +658,7 @@ impl Cnk {
             let mut payload = prefix;
             payload.extend_from_slice(&ciod::wire::encode_req(&shortened));
             m.payload = payload;
-            self.ras(sc, node, "short-write", id);
+            Self::ras(sc, node, "short-write", id);
         }
     }
 }
@@ -1347,17 +1305,9 @@ impl Kernel for Cnk {
     }
 
     fn on_ras(&mut self, sc: &mut SimCore, node: NodeId, ev: &FaultEvent) {
-        // Every injected fault lands in the RAS log — that reporting is
-        // the point of the RAS subsystem, whatever the recovery is. The
-        // machine already counted/traced the event when it dispatched
-        // it (`ras.events`), so only the kernel-side record is added
-        // here.
-        self.ras_log.push(RasRecord {
-            at: sc.now(),
-            node: node.0,
-            code: ev.kind.name(),
-            detail: ev.arg,
-        });
+        // The machine already reported the event when it dispatched it:
+        // counted (`ras.events`) and traced as a `Fault` entry named by
+        // its kind, whatever the recovery is.
         match ev.kind {
             FaultKind::CiodShortWrite => self.shorten_inflight_writes(sc, node),
             FaultKind::GuardStorm => {
@@ -1378,8 +1328,10 @@ impl Kernel for Cnk {
                     sc.stretch_running(core, ev.arg * GUARD_STORM_COST, 0x3000);
                 }
             }
-            // Network faults were applied by the machine layer; machine
-            // checks arrive separately through `on_fault`.
+            // Machine checks arrive separately through `on_fault`; the
+            // invariant sweep only needs to know one happened.
+            FaultKind::MachineCheck => self.machine_checked = true,
+            // Network faults were applied by the machine layer.
             _ => {}
         }
     }
@@ -1391,7 +1343,7 @@ impl Kernel for Cnk {
         // No lost CIOD replies: every pending function-ship request must
         // still have its issuer waiting on it (a fatal machine check
         // tears the job down with requests legitimately in flight).
-        let fatal = self.ras_log.iter().any(|r| r.code == "machine-check");
+        let fatal = self.machine_checked;
         for (id, req) in self.pending_io.iter() {
             let (PendingIo::Plain { tid } | PendingIo::MmapFill { tid, .. }) = req.io;
             match sc.threads.get(tid.idx()) {
@@ -1497,7 +1449,6 @@ impl Kernel for Cnk {
             + self.noise_rng.resident_bytes()
             + self.pending_io.resident_bytes()
             + self.ion_busy_until.capacity() * std::mem::size_of::<u64>()
-            + self.ras_log.capacity() * std::mem::size_of::<RasRecord>()
             + self
                 .served
                 .values()

@@ -268,45 +268,6 @@ impl ArenaTracker {
         }
     }
 
-    /// Is `[addr, addr+len)` fully allocated (brk space counts)?
-    pub fn is_allocated(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let end = addr + len;
-        if addr >= self.lo && end <= self.brk {
-            return true;
-        }
-        let mut pos = addr;
-        while pos < end {
-            match self
-                .allocs
-                .range(..=pos)
-                .next_back()
-                .map(|(_, a)| *a)
-                .filter(|a| a.addr + a.len > pos)
-            {
-                Some(a) => pos = a.addr + a.len,
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// The recorded allocation containing `addr`.
-    pub fn alloc_at(&self, addr: u64) -> Option<Alloc> {
-        self.allocs
-            .range(..=addr)
-            .next_back()
-            .map(|(_, a)| *a)
-            .filter(|a| a.addr + a.len > addr)
-    }
-
-    /// Count of distinct allocated ranges (tests coalescing).
-    pub fn range_count(&self) -> usize {
-        self.allocs.len()
-    }
-
     /// Total allocated mmap bytes.
     pub fn allocated_bytes(&self) -> u64 {
         self.allocs.values().map(|a| a.len).sum()
@@ -316,6 +277,48 @@ impl ArenaTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Views of the allocation map that only these tests read.
+    impl ArenaTracker {
+        /// Is `[addr, addr+len)` fully allocated (brk space counts)?
+        fn is_allocated(&self, addr: u64, len: u64) -> bool {
+            if len == 0 {
+                return true;
+            }
+            let end = addr + len;
+            if addr >= self.lo && end <= self.brk {
+                return true;
+            }
+            let mut pos = addr;
+            while pos < end {
+                match self
+                    .allocs
+                    .range(..=pos)
+                    .next_back()
+                    .map(|(_, a)| *a)
+                    .filter(|a| a.addr + a.len > pos)
+                {
+                    Some(a) => pos = a.addr + a.len,
+                    None => return false,
+                }
+            }
+            true
+        }
+
+        /// The recorded allocation containing `addr`.
+        fn alloc_at(&self, addr: u64) -> Option<Alloc> {
+            self.allocs
+                .range(..=addr)
+                .next_back()
+                .map(|(_, a)| *a)
+                .filter(|a| a.addr + a.len > addr)
+        }
+
+        /// Count of distinct allocated ranges (tests coalescing).
+        fn range_count(&self) -> usize {
+            self.allocs.len()
+        }
+    }
 
     const LO: u64 = 0x1000_0000;
     const HI: u64 = 0x2000_0000;

@@ -782,15 +782,9 @@ impl Kernel for Fwk {
                     },
                 );
                 // Zero-cycle span: the stretch below accounts `cost`
-                // cycles in Sched, this names the daemon for the flight
-                // recorder without double counting.
-                sc.prof.span(
-                    Domain::Sched,
-                    sc.now(),
-                    node.0,
-                    self.cfg.noise[src_idx].name,
-                    0,
-                );
+                // cycles in Sched, this counts the wake without double
+                // counting.
+                sc.prof.span(Domain::Sched, 0);
                 sc.stretch_running(core, cost, tag);
                 self.schedule_noise(sc, node, src_idx, core_local);
             }
@@ -847,8 +841,7 @@ impl Kernel for Fwk {
                         cost,
                     },
                 );
-                sc.prof
-                    .span(Domain::FaultRas, sc.now(), node.0, "ras_recovery", 0);
+                sc.prof.span(Domain::FaultRas, 0);
                 sc.stretch_running(core, cost, tag);
             }
             _ => {}

@@ -105,20 +105,20 @@ pub fn ras_recovery_daemons() -> Vec<NoiseSource> {
     ]
 }
 
-/// Per-core worst-case single-event noise in the profile (test oracle).
-pub fn profile_worst_case(core: u32) -> u64 {
-    linux_2_6_16_profile()
-        .iter()
-        .filter(|s| s.cores.contains(core))
-        .map(|s| s.cost_max)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgsim::rng::RngHub;
+
+    /// Per-core worst-case single-event noise in the profile (test oracle).
+    fn profile_worst_case(core: u32) -> u64 {
+        linux_2_6_16_profile()
+            .iter()
+            .filter(|s| s.cores.contains(core))
+            .map(|s| s.cost_max)
+            .max()
+            .unwrap_or(0)
+    }
 
     #[test]
     fn core_set_membership() {

@@ -63,12 +63,6 @@ impl Errno {
         self as i32
     }
 
-    /// The value a syscall returns in the Linux convention (`-errno`).
-    #[inline]
-    pub fn as_ret(self) -> i64 {
-        -(self as i32) as i64
-    }
-
     /// Reconstruct from a positive Linux code (used when demarshaling
     /// function-ship replies).
     pub fn from_code(code: i32) -> Option<Errno> {
@@ -147,12 +141,6 @@ mod tests {
         assert_eq!(Errno::EBADF.code(), 9);
         assert_eq!(Errno::ENOSYS.code(), 38);
         assert_eq!(Errno::EINVAL.code(), 22);
-    }
-
-    #[test]
-    fn ret_convention_is_negative() {
-        assert_eq!(Errno::ENOENT.as_ret(), -2);
-        assert_eq!(Errno::ENOSYS.as_ret(), -38);
     }
 
     #[test]

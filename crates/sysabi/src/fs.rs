@@ -12,11 +12,6 @@ impl Fd {
     pub const STDIN: Fd = Fd(0);
     pub const STDOUT: Fd = Fd(1);
     pub const STDERR: Fd = Fd(2);
-
-    #[inline]
-    pub fn is_std(self) -> bool {
-        (0..=2).contains(&self.0)
-    }
 }
 
 /// Open(2) flags. Modeled as a bitset with the Linux values.
@@ -142,12 +137,5 @@ mod tests {
             assert_eq!(SeekWhence::from_code(w as u32), Some(w));
         }
         assert_eq!(SeekWhence::from_code(7), None);
-    }
-
-    #[test]
-    fn std_fds() {
-        assert!(Fd::STDIN.is_std());
-        assert!(Fd::STDERR.is_std());
-        assert!(!Fd(3).is_std());
     }
 }

@@ -33,34 +33,5 @@ pub enum FutexOp {
     WakeBitset { count: u32, bitset: u32 },
 }
 
-impl FutexOp {
-    /// Does this operation block the caller (potentially)?
-    pub fn is_wait(self) -> bool {
-        matches!(self, FutexOp::Wait { .. } | FutexOp::WaitBitset { .. })
-    }
-}
-
 /// The bitset that matches any waiter (FUTEX_BITSET_MATCH_ANY).
 pub const FUTEX_BITSET_MATCH_ANY: u32 = u32::MAX;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wait_classification() {
-        assert!(FutexOp::Wait { expected: 0 }.is_wait());
-        assert!(FutexOp::WaitBitset {
-            expected: 0,
-            bitset: 1
-        }
-        .is_wait());
-        assert!(!FutexOp::Wake { count: 1 }.is_wait());
-        assert!(!FutexOp::Requeue {
-            wake: 1,
-            requeue: 1,
-            target_uaddr: 0
-        }
-        .is_wait());
-    }
-}

@@ -6,6 +6,7 @@ use bench::harness::{nn_throughput, run_fwq, KernelKind};
 use bgsim::fault::{FaultSchedule, FaultSpec};
 use bgsim::machine::{Machine, Recorder, Workload};
 use bgsim::telemetry::Slot;
+use bgsim::trace::TraceEvent;
 use bgsim::MachineConfig;
 use ciod::RetryPolicy;
 use cnk::{Cnk, CnkConfig};
@@ -51,6 +52,21 @@ fn empty_schedule_reproduces_recorded_bench_digests() {
     }
 }
 
+/// The RAS events a run with its trace kept recorded, as `(cycle, node,
+/// name, detail)`: injected faults (`Fault` entries, named by kind) and
+/// the kernel's own RAS codes (`Ras` entries).
+fn ras_events(m: &Machine) -> Vec<(u64, u32, &'static str, u64)> {
+    m.sc.trace
+        .entries()
+        .iter()
+        .filter_map(|e| match e.what {
+            TraceEvent::Fault { name, arg, .. } => Some((e.at, e.node, name, arg)),
+            TraceEvent::Ras { code, detail } => Some((e.at, e.node, code, detail)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn checkpoint_run(
     kernel: Box<dyn bgsim::Kernel>,
     script: &str,
@@ -61,6 +77,7 @@ fn checkpoint_run(
         MachineConfig::nodes(1)
             .with_seed(11)
             .with_telemetry()
+            .with_trace()
             .with_faults(faults),
         kernel,
         Box::new(Dcmf::with_defaults()),
@@ -111,17 +128,17 @@ fn cnk_survives_ciod_flap_via_retry() {
             .unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(vfs.inode(ino).size(), 4 * (64 << 10), "{path} size");
     }
-    // And the RAS log recorded the event.
+    // And the trace recorded the event where and when it was injected.
+    let ras = ras_events(&m);
     assert!(
-        k.ras_report().contains("coll-drop"),
-        "RAS log missing the flap:\n{}",
-        k.ras_report()
+        ras.contains(&(2_000_000, 0, "coll-drop", 1_000_000)),
+        "trace missing the flap: {ras:?}"
     );
 }
 
 /// When the link stays down past the attempt budget, the request fails
 /// with a clean `EIO` to the caller — no panic, no hang — and the
-/// failure is a RAS record.
+/// failure is a RAS event in the trace.
 #[test]
 fn exhausted_retries_surface_as_eio() {
     let cfg = CnkConfig {
@@ -136,6 +153,7 @@ fn exhausted_retries_surface_as_eio() {
         MachineConfig::nodes(1)
             .with_seed(5)
             .with_telemetry()
+            .with_trace()
             .with_faults(faults),
         Box::new(Cnk::new(cfg)),
         Box::new(Dcmf::with_defaults()),
@@ -180,16 +198,17 @@ fn exhausted_retries_surface_as_eio() {
         vec![Errno::EIO as i32 as f64],
         "open through a dead link must fail with EIO"
     );
-    let k: &Cnk = m.kernel_as().unwrap();
+    let ras = ras_events(&m);
     assert!(
-        k.ras_report().contains("io-eio"),
-        "RAS log missing the exhaustion record:\n{}",
-        k.ras_report()
+        ras.iter()
+            .any(|&(_, node, code, _)| (node, code) == (0, "io-eio")),
+        "trace missing the exhaustion record: {ras:?}"
     );
 }
 
 /// A machine check terminates the job cleanly (fatal signal, teardown)
-/// instead of wedging the simulation, and leaves a RAS record behind.
+/// instead of wedging the simulation, and leaves a RAS event in the
+/// trace.
 #[test]
 fn machine_check_terminates_job_cleanly() {
     let faults = FaultSchedule::parse("500000 0 machine-check 0").expect("script");
@@ -197,6 +216,7 @@ fn machine_check_terminates_job_cleanly() {
         MachineConfig::nodes(1)
             .with_seed(3)
             .with_telemetry()
+            .with_trace()
             .with_faults(faults),
         Box::new(Cnk::with_defaults()),
         Box::new(Dcmf::with_defaults()),
@@ -222,11 +242,10 @@ fn machine_check_terminates_job_cleanly() {
     assert!(out.at() < 5_000_000, "job was not terminated: {out:?}");
     let stats = m.sc.tel.take_metrics();
     assert_eq!(stats.value("ras.events", Slot::Node(0)), Some(1));
-    let k: &Cnk = m.kernel_as().unwrap();
+    let ras = ras_events(&m);
     assert!(
-        k.ras_report().contains("machine-check"),
-        "RAS log missing machine check:\n{}",
-        k.ras_report()
+        ras.contains(&(500_000, 0, "machine-check", 0)),
+        "trace missing the machine check: {ras:?}"
     );
 }
 
